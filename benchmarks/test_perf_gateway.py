@@ -1,9 +1,9 @@
 """PERF bench: the acquisition gateway under concurrent faulted load.
 
-One :class:`~repro.gateway.server.GatewayServer` running the batched
-decode plane, a fleet of device simulators (half of them carrying
-seeded link-fault schedules), and the numbers CI tracks in
-``BENCH_gateway.json``:
+One :class:`~repro.gateway.server.GatewayServer` (its one decode path
+is the batched decode plane), a fleet of device simulators (half of
+them carrying seeded link-fault schedules), and the numbers CI tracks
+in ``BENCH_gateway.json``:
 
 * **sessions/s** — complete device sessions (HELLO → frames → BYE)
   the gateway closes per wall-clock second, steady-state: one warmup
@@ -28,7 +28,8 @@ regression without consulting the JSON:
   the payload generator's (any mismatch is silent corruption);
 * ``sessions_per_second`` must clear ``FLOOR_SESSIONS_PER_S`` and p99
   must stay under ``CEIL_P99_MS`` (both set well inside the batched
-  plane's envelope but far outside the per-session worker's);
+  plane's envelope but far outside the ~300/s / ~90 ms of the
+  per-session worker tasks it replaced);
 * each soak wave's memory residue after retirement stays bounded.
 """
 
@@ -67,7 +68,7 @@ TRIALS = 5
 #: CI regression floors. The committed batched-plane figure is ~1.5k
 #: sessions/s with p99 ~12 ms on an idle box; the floors leave headroom
 #: for noisy CI hardware while still failing hard on any return to the
-#: per-session worker's ~300/s / ~90 ms envelope.
+#: ~300/s / ~90 ms envelope of per-session decode tasks.
 FLOOR_SESSIONS_PER_S = 900.0
 CEIL_P99_MS = 50.0
 

@@ -9,37 +9,13 @@ runs beneath the sensor.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError, SignalQualityError
-from ..parallel import ExecutorTelemetry, ParallelExecutor
 from .array2d import SensorArray
 from .mux import AnalogMultiplexer, ScanSchedule, analyze_mux_timing, plan_scan
-
-#: Master seed for the per-element noise streams of a parallel scan.
-#: Fixed so repeated scans (and any worker count) draw identically.
-_SCAN_SEED = 20040213
-
-
-def _scan_element_task(
-    item: tuple, seed: np.random.SeedSequence
-) -> np.ndarray:
-    """Record one element on a private chain copy (executor task).
-
-    The copy starts from the shared chain's pre-scan state — the same
-    "bank of matched modulators" semantics as the batched scan — and is
-    reseeded from the element's spawned child so per-element noise is
-    independent rather than a replay of identical draws. With a
-    noiseless configuration the records are bit-identical to the
-    batched path.
-    """
-    chain, segment, element = item
-    chain = copy.deepcopy(chain)
-    chain.chip.modulator.reseed(np.random.default_rng(seed))
-    return chain.record_pressure(segment, element=element).values
 
 
 @dataclass(frozen=True)
@@ -171,8 +147,6 @@ class ScanController:
         self.mux = mux
         self.dwell_samples = int(dwell_samples)
         self.discard_samples = int(discard_samples)
-        #: Telemetry of the most recent parallel scan (``jobs`` passed).
-        self.last_scan_telemetry: ExecutorTelemetry | None = None
         #: Word accounting of the most recent :meth:`scan_records` call.
         self.last_scan_truncation: ScanTruncation | None = None
         #: Whether the most recent scan ran through the fused batch kernel.
@@ -192,7 +166,6 @@ class ScanController:
         element_pressures_pa: np.ndarray | None = None,
         dwell_s: float = 2.0,
         batched: bool = False,
-        jobs: int | None = None,
         *,
         segments: np.ndarray | None = None,
         fused: bool = False,
@@ -222,23 +195,13 @@ class ScanController:
             modulator call (a bank of matched modulators) instead of
             visiting them sequentially; the difference is confined to
             the post-switch words the FPGA suppresses.
-        jobs:
-            If given, fan the elements out over a
-            :class:`~repro.parallel.ParallelExecutor` pool of this
-            width (``batched`` is then ignored). Each element runs on a
-            private copy of the chain starting from its pre-scan state
-            — the batched semantics — with per-element noise streams
-            spawned from a fixed master seed, so the records are
-            bit-identical for every ``jobs`` value (and identical to
-            ``batched=True`` for noiseless configurations). The run's
-            telemetry lands in :attr:`last_scan_telemetry`.
         segments:
             Alternative to ``element_pressures_pa`` for large arrays:
             shape (n_elements, dwell_mod_samples), row k the pressure
             element k sees during its own visit. O(elements x dwell)
             memory instead of O(samples x elements); implies the
-            batched/fused paths (``jobs`` and the sequential path need
-            the full field). ``dwell_s`` is ignored — the dwell is the
+            batched/fused paths (the sequential path needs the full
+            field). ``dwell_s`` is ignored — the dwell is the
             row length.
         fused:
             Run the whole scan as one fused batch-kernel pass, every
@@ -256,10 +219,10 @@ class ScanController:
                 raise ConfigurationError(
                     "segments must have shape (n_elements, dwell_samples)"
                 )
-            if jobs is not None or not (batched or fused):
+            if not (batched or fused):
                 raise ConfigurationError(
                     "segments are supported by the batched/fused scan "
-                    "paths only; pass the full field for jobs/sequential"
+                    "paths only; pass the full field for a sequential scan"
                 )
             dwell_mod = segments.shape[1]
             pressures = None
@@ -291,18 +254,8 @@ class ScanController:
                 self.last_scan_fused = True
             else:
                 records = []
-                batched = True
-        if not records and jobs is not None:
-            executor = ParallelExecutor(jobs=jobs)
-            items = [
-                (chain, pressures[k * dwell_mod : (k + 1) * dwell_mod], k)
-                for k in range(n_elements)
-            ]
-            records = executor.map(
-                _scan_element_task, items, seed=_SCAN_SEED
-            )
-            self.last_scan_telemetry = executor.telemetry
-        elif not records and batched:
+                batched = True  # the fused scan's Python fallback
+        if not records and batched:
             if segments is not None:
                 mod_outs = chain.chip.acquire_scan_segments(segments)
             else:
@@ -467,7 +420,6 @@ class ScanController:
         metric: str = "peak_to_peak",
         batched: bool = True,
         settle_words: int | None = None,
-        jobs: int | None = None,
         health_screen: bool = False,
         *,
         segments: np.ndarray | None = None,
@@ -499,8 +451,6 @@ class ScanController:
         settle_words:
             Output words discarded before the amplitude metric; defaults
             to this controller's ``discard_samples``.
-        jobs:
-            Worker count for a parallel scan (see :meth:`scan_records`).
         health_screen:
             Exclude elements :meth:`element_health` marks degraded.
         """
@@ -509,7 +459,6 @@ class ScanController:
             element_pressures_pa,
             dwell_s=dwell_s,
             batched=batched,
-            jobs=jobs,
             segments=segments,
             fused=fused,
         )
@@ -572,7 +521,6 @@ class ScanController:
         dwell_s: float = 1.5,
         batched: bool = True,
         settle_words: int | None = None,
-        jobs: int | None = None,
         health_screen: bool = True,
         *,
         segments: np.ndarray | None = None,
@@ -591,7 +539,6 @@ class ScanController:
             element_pressures_pa,
             dwell_s=dwell_s,
             batched=batched,
-            jobs=jobs,
             segments=segments,
             fused=fused,
         )

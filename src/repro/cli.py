@@ -635,7 +635,6 @@ def cmd_gateway(
     faulty_fraction: float = 0.5,
     seed: int = 0,
     json_path: str | None = None,
-    decode_plane: str = "batch",
     flush_bytes: int = 64 * 1024,
     max_latency_ms: float = 2.0,
     telemetry: bool = False,
@@ -668,7 +667,6 @@ def cmd_gateway(
                 faulty_fraction=faulty_fraction,
                 seed=seed,
                 queue_chunks=queue_chunks,
-                decode_plane=decode_plane,
             )
         )
         payload = json.dumps(report.as_dict(), indent=2)
@@ -683,7 +681,6 @@ def cmd_gateway(
             port=port,
             metrics_port=metrics_port,
             queue_chunks=queue_chunks,
-            decode_plane=decode_plane,
             flush_bytes=flush_bytes,
             max_latency_s=max_latency_ms / 1e3,
         )
@@ -986,11 +983,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write the chaos report JSON here",
     )
     gateway_parser.add_argument(
-        "--decode-plane", choices=("batch", "worker"), default="batch",
-        help="decode scheduling: shared micro-batching plane (default) "
-        "or one worker task per connection",
-    )
-    gateway_parser.add_argument(
         "--flush-bytes", type=int, default=64 * 1024,
         help="batch-plane occupancy target [bytes] before a tick fires",
     )
@@ -1101,7 +1093,6 @@ def main(argv: list[str] | None = None) -> int:
             faulty_fraction=args.faulty_fraction,
             seed=args.seed,
             json_path=args.json,
-            decode_plane=args.decode_plane,
             flush_bytes=args.flush_bytes,
             max_latency_ms=args.max_latency_ms,
             telemetry=args.telemetry,

@@ -172,7 +172,6 @@ class ReadoutChain:
         element_pressures_pa: np.ndarray | None = None,
         dwell_s: float = 2.0,
         batched: bool = False,
-        jobs: int | None = None,
         *,
         segments: np.ndarray | None = None,
         fused: bool = False,
@@ -195,12 +194,6 @@ class ReadoutChain:
         element's final state; the difference is confined to the
         post-switch words the FPGA already suppresses.
 
-        ``jobs`` fans the elements out over a
-        :class:`~repro.parallel.ParallelExecutor` pool on private chain
-        copies (see
-        :meth:`~repro.array.scan.ScanController.scan_records`); results
-        are bit-identical for every worker count.
-
         For large arrays pass ``segments`` ((n_elements, dwell) pressures,
         O(elements x dwell) memory) and/or ``fused=True`` to run the whole
         scan as one fused batch-kernel pass (bit-identical to
@@ -214,7 +207,6 @@ class ReadoutChain:
             element_pressures_pa,
             dwell_s=dwell_s,
             batched=batched,
-            jobs=jobs,
             segments=segments,
             fused=fused,
         )

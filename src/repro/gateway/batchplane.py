@@ -1,10 +1,9 @@
 """The gateway's shared decode plane: fleet-wide micro-batched decoding.
 
-Per-session worker tasks (one ``await queue.get()`` loop per device)
-decode each chunk alone, so every chunk pays the full Python frame-parse
-cost and the event loop pays one task wakeup per chunk. The
-:class:`BatchPlane` replaces all of them with **one** scheduler task
-that runs a tick loop:
+Decoding each connection's chunks alone would make every chunk pay the
+full Python frame-parse cost and the event loop one task wakeup per
+chunk. The :class:`BatchPlane` decodes every connection of a gateway
+from **one** scheduler task that runs a tick loop:
 
 1. **Drain fleet-wide** — every armed session's queued chunks are taken
    at once and merged (exact: the frame decoder is chunk-boundary
@@ -30,7 +29,8 @@ Flush policy — the latency/throughput dial:
 
 The plane keeps per-tick telemetry (occupancy, flush causes, tick rate)
 for the metrics endpoint and asserts nothing about session semantics:
-sessions behave bit-identically to worker-mode decoding, which the
+each lane decodes bit-identically to a plain
+:class:`~repro.daq.usb.FrameDecoder` fed the same chunks, which the
 property tests in ``tests/properties`` enforce.
 """
 
@@ -105,10 +105,9 @@ class BatchPlane:
     def detach(self, session: DeviceSession) -> None:
         """Drop a lane; its *queued-but-undecoded* bytes are discarded.
 
-        Only called when the session's books are already closed (fresh
-        HELLO replacing a restarted device, or finalize on DEAD) — the
-        same point where worker mode cancels the old worker task, so the
-        discard semantics match exactly.
+        Only called when the session's books are already closed: a
+        fresh HELLO replacing a restarted device, or a session retired
+        after its close.
         """
         if self.lanes.get(session.device_id) is session:
             del self.lanes[session.device_id]

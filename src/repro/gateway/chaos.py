@@ -20,7 +20,10 @@ tentpole's graceful-degradation contract:
    same payload stream, no matter how sick their neighbours are.
 3. **Bounded memory** — per-connection ingest queues never exceed their
    bound and the demux buffer stays under one maximum frame.
-4. **No leaks** — the event loop ends with exactly the tasks it began
+4. **Clean closes** — every device whose client sent its BYE has its
+   server-side session closed (BYE seen, books finalized) within a
+   bounded wait, before the server shuts down and closes the rest.
+5. **No leaks** — the event loop ends with exactly the tasks it began
    with.
 
 The report is JSON-able (:meth:`ChaosReport.as_dict`) so the CI smoke
@@ -39,6 +42,9 @@ from .client import DeviceClient, DeviceReport, expected_codes, synthetic_payloa
 from .connection import DeviceSession
 from .protocol import MAX_DATA_FRAME
 from .server import GatewayServer
+
+#: How long a BYE may take to close its server-side session.
+CLOSE_TIMEOUT_S = 5.0
 
 #: Fault kinds every sick device draws from (one seeded process each).
 CHAOS_KINDS = (
@@ -190,6 +196,34 @@ def _verify_device(
         )
 
 
+async def _await_closes(
+    report: ChaosReport, server: GatewayServer, results: list
+) -> None:
+    """Fail every device whose sent BYE did not close its session."""
+
+    def closed(did: int) -> bool:
+        session = server.sessions.get(did)
+        return (
+            session is not None and session.bye_seen and session.finalized
+        )
+
+    sent = [
+        did
+        for did, result in enumerate(results)
+        if isinstance(result, DeviceReport) and result.bye_sent
+    ]
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + CLOSE_TIMEOUT_S
+    while not all(map(closed, sent)) and loop.time() < deadline:
+        await asyncio.sleep(0.01)
+    for did in sent:
+        if not closed(did):
+            report.failures.append(
+                f"device {did}: BYE sent but the server session did not "
+                f"close within {CLOSE_TIMEOUT_S:g} s"
+            )
+
+
 async def run_chaos(
     n_devices: int = 50,
     frames_per_device: int = 120,
@@ -201,7 +235,6 @@ async def run_chaos(
     seed: int = 0,
     queue_chunks: int = 64,
     heartbeat_s: float = 0.05,
-    decode_plane: str = "batch",
 ) -> ChaosReport:
     """Run the fleet, then audit every connection. Returns the report.
 
@@ -209,16 +242,12 @@ async def run_chaos(
     fault schedules seeded from ``seed + device_id``; every
     ``reconnect_every``-th payload each device hard-drops its TCP
     connection and resumes, exercising the watchdog + replay path under
-    load. ``decode_plane`` selects the gateway's decode scheduling
-    (``"batch"`` or ``"worker"``) — the audit's assertions are
-    plane-independent, which is itself part of the bit-identity gate.
+    load.
     """
     report = ChaosReport(devices=n_devices)
     baseline_tasks = asyncio.all_tasks()
 
-    server = GatewayServer(
-        queue_chunks=queue_chunks, decode_plane=decode_plane
-    )
+    server = GatewayServer(queue_chunks=queue_chunks)
     host, port = await server.start()
     # Interleave sick and healthy devices across the id space so the
     # isolation check never reduces to "faults ran first/last".
@@ -259,6 +288,7 @@ async def run_chaos(
     )
     if not await server.drain(timeout_s=10.0):
         report.failures.append("ingest queues failed to drain")
+    await _await_closes(report, server, results)
     await server.stop()
 
     for did, result in enumerate(results):

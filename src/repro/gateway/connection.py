@@ -14,11 +14,13 @@ one:
   O(bytes) splitting of control messages (handled immediately: a
   heartbeat must never queue behind data) from data bytes;
 * data bytes go through a **bounded** queue (:meth:`offer`) to the
-  session's worker, which runs :meth:`decode`. When the queue is full
-  the chunk is **shed, counted, never silently**: ``chunks_shed`` /
-  ``bytes_shed`` record the drop, and the sequence numbers of the
-  frames inside the shed bytes surface downstream as explicit
-  ``lost_frames`` gaps the moment the next surviving frame arrives.
+  gateway's :class:`~repro.gateway.batchplane.BatchPlane`, which
+  decodes them with :meth:`stage_pending` + :meth:`commit_staged`.
+  When the queue is full the chunk is **shed, counted, never
+  silently**: ``chunks_shed`` / ``bytes_shed`` record the drop, and the
+  sequence numbers of the frames inside the shed bytes surface
+  downstream as explicit ``lost_frames`` gaps the moment the next
+  surviving frame arrives.
 
 Telemetry is the session's :class:`~repro.core.session.PipelineTelemetry`
 restricted to the host-side stages; ``frames_framed`` arrives with the
@@ -84,13 +86,13 @@ class DeviceSession:
         )
         self.watchdog = watchdog or Watchdog()
         self.telemetry = PipelineTelemetry()
-        self.queue: asyncio.Queue[bytes | None] = asyncio.Queue(
+        self.queue: asyncio.Queue[bytes] = asyncio.Queue(
             maxsize=queue_chunks
         )
         #: Set whenever the ingest queue is empty — the event-driven
         #: drain signal (replaces the server's old polling sleep loop).
-        #: Cleared by :meth:`offer`, set by whichever consumer (worker
-        #: or batch plane) empties the queue.
+        #: Cleared by :meth:`offer`, set by the batch plane when it
+        #: empties the queue.
         self.queue_empty = asyncio.Event()
         self.queue_empty.set()
         #: Optional per-frame hook ``(sequence, t_decoded_s)`` — the
@@ -144,8 +146,12 @@ class DeviceSession:
         self.watchdog.beat()
         return self._demux.feed(data)
 
+    def end_of_stream(self) -> tuple[bytes, list[ControlEvent]]:
+        """The connection's bytes ended: release what the demux holds."""
+        return self._demux.finish()
+
     def offer(self, chunk: bytes) -> bool:
-        """Queue data bytes for the worker; shed (counted) when full."""
+        """Queue data bytes for the decode plane; shed (counted) when full."""
         if not chunk:
             return True
         try:
@@ -166,28 +172,6 @@ class DeviceSession:
         self.frames_reported = int(event.frames_framed)
         self.faults_reported = int(event.faults_injected)
 
-    # -- worker side ---------------------------------------------------------
-
-    def decode(self, chunk: bytes) -> int:
-        """Decode + ingest one queued chunk; returns frames decoded."""
-        tm = self.telemetry
-        t0 = time.perf_counter()
-        frames = self.decoder.feed(chunk)
-        t1 = time.perf_counter()
-        tm.add_stage_seconds("decode", t1 - t0)
-        self.stream.ingest(frames)
-        tm.add_stage_seconds("ingest", time.perf_counter() - t1)
-        tm.chunks += 1
-        tm.peak_chunk_bytes = max(tm.peak_chunk_bytes, len(chunk))
-        if self.frame_hook is not None:
-            now = self._clock()
-            for frame in frames:
-                self.frame_hook(frame.sequence, now)
-        self._sync_counters()
-        if self.queue.qsize() == 0:
-            self.queue_empty.set()
-        return len(frames)
-
     # -- batch-plane side ----------------------------------------------------
 
     def take_queued(self) -> list[bytes]:
@@ -195,12 +179,9 @@ class DeviceSession:
         chunks: list[bytes] = []
         while True:
             try:
-                chunk = self.queue.get_nowait()
+                chunks.append(self.queue.get_nowait())
             except asyncio.QueueEmpty:
-                break
-            if chunk is not None:
-                chunks.append(chunk)
-        return chunks
+                return chunks
 
     def stage_pending(self) -> batchdecode.Staged | None:
         """Drain the queue and scan the tiled prefix; ``None`` if idle.
@@ -208,8 +189,9 @@ class DeviceSession:
         Chunk merging is exact: ``FrameDecoder.feed`` is chunk-boundary
         invariant (its buffer carries split frames across feeds), so
         decoding the concatenation of this tick's chunks produces the
-        same frames, counters and buffer state as decoding them one by
-        one — the property tests assert this bit-for-bit.
+        same frames, counters and buffer state as feeding them one by
+        one to a plain decoder — the property tests assert this
+        bit-for-bit.
         """
         chunks = self.take_queued()
         if not chunks:

@@ -216,6 +216,29 @@ class ControlDemux:
         if not data:
             return b"", []
         self._buffer += data
+        return self._scan()
+
+    def finish(self) -> tuple[bytes, list[ControlEvent]]:
+        """End of stream: give up every claim the stream never completed.
+
+        :meth:`feed` holds a frame whose claimed length runs past what
+        has arrived, and every byte behind it — a truncated last data
+        frame would hide the BYE that follows it. Like
+        :meth:`~repro.daq.usb.FrameDecoder.finalize`, this abandons the
+        claim, passes its lead byte to the data plane as garbage and
+        rescans the held bytes, until nothing is held. Returns what
+        :meth:`feed` returns.
+        """
+        out = bytearray()
+        events: list[ControlEvent] = []
+        while self._buffer:
+            out.append(self._buffer.pop(0))
+            data, more = self._scan()
+            out += data
+            events += more
+        return bytes(out), events
+
+    def _scan(self) -> tuple[bytes, list[ControlEvent]]:
         buf = self._buffer
         out = bytearray()
         events: list[ControlEvent] = []

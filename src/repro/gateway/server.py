@@ -10,10 +10,11 @@ last acknowledged sequence instead of losing data.
 
 Robustness structure:
 
-* **Isolation** — every connection has its own reader task, worker
-  task, decoder and bounded queue; a sick or slow connection degrades
-  only itself (its queue sheds, counted) while healthy connections run
-  untouched.
+* **Isolation** — every connection has its own reader task, decoder
+  and bounded queue, and is one lane of the shared
+  :class:`~repro.gateway.batchplane.BatchPlane`; a sick or slow
+  connection degrades only itself (its queue sheds, counted) while
+  healthy connections run untouched.
 * **Watchdog** — a single ticker walks every session's
   :class:`~repro.gateway.watchdog.Watchdog`: DEGRADED connections are
   probed with a DLE, RECONNECTING ones lose their socket but keep
@@ -34,7 +35,7 @@ import contextlib
 import json
 
 from ..core.session import PipelineTelemetry
-from ..errors import ConfigurationError, GatewayError
+from ..errors import GatewayError
 from .batchplane import BatchPlane
 from .connection import DeviceSession
 from .protocol import ControlDemux, ControlEvent, heartbeat, pack_ack
@@ -75,17 +76,16 @@ class GatewayServer:
         encoders' ``samples_per_frame``), so frame-loss gaps are booked
         as full frames even across chunk flush boundaries. ``None``
         keeps the legacy follower-size estimate.
-    decode_plane:
-        ``"batch"`` (default) decodes every connection through the
-        shared :class:`~repro.gateway.batchplane.BatchPlane` scheduler;
-        ``"worker"`` keeps the legacy per-session worker tasks. Both
-        planes are bit-identical per device (asserted by the property
-        tests); batch amortizes the Python deframe/CRC cost fleet-wide.
     flush_bytes / max_latency_s:
         Batch-plane flush policy: tick when this many bytes are
         pending, or this long after the first pending byte, whichever
-        comes first. Ignored in worker mode.
+        comes first.
     """
+
+    #: Every connection decodes through the shared
+    #: :class:`~repro.gateway.batchplane.BatchPlane` (the label the
+    #: metrics payload reports).
+    decode_plane = "batch"
 
     def __init__(
         self,
@@ -98,14 +98,9 @@ class GatewayServer:
         metrics_port: int | None = None,
         output_rate_hz: float = 1000.0,
         samples_per_frame: int | None = None,
-        decode_plane: str = "batch",
         flush_bytes: int = 64 * 1024,
         max_latency_s: float = 0.002,
     ):
-        if decode_plane not in ("batch", "worker"):
-            raise ConfigurationError(
-                "decode_plane must be 'batch' or 'worker'"
-            )
         self.host = host
         self.port = int(port)
         self.queue_chunks = int(queue_chunks)
@@ -115,7 +110,6 @@ class GatewayServer:
         self.metrics_port = metrics_port
         self.output_rate_hz = float(output_rate_hz)
         self.samples_per_frame = samples_per_frame
-        self.decode_plane = decode_plane
         self.flush_bytes = int(flush_bytes)
         self.max_latency_s = float(max_latency_s)
         self.plane: BatchPlane | None = None
@@ -126,7 +120,6 @@ class GatewayServer:
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._ticker: asyncio.Task | None = None
-        self._workers: dict[int, asyncio.Task] = {}
         self._writers: dict[int, asyncio.StreamWriter] = {}
 
     # -- lifecycle -----------------------------------------------------------
@@ -146,12 +139,11 @@ class GatewayServer:
             self.metrics_port = (
                 self._metrics_server.sockets[0].getsockname()[1]
             )
-        if self.decode_plane == "batch":
-            self.plane = BatchPlane(
-                flush_bytes=self.flush_bytes,
-                max_latency_s=self.max_latency_s,
-            )
-            self.plane.start()
+        self.plane = BatchPlane(
+            flush_bytes=self.flush_bytes,
+            max_latency_s=self.max_latency_s,
+        )
+        self.plane.start()
         self._ticker = asyncio.create_task(self._tick())
         return self.host, self.port
 
@@ -169,24 +161,10 @@ class GatewayServer:
             self._ticker = None
         for writer in list(self._writers.values()):
             writer.close()
-        # Workers drain what is queued, then exit on the None sentinel;
-        # a worker whose queue is too full to take the sentinel is
-        # cancelled instead (its backlog is already accounted as shed
-        # or surfaces as lost frames at finalize).
-        for device_id, task in list(self._workers.items()):
-            session = self.sessions.get(device_id)
-            try:
-                if session is not None:
-                    session.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._workers.clear()
         self._writers.clear()
         if self.plane is not None:
             # Final tick: whatever the readers queued is decoded before
-            # the books close, mirroring the workers' sentinel drain.
+            # the books close.
             await self.plane.stop()
         for session in self.sessions.values():
             session.finalize()
@@ -195,10 +173,9 @@ class GatewayServer:
         """Wait until every ingest queue has been decoded empty (True)
         or time out.
 
-        Event-driven: each session's ``queue_empty`` event is set by its
-        consumer (worker task or batch plane) the moment the last queued
-        chunk is decoded, so drain returns promptly instead of polling
-        on a sleep loop.
+        Event-driven: each session's ``queue_empty`` event is set by the
+        batch plane the moment the last queued chunk is decoded, so
+        drain returns promptly instead of polling on a sleep loop.
         """
         try:
             await asyncio.wait_for(self._drained(), timeout=timeout_s)
@@ -296,10 +273,9 @@ class GatewayServer:
         elif hello.resume:
             session.reconnects += 1
             session.watchdog.revive()
-            if self.plane is not None:
-                # Catch the decoder up before ACKing, so the resume
-                # point reflects every byte already received.
-                self.plane.flush_lane(session)
+            # Catch the decoder up before ACKing, so the resume point
+            # reflects every byte already received.
+            self.plane.flush_lane(session)
         else:
             # Same id, fresh stream: the device restarted. Close the old
             # books and start over in place.
@@ -314,16 +290,8 @@ class GatewayServer:
                 samples_per_frame=self.samples_per_frame,
             )
             session.frame_hook = old_hook
-            if self.plane is not None:
-                # Drop the restarted stream's undecoded backlog, as
-                # cancelling its worker would.
-                self.plane.detach(old_session)
-            else:
-                old_worker = self._workers.get(hello.device_id)
-                if old_worker is not None:
-                    old_worker.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await old_worker
+            # Drop the restarted stream's undecoded backlog.
+            self.plane.detach(old_session)
             self._attach(session)
             session.fresh_start()
         session.connections += 1
@@ -334,32 +302,27 @@ class GatewayServer:
         # Bytes that followed HELLO in the same read belong to the
         # session's stream.
         if pending:
-            self._ingest(session, pending, writer)
+            self._ingest(session, session.demux(pending), writer)
         # Any control messages the throwaway demux still holds split?
         # Its buffer is part of `pending`'s continuation — hand it over.
         tail = probe.drain()
         if tail:
-            self._ingest(session, tail, writer)
+            self._ingest(session, session.demux(tail), writer)
         return session
 
     def _attach(self, session: DeviceSession) -> None:
-        """Register a session with whichever decode plane is active."""
+        """Register a session and make it a decode-plane lane."""
         self.sessions[session.device_id] = session
-        if self.plane is not None:
-            self.plane.attach(session)
-        else:
-            self._workers[session.device_id] = asyncio.create_task(
-                self._work(session)
-            )
+        self.plane.attach(session)
 
     def _ingest(
         self,
         session: DeviceSession,
-        data: bytes,
+        demuxed: tuple[bytes, list[ControlEvent]],
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Reader-side: demux one read, act on control, queue the data."""
-        data_bytes, events = session.demux(data)
+        """Reader-side: act on one demuxed read's control, queue its data."""
+        data_bytes, events = demuxed
         for event in events:
             if event.kind == "heartbeat":
                 # DLE poll: answer with the cumulative ACK.
@@ -368,7 +331,7 @@ class GatewayServer:
                 session.note_bye(event)
             # Mid-stream HELLO/ACK frames are protocol noise; their
             # bytes were already counted by the demux.
-        if session.offer(data_bytes) and self.plane is not None:
+        if session.offer(data_bytes):
             self.plane.notify(session, len(data_bytes))
 
     async def _pump(
@@ -377,25 +340,23 @@ class GatewayServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        while True:
-            data = await reader.read(_READ_CHUNK)
-            if not data:
-                break
-            self._ingest(session, data, writer)
+        try:
+            while data := await reader.read(_READ_CHUNK):
+                self._ingest(session, session.demux(data), writer)
+        except (ConnectionError, OSError):
+            # A reset can follow the BYE: a client that closes with our
+            # ACKs unread makes its kernel answer with an RST.
+            pass
+        if self._writers.get(session.device_id) is writer:
+            # End of this connection's bytes: a claim the stream never
+            # completed must not hold back what followed it (a BYE
+            # behind a truncated last frame). A stale handler skips
+            # this — the demux already carries its successor's bytes.
+            self._ingest(session, session.end_of_stream(), writer)
         if session.bye_seen:
             # Clean close: drain what is queued, then close the books.
             await self._drain_session(session)
             session.finalize()
-
-    async def _work(self, session: DeviceSession) -> None:
-        """Per-session worker: the only consumer of the ingest queue."""
-        while True:
-            chunk = await session.queue.get()
-            if chunk is None:
-                break
-            session.decode(chunk)
-            # Yield so one hot connection cannot monopolize the loop.
-            await asyncio.sleep(0)
 
     async def _drain_session(self, session: DeviceSession) -> None:
         while not session.queue_empty.is_set():

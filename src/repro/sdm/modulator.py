@@ -178,37 +178,6 @@ class SecondOrderSDM:
 
     # -- public API -----------------------------------------------------------
 
-    def reseed(self, rng: np.random.Generator) -> None:
-        """Re-derive every stochastic stream from a fresh generator.
-
-        Replaces the four per-term child streams (jitter, white noise,
-        DAC, flicker) and the comparator's metastability source, leaving
-        the analog state untouched. The parallel element scan uses this
-        to decorrelate the noise of per-element chain copies: a plain
-        ``deepcopy`` would replay identical draws on every element.
-        With an ideal (noiseless) configuration this is a no-op on the
-        output.
-        """
-        self.rng = rng
-        try:
-            children = self.rng.spawn(4)
-        except (AttributeError, TypeError):  # pragma: no cover
-            children = [
-                np.random.default_rng(int(self.rng.integers(0, 2**63)))
-                for _ in range(4)
-            ]
-        self._jitter_rng, self._noise_rng, self._dac_rng, flicker_rng = (
-            children
-        )
-        self.comparator._rng = self.rng
-        if self._flicker is not None:
-            self._flicker = FlickerNoiseGenerator(
-                corner_hz=self.nonideality.flicker_corner_hz,
-                white_sigma=self._noise_sigma_u,
-                sample_rate_hz=self.params.sampling_rate_hz,
-                rng=flicker_rng,
-            )
-
     def reset(self) -> None:
         """Clear integrators, comparator memory and flicker state."""
         self.stage1.reset()

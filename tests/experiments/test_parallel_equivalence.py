@@ -3,17 +3,13 @@
 The executor's contract (docs/THEORY.md §8) is that ``jobs`` is pure
 scheduling: every harness must produce bit-identical arrays for any
 worker count. These tests pin that for the population protocol, the
-design-space grid, the ablation sweeps and the element scan.
+design-space grid and the ablation sweeps.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
-import pytest
 
-from repro.core.chain import ReadoutChain
 from repro.experiments import (
     run_chopper_ablation,
     run_design_space,
@@ -22,7 +18,6 @@ from repro.experiments import (
     run_population,
     run_robustness_sweep,
 )
-from repro.params import NonidealityParams, SystemParams
 
 
 class TestPopulationEquivalence:
@@ -94,49 +89,3 @@ class TestGridEquivalence:
             pooled.sys_error_with_rejection_mmhg,
         )
         assert np.array_equal(serial.servo_error_pa, pooled.servo_error_pa)
-
-
-@pytest.fixture()
-def scan_field():
-    params = SystemParams()
-    fs = params.modulator.sampling_rate_hz
-    dwell_s = 0.2
-    n = int(dwell_s * fs) * 4
-    t = np.arange(n) / fs
-    weights = np.array([0.3, 1.0, 0.5, 0.1])
-    field = 2000.0 * np.sin(2 * np.pi * 1.3 * t)[:, None] * weights[None, :]
-    return params, field, dwell_s
-
-
-class TestScanEquivalence:
-    def test_scan_bit_identical_across_jobs(self, scan_field):
-        params, field, dwell_s = scan_field
-        serial = ReadoutChain(
-            params, rng=np.random.default_rng(7)
-        ).scan_elements(field, dwell_s=dwell_s, jobs=1)
-        pooled = ReadoutChain(
-            params, rng=np.random.default_rng(7)
-        ).scan_elements(field, dwell_s=dwell_s, jobs=4)
-        assert np.array_equal(serial, pooled)
-
-    def test_parallel_scan_matches_batched_when_noiseless(self, scan_field):
-        params, field, dwell_s = scan_field
-        ideal = dataclasses.replace(
-            params, nonideality=NonidealityParams.ideal()
-        )
-        batched = ReadoutChain(
-            ideal, rng=np.random.default_rng(7)
-        ).scan_elements(field, dwell_s=dwell_s, batched=True)
-        parallel = ReadoutChain(
-            ideal, rng=np.random.default_rng(7)
-        ).scan_elements(field, dwell_s=dwell_s, jobs=2)
-        assert np.array_equal(batched, parallel)
-
-    def test_parallel_scan_decorrelates_element_noise(self, scan_field):
-        params, field, dwell_s = scan_field
-        chain = ReadoutChain(params, rng=np.random.default_rng(7))
-        records = chain.scan_elements(field, dwell_s=dwell_s, jobs=1)
-        # Elements 0 and 3 see the same waveform at different couplings;
-        # if their noise replayed identical draws, the scaled residuals
-        # would match exactly.
-        assert not np.allclose(records[:, 0] / 0.3, records[:, 3] / 0.1)

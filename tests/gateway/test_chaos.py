@@ -3,7 +3,11 @@
 import asyncio
 import json
 
-from repro.gateway.chaos import CHAOS_KINDS, run_chaos
+from repro.gateway import chaos
+from repro.gateway.chaos import CHAOS_KINDS, ChaosReport, run_chaos
+from repro.gateway.client import DeviceReport
+from repro.gateway.connection import DeviceSession
+from repro.gateway.server import GatewayServer
 
 
 class TestChaos:
@@ -73,3 +77,24 @@ class TestChaos:
         assert report.crc_errors == 0
         assert report.frames_unaccounted == 0
         assert report.clean_devices_exact == 6
+
+    def test_bye_without_server_close_fails_audit(self, monkeypatch):
+        monkeypatch.setattr(chaos, "CLOSE_TIMEOUT_S", 0.05)
+        server = GatewayServer()
+        stuck = DeviceSession(device_id=0)
+        stuck.bye_seen = True  # the BYE arrived; the books never closed
+        closed = DeviceSession(device_id=1)
+        closed.bye_seen = True
+        closed.finalize()
+        server.sessions.update({0: stuck, 1: closed})
+        results = [
+            DeviceReport(device_id=0, bye_sent=True),
+            DeviceReport(device_id=1, bye_sent=True),
+            DeviceReport(device_id=2),  # never sent its BYE: not gated
+        ]
+        report = ChaosReport()
+        asyncio.run(chaos._await_closes(report, server, results))
+        assert report.failures == [
+            "device 0: BYE sent but the server session did not close "
+            "within 0.05 s"
+        ]

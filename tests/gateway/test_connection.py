@@ -5,6 +5,7 @@ import pytest
 
 from repro.daq.usb import FrameEncoder
 from repro.errors import ConfigurationError
+from repro.gateway.batchplane import BatchPlane
 from repro.gateway.connection import DeviceSession
 from repro.gateway.protocol import ControlEvent, pack_bye
 
@@ -15,6 +16,15 @@ def _payload(n_frames=3, spf=8, start_codes=0):
         np.arange(start_codes, start_codes + n_frames * spf, dtype=np.int16),
         0,
     )
+
+
+def _decode(session, chunk):
+    """Queue one chunk and decode it as a batch-plane lane; frames."""
+    plane = BatchPlane()
+    plane.attach(session)
+    assert session.offer(chunk)
+    plane.notify(session, len(chunk))
+    return plane.flush_lane(session)
 
 
 def _bye_event(frames, faults=0):
@@ -46,9 +56,9 @@ class TestBackpressure:
         session.fresh_start()
         payload = _payload(3)
         size = len(payload) // 3
-        session.decode(payload[:size])  # frame 0 arrives
+        _decode(session, payload[:size])  # frame 0 arrives
         # frame 1 was shed (never decoded); frame 2 reveals the gap
-        session.decode(payload[2 * size :])
+        _decode(session, payload[2 * size :])
         assert session.decoder.lost_frames == 1
         view = session.telemetry_view()
         assert view.frames_decoded == 2
@@ -58,7 +68,7 @@ class TestBackpressure:
 class TestAccounting:
     def test_decode_updates_telemetry(self):
         session = DeviceSession(device_id=1)
-        n = session.decode(_payload(2))
+        n = _decode(session, _payload(2))
         assert n == 2
         tm = session.telemetry
         assert tm.frames_decoded == 2
@@ -69,7 +79,7 @@ class TestAccounting:
     def test_bye_closes_conservation(self):
         session = DeviceSession(device_id=1)
         session.fresh_start()
-        session.decode(_payload(2))
+        _decode(session, _payload(2))
         session.note_bye(_bye_event(frames=3, faults=1))
         view = session.telemetry_view()
         assert view.frames_framed == 3
@@ -88,7 +98,7 @@ class TestAccounting:
     def test_finalize_books_no_tail_when_everything_arrived(self):
         session = DeviceSession(device_id=1)
         session.fresh_start()
-        session.decode(_payload(3))
+        _decode(session, _payload(3))
         session.note_bye(_bye_event(frames=3))
         session.finalize()
         view = session.telemetry_view()
@@ -98,7 +108,7 @@ class TestAccounting:
 
     def test_without_bye_books_close_at_evidence(self):
         session = DeviceSession(device_id=1)
-        session.decode(_payload(2))
+        _decode(session, _payload(2))
         view = session.telemetry_view()
         assert view.frames_framed == 2
         assert view.frames_unaccounted == 0
@@ -107,7 +117,7 @@ class TestAccounting:
     def test_reconcile_strict_when_clean(self):
         session = DeviceSession(device_id=1)
         session.fresh_start()
-        session.decode(_payload(2))
+        _decode(session, _payload(2))
         session.reconcile()
 
     def test_last_acked_tracks_decoder(self):
@@ -115,7 +125,7 @@ class TestAccounting:
         assert session.last_acked is None
         session.fresh_start()
         assert session.last_acked == 0xFFFF  # expecting 0: nothing yet
-        session.decode(_payload(2))
+        _decode(session, _payload(2))
         assert session.last_acked == 1
 
     def test_finalize_idempotent_and_drains_demux(self):
@@ -127,7 +137,7 @@ class TestAccounting:
         assert session._demux.buffered == 10
         # ...until finalize hands it to the decoder (which waits for the
         # rest, then abandons the claim).
-        session.decode(payload[10:])  # worker processed the later chunk
+        _decode(session, payload[10:])  # the plane decoded a later chunk
         session.finalize()
         session.finalize()
         assert session.finalized
@@ -137,14 +147,14 @@ class TestAccounting:
         import json
 
         session = DeviceSession(device_id=3)
-        session.decode(_payload(2))
+        _decode(session, _payload(2))
         session.note_bye(_bye_event(2))
         blob = json.dumps(session.metrics())
         assert '"device_id": 3' in blob
 
     def test_codes_returns_decoded_words(self):
         session = DeviceSession(device_id=1)
-        session.decode(_payload(2))
+        _decode(session, _payload(2))
         assert np.array_equal(session.codes(0), np.arange(16))
 
 

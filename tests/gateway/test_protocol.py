@@ -126,6 +126,23 @@ class TestDemuxInterleaving:
         assert demux.drain() == data[:10]
         assert demux.buffered == 0
 
+    def test_finish_releases_bye_behind_truncated_frame(self):
+        # The last data frame lost its tail on the link: its count byte
+        # claims more bytes than follow, so feed() holds the BYE behind
+        # the claim. At end of stream the claim is abandoned and the
+        # held bytes rescanned.
+        truncated = _data_payload(1, spf=32)[:27]  # 10 of 32 samples
+        demux = ControlDemux()
+        data_bytes, events = demux.feed(truncated + pack_bye(1000, 25))
+        assert (data_bytes, events) == (b"", [])
+        data_bytes, events = demux.finish()
+        assert [e.kind for e in events] == ["bye"]
+        assert events[0].frames_framed == 1000
+        assert events[0].faults_injected == 25
+        assert data_bytes == truncated  # garbage for the frame decoder
+        assert demux.buffered == 0
+        assert demux.finish() == (b"", [])
+
 
 class TestFrameHelpers:
     def test_split_frames(self):

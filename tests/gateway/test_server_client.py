@@ -6,11 +6,14 @@ a leak check: a dangling task would make loop close noisy/undead.
 """
 
 import asyncio
+import socket
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core.chain import ReadoutChain
+from repro.daq.usb import FrameEncoder
 from repro.errors import GatewayError
 from repro.gateway.client import (
     DeviceClient,
@@ -19,6 +22,7 @@ from repro.gateway.client import (
     expected_codes,
     synthetic_payloads,
 )
+from repro.gateway.protocol import pack_bye, pack_hello
 from repro.gateway.server import GatewayServer
 
 
@@ -33,6 +37,33 @@ async def _with_server(body, **server_kw):
         return await body(server)
     finally:
         await server.stop()
+
+
+async def _until(predicate, timeout_s=2.0):
+    """Poll ``predicate`` until true (True) or ``timeout_s`` passes."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while not predicate():
+        if loop.time() > deadline:
+            return False
+        await asyncio.sleep(0.01)
+    return True
+
+
+async def _raw_device(server, device_id, wire):
+    """HELLO, wait for the ACK, then put ``wire`` on the socket."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(pack_hello(device_id))
+    await writer.drain()
+    assert await reader.read(64)  # the handshake ACK
+    writer.write(wire)
+    await writer.drain()
+    return writer
+
+
+def _closed(server, device_id):
+    session = server.sessions.get(device_id)
+    return session is not None and session.bye_seen and session.finalized
 
 
 class TestSingleDevice:
@@ -76,6 +107,7 @@ class TestSingleDevice:
             assert view.crc_errors == 0
             assert view.frames_unaccounted == 0
             server.reconcile()
+            assert server.metrics()["server"]["decode_plane"] == "batch"
             got = session.codes(0)
             assert np.array_equal(got, expected_codes(frames, spf))
 
@@ -324,3 +356,50 @@ class TestFailureModes:
                 session.reconcile()
 
         _run(body())
+
+
+class TestCleanClose:
+    """A BYE that reached the gateway always closes the session."""
+
+    def test_reset_after_bye_still_closes(self):
+        # A client that closes with ACKs unread makes its kernel send
+        # an RST, so the server's read raises after the BYE arrived.
+        async def body(server):
+            payload = FrameEncoder(samples_per_frame=8).push(
+                np.arange(24, dtype=np.int16), 0
+            )
+            writer = await _raw_device(server, 5, payload + pack_bye(3))
+            assert await _until(lambda: server.sessions[5].bye_seen)
+            sock = writer.get_extra_info("socket")
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            writer.transport.abort()
+            assert await _until(lambda: _closed(server, 5))
+            session = server.sessions[5]
+            assert session.telemetry_view().frames_decoded == 3
+            session.reconcile()
+
+        _run(_with_server(body))
+
+    def test_bye_behind_truncated_last_frame_closes(self):
+        # The last frame lost its tail on the link; its count byte still
+        # claims the full length, which swallowed the BYE behind it.
+        async def body(server):
+            payload = FrameEncoder(samples_per_frame=32).push(
+                np.arange(96, dtype=np.int16), 0
+            )
+            truncated = payload[: 2 * 73 + 27]  # 10 of the last 32 samples
+            writer = await _raw_device(
+                server, 6, truncated + pack_bye(3, faults_injected=1)
+            )
+            writer.close()
+            await writer.wait_closed()
+            assert await _until(lambda: _closed(server, 6))
+            view = server.sessions[6].telemetry_view()
+            assert view.frames_decoded == 2
+            assert view.lost_frames == 1  # the truncated tail, booked
+            assert view.frames_unaccounted == 0
+            server.sessions[6].reconcile()
+
+        _run(_with_server(body))

@@ -1,14 +1,15 @@
-"""Property: the batch decode plane == N independent per-session decodes.
+"""Property: the batch decode plane == a plain decoder per device.
 
-The tentpole's correctness gate, stated as a hypothesis property: for
-any fleet of devices — any payload shapes, any seeded link-fault
+The gateway's decode correctness gate, stated as a hypothesis property:
+for any fleet of devices — any payload shapes, any seeded link-fault
 schedule mangling the wire bytes, any chunk splits, any interleaving of
 batch ticks, resume flushes and mid-run connect/disconnect — every
 device's decode through the shared :class:`~repro.gateway.batchplane.
-BatchPlane` is *bit-identical* to feeding the same chunks through its
-own worker-mode :meth:`~repro.gateway.connection.DeviceSession.decode`
-loop: same decoded/lost/stale/CRC/resync counters, same buffer residue,
-same sample values and gap records, same frame-hook order.
+BatchPlane` is *bit-identical* to feeding the same chunks, one by one,
+to a reference :class:`~repro.daq.usb.FrameDecoder` and
+:class:`~repro.daq.stream.SampleStream` of its own: same
+decoded/lost/stale/CRC/resync counters, same buffer residue, same
+sample values and gap records, same frame-hook order.
 
 The plane is driven synchronously (``notify`` + ``flush`` /
 ``flush_lane``), which is exactly what the scheduler task does — the
@@ -19,7 +20,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.daq.usb import FrameEncoder
+from repro.daq.stream import SampleStream
+from repro.daq.usb import FrameDecoder, FrameEncoder
 from repro.faults import FaultInjector, FaultSpec
 from repro.gateway.batchplane import BatchPlane
 from repro.gateway.chaos import CHAOS_KINDS
@@ -78,7 +80,7 @@ def _split(wire: bytes, n_chunks: int, rng) -> list[bytes]:
     return [wire[a:b] for a, b in zip(edges, edges[1:])]
 
 
-class TestPlaneEqualsWorkers:
+class TestPlaneEqualsFrameDecoder:
     @given(fleet_cases())
     @settings(max_examples=40, deadline=None)
     def test_bit_identical_per_device(self, case):
@@ -90,21 +92,22 @@ class TestPlaneEqualsWorkers:
             wire = _device_wire(d, n_frames, spf, faulted)
             chunk_lists.append(_split(wire, n_chunks, rng))
 
-        # Reference: each device decodes alone, worker-style.
-        ref_sessions = []
+        # Reference: a plain decoder and stream per device, fed chunk
+        # by chunk, then finalized — no gateway code at all.
+        refs = []
         ref_hooks: list[list[int]] = []
-        for d, chunks in enumerate(chunk_lists):
-            session = DeviceSession(device_id=d)
-            session.fresh_start()
+        for chunks in chunk_lists:
+            decoder = FrameDecoder()
+            decoder.expect(0)
+            stream = SampleStream()
+            stream.expect(0)
             hooks: list[int] = []
-            session.frame_hook = (
-                lambda seq, now, hooks=hooks: hooks.append(seq)
-            )
             for chunk in chunks:
-                if chunk:
-                    session.decode(chunk)
-            session.finalize()
-            ref_sessions.append(session)
+                frames = decoder.feed(chunk)
+                stream.ingest(frames)
+                hooks.extend(frame.sequence for frame in frames)
+            stream.ingest(decoder.finalize())
+            refs.append((decoder, stream))
             ref_hooks.append(hooks)
 
         # Batch plane: same chunks offered round-robin, with ticks,
@@ -148,24 +151,26 @@ class TestPlaneEqualsWorkers:
         for session in plane_sessions:
             session.finalize()
 
-        for d, (ref, bat) in enumerate(zip(ref_sessions, plane_sessions)):
+        for d, ((dec, stream), bat) in enumerate(zip(refs, plane_sessions)):
             label = f"device {d}"
-            assert ref.decoder.frames_decoded == bat.decoder.frames_decoded, label
-            assert ref.decoder.lost_frames == bat.decoder.lost_frames, label
-            assert ref.decoder.stale_frames == bat.decoder.stale_frames, label
-            assert ref.decoder.crc_errors == bat.decoder.crc_errors, label
-            assert ref.decoder.resync_bytes == bat.decoder.resync_bytes, label
-            assert bytes(ref.decoder._buffer) == bytes(bat.decoder._buffer), label
-            assert ref.stream.samples_ingested == bat.stream.samples_ingested, label
-            assert ref.stream.elements == bat.stream.elements, label
-            for el in ref.stream.elements:
+            assert dec.frames_decoded == bat.decoder.frames_decoded, label
+            assert dec.lost_frames == bat.decoder.lost_frames, label
+            assert dec.stale_frames == bat.decoder.stale_frames, label
+            assert dec.crc_errors == bat.decoder.crc_errors, label
+            assert dec.resync_bytes == bat.decoder.resync_bytes, label
+            assert bytes(dec._buffer) == bytes(bat.decoder._buffer), label
+            assert (
+                stream.samples_ingested == bat.stream.samples_ingested
+            ), label
+            assert stream.elements == bat.stream.elements, label
+            for el in stream.elements:
                 assert np.array_equal(
-                    ref.stream.samples(el), bat.stream.samples(el)
+                    stream.samples(el), bat.stream.samples(el)
                 ), label
-                assert ref.stream.gaps(el) == bat.stream.gaps(el), label
+                assert stream.gaps(el) == bat.stream.gaps(el), label
             assert ref_hooks[d] == plane_hooks[d], label
-            # Telemetry counters agree (wall-clock stages aside).
-            rv, bv = ref.telemetry_view(), bat.telemetry_view()
-            assert rv.frames_decoded == bv.frames_decoded, label
-            assert rv.lost_frames == bv.lost_frames, label
-            assert rv.words_delivered == bv.words_delivered, label
+            # The session's telemetry view books the same counters.
+            bv = bat.telemetry_view()
+            assert bv.frames_decoded == dec.frames_decoded, label
+            assert bv.lost_frames == dec.lost_frames, label
+            assert bv.words_delivered == stream.samples_ingested, label
