@@ -10,9 +10,10 @@ processes hundreds of concurrent 1 kS/s sessions.
 
 Layering:
 
-* :mod:`repro.batch.kernel` — the fused C kernel (modulator recurrence,
-  Hogenauer CIC, polyphase FIR, 12-bit quantizer) plus a bit-exact
-  pure-Python fallback, both operating on ``B`` lanes per sample.
+* :mod:`repro.batch.kernel` — marshalling for the fused C kernels in
+  :mod:`repro.native` (modulator recurrence, Hogenauer CIC, polyphase
+  FIR, 12-bit quantizer over ``B`` lanes per sample, plus the
+  capacitive front end).
 * :mod:`repro.batch.engine` — :class:`BatchChainEngine`, which adapts a
   list of :class:`~repro.core.chain.ReadoutChain` objects to the kernel:
   state lives *in the chains* between calls, so any chunk split, and any

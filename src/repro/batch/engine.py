@@ -10,7 +10,9 @@ back afterwards, so the chains remain the single source of truth:
 * any chunk split produces bit-identical output,
 * a lane can be handed back to single-session processing at any chunk
   boundary and resumes bit-exactly,
-* the pure-Python fallback (no C compiler) and the kernel are
+* the per-lane fallback (the single-session modulator dispatch plus the
+  NumPy decimation filter, used when the native library is unavailable
+  or a lane needs the reference loop) and the kernel are
   interchangeable mid-stream.
 
 Stochastic terms are drawn per lane through each modulator's own
@@ -20,7 +22,7 @@ chunk-invariant. Fully deterministic lanes (no jitter, noise, flicker or
 DAC noise) skip that call entirely: its only effects are the identity
 transform and the jitter-slope carry, which the engine replays directly.
 
-The kernel runs on a batch padded to :data:`~repro.batch.kernel.LANE_BLOCK`
+The kernel runs on a batch padded to :data:`~repro.native.LANE_BLOCK`
 lanes; padded lanes carry zero coefficients and inputs, and their
 outputs are discarded. Input staging buffers persist across chunks
 (lane-major, stride-addressed) so a steady-state feed allocates nothing
@@ -48,13 +50,9 @@ class BatchChainEngine:
         order/decimation/differential delay, FIR taps/decimation and
         quantized coefficients, output width); per-lane analog
         parameters (mismatch, noise, comparator imperfections) are free.
-    force_python:
-        Pin the per-lane fallback path (used by the equivalence tests to
-        prove both engines agree bit-for-bit).
     """
 
-    def __init__(self, chains, force_python: bool = False):
-        self._force_python = bool(force_python)
+    def __init__(self, chains):
         self._configure(list(chains))
 
     def _configure(self, chains) -> None:
@@ -177,11 +175,7 @@ class BatchChainEngine:
     @property
     def uses_kernel(self) -> bool:
         """True when chunks run through the fused compiled kernel."""
-        return (
-            self._kernel_ok
-            and not self._force_python
-            and batch_kernel.batch_kernel_available()
-        )
+        return self._kernel_ok and batch_kernel.batch_kernel_available()
 
     @property
     def deterministic_lanes(self) -> np.ndarray:
@@ -417,8 +411,9 @@ class BatchChainEngine:
     def _feed_fallback(self, u: np.ndarray):
         """Per-lane processing through the existing single-session stages.
 
-        Exact by construction: each lane runs the same
-        :mod:`repro.sdm.fastpath` recurrence and
+        Exact by construction: each lane runs the same modulator loop
+        dispatch (:meth:`~repro.sdm.modulator.SecondOrderSDM.simulate`'s
+        choice between the compiled kernel and the reference loop) and
         :class:`~repro.dsp.decimator.DecimationFilter` the single
         session would, against the same chain state.
         """
@@ -427,11 +422,7 @@ class BatchChainEngine:
         lane_codes = []
         for l, c in enumerate(self.chains):
             m = c.chip.modulator
-            ul, nl, dl, dg = m._prepare_inputs(u[:, l])
-            if m.comparator.metastable_band_v != 0.0:
-                out = m._simulate_reference(ul, nl, dl, dg, False, "ignore")
-            else:
-                out = m._simulate_fast(ul, nl, dl, dg, False, "ignore")
+            out = m._run_prepared(*m._prepare_inputs(u[:, l]))
             clipped[l] = out.clipped_samples
             lane_codes.append(c.fpga.filter.process(out.bitstream).codes)
         widths = {codes.size for codes in lane_codes}

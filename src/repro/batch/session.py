@@ -22,7 +22,7 @@ Differences from the single-session path, by design:
   hook output is saturated to the i16 rails exactly as the FPGA does.
 
 Everything else matches bit-for-bit: any chunk split, any batch size,
-and the per-lane fallback (no C compiler) all produce the same codes a
+and the per-lane fallback (no native library) all produce the same codes a
 single :class:`~repro.core.session.AcquisitionSession` produces per
 lane.
 """
@@ -64,8 +64,6 @@ class BatchAcquisitionSession:
         Detector thresholds for the recordings' quality masks.
     faults:
         Unsupported in batched mode; must be ``None``.
-    force_python:
-        Pin the per-lane fallback engine (equivalence tests).
     """
 
     def __init__(
@@ -74,14 +72,13 @@ class BatchAcquisitionSession:
         element: int | None = None,
         quality: QualityConfig | None = None,
         faults=None,
-        force_python: bool = False,
     ):
         if faults is not None:
             raise ConfigurationError(
                 "fault injection is not supported in batched mode; run "
                 "faulted acquisitions through AcquisitionSession"
             )
-        self.engine = BatchChainEngine(chains, force_python=force_python)
+        self.engine = BatchChainEngine(chains)
         self.chains = self.engine.chains
         if element is not None:
             for c in self.chains:

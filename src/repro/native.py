@@ -1,0 +1,568 @@
+"""The one native library: every compiled kernel, built once per process.
+
+The ΣΔ recurrence and the fused batch cascade share one C translation
+unit (:data:`SOURCE`), one flag set and one compiler run. The first call
+to :func:`library` compiles it with the system C compiler into a
+temporary directory, loads it through :mod:`ctypes` and removes the
+directory again (the loaded mapping outlives its file on POSIX), so a
+process leaves nothing behind.
+
+Kernels:
+
+* ``sdm_run`` — the single-lane second-order loop behind
+  ``SecondOrderSDM(backend="fast")`` (marshalled by
+  :mod:`repro.sdm.fastpath`);
+* ``batch_chain_run`` / ``batch_frontend_run`` — the fused lane-block
+  chain and the capacitive front end (marshalled by
+  :mod:`repro.batch.kernel`).
+
+Every kernel performs the reference path's IEEE-754 double operations in
+the same order; ``-ffp-contract=off -fno-fast-math`` keeps the compiler
+from fusing or reassociating them, so results are bit-identical rather
+than merely close. SIMD across lanes or samples keeps each element's
+operation order, so ``-O3`` vectorization does not affect identity.
+
+When no compiler works, :func:`library` returns ``None`` and warns once
+per process; every compiled path then runs its Python reference, which
+produces the same bits more slowly.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import subprocess
+import tempfile
+import warnings
+
+# Lanes per register block in batch_chain_run; the batch engine pads B up
+# to a multiple of this with inert lanes. Must match #define LB below.
+LANE_BLOCK = 8
+
+SOURCE = r"""
+#include <stdint.h>
+#include <math.h>
+
+#define LB 8   /* lanes per register block; Python pads B to a multiple */
+#define VW 8   /* samples per front-end vector block */
+
+/* Second-order single-bit sigma-delta recurrence.
+ *
+ * Arithmetic mirrors repro/sdm/modulator.py's reference loop exactly:
+ * evaluation order of every floating-point expression matches the
+ * Python source so the results are bit-identical. state[] carries
+ * {x1, x2} in and out, *prev the comparator memory. Returns the number
+ * of clipped cycles.
+ */
+long long sdm_run(long long n,
+                  const double *au,        /* a1 * u[i], precomputed   */
+                  const double *noise,     /* per-sample input noise   */
+                  const double *dac_noise, /* may be NULL              */
+                  double dac_gain,
+                  double p1, double b1,
+                  double p2, double a2, double b2,
+                  double swing,
+                  double *state,           /* in/out: {x1, x2}         */
+                  int8_t *bits,            /* out: n decisions         */
+                  int ideal_comparator,
+                  double comp_offset, double comp_hysteresis,
+                  int *prev)               /* in/out comparator memory */
+{
+    double x1 = state[0];
+    double x2 = state[1];
+    long long clipped = 0;
+    int pv = *prev;
+    long long i;
+
+    for (i = 0; i < n; i++) {
+        double v, fb, x1_new, x2_new;
+        /* Decisions as 2*(test)-1 rather than ?: — with GCC 12 -O3 on
+         * x86-64 the ternaries became split branch paths, ~25% slower. */
+        if (ideal_comparator) {
+            v = (double)(2 * (x2 >= 0.0) - 1);
+        } else {
+            double threshold = comp_offset - 0.5 * comp_hysteresis * (double)pv;
+            double margin = x2 - threshold;
+            pv = 2 * (margin >= 0.0) - 1;
+            v = (double)pv;
+        }
+        fb = v * dac_gain;
+        if (dac_noise) {
+            fb += dac_noise[i];
+        }
+        x1_new = p1 * x1 + au[i] - b1 * fb + noise[i];
+        x2_new = p2 * x2 + a2 * x1 - b2 * fb;
+        if (x1_new > swing || x1_new < -swing ||
+            x2_new > swing || x2_new < -swing) {
+            clipped++;
+            if (x1_new > swing) x1_new = swing;
+            else if (x1_new < -swing) x1_new = -swing;
+            if (x2_new > swing) x2_new = swing;
+            else if (x2_new < -swing) x2_new = -swing;
+        }
+        x1 = x1_new;
+        x2 = x2_new;
+        bits[i] = (int8_t)(2 * (v > 0.0) - 1);
+    }
+    state[0] = x1;
+    state[1] = x2;
+    *prev = pv;
+    return clipped;
+}
+
+/* Fused batched chain: B second-order sigma-delta loops feeding B
+ * CIC(order 3, diff delay 1) + FIR cascades, sharing scalar decimation
+ * phases (lanes run in lockstep).
+ *
+ * Per-lane inputs (au, noise, dacn) are lane-major: lane l's samples
+ * live at base[l*stride + i]. A stride of 0 aliases every lane onto one
+ * shared row — the caller uses that to feed an all-zero noise row
+ * without materializing (B, n) zeros. Per-lane state vectors have
+ * length B; the FIR history is a lane-major (B, taps-1) ring sharing
+ * one head index, returned via state_out so the caller can unroll it.
+ * Output words are lane-major (B, cap).
+ *
+ * Lanes advance in blocks of LB whose modulator/integrator/comb state
+ * lives in local arrays (registers/L1) for the whole chunk; B must be a
+ * multiple of LB (the Python layer pads with inert lanes).
+ *
+ * Arithmetic mirrors the Python reference stages operation for
+ * operation. Returns the number of emitted words per lane; state_out
+ * carries the final scalar phases.
+ */
+long long batch_chain_run(
+    long long n, long long B,
+    const double *restrict au, long long au_stride,
+    const double *restrict noise, long long noise_stride,
+    const double *restrict dacn, long long dacn_stride,
+    const double *restrict dac_gain,
+    const double *restrict p1, const double *restrict b1,
+    const double *restrict p2, const double *restrict a2,
+    const double *restrict b2,
+    const double *restrict swing,
+    const double *restrict c_off,    /* (B) comparator offset        */
+    const double *restrict c_hys,    /* (B) comparator hysteresis    */
+    double *restrict x1, double *restrict x2,   /* (B) in/out        */
+    long long *restrict prev,        /* (B) in/out comparator memory */
+    long long *restrict clipped,     /* (B) out, caller zeroes       */
+    unsigned long long *restrict integ, /* (3, B) in/out, raw mod 2^64 */
+    long long *restrict comb,        /* (3, B) in/out, wrapped       */
+    long long cic_R, long long cic_phase, long long reg_bits,
+    const long long *restrict flip,  /* (taps) reversed Q coeffs     */
+    long long taps, long long fir_M, long long fir_phase,
+    long long *restrict hist,        /* (B, taps-1) in/out ring      */
+    double qscale, long long qmax, long long qmin,
+    long long *restrict words,       /* (B, cap) out                 */
+    long long cap,
+    long long *restrict state_out)   /* [cic_phase, fir_phase, head] */
+{
+    if (B % LB) {
+        return -2; /* caller pads the batch */
+    }
+    const long long half = 1LL << (reg_bits - 1);
+    const unsigned long long mask = ((unsigned long long)1 << reg_bits) - 1;
+    const long long nh = taps - 1;
+    const long long ftail = flip[taps - 1];
+    long long nw = 0, cphase_out = cic_phase, fphase_out = fir_phase;
+    long long head_out = 0;
+    long long b0, i, j, k, r;
+
+    for (b0 = 0; b0 < B; b0 += LB) {
+        double lx1[LB], lx2[LB], lpv[LB];
+        double lp1[LB], lb1[LB], lp2[LB], la2[LB], lb2[LB];
+        double lsw[LB], loff[LB], lhy[LB], ldg[LB];
+        long long lclip[LB];
+        unsigned long long li0[LB], li1[LB], li2[LB];
+        long long lc0[LB], lc1[LB], lc2[LB], lcur[LB];
+        const double *pa[LB], *pn[LB], *pd[LB];
+
+        for (j = 0; j < LB; j++) {
+            const long long l = b0 + j;
+            lx1[j] = x1[l];
+            lx2[j] = x2[l];
+            lpv[j] = (double)prev[l];
+            lp1[j] = p1[l];
+            lb1[j] = b1[l];
+            lp2[j] = p2[l];
+            la2[j] = a2[l];
+            lb2[j] = b2[l];
+            lsw[j] = swing[l];
+            loff[j] = c_off[l];
+            lhy[j] = c_hys[l];
+            ldg[j] = dac_gain[l];
+            lclip[j] = 0;
+            li0[j] = integ[l];
+            li1[j] = integ[B + l];
+            li2[j] = integ[2 * B + l];
+            lc0[j] = comb[l];
+            lc1[j] = comb[B + l];
+            lc2[j] = comb[2 * B + l];
+            pa[j] = au + l * au_stride;
+            pn[j] = noise + l * noise_stride;
+            pd[j] = dacn + l * dacn_stride;
+        }
+        long long cphase = cic_phase, fphase = fir_phase, head = 0;
+        long long bnw = 0;
+
+        for (i = 0; i < n; i++) {
+            for (j = 0; j < LB; j++) {
+                double x2v = lx2[j];
+                /* Branchless deterministic comparator: with zero offset
+                 * and hysteresis this is bit-exactly the ideal x2 >= 0
+                 * decision (0.5*0*prev is +/-0.0 and x - (+/-0.0) == x
+                 * for every x the margin test distinguishes). */
+                double threshold = loff[j] - 0.5 * lhy[j] * lpv[j];
+                double margin = x2v - threshold;
+                double v = (margin >= 0.0) ? 1.0 : -1.0;
+                double fb = v * ldg[j] + pd[j][i];
+                double x1v = lx1[j];
+                double x1n = lp1[j] * x1v + pa[j][i] - lb1[j] * fb
+                             + pn[j][i];
+                double x2n = lp2[j] * x2v + la2[j] * x1v - lb2[j] * fb;
+                double sw = lsw[j];
+                lclip[j] += (x1n > sw) | (x1n < -sw) | (x2n > sw)
+                            | (x2n < -sw);
+                x1n = (x1n > sw) ? sw : ((x1n < -sw) ? -sw : x1n);
+                x2n = (x2n > sw) ? sw : ((x2n < -sw) ? -sw : x2n);
+                lx1[j] = x1n;
+                lx2[j] = x2n;
+                lpv[j] = v;
+                /* Integrate the +/-1 decision: uint64 wraparound
+                 * commutes with the per-stage two's-complement wrap of
+                 * the NumPy CIC, so sign-extension can wait until the
+                 * comb reads. */
+                unsigned long long bu = (margin >= 0.0)
+                    ? 1ULL : (unsigned long long)-1LL;
+                li0[j] += bu;
+                li1[j] += li0[j];
+                li2[j] += li1[j];
+            }
+            if (cphase == 0) {
+                /* CIC output word: wrap the third integrator to the
+                 * register width, run the comb cascade. */
+                for (j = 0; j < LB; j++) {
+                    long long v = (long long)(((li2[j]
+                                  + (unsigned long long)half) & mask))
+                                  - half;
+                    long long t;
+                    t = (long long)((((unsigned long long)(v - lc0[j]))
+                        + (unsigned long long)half) & mask) - half;
+                    lc0[j] = v;
+                    v = t;
+                    t = (long long)((((unsigned long long)(v - lc1[j]))
+                        + (unsigned long long)half) & mask) - half;
+                    lc1[j] = v;
+                    v = t;
+                    t = (long long)((((unsigned long long)(v - lc2[j]))
+                        + (unsigned long long)half) & mask) - half;
+                    lc2[j] = v;
+                    lcur[j] = t;
+                }
+                if (fphase == 0) {
+                    if (bnw >= cap) {
+                        return -1; /* caller sized the buffer wrong */
+                    }
+                    /* FIR word: window = history (oldest first) +
+                     * current, times the time-reversed quantized
+                     * coefficients. Integer MAC is exact, so order is
+                     * free. */
+                    for (j = 0; j < LB; j++) {
+                        const long long *restrict h = hist + (b0 + j) * nh;
+                        long long a = lcur[j] * ftail;
+                        k = 0;
+                        for (r = head; r < nh; r++, k++) {
+                            a += h[r] * flip[k];
+                        }
+                        for (r = 0; r < head; r++, k++) {
+                            a += h[r] * flip[k];
+                        }
+                        double scaled = (double)a * qscale;
+                        long long q = (long long)rint(scaled);
+                        q = (q > qmax) ? qmax : ((q < qmin) ? qmin : q);
+                        words[(b0 + j) * cap + bnw] = q;
+                    }
+                    bnw++;
+                }
+                /* Push the CIC word into each lane's circular history. */
+                if (nh > 0) {
+                    for (j = 0; j < LB; j++) {
+                        hist[(b0 + j) * nh + head] = lcur[j];
+                    }
+                    head++;
+                    if (head == nh) {
+                        head = 0;
+                    }
+                }
+                fphase++;
+                if (fphase == fir_M) {
+                    fphase = 0;
+                }
+            }
+            cphase++;
+            if (cphase == cic_R) {
+                cphase = 0;
+            }
+        }
+        for (j = 0; j < LB; j++) {
+            const long long l = b0 + j;
+            x1[l] = lx1[j];
+            x2[l] = lx2[j];
+            prev[l] = (lpv[j] >= 0.0) ? 1 : -1;
+            clipped[l] += lclip[j];
+            integ[l] = li0[j];
+            integ[B + l] = li1[j];
+            integ[2 * B + l] = li2[j];
+            comb[l] = lc0[j];
+            comb[B + l] = lc1[j];
+            comb[2 * B + l] = lc2[j];
+        }
+        nw = bnw;
+        cphase_out = cphase;
+        fphase_out = fphase;
+        head_out = head;
+    }
+    state_out[0] = cphase_out;
+    state_out[1] = fphase_out;
+    state_out[2] = head_out;
+    return nw;
+}
+
+/* One sample of the capacitive front end: domain map + Clenshaw
+ * recurrence, exactly as numpy.polynomial.chebyshev.chebval orders the
+ * operations (scalar coefficient minus element, then c1*x2 add). */
+static double cheb_one(double pv, const double *restrict cheb,
+                       long long ncoef, double dom_off, double dom_scl)
+{
+    double x = dom_off + dom_scl * pv;
+    double c0, c1;
+    if (ncoef == 1) {
+        c0 = cheb[0];
+        c1 = 0.0;
+    } else if (ncoef == 2) {
+        c0 = cheb[0];
+        c1 = cheb[1];
+    } else {
+        double x2 = 2.0 * x;
+        long long k;
+        c0 = cheb[ncoef - 2];
+        c1 = cheb[ncoef - 1];
+        for (k = ncoef - 3; k >= 0; k--) {
+            double tmp = c0;
+            c0 = cheb[k] - c1;
+            c1 = tmp + c1 * x2;
+        }
+    }
+    return c0 + c1 * x;
+}
+
+/* Batched capacitive front end: per lane, read the selected element's
+ * pressure column in place (pbase[l] points at sample 0, pstep[l] is
+ * the sample stride in doubles), evaluate the shared Chebyshev C(P)
+ * transfer, apply the element mismatch affine, the mux charge-injection
+ * glitch on sample 0 (inj[l] = 0 when the lane was not just switched;
+ * adding literal +0.0 only differs for a -0.0 capacitance, which the
+ * positivity check rejects on both paths), and the charge front end's
+ * (sense - Cref)/Cfb * excitation map; write u * a1 into the lane's au
+ * row. u_last[l] returns the pre-gain u of the final sample (the
+ * modulator's jitter-slope carry).
+ *
+ * Returns 0, or -1 if any pressure leaves the interpolant's domain or
+ * any capacitance is non-positive — the caller then replays the chunk
+ * through the per-lane NumPy path, which raises the exact errors.
+ */
+long long batch_frontend_run(
+    long long n, long long B,
+    const unsigned long long *restrict pbase, /* (B) addresses        */
+    const long long *restrict pstep,          /* (B) strides, doubles */
+    double *restrict au, long long au_stride,
+    const double *restrict cheb, long long ncoef,
+    double dom_off, double dom_scl,
+    double pmin, double pmax,
+    const double *restrict cscale,  /* (B) element capacitance_scale  */
+    const double *restrict coffs,   /* (B) element offset_cap_f       */
+    const double *restrict inj,     /* (B) charge-injection glitch    */
+    const double *restrict cref,    /* (B) front-end reference cap    */
+    const double *restrict cfb,     /* (B) front-end feedback cap     */
+    const double *restrict cexc,    /* (B) excitation fraction        */
+    const double *restrict a1,      /* (B) folded modulator gain      */
+    double *restrict u_last)        /* (B) out: final pre-gain u      */
+{
+    long long err = 0;
+    long long l, i, v, k;
+    for (l = 0; l < B; l++) {
+        const double *p = (const double *)pbase[l];
+        const long long st = pstep[l];
+        double *restrict o = au + l * au_stride;
+        const double cs = cscale[l], co = coffs[l], gi = inj[l];
+        const double rf = cref[l], fb = cfb[l], ex = cexc[l];
+        const double g = a1[l];
+        double ul = 0.0;
+
+        /* Sample 0 carries the charge-injection glitch. */
+        {
+            double pv = p[0];
+            err += (pv > pmax) | (pv < pmin);
+            double sense = cheb_one(pv, cheb, ncoef, dom_off, dom_scl)
+                           * cs + co;
+            sense = sense + gi;
+            err += (sense <= 0.0);
+            double u = (sense - rf) / fb * ex;
+            ul = u;
+            o[0] = u * g;
+        }
+        i = 1;
+        if (ncoef >= 3) {
+            const double ctop0 = cheb[ncoef - 2];
+            const double ctop1 = cheb[ncoef - 1];
+            for (; i + VW <= n; i += VW) {
+                double x[VW], x2[VW], c0[VW], c1[VW], uu[VW];
+                long long e = 0;
+                for (v = 0; v < VW; v++) {
+                    double pv = p[(i + v) * st];
+                    e += (pv > pmax) | (pv < pmin);
+                    x[v] = dom_off + dom_scl * pv;
+                }
+                for (v = 0; v < VW; v++) {
+                    x2[v] = 2.0 * x[v];
+                    c0[v] = ctop0;
+                    c1[v] = ctop1;
+                }
+                for (k = ncoef - 3; k >= 0; k--) {
+                    const double ck = cheb[k];
+                    for (v = 0; v < VW; v++) {
+                        double tmp = c0[v];
+                        c0[v] = ck - c1[v];
+                        c1[v] = tmp + c1[v] * x2[v];
+                    }
+                }
+                for (v = 0; v < VW; v++) {
+                    double sense = (c0[v] + c1[v] * x[v]) * cs + co;
+                    e += (sense <= 0.0);
+                    double u = (sense - rf) / fb * ex;
+                    uu[v] = u;
+                    o[i + v] = u * g;
+                }
+                err += e;
+                ul = uu[VW - 1];
+            }
+        }
+        for (; i < n; i++) {
+            double pv = p[i * st];
+            err += (pv > pmax) | (pv < pmin);
+            double sense = cheb_one(pv, cheb, ncoef, dom_off, dom_scl)
+                           * cs + co;
+            err += (sense <= 0.0);
+            double u = (sense - rf) / fb * ex;
+            ul = u;
+            o[i] = u * g;
+        }
+        u_last[l] = ul;
+    }
+    return err ? -1 : 0;
+}
+"""
+
+CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
+
+DBL_P = ctypes.POINTER(ctypes.c_double)
+LL_P = ctypes.POINTER(ctypes.c_longlong)
+ULL_P = ctypes.POINTER(ctypes.c_uint64)
+_LL = ctypes.c_longlong
+_D = ctypes.c_double
+_I = ctypes.c_int
+
+# restype/argtypes per exported kernel, in C parameter order.
+_SIGNATURES = {
+    "sdm_run": (_LL, [
+        _LL, DBL_P, DBL_P, DBL_P,  # n, au, noise, dac_noise (nullable)
+        _D, _D, _D, _D, _D, _D, _D,  # dac_gain, p1, b1, p2, a2, b2, swing
+        DBL_P, ctypes.POINTER(ctypes.c_int8),  # state, bits
+        _I, _D, _D,  # ideal_comparator, comp_offset, comp_hysteresis
+        ctypes.POINTER(_I),  # prev
+    ]),
+    "batch_chain_run": (_LL, [
+        _LL, _LL,  # n, B
+        DBL_P, _LL, DBL_P, _LL, DBL_P, _LL,  # au, noise, dacn (+ strides)
+        DBL_P, DBL_P, DBL_P, DBL_P, DBL_P, DBL_P,  # dac_gain, p1, b1, p2, a2, b2
+        DBL_P, DBL_P, DBL_P,  # swing, c_off, c_hys
+        DBL_P, DBL_P, LL_P, LL_P,  # x1, x2, prev, clipped
+        ULL_P, LL_P,  # integ, comb
+        _LL, _LL, _LL,  # cic_R, cic_phase, reg_bits
+        LL_P, _LL, _LL, _LL,  # flip, taps, fir_M, fir_phase
+        LL_P,  # hist
+        _D, _LL, _LL,  # qscale, qmax, qmin
+        LL_P, _LL, LL_P,  # words, cap, state_out
+    ]),
+    "batch_frontend_run": (_LL, [
+        _LL, _LL, ULL_P, LL_P,  # n, B, pbase, pstep
+        DBL_P, _LL, DBL_P, _LL,  # au, au_stride, cheb, ncoef
+        _D, _D, _D, _D,  # dom_off, dom_scl, pmin, pmax
+        DBL_P, DBL_P, DBL_P,  # cscale, coffs, inj
+        DBL_P, DBL_P, DBL_P,  # cref, cfb, cexc
+        DBL_P, DBL_P,  # a1, u_last
+    ]),
+}
+
+# Module-level library cache: None = not tried yet, False = unavailable,
+# otherwise the loaded CDLL.
+_lib: object = None
+
+
+def _compilers() -> list[str]:
+    return [cc for cc in (os.environ.get("REPRO_CC"), "cc", "gcc", "clang") if cc]
+
+
+def _build():
+    """Compile and load :data:`SOURCE`; return the CDLL or None."""
+    try:
+        with tempfile.TemporaryDirectory(prefix="repro-native-") as build_dir:
+            src = os.path.join(build_dir, "native.c")
+            lib_path = os.path.join(build_dir, "native.so")
+            with open(src, "w") as fh:
+                fh.write(SOURCE)
+            for cc in _compilers():
+                try:
+                    result = subprocess.run(
+                        [cc, *CFLAGS, "-o", lib_path, src, "-lm"],
+                        capture_output=True,
+                        timeout=60,
+                    )
+                except (OSError, subprocess.SubprocessError):
+                    continue
+                if result.returncode == 0 and os.path.exists(lib_path):
+                    lib = ctypes.CDLL(lib_path)
+                    break
+            else:
+                return None
+    except OSError:
+        return None
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.restype = restype
+        fn.argtypes = argtypes
+    return lib
+
+
+def library():
+    """The loaded native library, or None when it cannot be built.
+
+    The first call compiles; a failure warns once (naming the compilers
+    tried) and is cached, so the process never retries or warns again.
+    """
+    global _lib
+    if _lib is None:
+        _lib = _build() or False
+        if _lib is False:
+            warnings.warn(
+                "repro native library unavailable (tried compilers: "
+                f"{', '.join(_compilers())}); compiled paths fall back to "
+                "their Python reference",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return _lib or None
+
+
+def available() -> bool:
+    """True when the native library could be built and loaded."""
+    return library() is not None

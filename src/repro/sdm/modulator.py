@@ -79,9 +79,9 @@ class SecondOrderSDM:
     rng:
         Random generator; a fixed default keeps runs reproducible.
     backend:
-        ``"fast"`` (default) runs the recurrence through
-        :mod:`repro.sdm.fastpath` — a compiled kernel when a C compiler
-        is available, an equivalent tightened Python loop otherwise.
+        ``"fast"`` (default) runs the recurrence through the compiled
+        kernel of :mod:`repro.sdm.fastpath` when the native library is
+        available, and through the reference loop otherwise.
         ``"reference"`` pins the original cycle-accurate Python loop.
         Both produce bit-identical bitstreams for any deterministic
         comparator, so the switch trades only wall-time.
@@ -235,9 +235,10 @@ class SecondOrderSDM:
             clipped cycle.
         backend:
             Per-call override of the constructor's ``backend``. The fast
-            backend routes metastable comparators (in-loop random draws)
-            to the reference loop automatically, so results match the
-            reference for every configuration.
+            backend routes metastable comparators (in-loop random draws),
+            ``record_states`` and ``overload_policy="raise"`` to the
+            reference loop automatically, so results match the reference
+            for every configuration.
 
         State persists across calls: consecutive ``simulate`` calls
         continue the same analog history, as a streaming chip would.
@@ -258,13 +259,8 @@ class SecondOrderSDM:
                 bitstream=np.zeros(0, dtype=np.int8), clipped_samples=0
             )
 
-        u, noise, dac_noise, dac_gain = self._prepare_inputs(u)
-        if backend == "fast" and self.comparator.metastable_band_v == 0.0:
-            return self._simulate_fast(
-                u, noise, dac_noise, dac_gain, record_states, overload_policy
-            )
-        return self._simulate_reference(
-            u, noise, dac_noise, dac_gain, record_states, overload_policy
+        return self._run_prepared(
+            *self._prepare_inputs(u), backend, record_states, overload_policy
         )
 
     def _prepare_inputs(
@@ -313,14 +309,42 @@ class SecondOrderSDM:
         dac_gain = 1.0 + self.dac.reference_error
         return u, noise, dac_noise, dac_gain
 
+    def _run_prepared(
+        self,
+        u: np.ndarray,
+        noise: np.ndarray,
+        dac_noise: np.ndarray | None,
+        dac_gain: float,
+        backend: str = "fast",
+        record_states: bool = False,
+        overload_policy: str = "ignore",
+    ) -> ModulatorOutput:
+        """Run a prepared block through the one loop dispatch.
+
+        The compiled kernel takes the block when the backend is
+        ``"fast"``, the native library is loaded and the run needs
+        nothing only the reference loop provides (in-loop metastability
+        draws, a recorded trajectory, an abort on overload). Everything
+        else runs :meth:`_simulate_reference`.
+        """
+        if (
+            backend == "fast"
+            and not record_states
+            and overload_policy == "ignore"
+            and self.comparator.metastable_band_v == 0.0
+            and fastpath.kernel_available()
+        ):
+            return self._simulate_fast(u, noise, dac_noise, dac_gain)
+        return self._simulate_reference(
+            u, noise, dac_noise, dac_gain, record_states, overload_policy
+        )
+
     def _simulate_fast(
         self,
         u: np.ndarray,
         noise: np.ndarray,
         dac_noise: np.ndarray | None,
         dac_gain: float,
-        record_states: bool,
-        overload_policy: str,
     ) -> ModulatorOutput:
         """Run the prepared block through :mod:`repro.sdm.fastpath`."""
         s1, s2 = self.stage1, self.stage2
@@ -340,8 +364,6 @@ class SecondOrderSDM:
             swing=s1.swing_limit,
             x1=s1.state,
             x2=s2.state,
-            record_states=record_states,
-            raise_on_clip=(overload_policy == "raise"),
             ideal_comparator=fast_comparator,
             comp_offset=comp.offset_v,
             comp_hysteresis=comp.hysteresis_v,
@@ -349,17 +371,9 @@ class SecondOrderSDM:
         )
         if not fast_comparator:
             comp._previous = result.comp_previous
-        if result.overload_index >= 0:
-            # Mirror the reference loop: stage states are not committed
-            # when the run aborts on the first clipped cycle.
-            raise ModulatorOverloadError(
-                result.overload_index, (result.x1, result.x2)
-            )
         s1.state, s2.state = result.x1, result.x2
         return ModulatorOutput(
-            bitstream=result.bits,
-            clipped_samples=result.clipped,
-            states=result.states,
+            bitstream=result.bits, clipped_samples=result.clipped
         )
 
     def _simulate_reference(

@@ -65,6 +65,19 @@ class TestBitIdentity:
         if batch_kernel_available():
             assert controller.last_scan_fused
 
+    def test_fused_without_native_equals_batched(self, no_native):
+        """No native library: the fused request replays the batched scan."""
+        rows, cols = 3, 3
+        segments = tone_segments(rows * cols, DWELL_WORDS * DECIMATION)
+        fused, controller = fused_records(rows, cols, segments)
+        assert controller.last_scan_fused is False
+
+        chain = make_chain(rows, cols)
+        batched = ScanController(chain.chip.mux).scan_records(
+            chain, segments=segments, batched=True
+        )
+        assert np.array_equal(fused, batched)
+
     def test_fused_equals_sequential_sessions(self):
         """Matched-bank semantics: each element from the pre-scan state."""
         rows, cols = 2, 2

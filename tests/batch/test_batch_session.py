@@ -9,6 +9,7 @@ same input — for any batch size, any chunk split, kernel or fallback.
 import numpy as np
 import pytest
 
+from repro import native
 from repro.batch import BatchAcquisitionSession, BatchChainEngine
 from repro.core.chain import ReadoutChain
 from repro.core.session import AcquisitionSession
@@ -76,21 +77,25 @@ class TestBitIdentity:
                     ref.telemetry, counter
                 ), counter
 
-    def test_kernel_matches_fallback(self):
-        """force_python engine and the kernel agree bit-for-bit."""
+    def test_kernel_matches_fallback(self, request):
+        """The kernel and the no-native fallback agree bit-for-bit."""
         B, n = 2, 1_280
         n_el = make_chain(0).chip.mux.array.n_elements
         fields = [pressure_field(n, n_el, seed=l) for l in range(B)]
-        outs = []
-        for force in (False, True):
+
+        def run():
             chains = [make_chain(40 + l) for l in range(B)]
-            sess = BatchAcquisitionSession(
-                chains, element=1, force_python=force
-            )
+            sess = BatchAcquisitionSession(chains, element=1)
             sess.feed_pressure(fields)
             sess.finish()
-            outs.append([sess.codes(l) for l in range(B)])
-        for got, want in zip(*outs):
+            return sess.engine.uses_kernel, [sess.codes(l) for l in range(B)]
+
+        used_kernel, kernel_codes = run()
+        assert used_kernel == native.available()
+        request.getfixturevalue("no_native")
+        used_kernel, fallback_codes = run()
+        assert not used_kernel
+        for got, want in zip(kernel_codes, fallback_codes):
             assert np.array_equal(got, want)
 
     def test_voltage_path(self):

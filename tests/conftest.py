@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import native
 from repro.mems.membrane import MembraneSensor
 from repro.params import SystemParams, paper_defaults
 
@@ -28,3 +29,10 @@ def sensor() -> MembraneSensor:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def no_native(monkeypatch):
+    """Mark the native library unavailable: every compiled path runs its
+    Python reference for the duration of the test."""
+    monkeypatch.setattr(native, "_lib", False)
