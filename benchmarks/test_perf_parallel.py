@@ -28,6 +28,7 @@ JOBS_SWEEP = (1, 2, 4)
 N_SUBJECTS = 16
 POP_DURATION_S = 6.0
 DESIGN_N_OUT = 256
+UNMEASURED = "unmeasured (clamped to 1 core)"
 
 
 def update_bench(section: dict) -> None:
@@ -42,6 +43,10 @@ def update_bench(section: dict) -> None:
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
 
+def _shown(value, template: str) -> str:
+    return UNMEASURED if value is None else template.format(value)
+
+
 def _sweep(run, fingerprint) -> tuple[dict, dict]:
     """Time one harness at every jobs value; assert identity + telemetry.
 
@@ -54,12 +59,13 @@ def _sweep(run, fingerprint) -> tuple[dict, dict]:
         result = run(jobs)
         wall = time.perf_counter() - start
         result.telemetry.reconcile()
+        speedup = runs[1]["wall_seconds"] / wall if jobs > 1 else 1.0
+        # A run the executor clamped to one worker measures no scaling.
+        measured = jobs == 1 or result.telemetry.jobs > 1
         runs[jobs] = {
             "wall_seconds": wall,
-            "speedup": runs[1]["wall_seconds"] / wall if jobs > 1 else 1.0,
-            "parallel_efficiency": (
-                runs[1]["wall_seconds"] / wall / jobs if jobs > 1 else 1.0
-            ),
+            "speedup": speedup if measured else None,
+            "parallel_efficiency": speedup / jobs if measured else None,
             "cache_hit_rate": result.telemetry.cache_hit_rate(),
             "workers_used": result.telemetry.workers_used,
             # The executor clamps to the core budget by default; record
@@ -69,6 +75,8 @@ def _sweep(run, fingerprint) -> tuple[dict, dict]:
             "clamped": result.telemetry.jobs
             < (result.telemetry.jobs_requested or result.telemetry.jobs),
         }
+        if not measured:
+            runs[jobs]["scaling"] = UNMEASURED
         if jobs == 1:
             reference = fingerprint(result)
         else:
@@ -132,12 +140,12 @@ def test_perf_parallel(benchmark):
             (
                 "population speedup at jobs=4",
                 ">= 2.5x on >= 4 cores",
-                f"{pop4['speedup']:.2f}x",
+                _shown(pop4["speedup"], "{:.2f}x"),
             ),
             (
                 "population efficiency at jobs=4",
                 "(speedup / jobs)",
-                f"{pop4['parallel_efficiency'] * 100:.0f}%",
+                _shown(pop4["parallel_efficiency"], "{:.0%}"),
             ),
             (
                 "population cache hit rate",
@@ -147,7 +155,7 @@ def test_perf_parallel(benchmark):
             (
                 "design-space speedup at jobs=4",
                 "(grid of 15 cells)",
-                f"{design[4]['speedup']:.2f}x",
+                _shown(design[4]["speedup"], "{:.2f}x"),
             ),
             ("bit-identical across jobs", "yes", "yes"),
         ],

@@ -246,6 +246,7 @@ def cmd_batch(
     """
     import numpy as np
 
+    from . import native
     from .batch import batch_kernel_available
     from .core.chain import ReadoutChain
     from .core.session import AcquisitionSession
@@ -301,6 +302,7 @@ def cmd_batch(
         [
             ("lanes x samples", "-", f"{lanes} x {n}"),
             ("fused kernel", "compiled", "yes" if batch_kernel_available() else "no (fallback)"),
+            ("native library build", "cached|compiled", native.build_status()),
             ("pipeline rate", "-", f"{msps:.1f} MS/s"),
             (
                 "words delivered",

@@ -203,11 +203,18 @@ class BatchPlane:
                 if delay <= 0:
                     self.flush(cause="deadline")
                     break
+                # The deadline sets the wake event itself. Not
+                # asyncio.wait_for: on Python 3.11 it swallows a cancel
+                # that lands as the wait completes, and stop() then
+                # waits on this task forever.
+                timer = asyncio.get_running_loop().call_later(
+                    delay, self._wake.set
+                )
                 try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay)
-                    self._wake.clear()
-                except asyncio.TimeoutError:
-                    pass
+                    await self._wake.wait()
+                finally:
+                    timer.cancel()
+                self._wake.clear()
 
     def flush(self, cause: str = "deadline") -> int:
         """Run one decode tick synchronously; returns frames decoded.

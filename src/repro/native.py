@@ -1,11 +1,33 @@
-"""The one native library: every compiled kernel, built once per process.
+"""The one native library: every compiled kernel, compiled once per machine.
 
 The ΣΔ recurrence and the fused batch cascade share one C translation
-unit (:data:`SOURCE`), one flag set and one compiler run. The first call
-to :func:`library` compiles it with the system C compiler into a
-temporary directory, loads it through :mod:`ctypes` and removes the
-directory again (the loaded mapping outlives its file on POSIX), so a
-process leaves nothing behind.
+unit (:data:`SOURCE`), one flag set and one compiler run, loaded through
+:mod:`ctypes`. The first call to :func:`library` in a process loads the
+compiled library from the per-user cache (``$XDG_CACHE_HOME/repro-native``,
+else ``~/.cache/repro-native``) and compiles only on a miss.
+
+Cache contract:
+
+* One entry per key, ``native-<key>.so``. The key is a SHA-256 over
+  the compiled source (:data:`SOURCE` and the key stamp), :data:`CFLAGS`,
+  the compiler's resolved path with its size and mtime, and the machine
+  type. With no compiler on ``PATH`` there is no key, so a warm cache is
+  never used without one.
+* A miss compiles into a temporary directory inside the cache, loads the
+  result and then ``os.replace``-s it onto the entry's name, so
+  concurrent cold builds each publish a complete, identical file and no
+  process ever sees a half-written one.
+* Every library carries its key (the exported ``repro_native_key()``)
+  and ends in the SHA-256 of its preceding bytes. A cached entry is
+  used only if that digest matches before loading (``dlopen`` of a
+  truncated file can kill the process), the key matches after, and the
+  entry and its directory belong to this user and are not group- or
+  world-writable. Anything else is rebuilt, never used; where the cache
+  cannot be used at all (unsafe or unwritable directory) the library is
+  compiled into a plain temporary directory that is removed right after
+  loading (the mapping outlives its file on POSIX).
+* :func:`build_status` tells which happened: ``"cached"``,
+  ``"compiled"`` or ``"failed"``. Entries of other keys are not pruned.
 
 Kernels:
 
@@ -20,7 +42,10 @@ Every kernel performs the reference path's IEEE-754 double operations in
 the same order; ``-ffp-contract=off -fno-fast-math`` keeps the compiler
 from fusing or reassociating them, so results are bit-identical rather
 than merely close. SIMD across lanes or samples keeps each element's
-operation order, so ``-O3`` vectorization does not affect identity.
+operation order, so ``-O3`` vectorization does not affect identity. A
+cached library comes from the same source, flags and compiler as a
+fresh build, so it runs the same machine code; the key stamp leaves the
+kernels' instruction bytes as they are without it.
 
 When no compiler works, :func:`library` returns ``None`` and warns once
 per process; every compiled path then runs its Python reference, which
@@ -29,8 +54,11 @@ produces the same bits more slowly.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
 import warnings
@@ -504,37 +532,73 @@ _SIGNATURES = {
 }
 
 # Module-level library cache: None = not tried yet, False = unavailable,
-# otherwise the loaded CDLL.
+# otherwise the loaded CDLL; _status says how it was obtained.
 _lib: object = None
+_status = "failed"
+
+_DIGEST = hashlib.sha256().digest_size
+
+# Appended to SOURCE in every build. A writable array lands in .data, after
+# .rodata, so the kernels' instructions and constant addresses are the
+# same bytes as in a build without it.
+_STAMP = """
+const char *repro_native_key(void) { static char key[] = "%s"; return key; }
+"""
 
 
 def _compilers() -> list[str]:
     return [cc for cc in (os.environ.get("REPRO_CC"), "cc", "gcc", "clang") if cc]
 
 
-def _build():
-    """Compile and load :data:`SOURCE`; return the CDLL or None."""
+def _key(cc: str) -> str:
+    """Cache key of a build of :data:`SOURCE` with the compiler at ``cc``."""
+    real = os.path.realpath(cc)
+    st = os.stat(real)
+    parts = (SOURCE + _STAMP, " ".join(CFLAGS), real, str(st.st_size),
+             str(st.st_mtime_ns), os.uname().machine)
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+
+
+def _private(st: os.stat_result) -> bool:
+    """Owned by this user and not writable by group or others."""
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _cache_dir() -> str | None:
+    """The per-user cache directory, created if needed; None if unusable."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "repro-native")
     try:
-        with tempfile.TemporaryDirectory(prefix="repro-native-") as build_dir:
-            src = os.path.join(build_dir, "native.c")
-            lib_path = os.path.join(build_dir, "native.so")
-            with open(src, "w") as fh:
-                fh.write(SOURCE)
-            for cc in _compilers():
-                try:
-                    result = subprocess.run(
-                        [cc, *CFLAGS, "-o", lib_path, src, "-lm"],
-                        capture_output=True,
-                        timeout=60,
-                    )
-                except (OSError, subprocess.SubprocessError):
-                    continue
-                if result.returncode == 0 and os.path.exists(lib_path):
-                    lib = ctypes.CDLL(lib_path)
-                    break
-            else:
-                return None
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        return path if _private(os.stat(path)) else None
     except OSError:
+        return None
+
+
+def _entry(cache: str, key: str) -> str:
+    return os.path.join(cache, f"native-{key}.so")
+
+
+def _verified(path: str, key: str):
+    """Load ``path`` if its digest trailer and embedded key check out.
+
+    The digest is checked before ``dlopen``: mapping a truncated shared
+    object can end the process with SIGBUS instead of an error.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if hashlib.sha256(data[:-_DIGEST]).digest() != data[-_DIGEST:]:
+            return None
+        lib = ctypes.CDLL(path)
+        stamp = lib.repro_native_key
+    except (OSError, AttributeError):
+        return None
+    stamp.restype = ctypes.c_char_p
+    stamp.argtypes = []
+    if stamp() != key.encode():
         return None
     for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name)
@@ -543,15 +607,77 @@ def _build():
     return lib
 
 
+def _cached(cache: str, key: str):
+    """The cache entry for ``key``, loaded, or None if absent or unsafe."""
+    path = _entry(cache, key)
+    try:
+        if not _private(os.stat(path)):
+            return None
+    except OSError:
+        return None
+    return _verified(path, key)
+
+
+def _build(cc: str, key: str, cache: str | None = None):
+    """Compile :data:`SOURCE` with ``cc``, load it and return the CDLL.
+
+    The build runs in a temporary directory inside ``cache`` (default:
+    the system temporary directory), which is removed afterwards; a
+    build inside the cache is published as the entry for ``key`` once it
+    has loaded. Returns None when the build or the load fails.
+    """
+    try:
+        with tempfile.TemporaryDirectory(prefix="repro-native-", dir=cache) as build_dir:
+            src = os.path.join(build_dir, "native.c")
+            lib_path = os.path.join(build_dir, "native.so")
+            with open(src, "w") as fh:
+                fh.write(SOURCE + _STAMP % key)
+            result = subprocess.run(
+                [cc, *CFLAGS, "-o", lib_path, src, "-lm"],
+                capture_output=True,
+                timeout=60,
+            )
+            if result.returncode != 0:
+                return None
+            with open(lib_path, "rb+") as fh:
+                fh.write(hashlib.sha256(fh.read()).digest())
+            lib = _verified(lib_path, key)
+            if lib is not None and cache is not None:
+                # A loose umask would leave the entry group-writable,
+                # and every later process would refuse it.
+                os.chmod(lib_path, 0o755)
+                with contextlib.suppress(OSError):
+                    os.replace(lib_path, _entry(cache, key))
+            return lib
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def _load():
+    """The library and how it was obtained: cached, compiled or failed."""
+    cache = _cache_dir()
+    for cc in filter(None, map(shutil.which, _compilers())):
+        key = _key(cc)
+        lib = _cached(cache, key) if cache else None
+        if lib is not None:
+            return lib, "cached"
+        lib = (_build(cc, key, cache) if cache else None) or _build(cc, key)
+        if lib is not None:
+            return lib, "compiled"
+    return None, "failed"
+
+
 def library():
     """The loaded native library, or None when it cannot be built.
 
-    The first call compiles; a failure warns once (naming the compilers
-    tried) and is cached, so the process never retries or warns again.
+    The first call loads it from the cache or compiles it; a failure
+    warns once (naming the compilers tried) and is remembered, so the
+    process never retries or warns again.
     """
-    global _lib
+    global _lib, _status
     if _lib is None:
-        _lib = _build() or False
+        lib, _status = _load()
+        _lib = lib or False
         if _lib is False:
             warnings.warn(
                 "repro native library unavailable (tried compilers: "
@@ -566,3 +692,10 @@ def library():
 def available() -> bool:
     """True when the native library could be built and loaded."""
     return library() is not None
+
+
+def build_status() -> str:
+    """How this process got its library: ``"cached"`` (loaded from the
+    cache), ``"compiled"`` (paid a compile) or ``"failed"`` (no library;
+    compiled paths run their Python reference)."""
+    return _status if available() else "failed"

@@ -397,8 +397,16 @@ class ParallelExecutor:
         else:
             ctx = multiprocessing.get_context(self.start_method)
             processes = min(self.jobs, len(payloads))
-            with ctx.Pool(processes=processes) as pool:
+            # close() + join(), not the context manager's terminate():
+            # terminating while a task raised can deadlock the pool's
+            # task-handler thread. Queued chunks finish before a task
+            # error propagates.
+            pool = ctx.Pool(processes=processes)
+            try:
                 reports = list(pool.imap_unordered(_run_chunk, payloads))
+            finally:
+                pool.close()
+                pool.join()
         tm.wall_seconds = time.perf_counter() - t0
 
         # Ordered collection: completion order is scheduling noise;

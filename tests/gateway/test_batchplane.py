@@ -85,6 +85,31 @@ class TestFlushPolicy:
         assert session.decoder.frames_decoded == 3
         assert plane.drain_flushes == 1
 
+    def test_stop_returns_when_data_lands_with_the_cancel(self):
+        async def scenario():
+            plane = BatchPlane(flush_bytes=1 << 30, max_latency_s=30.0)
+            plane.start()
+            enc = FrameEncoder(samples_per_frame=8)
+            codes = np.arange(24, dtype=np.int16)
+            session = _armed_session(plane, payload=enc.push(codes, 0))
+            for _ in range(3):  # let the scheduler reach its deadline wait
+                await asyncio.sleep(0)
+            chunk = enc.push(codes, 0)
+            assert session.offer(chunk)
+            # The wake and the stop's cancel land in the same loop step.
+            plane.notify(session, len(chunk))
+            stop = asyncio.ensure_future(plane.stop())
+            done, _ = await asyncio.wait({stop}, timeout=5.0)
+            if not done:  # free the stuck scheduler so the loop can close
+                plane._task.cancel()
+                await stop
+            return plane, session, bool(done)
+
+        plane, session, stopped = asyncio.run(scenario())
+        assert stopped
+        assert session.decoder.frames_decoded == 6
+        assert plane.drain_flushes == 1
+
 
 class TestLaneLifecycle:
     def test_flush_lane_decodes_one_backlog(self):

@@ -3,13 +3,34 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.parallel import ExecutorTelemetry, ParallelExecutor
+
+# Many pools whose tasks raise, in a child process so a deadlocked pool
+# fails the test at its deadline instead of hanging the suite.
+RAISING_POOLS = """
+import warnings
+from repro.parallel import ParallelExecutor
+
+def boom(x):
+    raise ValueError(x)
+
+warnings.simplefilter("ignore", RuntimeWarning)
+for _ in range(150):
+    try:
+        ParallelExecutor(jobs=2, force_jobs=True).map(boom, range(3))
+    except ValueError:
+        pass
+"""
 
 
 def _square(x):
@@ -92,6 +113,17 @@ class TestScheduling:
         ex = _pool(2)
         with pytest.raises(ValueError, match="exploded"):
             ex.map(_boom, range(3))
+
+    def test_task_errors_never_deadlock_the_pool(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", RAISING_POOLS],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestSeedDiscipline:
