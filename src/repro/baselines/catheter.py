@@ -11,7 +11,6 @@ the continuous ground-truth comparator for the baseline experiment.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
 
 from ..errors import ConfigurationError
 
@@ -59,6 +58,8 @@ class CatheterReference:
             raise ConfigurationError(
                 "sample rate must comfortably exceed the line resonance"
             )
+        from scipy import signal
+
         wn = 2.0 * np.pi * self.natural_frequency_hz
         zeta = self.damping_ratio
         # Second-order low-pass H(s) = wn^2 / (s^2 + 2 zeta wn s + wn^2),

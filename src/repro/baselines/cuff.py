@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from ..errors import ConfigurationError, SignalQualityError
 from ..physiology.patient import VirtualPatient
@@ -95,6 +94,8 @@ class OscillometricCuff:
         rng: np.random.Generator | None = None,
     ) -> CuffReading:
         """Run one inflate-deflate cycle against the virtual patient."""
+        from scipy.special import erf
+
         rng = rng or np.random.default_rng(401)
         # Plan the deflation ramp from above systole to below diastole.
         expected_sys = patient.params.systolic_mmhg

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from ..errors import ConfigurationError
 from .features import lowpass_cardiac
@@ -84,6 +83,8 @@ class ArtifactDetector:
         x = np.asarray(samples, dtype=float)
         if x.ndim != 1 or x.size < 64:
             raise ConfigurationError("need a 1-D record of >= 64 samples")
+        from scipy import signal as sp_signal
+
         cardiac = lowpass_cardiac(x, sample_rate_hz)
 
         # Reference scale from the (hopefully mostly clean) record.

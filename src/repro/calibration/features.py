@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from ..errors import ConfigurationError, SignalQualityError
 
@@ -62,6 +61,8 @@ def lowpass_cardiac(
         raise ConfigurationError("sample rate must be positive")
     if not 0 < cutoff_hz < sample_rate_hz / 2:
         raise ConfigurationError("cutoff must be in (0, Nyquist)")
+    from scipy import signal
+
     sos = signal.butter(
         4, cutoff_hz, btype="low", fs=sample_rate_hz, output="sos"
     )
@@ -108,6 +109,8 @@ def detect_beats(
     if span <= 0.0:
         raise SignalQualityError("flat record: no pulsatile signal")
     min_distance = int(0.5 * 60.0 / expected_rate_bpm * sample_rate_hz)
+    from scipy import signal
+
     peaks, _ = signal.find_peaks(
         filtered,
         distance=max(min_distance, 1),

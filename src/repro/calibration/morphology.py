@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import argrelextrema
 
+from ..dsp.extrema import relative_maxima
 from ..errors import ConfigurationError, SignalQualityError
 from .features import BeatFeatures
 
@@ -142,7 +142,7 @@ def analyze_morphology(
     aix = float("nan")
     if np.isfinite(notch_phase):
         after = smooth[int(notch_phase * wave.size) : end]
-        maxima = argrelextrema(after, np.greater, order=4)[0]
+        maxima = relative_maxima(after, order=4)
         if maxima.size:
             shoulder = float(after[maxima[0]])
             aix = (shoulder - foot_level) / height

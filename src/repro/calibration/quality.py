@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from ..errors import ConfigurationError, SignalQualityError
 from .features import detect_beats, lowpass_cardiac
@@ -115,6 +114,8 @@ def detrended_pulse_band_power(
     x = np.asarray(samples, dtype=float)
     if x.size < 32:
         raise ConfigurationError("need at least 32 samples")
+    from scipy import signal
+
     sos = signal.butter(
         4, [0.5, 10.0], btype="bandpass", fs=sample_rate_hz, output="sos"
     )

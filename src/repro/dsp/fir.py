@@ -8,21 +8,25 @@ split), it has three jobs:
 2. suppress the CIC alias images folding into that band, and
 3. flatten the sinc^3 passband droop of the first stage.
 
-:func:`design_compensation_fir` builds the coefficient set with
-``scipy.signal.firwin2`` over a frequency grid whose passband target is the
-*inverse* of the CIC droop; :class:`FIRDecimator` applies the quantized
-coefficients bit-true with streaming state.
+:func:`design_compensation_fir` builds the coefficient set with a NumPy
+frequency-sampling design over a grid whose passband target is the
+*inverse* of the CIC droop. The design repeats ``scipy.signal.firwin2``'s
+steps and is bit-identical to it (``tests/dsp/test_scipy_parity.py``), so
+importing the filter does not import SciPy. :class:`FIRDecimator` applies
+the quantized coefficients bit-true with streaming state.
 """
 
 from __future__ import annotations
 
+from math import ceil, log
+
 import numpy as np
-from scipy import signal
 
 from ..errors import ConfigurationError
 from ..parallel.cache import precompute_cache
 from .cic import CICDecimator
 from .fixed_point import QFormat
+from .windows import cosine_sum
 
 
 def design_compensation_fir(
@@ -38,7 +42,7 @@ def design_compensation_fir(
     (order, decimation, differential delay), so the result is memoized
     in the process-local :func:`~repro.parallel.cache.precompute_cache`:
     building many :class:`~repro.core.chain.ReadoutChain`\\ s (one per
-    virtual subject, one per pool worker task) runs ``firwin2`` once per
+    virtual subject, one per pool worker task) runs the design once per
     process. The returned array is shared and marked read-only; copy it
     before mutating.
 
@@ -91,9 +95,29 @@ def _design_compensation_fir(
     cic: CICDecimator | None,
     transition: float,
 ) -> np.ndarray:
-    """The actual firwin2 design behind the cache front."""
+    """The design behind the cache front.
+
+    A NumPy frequency-sampling design of the target response (see
+    :func:`_firwin2_hamming`), bit-identical to ``scipy.signal.firwin2``
+    with a Hamming window, normalized to the target's DC gain.
+    """
+    freq, gain = _target_response(input_rate_hz, cutoff_hz, cic, transition)
+    coeffs = _firwin2_hamming(taps, freq, gain)
+    # Normalize exact DC gain to the droop-compensation value at DC (=1).
+    coeffs = coeffs / coeffs.sum() * gain[0]
+    # Cached values are shared between chains; freeze against mutation.
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def _target_response(
+    input_rate_hz: float,
+    cutoff_hz: float,
+    cic: CICDecimator | None,
+    transition: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Desired gain on a dense grid: (frequencies / Nyquist, gains)."""
     nyquist = input_rate_hz / 2.0
-    # Dense frequency grid for firwin2.
     n_grid = 512
     freqs = np.linspace(0.0, nyquist, n_grid)
     f_pass = cutoff_hz - transition / 2.0
@@ -116,13 +140,25 @@ def _design_compensation_fir(
     edge_gain = comp[passband][-1] if passband.any() else 1.0
     t = (freqs[in_transition] - f_pass) / (f_stop - f_pass)
     gains[in_transition] = edge_gain * 0.5 * (1.0 + np.cos(np.pi * t))
+    return freqs / nyquist, gains
 
-    coeffs = signal.firwin2(taps, freqs / nyquist, gains, window="hamming")
-    # Normalize exact DC gain to the droop-compensation value at DC (=1).
-    coeffs = coeffs / coeffs.sum() * gains[0]
-    # Cached values are shared between chains; freeze against mutation.
-    coeffs.setflags(write=False)
-    return coeffs
+
+def _firwin2_hamming(taps: int, freq: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Frequency-sampling FIR design, ``firwin2``'s arithmetic in NumPy.
+
+    ``freq`` is normalized to Nyquist = 1. The gains are interpolated onto
+    a uniform grid of ``1 + 2**ceil(log2(taps))`` points, phase-shifted so
+    the first ``taps`` samples of the inverse real FFT are the impulse
+    response, then windowed by a symmetric Hamming window. Every operation
+    and its order follow SciPy's, which keeps the result bit-identical.
+    """
+    n_freqs = 1 + 2 ** int(ceil(log(taps, 2)))
+    x = np.linspace(0.0, 1.0, n_freqs)
+    fx = np.interp(x, freq, gain)
+    shift = np.exp(-(taps - 1) / 2.0 * 1j * np.pi * x)
+    impulse = np.fft.irfft(fx * shift)
+    # 1 - 0.54, not the literal 0.46: they differ in the last bit.
+    return impulse[:taps] * cosine_sum(taps, (0.54, 1.0 - 0.54), sym=True)
 
 
 class FIRDecimator:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import windows as _sp_windows
 
 from ..errors import ConfigurationError
 
@@ -51,12 +50,38 @@ class WindowSpec:
         return 10.0 * np.log10(self.noise_equivalent_bandwidth_bins)
 
 
+# Cosine-sum coefficients, as in ``scipy.signal.windows``.
+_COSINE_SUMS = {
+    "hann": (0.5, 1.0 - 0.5),
+    "blackmanharris": (0.35875, 0.48829, 0.14128, 0.01168),
+    "flattop": (0.21557895, 0.41663158, 0.277263158, 0.083578947, 0.006947368),
+}
+
 _HALF_LEAKAGE = {
     "rectangular": 0,
     "hann": 3,
     "blackmanharris": 4,
     "flattop": 5,
 }
+
+
+def cosine_sum(
+    n: int, coefficients: tuple[float, ...], sym: bool
+) -> np.ndarray:
+    """Generalized cosine window ``sum_k a_k cos(k * phase)`` of length ``n``.
+
+    The arithmetic of ``scipy.signal.windows.general_cosine``, so the
+    values are bit-identical to SciPy's: sample the phase on
+    ``linspace(-pi, pi)``, accumulate the terms in order, and for a
+    periodic (``sym=False``) window build ``n + 1`` points and drop the
+    last.
+    """
+    m = n if sym else n + 1
+    fac = np.linspace(-np.pi, np.pi, m)
+    w = np.zeros(m)
+    for k, a_k in enumerate(coefficients):
+        w += a_k * np.cos(k * fac)
+    return w if sym else w[:-1]
 
 
 def get_window(name: str, n: int) -> WindowSpec:
@@ -71,12 +96,8 @@ def get_window(name: str, n: int) -> WindowSpec:
     key = name.lower()
     if key == "rectangular":
         values = np.ones(n)
-    elif key == "hann":
-        values = _sp_windows.hann(n, sym=False)
-    elif key == "blackmanharris":
-        values = _sp_windows.blackmanharris(n, sym=False)
-    elif key == "flattop":
-        values = _sp_windows.flattop(n, sym=False)
+    elif key in _COSINE_SUMS:
+        values = cosine_sum(n, _COSINE_SUMS[key], sym=False)
     else:
         raise ConfigurationError(
             f"unknown window {name!r}; choose from {sorted(_HALF_LEAKAGE)}"

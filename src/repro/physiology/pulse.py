@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dsp.extrema import relative_maxima
 from ..errors import ConfigurationError
 
 #: (amplitude, center phase, width) of the default radial-pulse lobes:
@@ -83,9 +84,7 @@ class RadialPulseTemplate:
         # minimum from the last crest (the dicrotic wave) to the end;
         # without this, the Gaussian tails produce a small unphysical
         # late-diastolic rise that confuses foot detection downstream.
-        from scipy.signal import argrelextrema
-
-        maxima = argrelextrema(wave, np.greater, order=5)[0]
+        maxima = relative_maxima(wave, order=5)
         tail_start = int(maxima[-1]) if maxima.size else int(0.6 * wave.size)
         wave[tail_start:] = np.minimum.accumulate(wave[tail_start:])
 

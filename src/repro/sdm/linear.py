@@ -19,10 +19,20 @@ nonlinear simulation.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
 
 from ..errors import ConfigurationError
 from .topology import LoopCoefficients
+
+
+def _freqz(num: np.ndarray, den: np.ndarray, worN) -> np.ndarray:
+    """Complex response of ``num/den`` from ``scipy.signal.freqz``.
+
+    SciPy is imported here, on first use, so importing the package does
+    not load it.
+    """
+    from scipy import signal
+
+    return signal.freqz(num, den, worN=worN)[1]
 
 
 class LinearLoopModel:
@@ -56,7 +66,7 @@ class LinearLoopModel:
     @property
     def max_ntf_gain(self) -> float:
         """Peak out-of-band NTF gain (Lee-criterion style figure)."""
-        _, h = signal.freqz(self._ntf_num, self._den, worN=4096)
+        h = _freqz(self._ntf_num, self._den, 4096)
         return float(np.max(np.abs(h)))
 
     # -- frequency responses ----------------------------------------------------
@@ -64,14 +74,12 @@ class LinearLoopModel:
     def ntf(self, freqs_hz: np.ndarray, sample_rate_hz: float) -> np.ndarray:
         """Complex NTF at the given frequencies."""
         w = self._norm_w(freqs_hz, sample_rate_hz)
-        _, h = signal.freqz(self._ntf_num, self._den, worN=w)
-        return h
+        return _freqz(self._ntf_num, self._den, w)
 
     def stf(self, freqs_hz: np.ndarray, sample_rate_hz: float) -> np.ndarray:
         """Complex STF at the given frequencies."""
         w = self._norm_w(freqs_hz, sample_rate_hz)
-        _, h = signal.freqz(self._stf_num, self._den, worN=w)
-        return h
+        return _freqz(self._stf_num, self._den, w)
 
     @staticmethod
     def _norm_w(freqs_hz: np.ndarray, sample_rate_hz: float) -> np.ndarray:
@@ -98,7 +106,7 @@ class LinearLoopModel:
         # Normalized band [0, 0.5/osr] in cycles/sample.
         f = np.linspace(0.0, 0.5 / osr, n_points)
         w = 2.0 * np.pi * f
-        _, h = signal.freqz(self._ntf_num, self._den, worN=w)
+        h = _freqz(self._ntf_num, self._den, w)
         e_psd = (2.0**2 / 12.0) * 2.0  # one-sided PSD over f in [0, 0.5]
         integrand = e_psd * np.abs(h) ** 2
         return float(np.trapezoid(integrand, f))

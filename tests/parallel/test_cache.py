@@ -115,7 +115,9 @@ class TestBoundedCache:
 
 class TestFIRDesignSharing:
     def test_two_chains_share_identical_tap_arrays(self):
-        """Satellite check: many chains, one firwin2 run per process."""
+        """Many chains, one FIR design per process: the NumPy
+        frequency-sampling design (bit-identical to ``firwin2``) runs once
+        and every later chain gets the same cached array."""
         cache = precompute_cache()
         c1 = ReadoutChain(SystemParams(), rng=np.random.default_rng(1))
         hits0, _ = cache.stats()
