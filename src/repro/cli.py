@@ -708,7 +708,8 @@ def cmd_gateway(
                     f"occupancy {m['occupancy_mean']:.1f} mean / "
                     f"{m['occupancy_max']} max  "
                     f"deadline-flush {m['deadline_flush_fraction']:.0%}  "
-                    f"frames {m['frames_decoded']}",
+                    f"close-flush {m['close_flush_fraction']:.0%}  "
+                    f"frames {m['frames_decoded']}  crc {m['crc_path']}",
                     file=sys.stderr,
                     flush=True,
                 )

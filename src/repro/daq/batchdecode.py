@@ -11,11 +11,12 @@ path the :mod:`repro.gateway.batchplane` scheduler runs per tick:
   candidates sharing one length — with a handful of NumPy comparisons
   instead of a per-byte hunt.
 * :func:`crc_check` validates *all* staged candidates across *all*
-  decoders in one table-driven pass: CRC-16/CCITT-FALSE is affine over
-  GF(2), so the CRC of a frame body is the XOR of per-(position, byte)
-  table entries plus a length-dependent seed constant. One fancy-index
-  plus an XOR reduction replaces ``len(frame)`` Python table steps per
-  frame.
+  decoders in one call per frame length: the native ``crc16_rows``
+  routine (:mod:`repro.native`) runs the reference table over the
+  row-strided frame bodies in place. Without the native library each
+  candidate goes through the reference
+  :func:`~repro.daq.usb.crc16_ccitt`, the same function
+  :class:`~repro.daq.usb.FrameDecoder` uses.
 * :func:`commit` books the validated candidates exactly as
   :meth:`~repro.daq.usb.FrameDecoder._parse` and
   :meth:`~repro.daq.stream.SampleStream.ingest` would — same sequence
@@ -25,10 +26,6 @@ path the :mod:`repro.gateway.batchplane` scheduler runs per tick:
   ends and the **reference parser finishes the chunk byte-exactly**, so
   the fast path never changes a single decoded bit, counter, or resync
   decision relative to per-session decoding.
-
-The position tables live in the shared
-:class:`~repro.parallel.cache.PrecomputeCache`, so every lane of every
-gateway (and every test) shares one ~260 KiB precompute.
 """
 
 from __future__ import annotations
@@ -37,72 +34,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..parallel.cache import precompute_cache
+from .. import native
 from .stream import SampleStream, StreamGap
-from .usb import _CRC_TABLE, FrameDecoder, SYNC
-
-#: Longest CRC-covered region: header (7 bytes past sync) + 255 words.
-_MAX_BODY = 7 + 2 * 255 + 2  # + sync word
+from .usb import _CRC_TABLE, SYNC, FrameDecoder, crc16_ccitt
 
 _SYNC0, _SYNC1 = SYNC[0], SYNC[1]
 
-
-def _build_crc_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(POS, INIT) for the affine batch CRC.
-
-    ``POS[d, v]`` is the zero-seed CRC-16/CCITT of byte ``v`` followed by
-    ``d`` zero bytes; ``INIT[L]`` is the 0xFFFF-seed CRC of ``L`` zero
-    bytes. For a message ``m`` of length ``L``::
-
-        crc16_ccitt(m) == INIT[L] ^ XOR_j POS[L - 1 - j, m[j]]
-
-    because one CRC step ``crc' = (crc << 8) ^ T[(crc >> 8) ^ b]`` is
-    linear over GF(2) in ``(crc, b)``.
-    """
-    table = np.array(_CRC_TABLE, dtype=np.uint16)
-    pos = np.empty((_MAX_BODY, 256), dtype=np.uint16)
-    v = table.copy()  # zero-seed CRC of each single byte
-    pos[0] = v
-    for d in range(1, _MAX_BODY):
-        v = (v << np.uint16(8)) ^ table[v >> np.uint16(8)]
-        pos[d] = v
-    init = np.empty(_MAX_BODY + 1, dtype=np.uint16)
-    crc = 0xFFFF
-    for length in range(_MAX_BODY + 1):
-        init[length] = crc
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) & 0xFF]
-    pos.setflags(write=False)
-    init.setflags(write=False)
-    return pos, init
+#: The reference CRC table, handed to the native routine.
+_TABLE = np.array(_CRC_TABLE, dtype=np.uint16)
+_TABLE_P = _TABLE.ctypes.data_as(native.U16_P)
 
 
-def _crc_tables() -> tuple[np.ndarray, np.ndarray]:
-    return precompute_cache().get(("crc16_batch_tables",), _build_crc_tables)
-
-
-def _distances(length: int) -> np.ndarray:
-    """``[L-1, …, 1, 0]`` — the per-column distance-from-end index."""
-    return precompute_cache().get(
-        ("crc16_batch_distances", length),
-        lambda: _readonly(np.arange(length - 1, -1, -1)),
-    )
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def crc_path() -> str:
+    """``"native"`` when frame CRCs run in :mod:`repro.native`, else
+    ``"reference"`` (:func:`~repro.daq.usb.crc16_ccitt` per frame)."""
+    return "native" if native.available() else "reference"
 
 
 def crc16_batch(bodies: np.ndarray) -> np.ndarray:
-    """CRC-16/CCITT-FALSE of every row of a ``(n, L)`` uint8 matrix."""
+    """CRC-16/CCITT-FALSE of every row of a ``(n, L)`` uint8 matrix.
+
+    Rows may be strided, like the ``[:, :L]`` view of wider frames that
+    :func:`crc_check` passes. Without the native library every row goes
+    through the reference :func:`~repro.daq.usb.crc16_ccitt`.
+    """
     if bodies.ndim != 2:
         raise ValueError("expected a (n_frames, body_len) uint8 matrix")
     n, length = bodies.shape
-    if length == 0:
-        return np.full(n, 0xFFFF, dtype=np.uint16)
-    pos, init = _crc_tables()
-    contrib = pos[_distances(length)[None, :], bodies]
-    return np.bitwise_xor.reduce(contrib, axis=1) ^ init[length]
+    lib = native.library()
+    if lib is None:
+        return np.fromiter(
+            (crc16_ccitt(row.tobytes()) for row in bodies),
+            dtype=np.uint16,
+            count=n,
+        )
+    if bodies.dtype != np.uint8 or (length > 1 and bodies.strides[1] != 1):
+        bodies = np.ascontiguousarray(bodies, dtype=np.uint8)
+    out = np.empty(n, dtype=np.uint16)
+    lib.crc16_rows(
+        bodies.ctypes.data_as(native.U8_P),
+        n,
+        bodies.strides[0],
+        length,
+        _TABLE_P,
+        out.ctypes.data_as(native.U16_P),
+    )
+    return out
 
 
 @dataclass

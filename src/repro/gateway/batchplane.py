@@ -10,9 +10,10 @@ from **one** scheduler task that runs a tick loop:
    invariant).
 2. **Deframe + CRC in batch** — each session's tiled prefix is scanned
    with NumPy (:func:`repro.daq.batchdecode.stage`) and *all* sessions'
-   frame candidates are CRC-checked together in one table-driven pass
-   (:func:`repro.daq.batchdecode.crc_check`), so the per-byte Python
-   CRC loop disappears from the hot path.
+   frame candidates are CRC-checked together, one native call per
+   frame length (:func:`repro.daq.batchdecode.crc_check`), so the
+   per-byte Python CRC loop leaves the hot path whenever the native
+   library is built.
 3. **Commit per lane** — validated frames are booked segment-wise with
    reference-exact counters, gaps and sample bytes
    (:func:`repro.daq.batchdecode.commit`); anything irregular falls
@@ -26,8 +27,16 @@ Flush policy — the latency/throughput dial:
 * **deadline flush** — otherwise a tick runs ``max_latency_s`` after
   the first pending byte arrived: under light load a lone device's
   chunk never waits more than the deadline, bounding p99 latency.
+* **close flush** — the server ticks at once when a connection's bytes
+  have ended after its BYE: nothing more can arrive for that lane, so
+  waiting out the deadline would only delay closing its books. The
+  tick is plane-wide; other lanes' pending bytes ride along.
+* **resume flush** — :meth:`BatchPlane.flush_lane` decodes one lane
+  before a resume ACK (see there).
+* **drain flush** — :meth:`BatchPlane.stop` decodes what is left.
 
-The plane keeps per-tick telemetry (occupancy, flush causes, tick rate)
+Every cause is a counted tick (``<cause>_flushes``). The plane keeps
+per-tick telemetry (occupancy, flush causes, tick rate, CRC path)
 for the metrics endpoint and asserts nothing about session semantics:
 each lane decodes bit-identically to a plain
 :class:`~repro.daq.usb.FrameDecoder` fed the same chunks, which the
@@ -43,6 +52,9 @@ import time
 from ..daq import batchdecode
 from ..errors import ConfigurationError
 from .connection import DeviceSession
+
+#: Why a tick ran; each cause has a ``<cause>_flushes`` counter.
+FLUSH_CAUSES = ("size", "deadline", "drain", "close", "resume")
 
 
 class BatchPlane:
@@ -90,6 +102,8 @@ class BatchPlane:
         self.size_flushes = 0
         self.deadline_flushes = 0
         self.drain_flushes = 0  # forced by stop()/drain paths
+        self.close_flushes = 0  # a lane's stream ended after its BYE
+        self.resume_flushes = 0  # flush_lane, before a resume ACK
         self.frames_decoded = 0
         self.bytes_decoded = 0
         self.occupancy_sum = 0  # sum over ticks of lanes-with-data
@@ -141,7 +155,8 @@ class BatchPlane:
             self.idle.set()
 
     def flush_lane(self, session: DeviceSession) -> int:
-        """Decode one lane's backlog immediately; returns frames.
+        """Decode one lane's backlog immediately (a ``resume`` tick);
+        returns frames.
 
         The resume handshake calls this before ACKing so
         ``last_acked`` reflects every byte the device already sent —
@@ -151,12 +166,9 @@ class BatchPlane:
         """
         if self._armed.pop(session.device_id, None) is None:
             return 0
-        self._pending_bytes -= self._armed_bytes.pop(session.device_id, 0)
-        staged = session.stage_pending()
-        frames = 0
-        if staged is not None:
-            batchdecode.crc_check([staged])
-            frames = session.commit_staged(staged)
+        batch_bytes = self._armed_bytes.pop(session.device_id, 0)
+        self._pending_bytes -= batch_bytes
+        frames = self._tick("resume", [session], batch_bytes)
         self._settle()
         return frames
 
@@ -217,20 +229,27 @@ class BatchPlane:
                 self._wake.clear()
 
     def flush(self, cause: str = "deadline") -> int:
-        """Run one decode tick synchronously; returns frames decoded.
+        """Run one decode tick over every armed lane; returns frames.
 
         Synchronous on purpose: no ``await`` between intake and commit,
         so reader callbacks can never interleave with a half-committed
         batch.
         """
+        if cause not in FLUSH_CAUSES:
+            raise ConfigurationError(f"unknown flush cause {cause!r}")
         armed = list(self._armed.values())
         self._armed.clear()
         self._armed_bytes.clear()
-        batch_bytes = self._pending_bytes
-        self._pending_bytes = 0
-        self._first_pending_t = None
+        frames = self._tick(cause, armed, self._pending_bytes)
+        self._settle()
+        return frames
+
+    def _tick(
+        self, cause: str, sessions: list[DeviceSession], batch_bytes: int
+    ) -> int:
+        """Stage, CRC-check and commit ``sessions``; book one tick."""
         staged_pairs: list[tuple[DeviceSession, batchdecode.Staged]] = []
-        for session in armed:
+        for session in sessions:
             staged = session.stage_pending()
             if staged is not None:
                 staged_pairs.append((session, staged))
@@ -240,18 +259,12 @@ class BatchPlane:
             frames += session.commit_staged(staged)
         occupancy = len(staged_pairs)
         self.ticks += 1
-        if cause == "size":
-            self.size_flushes += 1
-        elif cause == "drain":
-            self.drain_flushes += 1
-        else:
-            self.deadline_flushes += 1
+        name = f"{cause}_flushes"
+        setattr(self, name, getattr(self, name) + 1)
         self.frames_decoded += frames
         self.bytes_decoded += batch_bytes
         self.occupancy_sum += occupancy
         self.occupancy_max = max(self.occupancy_max, occupancy)
-        if not self._armed:
-            self.idle.set()
         return frames
 
     # -- telemetry -----------------------------------------------------------
@@ -271,8 +284,13 @@ class BatchPlane:
             "size_flushes": self.size_flushes,
             "deadline_flushes": self.deadline_flushes,
             "drain_flushes": self.drain_flushes,
+            "close_flushes": self.close_flushes,
+            "resume_flushes": self.resume_flushes,
             "deadline_flush_fraction": (
                 self.deadline_flushes / ticks if ticks else 0.0
+            ),
+            "close_flush_fraction": (
+                self.close_flushes / ticks if ticks else 0.0
             ),
             "occupancy_mean": (
                 self.occupancy_sum / ticks if ticks else 0.0
@@ -283,4 +301,5 @@ class BatchPlane:
             "pending_bytes": self._pending_bytes,
             "flush_bytes": self.flush_bytes,
             "max_latency_s": self.max_latency_s,
+            "crc_path": batchdecode.crc_path(),
         }

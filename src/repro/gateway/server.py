@@ -354,13 +354,12 @@ class GatewayServer:
             # this — the demux already carries its successor's bytes.
             self._ingest(session, session.end_of_stream(), writer)
         if session.bye_seen:
-            # Clean close: drain what is queued, then close the books.
-            await self._drain_session(session)
+            # Clean close: nothing more can arrive for this lane, so
+            # decode its queue now (one plane-wide tick) rather than at
+            # the deadline, then close the books.
+            if not session.queue_empty.is_set():
+                self.plane.flush(cause="close")
             session.finalize()
-
-    async def _drain_session(self, session: DeviceSession) -> None:
-        while not session.queue_empty.is_set():
-            await session.queue_empty.wait()
 
     # -- control plane -------------------------------------------------------
 

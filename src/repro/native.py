@@ -1,10 +1,11 @@
 """The one native library: every compiled kernel, compiled once per machine.
 
-The ΣΔ recurrence and the fused batch cascade share one C translation
-unit (:data:`SOURCE`), one flag set and one compiler run, loaded through
-:mod:`ctypes`. The first call to :func:`library` in a process loads the
-compiled library from the per-user cache (``$XDG_CACHE_HOME/repro-native``,
-else ``~/.cache/repro-native``) and compiles only on a miss.
+The ΣΔ recurrence, the fused batch cascade and the gateway's frame CRC
+share one C translation unit (:data:`SOURCE`), one flag set and one
+compiler run, loaded through :mod:`ctypes`. The first call to
+:func:`library` in a process loads the compiled library from the
+per-user cache (``$XDG_CACHE_HOME/repro-native``, else
+``~/.cache/repro-native``) and compiles only on a miss.
 
 Cache contract:
 
@@ -36,16 +37,21 @@ Kernels:
   :mod:`repro.sdm.fastpath`);
 * ``batch_chain_run`` / ``batch_frontend_run`` — the fused lane-block
   chain and the capacitive front end (marshalled by
-  :mod:`repro.batch.kernel`).
+  :mod:`repro.batch.kernel`);
+* ``crc16_rows`` — CRC-16/CCITT-FALSE of row-strided frame bodies, the
+  gateway batch plane's frame check (marshalled by
+  :mod:`repro.daq.batchdecode`). Integer table steps, exact by
+  construction.
 
-Every kernel performs the reference path's IEEE-754 double operations in
-the same order; ``-ffp-contract=off -fno-fast-math`` keeps the compiler
-from fusing or reassociating them, so results are bit-identical rather
-than merely close. SIMD across lanes or samples keeps each element's
-operation order, so ``-O3`` vectorization does not affect identity. A
-cached library comes from the same source, flags and compiler as a
-fresh build, so it runs the same machine code; the key stamp leaves the
-kernels' instruction bytes as they are without it.
+Every floating-point kernel performs the reference path's IEEE-754
+double operations in the same order; ``-ffp-contract=off
+-fno-fast-math`` keeps the compiler from fusing or reassociating them,
+so results are bit-identical rather than merely close. SIMD across
+lanes or samples keeps each element's operation order, so ``-O3``
+vectorization does not affect identity. A cached library comes from
+the same source, flags and compiler as a fresh build, so it runs the
+same machine code; the key stamp leaves the kernels' instruction bytes
+as they are without it.
 
 When no compiler works, :func:`library` returns ``None`` and warns once
 per process; every compiled path then runs its Python reference, which
@@ -488,6 +494,44 @@ long long batch_frontend_run(
     }
     return err ? -1 : 0;
 }
+
+#define CRC_ROWS 8   /* rows whose CRCs advance together */
+
+/* CRC-16/CCITT-FALSE (seed 0xFFFF) of k rows of body_len bytes; row r
+ * starts at mat + r*row_stride. table is the caller's 256-entry byte
+ * table (repro.daq.usb's, shared with the reference crc16_ccitt). Each
+ * byte step depends on the previous one, so CRC_ROWS rows are stepped
+ * side by side to overlap their table loads. */
+void crc16_rows(const uint8_t *restrict mat, long long k,
+                long long row_stride, long long body_len,
+                const uint16_t *restrict table, uint16_t *restrict out)
+{
+    long long r = 0, j, v;
+    for (; r + CRC_ROWS <= k; r += CRC_ROWS) {
+        const uint8_t *p[CRC_ROWS];
+        unsigned c[CRC_ROWS];
+        for (v = 0; v < CRC_ROWS; v++) {
+            p[v] = mat + (r + v) * row_stride;
+            c[v] = 0xFFFF;
+        }
+        for (j = 0; j < body_len; j++) {
+            for (v = 0; v < CRC_ROWS; v++) {
+                c[v] = ((c[v] << 8) & 0xFFFF) ^ table[(c[v] >> 8) ^ p[v][j]];
+            }
+        }
+        for (v = 0; v < CRC_ROWS; v++) {
+            out[r + v] = (uint16_t)c[v];
+        }
+    }
+    for (; r < k; r++) {
+        const uint8_t *p = mat + r * row_stride;
+        unsigned c = 0xFFFF;
+        for (j = 0; j < body_len; j++) {
+            c = ((c << 8) & 0xFFFF) ^ table[(c >> 8) ^ p[j]];
+        }
+        out[r] = (uint16_t)c;
+    }
+}
 """
 
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
@@ -495,6 +539,8 @@ CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
 DBL_P = ctypes.POINTER(ctypes.c_double)
 LL_P = ctypes.POINTER(ctypes.c_longlong)
 ULL_P = ctypes.POINTER(ctypes.c_uint64)
+U8_P = ctypes.POINTER(ctypes.c_uint8)
+U16_P = ctypes.POINTER(ctypes.c_uint16)
 _LL = ctypes.c_longlong
 _D = ctypes.c_double
 _I = ctypes.c_int
@@ -528,6 +574,10 @@ _SIGNATURES = {
         DBL_P, DBL_P, DBL_P,  # cscale, coffs, inj
         DBL_P, DBL_P, DBL_P,  # cref, cfb, cexc
         DBL_P, DBL_P,  # a1, u_last
+    ]),
+    "crc16_rows": (None, [
+        U8_P, _LL, _LL, _LL,  # mat, k, row_stride, body_len
+        U16_P, U16_P,  # table, out
     ]),
 }
 

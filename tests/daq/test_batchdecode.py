@@ -1,7 +1,7 @@
 """Vectorized frame decode: bit-identity with the reference parser.
 
 :mod:`repro.daq.batchdecode` is the batch plane's hot path — a tiled
-NumPy scan plus a table-driven batch CRC, with bounded windows of the
+NumPy scan plus the native batch CRC, with bounded windows of the
 reference :class:`~repro.daq.usb.FrameDecoder` around anything
 irregular. The only contract is *exactness*: same frames, counters,
 buffer residue, stream contents, gaps and hook order as feeding the
@@ -10,9 +10,15 @@ reference decoder directly, for any byte stream and any chunk split.
 
 import numpy as np
 
+from repro import native
 from repro.daq import batchdecode
 from repro.daq.stream import SampleStream
-from repro.daq.usb import FrameDecoder, FrameEncoder, crc16_ccitt
+from repro.daq.usb import (
+    MAX_SAMPLES_PER_FRAME,
+    FrameDecoder,
+    FrameEncoder,
+    crc16_ccitt,
+)
 
 
 def _build_wire(rng, n_frames, spf, mangle):
@@ -102,16 +108,72 @@ def _assert_identical(ref, bat, label):
     assert ha == hb, label
 
 
+#: Longest CRC-covered frame body: header past the sync word + words.
+_MAX_BODY = 7 + 2 * MAX_SAMPLES_PER_FRAME
+
+
+def _reference_crcs(bodies):
+    return np.array([crc16_ccitt(bytes(row)) for row in bodies], np.uint16)
+
+
 class TestCrc16Batch:
+    def test_path_follows_the_native_library(self):
+        want = "native" if native.available() else "reference"
+        assert batchdecode.crc_path() == want
+
     def test_matches_reference_for_every_frame_length(self):
+        # Row-strided views, as crc_check passes them: each body is the
+        # first `length` bytes of a wider frame row.
         rng = np.random.default_rng(7)
-        for length in (1, 2, 7, 74, batchdecode._MAX_BODY):
-            mat = rng.integers(0, 256, size=(50, length), dtype=np.uint8)
-            got = batchdecode.crc16_batch(mat)
-            want = np.array(
-                [crc16_ccitt(bytes(row)) for row in mat], dtype=np.uint16
+        for length in (0, 1, 2, 7, 74, _MAX_BODY):
+            for rows in (1, 7, 8, 50):
+                frames = rng.integers(
+                    0, 256, size=(rows, length + 2), dtype=np.uint8
+                )
+                bodies = frames[:, :length]
+                got = batchdecode.crc16_batch(bodies)
+                assert np.array_equal(got, _reference_crcs(bodies)), length
+
+    def test_check_value(self):
+        body = np.frombuffer(b"123456789", dtype=np.uint8)[None, :]
+        assert batchdecode.crc16_batch(body)[0] == 0x29B1
+
+    def test_empty_body_is_the_seed(self):
+        bodies = np.zeros((3, 0), dtype=np.uint8)
+        assert batchdecode.crc16_batch(bodies).tolist() == [0xFFFF] * 3
+
+    def test_same_verdicts_without_native(self, request):
+        enc = FrameEncoder(samples_per_frame=32)
+        wire = bytearray(
+            b"".join(
+                enc.push(np.arange(32, dtype=np.int64) + k, 0)
+                for k in range(12)
             )
-            assert np.array_equal(got, want), length
+        )
+        wire[5 * 73 + 20] ^= 0x10  # one corrupted frame body
+        rng = np.random.default_rng(11)
+        bodies = rng.integers(0, 256, size=(20, 74), dtype=np.uint8)[:, :72]
+        check = np.frombuffer(b"123456789", dtype=np.uint8)[None, :]
+
+        def results():
+            staged = batchdecode.stage(FrameDecoder(), bytes(wire))
+            batchdecode.crc_check([staged])
+            return (
+                [run.crc_ok.tolist() for run in staged.runs],
+                batchdecode.crc16_batch(bodies).tolist(),
+                batchdecode.crc16_batch(check).tolist(),
+                batchdecode.crc16_batch(bodies[:, :0]).tolist(),
+            )
+
+        fast = results()
+        request.getfixturevalue("no_native")
+        assert batchdecode.crc_path() == "reference"
+        assert results() == fast
+        verdicts, crcs, (check_value,), empty = fast
+        assert verdicts == [[k != 5 for k in range(12)]]
+        assert crcs == _reference_crcs(bodies).tolist()
+        assert check_value == 0x29B1
+        assert empty == [0xFFFF] * 20
 
 
 class TestBitIdentity:

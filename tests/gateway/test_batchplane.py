@@ -124,6 +124,21 @@ class TestLaneLifecycle:
         # Idempotent: an unarmed lane flushes to nothing.
         assert plane.flush_lane(session) == 0
 
+    def test_flush_lane_is_a_booked_resume_tick(self):
+        plane = BatchPlane(flush_bytes=1 << 30, max_latency_s=1.0)
+        resumed = _armed_session(plane)
+        other = _armed_session(plane, device_id=2)
+        plane.flush_lane(resumed)
+        plane.flush(cause="deadline")
+        m = plane.metrics()
+        assert m["frames_decoded"] == sum(
+            s.decoder.frames_decoded for s in (resumed, other)
+        )
+        assert m["bytes_decoded"] == 2 * len(_payload())
+        assert m["ticks"] == 2
+        assert m["resume_flushes"] == 1
+        assert m["deadline_flushes"] == 1
+
     def test_detach_discards_queued_bytes(self):
         plane = BatchPlane()
         session = _armed_session(plane)
@@ -178,3 +193,24 @@ class TestValidationAndMetrics:
         assert m["bytes_decoded"] == 2 * len(_payload())
         assert m["lanes"] == 2
         assert m["pending_bytes"] == 0
+        assert m["crc_path"] in ("native", "reference")
+
+    def test_close_flush_is_counted(self):
+        plane = BatchPlane(flush_bytes=1 << 30, max_latency_s=30.0)
+        _armed_session(plane)
+        _armed_session(plane, device_id=2)
+        assert plane.flush(cause="close") == 6
+        m = plane.metrics()
+        assert m["close_flushes"] == 1
+        assert m["close_flush_fraction"] == 1.0
+        assert m["occupancy_max"] == 2  # the other lane rode along
+        assert plane.idle.is_set()
+
+    def test_unknown_cause_rejected_before_intake(self):
+        plane = BatchPlane()
+        session = _armed_session(plane)
+        with pytest.raises(ConfigurationError):
+            plane.flush(cause="bogus")
+        assert plane.pending_bytes == len(_payload())
+        assert plane.flush(cause="deadline") == 3
+        assert session.decoder.frames_decoded == 3

@@ -194,6 +194,41 @@ class TestReconnectResume:
         _run(_with_server(body))
 
 
+    def test_plane_books_the_resume_decode(self):
+        # The resume handshake decodes the lane's backlog before its
+        # ACK; the plane must count those frames like any other tick.
+        enc = FrameEncoder(samples_per_frame=8)
+        first = enc.push(np.arange(24, dtype=np.int16), 0)
+        second = enc.push(np.arange(16, dtype=np.int16), 0)
+
+        async def body(server):
+            writer = await _raw_device(server, 4, first)
+            writer.close()  # no BYE: the device will resume
+            await writer.wait_closed()
+            assert await _until(
+                lambda: server.sessions[4].state.value != "healthy"
+            )
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(pack_hello(4, resume=True))
+            await writer.drain()
+            assert await reader.read(64)  # ACK, after the resume tick
+            writer.write(second + pack_bye(5))
+            writer.close()
+            await writer.wait_closed()
+            assert await _until(lambda: _closed(server, 4))
+            m = server.plane.metrics()
+            assert m["frames_decoded"] == sum(
+                s.decoder.frames_decoded for s in server.sessions.values()
+            )
+            assert m["frames_decoded"] == 5
+            assert m["resume_flushes"] == 1
+            server.reconcile()
+
+        _run(_with_server(body, max_latency_s=0.5))
+
+
 class TestChainEquivalence:
     def test_gateway_stream_matches_direct_chain(self):
         """A fault-free gateway transit of a full physics-chain stream is
@@ -403,3 +438,25 @@ class TestCleanClose:
             server.sessions[6].reconcile()
 
         _run(_with_server(body))
+
+    def test_close_flush_does_not_wait_for_the_deadline(self):
+        # A long deadline: only the close flush can decode the queue
+        # before the session's books close.
+        async def body(server):
+            loop = asyncio.get_running_loop()
+            payload = FrameEncoder(samples_per_frame=8).push(
+                np.arange(24, dtype=np.int16), 0
+            )
+            writer = await _raw_device(server, 8, payload + pack_bye(3))
+            t0 = loop.time()
+            writer.close()
+            await writer.wait_closed()
+            assert await _until(lambda: _closed(server, 8), timeout_s=0.1)
+            assert loop.time() - t0 < 0.1
+            m = server.plane.metrics()
+            assert m["deadline_flushes"] == 0
+            assert m["close_flushes"] == 1
+            assert m["frames_decoded"] == 3
+            server.sessions[8].reconcile()
+
+        _run(_with_server(body, max_latency_s=0.5))
