@@ -7,6 +7,8 @@ the same rows the paper reports, in a uniform table.
 
 from __future__ import annotations
 
+import os
+
 
 def print_rows(title: str, rows: list[tuple[str, str, str]]) -> None:
     """Render (quantity, paper, measured) rows under a banner."""
@@ -26,3 +28,16 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
                               iterations=1)
+
+
+def native_provenance() -> dict:
+    """Which native build ran, and where: the batch kernels' ISA variant,
+    how the library was obtained, the core count and the compiler."""
+    from repro import native
+
+    return {
+        "kernel_isa": native.isa(),
+        "kernel_build": native.build_status(),
+        "cpu_cores": os.cpu_count() or 1,
+        "compiler": native.compiler(),
+    }

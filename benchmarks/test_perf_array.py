@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import print_rows
+from conftest import native_provenance, print_rows
 
 from repro.array.scan import ScanController
 from repro.batch import batch_kernel_available
@@ -37,7 +37,8 @@ MIN_8X8_FRAME_RATE_HZ = 5.0
 
 
 def update_bench(section: dict) -> None:
-    """Merge keys into BENCH_array.json, preserving the other test's."""
+    """Merge keys into BENCH_array.json, preserving the other test's,
+    and stamp which native build produced them."""
     report = {}
     if BENCH_PATH.exists():
         try:
@@ -45,6 +46,7 @@ def update_bench(section: dict) -> None:
         except json.JSONDecodeError:
             report = {}
     report.update(section)
+    report.update(native_provenance())
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import print_rows
+from conftest import native_provenance, print_rows
 
 from repro.batch import BatchAcquisitionSession, batch_kernel_available
 from repro.core.chain import ReadoutChain
@@ -43,7 +43,8 @@ REQUIRED_SPEEDUP = 10.0
 
 
 def update_bench(section: dict) -> None:
-    """Merge keys into BENCH_batch.json, preserving the other test's."""
+    """Merge keys into BENCH_batch.json, preserving the other test's,
+    and stamp which native build produced them."""
     report = {}
     if BENCH_PATH.exists():
         try:
@@ -51,6 +52,7 @@ def update_bench(section: dict) -> None:
         except json.JSONDecodeError:
             report = {}
     report.update(section)
+    report.update(native_provenance())
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
 

@@ -44,9 +44,22 @@ extended across the cascade):
 
 Lanes are processed in blocks of :data:`~repro.native.LANE_BLOCK` so the
 per-block working set (modulator and integrator state plus a handful of
-input streams) stays register- and L1-resident; the engine pads the batch to a
-block multiple with inert lanes. Reordering lanes into blocks never
-changes any single lane's operation sequence, so identity is unaffected.
+input streams) stays L1-resident; the engine pads the batch to a block
+multiple with inert lanes. Reordering lanes into blocks never changes
+any single lane's operation sequence, so identity is unaffected.
+
+Both kernels are built for three x86-64 levels (baseline SSE2,
+x86-64-v3, x86-64-v4) and the loader runs the one the CPU supports
+(:func:`repro.native.isa` names it). Only v3/v4 hold a block in vector
+registers: baseline SSE2 has no blend, so its lane loop stays scalar.
+Vectorizing across lanes keeps each lane's IEEE operation order, and
+the library's flags forbid FMA contraction and reassociation, so every
+variant returns the same bits. Measured on a 2-vCPU AVX-512 host
+(best of 40 calls), an imaging-shaped chunk (B=64, n=4352) takes 3.31 ms
+at baseline, 1.26 ms at v3 and 0.91 ms at v4; a fleet-shaped one
+(B=16, n=5120, with noise rows) 1.12, 0.52 and 0.40 ms. ``sdm_run`` (a
+serial recurrence) and ``crc16_rows`` (slower under AVX-512) stay
+single-variant.
 
 All decimation phases are scalar and shared: the engine requires every
 lane to be fed the same number of samples per call (lanes run in

@@ -303,6 +303,7 @@ def cmd_batch(
             ("lanes x samples", "-", f"{lanes} x {n}"),
             ("fused kernel", "compiled", "yes" if batch_kernel_available() else "no (fallback)"),
             ("native library build", "cached|compiled", native.build_status()),
+            ("batch kernel ISA", "x86-64-v4|v3|baseline", native.isa()),
             ("pipeline rate", "-", f"{msps:.1f} MS/s"),
             (
                 "words delivered",

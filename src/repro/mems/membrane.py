@@ -145,7 +145,8 @@ class MembraneSensor:
         overpressure bulging it outward.
         """
         pressure = np.atleast_1d(np.asarray(pressure_pa, dtype=float))
-        if np.any(pressure > self._p_max) or np.any(pressure < self._p_min):
+        # Written as "all inside" so NaN fails it too.
+        if not (np.all(pressure <= self._p_max) and np.all(pressure >= self._p_min)):
             raise SimulationError(
                 "pressure outside transducer range "
                 f"[{self._p_min:.0f}, {self._p_max:.0f}] Pa "

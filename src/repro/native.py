@@ -37,7 +37,7 @@ Kernels:
   :mod:`repro.sdm.fastpath`);
 * ``batch_chain_run`` / ``batch_frontend_run`` — the fused lane-block
   chain and the capacitive front end (marshalled by
-  :mod:`repro.batch.kernel`);
+  :mod:`repro.batch.kernel`), built in three ISA variants (below);
 * ``crc16_rows`` — CRC-16/CCITT-FALSE of row-strided frame bodies, the
   gateway batch plane's frame check (marshalled by
   :mod:`repro.daq.batchdecode`). Integer table steps, exact by
@@ -52,6 +52,21 @@ vectorization does not affect identity. A cached library comes from
 the same source, flags and compiler as a fresh build, so it runs the
 same machine code; the key stamp leaves the kernels' instruction bytes
 as they are without it.
+
+ISA variants: with GCC 12+ on x86-64 glibc the two fused batch kernels
+are compiled three times, for baseline x86-64 (SSE2), x86-64-v3 (AVX2)
+and x86-64-v4 (AVX-512), as GCC ``target_clones``; the dynamic loader's
+ifunc resolver picks one per process from the CPU, and :func:`isa` says
+which. One cached library therefore serves every x86-64 host: there is
+no ``-march=native`` and nothing about the CPU in the cache key. The
+flags above forbid FMA contraction and reassociation at every level, so
+each lane performs the same IEEE operations in every variant and the
+variants agree bit for bit (``tests/core/test_native.py`` builds each
+level separately and compares). Any other platform or compiler builds
+the baseline code only. ``sdm_run`` is a serial recurrence with nothing
+to vectorize, and ``crc16_rows`` measured slower built for x86-64-v4
+(best of 200: 0.18 against 0.14-0.16 ms per 2000 x 71-byte batch), so
+both stay single-variant.
 
 When no compiler works, :func:`library` returns ``None`` and warns once
 per process; every compiled path then runs its Python reference, which
@@ -69,7 +84,7 @@ import subprocess
 import tempfile
 import warnings
 
-# Lanes per register block in batch_chain_run; the batch engine pads B up
+# Lanes per block in batch_chain_run; the batch engine pads B up
 # to a multiple of this with inert lanes. Must match #define LB below.
 LANE_BLOCK = 8
 
@@ -77,8 +92,34 @@ SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 
-#define LB 8   /* lanes per register block; Python pads B to a multiple */
+#define LB 8   /* lanes per block; Python pads B to a multiple */
 #define VW 8   /* samples per front-end vector block */
+
+/* The two fused batch kernels are built once per x86-64 level and the
+ * loader's ifunc resolver picks one per process from the CPU. Only GCC
+ * 12+ on x86-64 glibc is known to accept these clones and to resolve
+ * them with the __builtin_cpu_supports levels repro_native_isa() reads;
+ * everything else, and any build with REPRO_NO_DISPATCH, gets the
+ * baseline code alone. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) \
+    && !defined(__clang__) && __GNUC__ >= 12 && !defined(REPRO_NO_DISPATCH)
+#define ISA_DISPATCH 1
+#define ISA_CLONES __attribute__((target_clones( \
+    "arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define ISA_CLONES
+#endif
+
+/* The variant the resolver chose, by the resolver's own test. */
+const char *repro_native_isa(void)
+{
+#ifdef ISA_DISPATCH
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v4")) return "x86-64-v4";
+    if (__builtin_cpu_supports("x86-64-v3")) return "x86-64-v3";
+#endif
+    return "baseline";
+}
 
 /* Second-order single-bit sigma-delta recurrence.
  *
@@ -157,13 +198,16 @@ long long sdm_run(long long n,
  * Output words are lane-major (B, cap).
  *
  * Lanes advance in blocks of LB whose modulator/integrator/comb state
- * lives in local arrays (registers/L1) for the whole chunk; B must be a
- * multiple of LB (the Python layer pads with inert lanes).
+ * lives in local arrays for the whole chunk; B must be a multiple of LB
+ * (the Python layer pads with inert lanes). The v3/v4 clones hold a
+ * block in vector registers; baseline SSE2 has no blend, so it runs the
+ * lanes one at a time out of L1.
  *
  * Arithmetic mirrors the Python reference stages operation for
  * operation. Returns the number of emitted words per lane; state_out
  * carries the final scalar phases.
  */
+ISA_CLONES
 long long batch_chain_run(
     long long n, long long B,
     const double *restrict au, long long au_stride,
@@ -400,10 +444,12 @@ static double cheb_one(double pv, const double *restrict cheb,
  * row. u_last[l] returns the pre-gain u of the final sample (the
  * modulator's jitter-slope carry).
  *
- * Returns 0, or -1 if any pressure leaves the interpolant's domain or
- * any capacitance is non-positive — the caller then replays the chunk
- * through the per-lane NumPy path, which raises the exact errors.
+ * Returns 0, or -1 if any pressure leaves the interpolant's domain (NaN
+ * included: the test is !(pmin <= p <= pmax)) or any capacitance is
+ * non-positive — the caller then replays the chunk through the per-lane
+ * NumPy path, which raises the exact errors.
  */
+ISA_CLONES
 long long batch_frontend_run(
     long long n, long long B,
     const unsigned long long *restrict pbase, /* (B) addresses        */
@@ -435,7 +481,7 @@ long long batch_frontend_run(
         /* Sample 0 carries the charge-injection glitch. */
         {
             double pv = p[0];
-            err += (pv > pmax) | (pv < pmin);
+            err += !((pmin <= pv) & (pv <= pmax));
             double sense = cheb_one(pv, cheb, ncoef, dom_off, dom_scl)
                            * cs + co;
             sense = sense + gi;
@@ -453,7 +499,7 @@ long long batch_frontend_run(
                 long long e = 0;
                 for (v = 0; v < VW; v++) {
                     double pv = p[(i + v) * st];
-                    e += (pv > pmax) | (pv < pmin);
+                    e += !((pmin <= pv) & (pv <= pmax));
                     x[v] = dom_off + dom_scl * pv;
                 }
                 for (v = 0; v < VW; v++) {
@@ -482,7 +528,7 @@ long long batch_frontend_run(
         }
         for (; i < n; i++) {
             double pv = p[i * st];
-            err += (pv > pmax) | (pv < pmin);
+            err += !((pmin <= pv) & (pv <= pmax));
             double sense = cheb_one(pv, cheb, ncoef, dom_off, dom_scl)
                            * cs + co;
             err += (sense <= 0.0);
@@ -575,6 +621,7 @@ _SIGNATURES = {
         DBL_P, DBL_P, DBL_P,  # cref, cfb, cexc
         DBL_P, DBL_P,  # a1, u_last
     ]),
+    "repro_native_isa": (ctypes.c_char_p, []),
     "crc16_rows": (None, [
         U8_P, _LL, _LL, _LL,  # mat, k, row_stride, body_len
         U16_P, U16_P,  # table, out
@@ -582,9 +629,11 @@ _SIGNATURES = {
 }
 
 # Module-level library cache: None = not tried yet, False = unavailable,
-# otherwise the loaded CDLL; _status says how it was obtained.
+# otherwise the loaded CDLL; _status says how it was obtained and
+# _compiler which compiler's key it carries.
 _lib: object = None
 _status = "failed"
+_compiler: str | None = None
 
 _DIGEST = hashlib.sha256().digest_size
 
@@ -668,13 +717,17 @@ def _cached(cache: str, key: str):
     return _verified(path, key)
 
 
-def _build(cc: str, key: str, cache: str | None = None):
+def _build(
+    cc: str, key: str, cache: str | None = None, flags: tuple[str, ...] = ()
+):
     """Compile :data:`SOURCE` with ``cc``, load it and return the CDLL.
 
     The build runs in a temporary directory inside ``cache`` (default:
     the system temporary directory), which is removed afterwards; a
     build inside the cache is published as the entry for ``key`` once it
-    has loaded. Returns None when the build or the load fails.
+    has loaded. ``flags`` follow :data:`CFLAGS` (tests build single ISA
+    variants this way, never into the cache). Returns None when the
+    build or the load fails.
     """
     try:
         with tempfile.TemporaryDirectory(prefix="repro-native-", dir=cache) as build_dir:
@@ -683,7 +736,7 @@ def _build(cc: str, key: str, cache: str | None = None):
             with open(src, "w") as fh:
                 fh.write(SOURCE + _STAMP % key)
             result = subprocess.run(
-                [cc, *CFLAGS, "-o", lib_path, src, "-lm"],
+                [cc, *CFLAGS, *flags, "-o", lib_path, src, "-lm"],
                 capture_output=True,
                 timeout=60,
             )
@@ -704,17 +757,18 @@ def _build(cc: str, key: str, cache: str | None = None):
 
 
 def _load():
-    """The library and how it was obtained: cached, compiled or failed."""
+    """The library, how it was obtained (cached, compiled or failed) and
+    the compiler whose build it is."""
     cache = _cache_dir()
     for cc in filter(None, map(shutil.which, _compilers())):
         key = _key(cc)
         lib = _cached(cache, key) if cache else None
         if lib is not None:
-            return lib, "cached"
+            return lib, "cached", cc
         lib = (_build(cc, key, cache) if cache else None) or _build(cc, key)
         if lib is not None:
-            return lib, "compiled"
-    return None, "failed"
+            return lib, "compiled", cc
+    return None, "failed", None
 
 
 def library():
@@ -724,9 +778,9 @@ def library():
     warns once (naming the compilers tried) and is remembered, so the
     process never retries or warns again.
     """
-    global _lib, _status
+    global _lib, _status, _compiler
     if _lib is None:
-        lib, _status = _load()
+        lib, _status, _compiler = _load()
         _lib = lib or False
         if _lib is False:
             warnings.warn(
@@ -749,3 +803,17 @@ def build_status() -> str:
     cache), ``"compiled"`` (paid a compile) or ``"failed"`` (no library;
     compiled paths run their Python reference)."""
     return _status if available() else "failed"
+
+
+def isa() -> str:
+    """Which variant of the fused batch kernels this process runs:
+    ``"x86-64-v4"``, ``"x86-64-v3"``, ``"baseline"`` (also the only one
+    built on other platforms or by other compilers than GCC 12+), or
+    ``"none"`` when there is no library."""
+    lib = library()
+    return lib.repro_native_isa().decode() if lib is not None else "none"
+
+
+def compiler() -> str | None:
+    """Path of the compiler that built the loaded library, or None."""
+    return _compiler if available() else None

@@ -102,6 +102,24 @@ class TestBitIdentity:
         assert np.array_equal(fused[:n], reference)
 
 
+class TestDomain:
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_nan_pressure_raises(self, fused):
+        """A NaN sample fails the range check on the fused and the
+        batched scan alike instead of pinning an element at -2048."""
+        from repro.errors import SimulationError
+
+        rows, cols = 3, 3
+        segments = tone_segments(rows * cols, DWELL_WORDS * DECIMATION)
+        segments[4, 100:200] = np.nan
+        chain = make_chain(rows, cols)
+        controller = ScanController(chain.chip.mux)
+        with pytest.raises(SimulationError, match="outside transducer range"):
+            controller.scan_records(
+                chain, segments=segments, batched=not fused, fused=fused
+            )
+
+
 class TestFallback:
     def test_noisy_chain_falls_back_to_batched(self):
         """Outside the kernel envelope the scan still completes."""

@@ -223,3 +223,20 @@ class TestValidation:
         sess = BatchAcquisitionSession([make_chain(0)], element=1)
         with pytest.raises(SimulationError):
             sess.feed_pressure([field])
+
+    @pytest.mark.parametrize("lane", [0, 5])
+    def test_nan_pressure_raises_like_single(self, lane):
+        """NaN fails the range check in the fused front end and the
+        per-lane replay alike, so it never reaches the modulator."""
+        from repro.errors import SimulationError
+
+        n_el = make_chain(0).chip.mux.array.n_elements
+        field = pressure_field(12_800, n_el)
+        bad = field.copy()
+        bad[6000:6100, :] = np.nan
+        fields = [bad if l == lane else field for l in range(8)]
+        sess = BatchAcquisitionSession(
+            [make_chain(l) for l in range(8)], element=1
+        )
+        with pytest.raises(SimulationError, match="outside transducer range"):
+            sess.feed_pressure(fields)

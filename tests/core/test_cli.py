@@ -161,6 +161,16 @@ class TestParallelCommands:
         assert "unknown ablation" in capsys.readouterr().err
 
 
+class TestBatchCommand:
+    def test_batch_table_names_build_and_isa(self, capsys):
+        from repro import native
+
+        assert main(["run", "--batch", "2"]) == 0  # 1 on a mismatch
+        out = capsys.readouterr().out
+        (row,) = [line for line in out.splitlines() if "batch kernel ISA" in line]
+        assert row.split()[-1] == native.isa()
+
+
 class TestStreamCommand:
     def test_stream_prints_live_telemetry(self, capsys):
         code = main(

@@ -1,20 +1,26 @@
 """The native library's machine-level contract: one verified cache entry per
-key, no leftovers, loud failure.
+key, no leftovers, loud failure, and ISA variants that agree bit for bit.
 
-Every test runs fresh interpreters with their own ``XDG_CACHE_HOME`` and
-``TMPDIR``, because a process loads the library once and keeps it.
+The cache tests run fresh interpreters with their own ``XDG_CACHE_HOME``
+and ``TMPDIR``, because a process loads the library once and keeps it.
 """
 
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro import native
+from repro.batch.kernel import BatchState, run_batch_chunk, run_frontend_chunk
+from repro.core.chain import ReadoutChain
+from repro.mems.membrane import MembraneSensor
 from repro.sdm import kernel_available
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -198,3 +204,224 @@ def test_concurrent_cold_builds_publish_one_entry(tmp_path):
     assert_valid_entry(entry)
     assert listing(tmp_path) == [entry.name]
     assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_isa_label_names_the_path(no_native):
+    assert native.isa() == "none"
+    assert native.compiler() is None
+
+
+@needs_cc
+def test_isa_label_is_known():
+    assert native.isa() in ("x86-64-v4", "x86-64-v3", "baseline")
+    assert os.path.isabs(native.compiler())
+
+
+# --- ISA variants -----------------------------------------------------------
+#
+# The dispatched library runs the batch kernels' clone for the host's
+# x86-64 level. Each level this host can run is also built on its own,
+# with dispatch compiled out, into a temporary directory outside the
+# cache; every variant must reproduce the dispatched library's words,
+# states and staged loop inputs bit for bit.
+
+LEVELS = ("baseline", "x86-64-v3", "x86-64-v4")
+
+
+def host_levels() -> list[str]:
+    """The x86-64 levels this host runs, up to the dispatcher's choice."""
+    if platform.machine() != "x86_64":
+        pytest.skip("ISA variants are x86-64 levels; this host is "
+                    f"{platform.machine()}")
+    if not kernel_available():
+        pytest.skip("no C compiler")
+    return list(LEVELS[: LEVELS.index(native.isa()) + 1])
+
+
+@pytest.fixture(scope="module")
+def variants():
+    """{level: single-variant CDLL} for every level the host runs."""
+    libs = {}
+    for level in host_levels():
+        march = "x86-64" if level == "baseline" else level
+        lib = native._build(
+            native.compiler(), f"variant-{level}",
+            flags=("-DREPRO_NO_DISPATCH", f"-march={march}"),
+        )
+        assert lib is not None, f"{level} build failed"
+        assert lib.repro_native_isa() == b"baseline"
+        libs[level] = lib
+    return libs
+
+
+def bits(a: np.ndarray) -> bytes:
+    """Exact bytes of an array: -0.0 and NaN payloads compare too."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def chain_case(B: int, kind: str, seed: int):
+    """Inputs for two consecutive ``batch_chain_run`` calls over B lanes.
+
+    The first lane block keeps the stock coefficients of a noisy chain;
+    the others are perturbed. ``kind`` adds clipping lanes (a swing the
+    integrators overrun), offset/hysteresis comparators, per-lane DAC
+    noise, or ``-0.0`` loop inputs and states; "shared" feeds noise and
+    DAC noise through one stride-0 zero row.
+    """
+    rng = np.random.default_rng(seed)
+    chain = ReadoutChain(rng=np.random.default_rng(seed))
+    m, filt = chain.chip.modulator, chain.fpga.filter
+    s1, s2 = m.stage1, m.stage2
+
+    def lanes(v, spread=0.0):
+        out = np.full(B, float(v))
+        out[8:] *= 1.0 + spread * rng.standard_normal(B - 8)
+        return out
+
+    n = 2 * 1531
+    c = {
+        "dac_gain": lanes(1.0 + m.dac.reference_error, 1e-3),
+        "p1": lanes(s1.leak), "b1": lanes(s1.feedback_gain * s1.gain_error, 1e-3),
+        "p2": lanes(s2.leak), "a2": lanes(s2.signal_gain * s2.gain_error, 1e-3),
+        "b2": lanes(s2.feedback_gain * s2.gain_error, 1e-3),
+        "swing": lanes(s1.swing_limit),
+        "comp_offset": np.zeros(B), "comp_hysteresis": np.zeros(B),
+    }
+    au = 0.45 * np.sin(np.arange(n) * 2e-3 + rng.uniform(0, 6, B)[:, None])
+    au *= lanes(s1.signal_gain * s1.gain_error)[:, None]
+    noise = 1e-4 * rng.standard_normal((B, n))
+    dacn = np.zeros((B, n))
+    x1 = rng.uniform(-0.5, 0.5, B)
+    x2 = rng.uniform(-0.5, 0.5, B)
+    if kind == "clipping":
+        c["swing"][::3] = 0.05
+    elif kind == "comparator":
+        c["comp_offset"] = rng.uniform(-0.02, 0.02, B)
+        c["comp_hysteresis"] = rng.uniform(0.0, 0.03, B)
+    elif kind == "dac_noise":
+        dacn = 2e-3 * rng.standard_normal((B, n))
+    elif kind == "negzero":
+        au[::2, ::5] = -0.0
+        x1[::2] = -0.0
+        x2[1::2] = -0.0
+    R, M = filt.cic.decimation, filt.fir.decimation
+    taps = filt.fir.taps
+    half = 1 << (filt.cic.register_bits - 1)
+    state = BatchState(
+        x1=x1, x2=x2,
+        comp_previous=rng.choice([-1, 1], B).astype(np.int64),
+        cic_integrators=rng.integers(-half, half, (3, B)),
+        cic_combs=rng.integers(-half, half, (3, B)),
+        cic_phase=int(rng.integers(R)),
+        fir_history=rng.integers(-4096, 4096, (B, taps - 1)),
+        fir_phase=int(rng.integers(M)),
+    )
+    shared = kind == "shared"
+    inputs = {
+        "au": au, "noise": np.zeros(n) if shared else noise,
+        "dacn": np.zeros(n) if shared or kind != "dac_noise" else dacn,
+    }
+    fixed = {
+        "cic_decimation": R, "register_bits": filt.cic.register_bits,
+        "fir_flipped": np.ascontiguousarray(
+            filt.fir.coefficients_int[::-1], dtype=np.int64),
+        "fir_decimation": M,
+        "qscale": (1 << (filt.params.output_bits - 1))
+        / (float(filt.cic.dc_gain) / filt.fir.coeff_format.scale),
+        "output_bits": filt.params.output_bits,
+    }
+    return n, c, inputs, state, fixed
+
+
+def run_chain_case(case) -> list[bytes]:
+    """Both calls of one case through whichever library is loaded."""
+    n, c, inputs, state, fixed = case
+    state = BatchState(**{k: (v.copy() if isinstance(v, np.ndarray) else v)
+                          for k, v in vars(state).items()})
+    out = []
+    for lo, hi in ((0, n // 2 - 7), (n // 2 - 7, n)):
+        def lane_rows(a):
+            if a.ndim == 1:  # stride-0 shared row
+                return np.ascontiguousarray(a[lo:hi]), 0
+            return np.ascontiguousarray(a[:, lo:hi]), hi - lo
+        au, au_s = lane_rows(inputs["au"])
+        noise, n_s = lane_rows(inputs["noise"])
+        dacn, d_s = lane_rows(inputs["dacn"])
+        res = run_batch_chunk(
+            hi - lo, au, au_s, noise, n_s, dacn, d_s, **c, state=state,
+            **fixed,
+        )
+        out += [bits(res.codes), bits(res.clipped)]
+    out += [bits(getattr(state, f)) for f in
+            ("x1", "x2", "comp_previous", "cic_integrators", "cic_combs",
+             "fir_history")]
+    return out + [bits(np.array([state.cic_phase, state.fir_phase]))]
+
+
+def frontend_case(B: int, kind: str, seed: int):
+    """Inputs for one ``batch_frontend_run`` over B lanes of one field.
+
+    Lane l reads column l % n_el of a strided (n, n_el) pressure field.
+    "negzero" writes ``-0.0`` pressures; "reject" puts one lane out of
+    range and another on NaN, so every variant must refuse the chunk.
+    """
+    rng = np.random.default_rng(seed)
+    sensor = MembraneSensor()
+    p_min, p_max = sensor.pressure_range_pa
+    n, n_el = 2053, 5
+    field = rng.uniform(0.6 * p_min, 0.6 * p_max, (n, 2 * n_el))[:, ::2]
+    if kind == "negzero":
+        field[::3] = -0.0
+    elif kind == "reject":
+        field[700, B % n_el] = 1.01 * p_max
+        field[1500, (B + 1) % n_el] = np.nan
+    fit = sensor._fit
+    dom_off, dom_scl = np.polynomial.polyutils.mapparms(fit.domain, fit.window)
+    col = np.arange(B) % n_el
+    rest = sensor.rest_capacitance_f
+    return dict(
+        n=n,
+        pbase=(field.ctypes.data + col * field.strides[1]).astype(np.uint64),
+        pstep=np.full(B, field.strides[0] // 8, dtype=np.int64),
+        cheb_coef=np.ascontiguousarray(fit.coef, dtype=float),
+        dom_off=float(dom_off), dom_scl=float(dom_scl),
+        p_min=float(p_min), p_max=float(p_max),
+        cap_scale=1.0 + 0.01 * rng.standard_normal(B),
+        cap_offset=0.01 * rest * rng.standard_normal(B),
+        injection=np.where(np.arange(B) % 2, 0.002 * rest, 0.0),
+        ref_cap=np.full(B, rest), fb_cap=np.full(B, 2.0 * rest),
+        excitation=np.full(B, 0.5), a1=rng.uniform(0.2, 0.6, B),
+        field=field,
+    )
+
+
+def run_frontend_case(case) -> list[bytes]:
+    args = {k: v for k, v in case.items() if k != "field"}
+    au = np.full((args["pbase"].size, case["n"]), 7.0)
+    u_last = np.full(args["pbase"].size, 7.0)
+    ok = run_frontend_chunk(au=au, au_stride=au.shape[1], u_last=u_last, **args)
+    return [bytes([ok]), bits(au), bits(u_last)]
+
+
+@pytest.mark.parametrize("B", [8, 16, 64])
+@pytest.mark.parametrize(
+    "kind", ["stock", "clipping", "comparator", "dac_noise", "shared",
+             "negzero"],
+)
+def test_chain_variants_match_dispatched(variants, monkeypatch, B, kind):
+    case = chain_case(B, kind, seed=B)
+    expected = run_chain_case(case)
+    for level, lib in variants.items():
+        monkeypatch.setattr(native, "_lib", lib)
+        assert run_chain_case(case) == expected, level
+
+
+@pytest.mark.parametrize("B", [8, 16, 64])
+@pytest.mark.parametrize("kind", ["stock", "negzero", "reject"])
+def test_frontend_variants_match_dispatched(variants, monkeypatch, B, kind):
+    case = frontend_case(B, kind, seed=B)
+    expected = run_frontend_case(case)
+    assert expected[0] == bytes([kind != "reject"])
+    for level, lib in variants.items():
+        monkeypatch.setattr(native, "_lib", lib)
+        assert run_frontend_case(case) == expected, level

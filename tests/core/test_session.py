@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.chain import ReadoutChain
 from repro.core.session import STAGES, PipelineTelemetry
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 
 
 def pressure_field(n, n_elements=4, seed=0):
@@ -29,6 +29,15 @@ class TestAcquisitionSession:
         got.append(session.finish())
         rec = session.recording()
         assert np.array_equal(np.concatenate(got), rec.codes)
+
+    def test_nan_pressure_raises_not_poisons(self):
+        """A NaN is outside the transducer's range, not a silent -2048."""
+        session = ReadoutChain(rng=np.random.default_rng(3)).session(element=1)
+        field = pressure_field(12_800)
+        field[6000:6100] = np.nan
+        with pytest.raises(SimulationError, match="outside transducer range"):
+            session.feed_pressure(field)
+        assert session.telemetry.clipped_samples == 0
 
     def test_feed_after_finish_rejected(self):
         chain = ReadoutChain(rng=np.random.default_rng(3))
