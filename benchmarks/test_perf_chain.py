@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import print_rows
+from conftest import native_provenance, print_rows
 
 from repro.core.chain import ReadoutChain
 from repro.core.monitor import BloodPressureMonitor
@@ -40,7 +40,8 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_chain.json"
 
 
 def update_bench(section: dict) -> None:
-    """Merge keys into BENCH_chain.json, preserving the other tests'."""
+    """Merge keys into BENCH_chain.json, preserving the other tests',
+    and stamp which native build ran where."""
     report = {}
     if BENCH_PATH.exists():
         try:
@@ -48,6 +49,7 @@ def update_bench(section: dict) -> None:
         except json.JSONDecodeError:
             report = {}
     report.update(section)
+    report.update(native_provenance())
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
 

@@ -2,10 +2,13 @@
 
 :class:`BatchChainEngine` takes ``B`` independent
 :class:`~repro.core.chain.ReadoutChain` objects (one per concurrent
-session) and advances them all by one loop-input chunk per call. The
-cascade state (integrators, comparator memory, CIC/FIR registers and
-phases) is read out of the chain objects before each call and written
-back afterwards, so the chains remain the single source of truth:
+session, or one for a solo session) and advances them all by one chunk
+per call. It is the one staging owner of both sessions: it picks the
+front end (the compiled one or the per-lane NumPy one), stages the
+modulator inputs and runs the fused kernel. The cascade state
+(integrators, comparator memory, CIC/FIR registers and phases) is read
+out of the chain objects before each kernel call and written back
+afterwards, so the chains remain the single source of truth:
 
 * any chunk split produces bit-identical output,
 * a lane can be handed back to single-session processing at any chunk
@@ -25,18 +28,36 @@ transform and the jitter-slope carry, which the engine replays directly.
 The kernel runs on a batch padded to :data:`~repro.native.LANE_BLOCK`
 lanes; padded lanes carry zero coefficients and inputs, and their
 outputs are discarded. Input staging buffers persist across chunks
-(lane-major, stride-addressed) so a steady-state feed allocates nothing
-proportional to ``B * n``, and lanes without a given stochastic term
-share one all-zero row instead of materializing ``(B, n)`` zeros.
+(lane-major, stride-addressed) and never hold more than
+:data:`STAGE_SAMPLES` samples per lane: a longer chunk runs as
+consecutive slices, which chunk invariance makes bit-identical to one
+call. Lanes without a given stochastic term share one all-zero row
+instead of materializing ``(B, n)`` zeros. The kernel's state and
+output arrays, and the addresses of everything it reads, are held by a
+per-engine :class:`~repro.batch.kernel.ChainKernel` (and
+:class:`~repro.batch.kernel.FrontendKernel`), computed once per
+(re)configuration or staging growth.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from numpy.polynomial import polyutils as _pu
+
+from ..array.element import ArrayElement
+from ..array.mux import AnalogMultiplexer
 from ..errors import ConfigurationError
+from ..mems.membrane import MembraneSensor
+from ..sdm.frontend import CapacitiveFrontEnd
 from . import kernel as batch_kernel
-from .kernel import BatchState
+from .kernel import ChainKernel, FrontendKernel
+
+#: Most samples per lane one kernel call stages; longer chunks run as
+#: slices of this length. 16384 keeps the staging rows of a solo
+#: session at about 1 MiB each while a 50 ms chunk (6400 samples) still
+#: runs in one call.
+STAGE_SAMPLES = 16384
 
 
 class BatchChainEngine:
@@ -75,7 +96,7 @@ class BatchChainEngine:
             )
         self.chains = chains
         ref = chains[0].fpga.filter
-        for c in chains:
+        for c in chains[1:]:
             filt = c.fpga.filter
             if (
                 filt.cic.order != ref.cic.order
@@ -99,16 +120,16 @@ class BatchChainEngine:
         B = len(chains)
         Bp = batch_kernel.pad_lanes(B)
         self._padded = Bp
-        self._dac_gain = np.zeros(Bp)
-        self._p1 = np.zeros(Bp)
-        self._b1 = np.zeros(Bp)
-        self._p2 = np.zeros(Bp)
-        self._a2 = np.zeros(Bp)
-        self._b2 = np.zeros(Bp)
+        dac_gain = np.zeros(Bp)
+        p1 = np.zeros(Bp)
+        b1 = np.zeros(Bp)
+        p2 = np.zeros(Bp)
+        a2 = np.zeros(Bp)
+        b2 = np.zeros(Bp)
+        swing = np.ones(Bp)
+        c_off = np.zeros(Bp)
+        c_hys = np.zeros(Bp)
         self._a1 = np.zeros(Bp)
-        self._swing = np.ones(Bp)
-        self._c_off = np.zeros(Bp)
-        self._c_hys = np.zeros(Bp)
         self._ideal_comp = np.zeros(Bp, dtype=bool)
         self._det = np.zeros(B, dtype=bool)  # fully deterministic lanes
         self._has_noise = np.zeros(B, dtype=bool)
@@ -119,17 +140,17 @@ class BatchChainEngine:
             s1, s2 = m.stage1, m.stage2
             comp = m.comparator
             self._a1[l] = s1.signal_gain * s1.gain_error
-            self._p1[l] = s1.leak
-            self._b1[l] = s1.feedback_gain * s1.gain_error
-            self._p2[l] = s2.leak
-            self._a2[l] = s2.signal_gain * s2.gain_error
-            self._b2[l] = s2.feedback_gain * s2.gain_error
-            self._swing[l] = s1.swing_limit
-            self._dac_gain[l] = 1.0 + m.dac.reference_error
+            p1[l] = s1.leak
+            b1[l] = s1.feedback_gain * s1.gain_error
+            p2[l] = s2.leak
+            a2[l] = s2.signal_gain * s2.gain_error
+            b2[l] = s2.feedback_gain * s2.gain_error
+            swing[l] = s1.swing_limit
+            dac_gain[l] = 1.0 + m.dac.reference_error
             ideal = comp.is_ideal()
             self._ideal_comp[l] = ideal
-            self._c_off[l] = 0.0 if ideal else comp.offset_v
-            self._c_hys[l] = 0.0 if ideal else comp.hysteresis_v
+            c_off[l] = 0.0 if ideal else comp.offset_v
+            c_hys[l] = 0.0 if ideal else comp.hysteresis_v
             self._has_noise[l] = (
                 m._noise_sigma_u > 0.0 or m._flicker is not None
             )
@@ -139,27 +160,37 @@ class BatchChainEngine:
                 or self._has_noise[l]
                 or self._has_dacn[l]
             )
+            if m.backend != "fast":
+                # Pinned to the reference loop: honour it.
+                kernel_ok = False
             if comp.metastable_band_v != 0.0:
                 # In-loop random draws: reference loop only.
                 kernel_ok = False
-            if self._dac_gain[l] == 0.0 and m.dac.reference_noise_sigma == 0.0:
+            if dac_gain[l] == 0.0 and m.dac.reference_noise_sigma == 0.0:
                 # Degenerate zero DAC gain: the unified comparator form
                 # would see -0.0 where the reference sees +0.0.
                 kernel_ok = False
         if ref.cic.order != 3 or ref.cic.diff_delay != 1:
             kernel_ok = False
         self._kernel_ok = kernel_ok
-        self._qscale = (1 << (ref.params.output_bits - 1)) / (
-            float(ref.cic.dc_gain) / ref.fir.coeff_format.scale
-        )
-        self._flip = np.ascontiguousarray(
-            ref.fir.coefficients_int[::-1], dtype=np.int64
-        )
+        self._kernel = None
+        if kernel_ok:
+            self._kernel = ChainKernel(
+                dac_gain, p1, b1, p2, a2, b2, swing, c_off, c_hys,
+                cic_decimation=ref.cic.decimation,
+                register_bits=ref.cic.register_bits,
+                fir_flipped=ref.fir.coefficients_int[::-1],
+                fir_decimation=ref.fir.decimation,
+                qscale=(1 << (ref.params.output_bits - 1))
+                / (float(ref.cic.dc_gain) / ref.fir.coeff_format.scale),
+                output_bits=ref.params.output_bits,
+            )
 
-        # Lane-major staging buffers, grown on demand and reused across
-        # chunks. Rows that are never written (inert padding, lanes
-        # without a stochastic term) stay zero. When *no* lane has a
-        # term, the whole batch shares one zero row via stride 0.
+        # Lane-major staging buffers, grown on demand up to
+        # STAGE_SAMPLES and reused across chunks. Rows that are never
+        # written (inert padding, lanes without a stochastic term) stay
+        # zero. When *no* lane has a term, the whole batch shares one
+        # zero row via stride 0.
         self._buf_n = 0
         self._au: np.ndarray | None = None
         self._noise: np.ndarray | None = None
@@ -167,6 +198,7 @@ class BatchChainEngine:
         self._zero_row: np.ndarray | None = None
         self._any_noise = bool(self._has_noise.any())
         self._any_dacn = bool(self._has_dacn.any())
+        self._front = self._build_front() if kernel_ok else None
 
     @property
     def lanes(self) -> int:
@@ -181,6 +213,16 @@ class BatchChainEngine:
     def deterministic_lanes(self) -> np.ndarray:
         """Mask of lanes with no stochastic terms (read-only view)."""
         return self._det
+
+    @property
+    def staging_nbytes(self) -> int:
+        """Bytes held by the input staging buffers (bounded by
+        :data:`STAGE_SAMPLES` per padded lane and buffer)."""
+        return sum(
+            a.nbytes
+            for a in (self._au, self._noise, self._dacn, self._zero_row)
+            if a is not None
+        )
 
     # -- dynamic lane membership -------------------------------------------
 
@@ -232,14 +274,18 @@ class BatchChainEngine:
     # -- staging buffers ---------------------------------------------------
 
     def ensure_buffers(self, n: int) -> np.ndarray:
-        """Size the staging buffers for ``n``-sample chunks; return au.
+        """Size the staging buffers for ``n``-sample slices; return au.
 
-        The returned ``(padded_lanes, >=n)`` array is the kernel's
-        loop-input staging area; callers that precompute ``a1 * u`` (the
-        fused front end) write rows ``[:B, :n]`` directly.
+        ``n`` is at most :data:`STAGE_SAMPLES`. The returned
+        ``(padded_lanes, >=n)`` array is the kernel's loop-input staging
+        area; the compiled front end writes rows ``[:B, :n]`` directly.
         """
+        if n > STAGE_SAMPLES:
+            raise ConfigurationError(
+                f"stage at most {STAGE_SAMPLES} samples per call"
+            )
         if self._au is None or n > self._buf_n:
-            size = max(n, 2 * self._buf_n)
+            size = min(max(n, 2 * self._buf_n), STAGE_SAMPLES)
             self._buf_n = size
             self._au = np.zeros((self._padded, size))
             self._noise = (
@@ -249,57 +295,187 @@ class BatchChainEngine:
                 np.zeros((self._padded, size)) if self._any_dacn else None
             )
             self._zero_row = np.zeros(size)
+            zero = (self._zero_row.ctypes.data, 0)
+            noise = (
+                (self._noise.ctypes.data, size) if self._any_noise else zero
+            )
+            dacn = (self._dacn.ctypes.data, size) if self._any_dacn else zero
+            self._stage = (self._au.ctypes.data, size) + noise + dacn
         return self._au
 
-    # -- state marshalling -------------------------------------------------
+    # -- front end ---------------------------------------------------------
 
-    def _collect_state(self) -> BatchState:
-        Bp = self._padded
-        taps = self._filter.fir.taps
-        order = self._filter.cic.order
-        st = BatchState(
-            x1=np.zeros(Bp),
-            x2=np.zeros(Bp),
-            comp_previous=np.ones(Bp, dtype=np.int64),
-            cic_integrators=np.zeros((order, Bp), dtype=np.int64),
-            cic_combs=np.zeros((order, Bp), dtype=np.int64),
-            cic_phase=self.chains[0].fpga.filter.cic._phase,
-            fir_history=np.zeros((Bp, taps - 1), dtype=np.int64),
-            fir_phase=self.chains[0].fpga.filter.fir._phase,
+    def _build_front(self):
+        """Per-lane constants of the compiled front end, or None.
+
+        The compiled front end covers the stock chip composition: a
+        plain mux routing one :class:`~repro.array.element.ArrayElement`
+        whose membrane transfer is the shared Chebyshev interpolant,
+        into the stock charge front end. Anything exotic (subclasses,
+        per-lane membrane fits) runs the per-lane NumPy front end, which
+        stays bit-identical — just slower. Built for the lanes' current
+        element selection; :meth:`feed_pressure` rebuilds it when a
+        selection changes.
+        """
+        B = self.lanes
+        fit = None
+        sel, n_el, inj_amt = [], [], []
+        cscale = np.zeros(B)
+        coff = np.zeros(B)
+        ref = np.zeros(B)
+        fb = np.zeros(B)
+        exc = np.zeros(B)
+        for l, c in enumerate(self.chains):
+            chip = c.chip
+            mux = chip.mux
+            fe = chip.frontend
+            if (
+                type(mux) is not AnalogMultiplexer
+                or type(fe) is not CapacitiveFrontEnd
+            ):
+                return None
+            el = mux.array.elements[mux._selected]
+            if type(el) is not ArrayElement:
+                return None
+            s = el.sensor
+            if type(s) is not MembraneSensor:
+                return None
+            if fit is None:
+                fit = s._fit
+                p_min, p_max = s._p_min, s._p_max
+            elif s._fit is not fit or s._p_min != p_min or s._p_max != p_max:
+                # Lanes with distinct membrane transfers (the shared
+                # precompute cache makes one fit object the norm).
+                return None
+            sel.append(mux._selected)
+            n_el.append(mux.array.n_elements)
+            inj_amt.append(mux.charge_injection_c / 2.5)
+            cscale[l] = el.capacitance_scale
+            coff[l] = el.offset_cap_f
+            ref[l] = fe.reference_cap_f
+            fb[l] = fe.feedback_cap_f
+            exc[l] = fe.excitation_fraction
+        dom_off, dom_scl = _pu.mapparms(fit.domain, fit.window)
+        # Fold the modulator input gain only for lanes whose prep is the
+        # identity; other lanes receive raw u for _prepare_inputs.
+        a1_eff = np.where(self._det, self._a1[:B], 1.0)
+        kernel = FrontendKernel(
+            np.zeros(B, dtype=np.uint64),
+            np.zeros(B, dtype=np.int64),
+            np.ascontiguousarray(fit.coef, dtype=float),
+            dom_off, dom_scl, p_min, p_max, cscale, coff, np.zeros(B),
+            ref, fb, exc, a1_eff, np.empty(B),
         )
-        for l, c in enumerate(self.chains):
-            m = c.chip.modulator
-            st.x1[l] = m.stage1.state
-            st.x2[l] = m.stage2.state
-            st.comp_previous[l] = m.comparator.previous_decision
-            filt = c.fpga.filter
-            if filt.cic._phase != st.cic_phase or filt.fir._phase != st.fir_phase:
-                raise ConfigurationError(
-                    "batch lanes fell out of decimation lockstep; every "
-                    "lane must be fed the same number of samples"
-                )
-            st.cic_integrators[:, l] = filt.cic._integrators
-            st.cic_combs[:, l] = filt.cic._combs[:, 0]
-            st.fir_history[l, :] = filt.fir._history
-        return st
+        return kernel, sel, n_el, inj_amt
 
-    def _restore_state(self, st: BatchState) -> None:
+    def _front_for(self, fields):
+        """The compiled front end if it can stage this chunk, else None."""
+        if self._front is None or not batch_kernel.batch_kernel_available():
+            return None
+        kernel, sel, n_el, _ = self._front
         for l, c in enumerate(self.chains):
-            m = c.chip.modulator
-            m.stage1.state = float(st.x1[l])
-            m.stage2.state = float(st.x2[l])
-            if not self._ideal_comp[l]:
-                # The ideal comparator has no memory; the reference path
-                # leaves its _previous untouched, so mirror that.
-                m.comparator._previous = int(st.comp_previous[l])
-            filt = c.fpga.filter
-            filt.cic._integrators = st.cic_integrators[:, l].copy()
-            filt.cic._combs[:, 0] = st.cic_combs[:, l]
-            filt.cic._phase = st.cic_phase
-            filt.fir._history = st.fir_history[l].copy()
-            filt.fir._phase = st.fir_phase
+            if c.chip.loop_input_hook is not None:
+                return None
+            if c.chip.mux._selected != sel[l]:
+                # An element switched between chunks: rebuild for the
+                # new selection (and its element's mismatch).
+                self._front = self._build_front()
+                return self._front_for(fields)
+            arr = fields[l]
+            if (
+                arr.dtype != np.float64
+                or arr.ndim != 2
+                or arr.shape[1] != n_el[l]
+                or arr.strides[0] % 8
+                or arr.strides[1] % 8
+            ):
+                return None
+        return kernel
+
+    def _stage_front(self, kernel, fields, start: int, n: int) -> bool:
+        """Stage samples ``[start, start + n)`` of every lane's field."""
+        _, sel, _, inj_amt = self._front
+        for l, c in enumerate(self.chains):
+            arr = fields[l]
+            kernel.pbase[l] = (
+                arr.ctypes.data + start * arr.strides[0]
+                + sel[l] * arr.strides[1]
+            )
+            kernel.pstep[l] = arr.strides[0] // 8
+            kernel.injection[l] = (
+                inj_amt[l] if c.chip.mux._just_switched else 0.0
+            )
+        self.ensure_buffers(n)
+        if not kernel.run(n, self._stage[0], self._stage[1]):
+            # Domain or positivity violation: the front end is pure (no
+            # state was touched), so the caller replays through the
+            # per-lane path to raise the exact per-lane error.
+            return False
+        for c in self.chains:
+            c.chip.mux._just_switched = False
+        return True
 
     # -- execution ---------------------------------------------------------
+
+    def feed_pressure(self, fields):
+        """Advance every lane by one membrane-pressure chunk.
+
+        ``fields`` holds one ``(n, n_elements)`` float array per lane,
+        all with the same ``n``. Each lane routes its selected element
+        through its own mux and front end (charge injection included)
+        and honours its chip's ``loop_input_hook``. Returns ``(codes,
+        clipped)`` as :meth:`feed_loop_inputs` does.
+
+        A pressure outside the transducer's range (NaN included) raises
+        the per-lane NumPy front end's error. In a chunk longer than
+        :data:`STAGE_SAMPLES` the slices before the offending one have
+        then already been converted, as if they had been fed as
+        separate chunks.
+        """
+        n = fields[0].shape[0]
+        kernel = self._front_for(fields) if self.uses_kernel else None
+        parts = []
+        start = 0
+        if kernel is not None:
+            folded = self._det
+            while start < n:
+                m = min(STAGE_SAMPLES, n - start)
+                if not self._stage_front(kernel, fields, start, m):
+                    break
+                parts.append(
+                    self.run_prepared(m, folded=folded, u_last=kernel.u_last)
+                )
+                start += m
+        if start < n:
+            rest = [f[start:] for f in fields]
+            u = np.empty((n - start, self.lanes))
+            for l, c in enumerate(self.chains):
+                chip = c.chip
+                ul = chip.frontend.loop_input(
+                    chip.mux.routed_capacitance_f(rest[l])
+                )
+                if chip.loop_input_hook is not None:
+                    ul = chip.loop_input_hook(ul)
+                u[:, l] = ul
+            parts.append(self.feed_loop_inputs(u))
+        return self._join(parts)
+
+    def feed_voltage(self, voltages):
+        """Advance every lane by one test-voltage chunk.
+
+        ``voltages`` holds one 1-D array per lane, all of the same
+        length. Each lane converts through its chip's voltage front end
+        and ``loop_input_hook``; returns what :meth:`feed_loop_inputs`
+        does.
+        """
+        u = np.empty((voltages[0].shape[0], self.lanes))
+        for l, c in enumerate(self.chains):
+            chip = c.chip
+            ul = chip.voltage_input.loop_input(voltages[l])
+            if chip.loop_input_hook is not None:
+                ul = chip.loop_input_hook(ul)
+            u[:, l] = ul
+        return self.feed_loop_inputs(u)
 
     def feed_loop_inputs(self, loop_inputs: np.ndarray):
         """Advance every lane by one loop-input chunk.
@@ -325,28 +501,31 @@ class BatchChainEngine:
                 "loop inputs must be (n_samples, n_lanes)"
             )
         n, B = u.shape
-        if n == 0:
-            return (
-                np.zeros((B, 0), dtype=np.int64),
-                np.zeros(B, dtype=np.int64),
-            )
-
-        if not self.uses_kernel:
+        if n == 0 or not self.uses_kernel:
             return self._feed_fallback(u)
+        parts = []
+        for start in range(0, n, STAGE_SAMPLES):
+            m = min(STAGE_SAMPLES, n - start)
+            au = self.ensure_buffers(m)
+            au[:B, :m] = u[start : start + m].T
+            parts.append(self.run_prepared(m))
+        return self._join(parts)
 
-        au = self.ensure_buffers(n)
-        for l in range(B):
-            au[l, :n] = u[:, l]
-        return self.run_prepared(n)
+    @staticmethod
+    def _join(parts):
+        if len(parts) == 1:
+            return parts[0]
+        codes = np.concatenate([p[0] for p in parts], axis=1)
+        return codes, sum(p[1] for p in parts)
 
     def run_prepared(self, n: int, folded=None, u_last=None):
-        """Run one chunk whose loop inputs are already staged in ``au``.
+        """Run one slice whose loop inputs are already staged in ``au``.
 
         ``au`` rows (from :meth:`ensure_buffers`) hold each lane's raw
         loop input ``u``, except lanes flagged in ``folded`` (a mask
         over deterministic lanes) whose rows already hold ``a1 * u`` —
-        the fused front end writes those directly, passing the raw final
-        sample per lane in ``u_last`` for the jitter-slope carry.
+        the compiled front end writes those directly, passing the raw
+        final sample per lane in ``u_last`` for the jitter-slope carry.
         """
         B = len(self.chains)
         au = self._au
@@ -369,60 +548,71 @@ class BatchChainEngine:
             if dl is not None:
                 self._dacn[l, :n] = dl
 
-        stride = self._au.shape[1]
-        if self._any_noise:
-            noise, nstride = self._noise, stride
-        else:
-            noise, nstride = self._zero_row, 0
-        if self._any_dacn:
-            dacn, dstride = self._dacn, stride
-        else:
-            dacn, dstride = self._zero_row, 0
+        k = self._kernel
+        self._load_state(k)
+        nw = k.run(n, *self._stage)
+        self._store_state(k)
+        return k.words[:B, :nw].copy(), k.clipped[:B].copy()
 
-        st = self._collect_state()
-        result = batch_kernel.run_batch_chunk(
-            n=n,
-            au=au,
-            au_stride=stride,
-            noise=noise,
-            noise_stride=nstride,
-            dac_noise=dacn,
-            dacn_stride=dstride,
-            dac_gain=self._dac_gain,
-            p1=self._p1,
-            b1=self._b1,
-            p2=self._p2,
-            a2=self._a2,
-            b2=self._b2,
-            swing=self._swing,
-            comp_offset=self._c_off,
-            comp_hysteresis=self._c_hys,
-            state=st,
-            cic_decimation=self._filter.cic.decimation,
-            register_bits=self._filter.cic.register_bits,
-            fir_flipped=self._flip,
-            fir_decimation=self._filter.fir.decimation,
-            qscale=self._qscale,
-            output_bits=self._filter.params.output_bits,
-        )
-        self._restore_state(st)
-        return result.codes[:B], result.clipped[:B]
+    # -- state hand-over ---------------------------------------------------
+
+    def _load_state(self, k: ChainKernel) -> None:
+        """Copy every lane's cascade state from its chain into ``k``."""
+        cic0 = self.chains[0].fpga.filter
+        k.cic_phase = cic0.cic._phase
+        k.fir_phase = cic0.fir._phase
+        for l, c in enumerate(self.chains):
+            m = c.chip.modulator
+            k.x1[l] = m.stage1.state
+            k.x2[l] = m.stage2.state
+            k.comp_previous[l] = m.comparator.previous_decision
+            filt = c.fpga.filter
+            if filt.cic._phase != k.cic_phase or filt.fir._phase != k.fir_phase:
+                raise ConfigurationError(
+                    "batch lanes fell out of decimation lockstep; every "
+                    "lane must be fed the same number of samples"
+                )
+            k.integ[:, l] = filt.cic._integrators
+            k.comb[:, l] = filt.cic._combs[:, 0]
+            k.hist[l] = filt.fir._history
+
+    def _store_state(self, k: ChainKernel) -> None:
+        """Write ``k``'s state back into the chains' own layout."""
+        integ = k.wrapped_integrators()
+        hist = k.ordered_history()
+        for l, c in enumerate(self.chains):
+            m = c.chip.modulator
+            m.stage1.state = float(k.x1[l])
+            m.stage2.state = float(k.x2[l])
+            if not self._ideal_comp[l]:
+                # The ideal comparator has no memory; the reference path
+                # leaves its _previous untouched, so mirror that.
+                m.comparator._previous = int(k.comp_previous[l])
+            filt = c.fpga.filter
+            filt.cic._integrators = integ[:, l].copy()
+            filt.cic._combs[:, 0] = k.comb[:, l]
+            filt.cic._phase = k.cic_phase
+            filt.fir._history = hist[l].copy()
+            filt.fir._phase = k.fir_phase
 
     def _feed_fallback(self, u: np.ndarray):
         """Per-lane processing through the existing single-session stages.
 
         Exact by construction: each lane runs the same modulator loop
         dispatch (:meth:`~repro.sdm.modulator.SecondOrderSDM.simulate`'s
-        choice between the compiled kernel and the reference loop) and
-        :class:`~repro.dsp.decimator.DecimationFilter` the single
-        session would, against the same chain state.
+        choice, under the lane's own backend, between the compiled
+        kernel and the reference loop) and
+        :class:`~repro.dsp.decimator.DecimationFilter` the single session
+        would, against the same chain state.
         """
         n, B = u.shape
         clipped = np.zeros(B, dtype=np.int64)
+        if n == 0:
+            return np.zeros((B, 0), dtype=np.int64), clipped
         lane_codes = []
         for l, c in enumerate(self.chains):
             m = c.chip.modulator
-            out = m._run_prepared(*m._prepare_inputs(u[:, l]))
+            out = m._run_prepared(*m._prepare_inputs(u[:, l]), m.backend)
             clipped[l] = out.clipped_samples
             lane_codes.append(c.fpga.filter.process(out.bitstream).codes)
         widths = {codes.size for codes in lane_codes}

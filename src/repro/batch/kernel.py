@@ -5,16 +5,22 @@ One call advances ``B`` independent readout chains by ``n`` modulator
 samples and returns every decimated 12-bit word the chunk completed, per
 lane. The whole digital cascade of :mod:`repro.dsp` runs *inside* the
 sample loop, so the bitstream never materializes and the per-stage
-Python seams of the single-session path disappear. A second entry point
-(:func:`run_frontend_chunk`) evaluates the capacitive front end — the
+Python seams of the chip -> bitstream -> FPGA path disappear. A second
+kernel (``batch_frontend_run``) evaluates the capacitive front end — the
 membrane's Chebyshev transfer, per-element mismatch, the mux
 charge-injection glitch and the charge front-end gain — in the same
 compiled pass, reading the caller's pressure fields in place (no
 ``(B, n)`` staging copies).
 
-Both entry points run in the process's one native library
-(:mod:`repro.native`, which holds their C source); this module only
-marshals arrays into them.
+Both kernels run in the process's one native library
+(:mod:`repro.native`, which holds their C source) and take plain
+addresses. :class:`ChainKernel` and :class:`FrontendKernel` bind them
+to arrays held in the kernel's layout — coefficients, cascade state,
+output buffers — whose addresses are computed once, so a call passes a
+few integers; each :class:`~repro.batch.engine.BatchChainEngine` owns
+one of each. :func:`run_batch_chunk` and :func:`run_frontend_chunk`
+are their one-shot forms for callers without a long-lived batch (the
+fused array scan).
 
 Bit-identity discipline (the same contract as :mod:`repro.sdm.fastpath`,
 extended across the cascade):
@@ -44,9 +50,11 @@ extended across the cascade):
 
 Lanes are processed in blocks of :data:`~repro.native.LANE_BLOCK` so the
 per-block working set (modulator and integrator state plus a handful of
-input streams) stays L1-resident; the engine pads the batch to a block
-multiple with inert lanes. Reordering lanes into blocks never changes
-any single lane's operation sequence, so identity is unaffected.
+input streams) stays L1-resident; the engine pads a batch of more than
+one lane to a block multiple with inert lanes, while a lone lane runs
+a one-lane instantiation of the same C body (:func:`pad_lanes`).
+Reordering lanes into blocks never changes any single lane's operation
+sequence, so identity is unaffected.
 
 Both kernels are built for three x86-64 levels (baseline SSE2,
 x86-64-v3, x86-64-v4) and the loader runs the one the CPU supports
@@ -78,7 +86,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import native
-from ..native import DBL_P, LANE_BLOCK, LL_P, ULL_P
+from ..dsp.fixed_point import wrap_twos_complement
+from ..native import LANE_BLOCK
 
 
 def batch_kernel_available() -> bool:
@@ -87,19 +96,31 @@ def batch_kernel_available() -> bool:
 
 
 def pad_lanes(B: int) -> int:
-    """Batch size padded up to the kernel's lane-block multiple."""
+    """Batch size padded up to the kernel's lane-block multiple.
+
+    A lone lane stays unpadded: the kernel has a one-lane instantiation
+    of the same body, so a solo chain never pays for a block of
+    :data:`~repro.native.LANE_BLOCK`.
+    """
+    if B == 1:
+        return 1
     return -(-B // LANE_BLOCK) * LANE_BLOCK
+
+
+def _library():
+    lib = native.library()
+    if lib is None:  # pragma: no cover - callers check availability
+        raise RuntimeError("batched kernel unavailable; use the engine fallback")
+    return lib
 
 
 @dataclass
 class BatchState:
     """Mutable per-batch cascade state the kernel reads and writes.
 
-    The engine materializes this from the lane chains before every call
-    and writes it back afterwards, so the chains stay the single source
-    of truth (any chunk split, or a hand-off to single-session
-    processing, resumes bit-exactly). Arrays are sized to the padded
-    batch (``pad_lanes(B)``); rows past the real batch are inert.
+    The functional entry point :func:`run_batch_chunk` takes and updates
+    one of these; arrays are sized to the padded batch
+    (``pad_lanes(B)``), rows past the real batch are inert.
     """
 
     x1: np.ndarray  # (Bp) float64 first-integrator states
@@ -118,6 +139,184 @@ class BatchChunkResult:
 
     codes: np.ndarray  # (Bp, n_words) int64 12-bit codes, pre-suppression
     clipped: np.ndarray  # (Bp) int64 clipped-cycle counts
+
+
+class ChainKernel:
+    """A bound ``batch_chain_run``: constants, state and outputs in place.
+
+    Holds the per-lane coefficient vectors, the cascade state and the
+    output buffers in the kernel's own layout, and computes their
+    addresses once, so a call passes ``n``, the staging rows and the two
+    decimation phases and nothing is re-marshalled. Each
+    :class:`~repro.batch.engine.BatchChainEngine` owns one (never shared:
+    concurrent engines on other threads call their own).
+
+    The coefficient vectors are bound by reference and must be
+    contiguous ``float64`` of the padded batch size. State lives in
+    :attr:`x1`, :attr:`x2`, :attr:`comp_previous`, :attr:`integ` (raw
+    mod-2^64 integrators, int64 storage), :attr:`comb` and :attr:`hist`
+    (a ring whose oldest column is :attr:`head` after a call); the
+    caller loads it before a call and reads it back after.
+    """
+
+    def __init__(
+        self,
+        dac_gain: np.ndarray,
+        p1: np.ndarray,
+        b1: np.ndarray,
+        p2: np.ndarray,
+        a2: np.ndarray,
+        b2: np.ndarray,
+        swing: np.ndarray,
+        comp_offset: np.ndarray,
+        comp_hysteresis: np.ndarray,
+        cic_decimation: int,
+        register_bits: int,
+        fir_flipped: np.ndarray,
+        fir_decimation: int,
+        qscale: float,
+        output_bits: int,
+    ):
+        coeffs = (dac_gain, p1, b1, p2, a2, b2, swing, comp_offset,
+                  comp_hysteresis)
+        Bp = int(dac_gain.size)
+        for a in coeffs:
+            if a.dtype != np.float64 or a.size != Bp or not a.flags.c_contiguous:
+                raise ValueError("coefficients must be contiguous float64 (Bp,)")
+        self.lanes = Bp
+        self.register_bits = int(register_bits)
+        self._R = int(cic_decimation)
+        self._flip = np.ascontiguousarray(fir_flipped, dtype=np.int64)
+        taps = int(self._flip.size)
+        self.x1 = np.zeros(Bp)
+        self.x2 = np.zeros(Bp)
+        self.comp_previous = np.ones(Bp, dtype=np.int64)
+        self.clipped = np.zeros(Bp, dtype=np.int64)
+        self.integ = np.zeros((3, Bp), dtype=np.int64)
+        self.comb = np.zeros((3, Bp), dtype=np.int64)
+        self.hist = np.zeros((Bp, taps - 1), dtype=np.int64)
+        self._state_out = np.zeros(3, dtype=np.int64)
+        self._coeffs = coeffs
+        self.words = np.empty((Bp, 0), dtype=np.int64)
+        self.cic_phase = 0
+        self.fir_phase = 0
+        self.head = 0
+        self._mid = tuple(a.ctypes.data for a in coeffs) + tuple(
+            a.ctypes.data
+            for a in (self.x1, self.x2, self.comp_previous, self.clipped,
+                      self.integ, self.comb)
+        )
+        self._fir = (self._flip.ctypes.data, taps, int(fir_decimation))
+        qmax = (1 << (output_bits - 1)) - 1
+        self._quant = (self.hist.ctypes.data, float(qscale), qmax, -qmax - 1)
+        self._out = (0, 0, self._state_out.ctypes.data)
+
+    def run(
+        self,
+        n: int,
+        au: int,
+        au_stride: int,
+        noise: int,
+        noise_stride: int,
+        dac_noise: int,
+        dacn_stride: int,
+    ) -> int:
+        """Advance every lane by ``n`` samples; return the word count.
+
+        ``au``/``noise``/``dac_noise`` are the addresses of lane-major
+        rows read as ``base[l * stride + i]`` (stride 0 shares one row).
+        The words land in ``words[:, :count]``; :attr:`clipped` holds
+        this call's clipped-cycle counts and the phases and ring head
+        advance.
+        """
+        R = self._R
+        first = (R - self.cic_phase) % R
+        cap = max(1, 0 if n <= first else (n - first + R - 1) // R)
+        if cap > self.words.shape[1]:
+            self.words = np.empty((self.lanes, cap), dtype=np.int64)
+            self._out = (self.words.ctypes.data, cap, self._out[2])
+        self.clipped.fill(0)
+        nw = _library().batch_chain_run(
+            n, self.lanes, au, au_stride, noise, noise_stride, dac_noise,
+            dacn_stride, *self._mid, R, self.cic_phase, self.register_bits,
+            *self._fir, self.fir_phase, *self._quant, *self._out,
+        )
+        if nw < 0:  # pragma: no cover - capacity/padding invariants are exact
+            raise RuntimeError("batched kernel invariant violation")
+        self.cic_phase, self.fir_phase, self.head = (
+            int(v) for v in self._state_out
+        )
+        return int(nw)
+
+    def wrapped_integrators(self) -> np.ndarray:
+        """The integrators wrapped to the Hogenauer register width."""
+        return wrap_twos_complement(self.integ, self.register_bits)
+
+    def ordered_history(self) -> np.ndarray:
+        """The FIR history rings unrolled oldest first."""
+        h = self.head
+        if h == 0:
+            return self.hist
+        return np.concatenate([self.hist[:, h:], self.hist[:, :h]], axis=1)
+
+
+class FrontendKernel:
+    """A bound ``batch_frontend_run`` over ``B`` lanes.
+
+    Every per-lane vector is bound by reference (contiguous, of the
+    kernel's dtype) and its address computed once. Per chunk the caller
+    writes :attr:`pbase` (uint64 address of each lane's first pressure),
+    :attr:`pstep` (its sample stride in doubles) and :attr:`injection`
+    in place, then calls :meth:`run`; :attr:`u_last` receives each
+    lane's final pre-gain loop input.
+    """
+
+    def __init__(
+        self,
+        pbase: np.ndarray,
+        pstep: np.ndarray,
+        cheb_coef: np.ndarray,
+        dom_off: float,
+        dom_scl: float,
+        p_min: float,
+        p_max: float,
+        cap_scale: np.ndarray,
+        cap_offset: np.ndarray,
+        injection: np.ndarray,
+        ref_cap: np.ndarray,
+        fb_cap: np.ndarray,
+        excitation: np.ndarray,
+        a1: np.ndarray,
+        u_last: np.ndarray,
+    ):
+        B = int(pbase.size)
+        lanes = (cap_scale, cap_offset, injection, ref_cap, fb_cap,
+                 excitation, a1, u_last)
+        for a, dtype in ((pbase, np.uint64), (pstep, np.int64)) + tuple(
+                (a, np.float64) for a in lanes):
+            if a.dtype != dtype or a.size != B or not a.flags.c_contiguous:
+                raise ValueError("per-lane vectors must be contiguous (B,)")
+        if cheb_coef.dtype != np.float64 or not cheb_coef.flags.c_contiguous:
+            raise ValueError("Chebyshev coefficients must be contiguous")
+        self.pbase, self.pstep = pbase, pstep
+        self.injection, self.u_last = injection, u_last
+        self._keep = (cheb_coef,) + lanes
+        self._head = (B, pbase.ctypes.data, pstep.ctypes.data)
+        self._tail = (
+            cheb_coef.ctypes.data, int(cheb_coef.size), float(dom_off),
+            float(dom_scl), float(p_min), float(p_max),
+        ) + tuple(a.ctypes.data for a in lanes)
+
+    def run(self, n: int, au: int, au_stride: int) -> bool:
+        """Stage ``n`` samples per lane into the rows at address ``au``.
+
+        Returns False when any sample violates the transfer's domain or
+        positivity constraints (nothing else is touched).
+        """
+        rc = _library().batch_frontend_run(
+            n, *self._head, au, au_stride, *self._tail
+        )
+        return rc == 0
 
 
 def run_batch_chunk(
@@ -147,99 +346,54 @@ def run_batch_chunk(
 ) -> BatchChunkResult:
     """Advance ``Bp`` fused chains by ``n`` samples through the C kernel.
 
-    ``au``/``noise``/``dac_noise`` are lane-major buffers addressed as
+    The one-shot form of :class:`ChainKernel` for callers without a
+    long-lived batch (the fused array scan). ``au``/``noise``/
+    ``dac_noise`` are contiguous lane-major float64 buffers addressed as
     ``base[l * stride + i]`` — a stride of 0 shares one zero row across
     every lane. ``state`` is updated in place. The caller is responsible
     for checking :func:`batch_kernel_available` first — there is no
     Python fallback at this layer (the engine falls back through the
     existing single-session stages instead).
     """
-    lib = native.library()
-    if lib is None:  # pragma: no cover - engine guards this
-        raise RuntimeError("batched kernel unavailable; use the engine fallback")
-    B = int(dac_gain.size)
-    taps = int(fir_flipped.size)
-    R = int(cic_decimation)
-    M = int(fir_decimation)
-
-    # CIC words appear at chunk-local samples first_c, first_c + R, ...
-    first_c = (R - state.cic_phase) % R
-    n_cic = 0 if n <= first_c else (n - first_c + R - 1) // R
-    cap = max(1, n_cic)
-
-    integ = np.ascontiguousarray(
-        state.cic_integrators.astype(np.int64).view(np.uint64)
+    k = ChainKernel(
+        *(np.ascontiguousarray(a, dtype=np.float64)
+          for a in (dac_gain, p1, b1, p2, a2, b2, swing, comp_offset,
+                    comp_hysteresis)),
+        cic_decimation, register_bits, fir_flipped, fir_decimation, qscale,
+        output_bits,
     )
-    comb = np.ascontiguousarray(state.cic_combs, dtype=np.int64)
-    hist = np.ascontiguousarray(state.fir_history, dtype=np.int64)
-    words = np.empty((B, cap), dtype=np.int64)
-    clipped = np.zeros(B, dtype=np.int64)
-    state_out = np.zeros(3, dtype=np.int64)
-    qmax = (1 << (output_bits - 1)) - 1
-    qmin = -(1 << (output_bits - 1))
+    k.x1[:] = state.x1
+    k.x2[:] = state.x2
+    k.comp_previous[:] = state.comp_previous
+    k.integ[:] = state.cic_integrators
+    k.comb[:] = state.cic_combs
+    k.hist[:] = state.fir_history
+    k.cic_phase, k.fir_phase = state.cic_phase, state.fir_phase
 
-    def dp(a):
-        return a.ctypes.data_as(DBL_P)
+    def rows(a, stride):
+        # The kernel reads base[l * stride + i] for every padded lane.
+        if (
+            a.dtype != np.float64
+            or not a.flags.c_contiguous
+            or a.size < (k.lanes - 1) * stride + n
+        ):
+            raise ValueError("staging rows must be contiguous float64 "
+                             "covering every lane")
+        return a.ctypes.data, int(stride)
 
-    def lp(a):
-        return a.ctypes.data_as(LL_P)
-
-    nw = lib.batch_chain_run(
-        n,
-        B,
-        dp(au),
-        int(au_stride),
-        dp(noise),
-        int(noise_stride),
-        dp(dac_noise),
-        int(dacn_stride),
-        dp(dac_gain),
-        dp(p1),
-        dp(b1),
-        dp(p2),
-        dp(a2),
-        dp(b2),
-        dp(swing),
-        dp(comp_offset),
-        dp(comp_hysteresis),
-        dp(state.x1),
-        dp(state.x2),
-        lp(state.comp_previous),
-        lp(clipped),
-        integ.ctypes.data_as(ULL_P),
-        lp(comb),
-        R,
-        state.cic_phase,
-        register_bits,
-        lp(np.ascontiguousarray(fir_flipped, dtype=np.int64)),
-        taps,
-        M,
-        state.fir_phase,
-        lp(hist),
-        qscale,
-        qmax,
-        qmin,
-        lp(words),
-        cap,
-        lp(state_out),
+    nw = k.run(
+        n, *rows(au, au_stride), *rows(noise, noise_stride),
+        *rows(dac_noise, dacn_stride),
     )
-    if nw < 0:  # pragma: no cover - capacity/padding invariants are exact
-        raise RuntimeError("batched kernel invariant violation")
-
-    # Write the cascade state back in the layout the chains use.
-    from ..dsp.fixed_point import wrap_twos_complement
-
-    state.cic_integrators = wrap_twos_complement(
-        integ.view(np.int64), register_bits
-    ).astype(np.int64)
-    state.cic_combs = comb
-    state.cic_phase = int(state_out[0])
-    head = int(state_out[2])
-    state.fir_history = np.concatenate(
-        [hist[:, head:], hist[:, :head]], axis=1
-    )
-    state.fir_phase = int(state_out[1])
-    return BatchChunkResult(codes=words[:, : int(nw)], clipped=clipped)
+    state.x1[:] = k.x1
+    state.x2[:] = k.x2
+    state.comp_previous[:] = k.comp_previous
+    state.cic_integrators = k.wrapped_integrators()
+    state.cic_combs = k.comb
+    state.cic_phase = k.cic_phase
+    state.fir_history = k.ordered_history()
+    state.fir_phase = k.fir_phase
+    return BatchChunkResult(codes=k.words[:, :nw], clipped=k.clipped)
 
 
 def run_frontend_chunk(
@@ -264,36 +418,22 @@ def run_frontend_chunk(
 ) -> bool:
     """Evaluate the capacitive front end for ``B`` lanes in one pass.
 
-    Reads each lane's selected-element pressure column in place via
-    ``(pbase[l], pstep[l])`` and writes ``a1 * u`` into the lane's
-    ``au`` row. Returns False when any sample violates the transfer's
-    domain or positivity constraints — the caller then replays the
-    chunk through the per-lane NumPy front end, which raises the exact
-    error the single-session path raises.
+    The one-shot form of :class:`FrontendKernel`. Reads each lane's
+    selected-element pressure column in place via ``(pbase[l],
+    pstep[l])`` and writes ``a1 * u`` into the lane's ``au`` row.
+    Returns False when any sample violates the transfer's domain or
+    positivity constraints — the caller then replays the chunk through
+    the per-lane NumPy front end, which raises the exact error the
+    single-session path raises.
     """
-    lib = native.library()
-    if lib is None:  # pragma: no cover - engine guards this
-        raise RuntimeError("batched kernel unavailable; use the engine fallback")
-    rc = lib.batch_frontend_run(
-        int(n),
-        int(pbase.size),
-        pbase.ctypes.data_as(ULL_P),
-        pstep.ctypes.data_as(LL_P),
-        au.ctypes.data_as(DBL_P),
-        int(au_stride),
-        cheb_coef.ctypes.data_as(DBL_P),
-        int(cheb_coef.size),
-        float(dom_off),
-        float(dom_scl),
-        float(p_min),
-        float(p_max),
-        cap_scale.ctypes.data_as(DBL_P),
-        cap_offset.ctypes.data_as(DBL_P),
-        injection.ctypes.data_as(DBL_P),
-        ref_cap.ctypes.data_as(DBL_P),
-        fb_cap.ctypes.data_as(DBL_P),
-        excitation.ctypes.data_as(DBL_P),
-        a1.ctypes.data_as(DBL_P),
-        u_last.ctypes.data_as(DBL_P),
+    k = FrontendKernel(
+        pbase, pstep, cheb_coef, dom_off, dom_scl, p_min, p_max, cap_scale,
+        cap_offset, injection, ref_cap, fb_cap, excitation, a1, u_last,
     )
-    return rc == 0
+    if (
+        au.dtype != np.float64
+        or not au.flags.c_contiguous
+        or au.size < (pbase.size - 1) * au_stride + n
+    ):
+        raise ValueError("au must be contiguous float64 covering every lane")
+    return k.run(int(n), au.ctypes.data, int(au_stride))

@@ -11,6 +11,19 @@ persist across chunk boundaries, so the concatenated chunked output is
 (:meth:`~repro.core.chain.ReadoutChain.record_pressure` is itself a thin
 wrapper over a session).
 
+The data path: without a fault injector, each chunk runs through a
+one-lane :class:`~repro.batch.engine.BatchChainEngine` (the compiled
+front end, ΣΔ, CIC and FIR fused in one C pass, the NumPy front end and
+reference loop where a configuration needs them), then the FPGA's
+post-filter tail and the real USB framer, decoder and sample stream.
+With an injector it takes the chip -> bitstream ->
+:meth:`~repro.daq.fpga.FPGAFilterBank.process` path, because the
+``stuck_comparator`` fault rewrites the bitstream the fused kernel never
+builds. Both leave the chain in the same state, so a chain moves
+between them (or into a batch lane) bit-exactly at any chunk boundary.
+Stage timers book the engine (or the chip) to ``modulator`` and the
+tail and framing to ``fpga``.
+
 Every session carries a :class:`PipelineTelemetry` that counts what each
 stage consumed and produced (modulator samples in, bits out, words
 filtered/suppressed, frames framed/decoded/lost, words delivered) and
@@ -337,7 +350,15 @@ class AcquisitionSession:
         self._finished = False
         self._quality_config = quality or QualityConfig()
         self.faults = faults
-        if faults is not None:
+        # Without an injector nothing taps the bitstream, so every chunk
+        # runs the fused one-lane chain; an injector keeps the chip ->
+        # bitstream -> FPGA path its stuck_comparator fault needs.
+        self._engine = None
+        if faults is None:
+            from ..batch.engine import BatchChainEngine
+
+            self._engine = BatchChainEngine([chain])
+        else:
             faults.bind(chain)
             self._prev_loop_hook = chain.chip.loop_input_hook
             self._prev_word_hook = chain.fpga.word_hook
@@ -399,29 +420,37 @@ class AcquisitionSession:
 
         tm = self.telemetry
         chip, fpga = self.chain.chip, self.chain.fpga
+        n = chunk.shape[0]
         tm.chunks += 1
         tm.peak_chunk_bytes = max(tm.peak_chunk_bytes, chunk.nbytes)
 
         t0 = time.perf_counter()
-        if self.faults is not None and kind == "pressure":
-            chunk = self.faults.apply_array(chunk)
-        if kind == "pressure":
-            mod_out = chip.acquire_pressure(chunk)
+        if self._engine is not None:
+            if kind == "pressure":
+                codes, clipped = self._engine.feed_pressure([chunk])
+            else:
+                codes, clipped = self._engine.feed_voltage([chunk])
+            clipped = int(clipped[0])
         else:
-            mod_out = chip.acquire_voltage(chunk)
+            if kind == "pressure":
+                mod_out = chip.acquire_pressure(self.faults.apply_array(chunk))
+            else:
+                mod_out = chip.acquire_voltage(chunk)
+            clipped = mod_out.clipped_samples
         t1 = time.perf_counter()
         tm.add_stage_seconds("modulator", t1 - t0)
-        tm.mod_samples_in += chunk.shape[0]
-        tm.bits_out += mod_out.bitstream.size
-        tm.clipped_samples += mod_out.clipped_samples
+        tm.mod_samples_in += n
+        tm.bits_out += n
+        tm.clipped_samples += clipped
 
-        bitstream = mod_out.bitstream
-        if self.faults is not None:
-            bitstream = self.faults.apply_bitstream(bitstream)
         words_before = fpga.words_filtered
         suppressed_before = fpga.words_suppressed
         frames_before = fpga.encoder.frames_emitted
-        payload = fpga.process(bitstream.astype(np.int64))
+        if self._engine is not None:
+            payload = fpga.frame(codes[0], n)
+        else:
+            bitstream = self.faults.apply_bitstream(mod_out.bitstream)
+            payload = fpga.process(bitstream.astype(np.int64))
         t2 = time.perf_counter()
         tm.add_stage_seconds("fpga", t2 - t1)
         tm.words_filtered += fpga.words_filtered - words_before

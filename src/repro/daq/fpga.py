@@ -83,24 +83,42 @@ class FPGAFilterBank:
     def process(self, bitstream: np.ndarray) -> bytes:
         """Filter a bitstream chunk and emit completed USB frames."""
         bitstream = np.asarray(bitstream)
-        result = self.filter.process(bitstream)
-        codes = result.codes
-        self.samples_in += bitstream.size
+        return self.frame(self.filter.process(bitstream).codes, bitstream.size)
+
+    def frame(self, codes: np.ndarray, samples_in: int) -> bytes:
+        """Emit the USB frames the cascade's words for a chunk complete.
+
+        ``codes`` are the words the decimation cascade emitted for
+        ``samples_in`` modulator samples (this bank's filter, or the
+        fused kernel advancing the same state); they go through
+        :meth:`tail` and then the framer.
+        """
+        codes = self.tail(codes, samples_in)
+        if codes.size == 0:
+            return b""
+        return self.encoder.push(codes, self._element)
+
+    def tail(self, codes: np.ndarray, samples_in: int) -> np.ndarray:
+        """The post-filter tail: counters, suppression, hook, i16 rails.
+
+        Books ``samples_in`` modulator samples and the cascade's
+        ``codes``, drops the words still inside the post-switch
+        suppression window, runs :attr:`word_hook` on the rest, and
+        clamps the result to the i16 sample range ([-32768, 32767],
+        two's-complement asymmetric) instead of the silent wraparound a
+        bare ``astype(np.int16)`` would perform on out-of-range words.
+        Returns the words to deliver.
+        """
+        self.samples_in += samples_in
         self.words_filtered += codes.size
         if self._suppress > 0:
             drop = min(self._suppress, codes.size)
             codes = codes[drop:]
             self._suppress -= drop
             self.words_suppressed += drop
-        if codes.size == 0:
-            return b""
-        if self.word_hook is not None:
+        if codes.size and self.word_hook is not None:
             codes = np.asarray(self.word_hook(codes))
-        # Clamp to the i16 sample range ([-32768, 32767], two's-complement
-        # asymmetric) instead of the silent wraparound a bare
-        # ``astype(np.int16)`` would perform on out-of-range words; the
-        # encoder then validates the range rather than mangling it.
-        return self.encoder.push(saturate(codes, 16), self._element)
+        return saturate(codes, 16)
 
     def flush(self) -> bytes:
         """Flush the partial USB frame at end of acquisition.

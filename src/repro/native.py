@@ -36,8 +36,10 @@ Kernels:
   ``SecondOrderSDM(backend="fast")`` (marshalled by
   :mod:`repro.sdm.fastpath`);
 * ``batch_chain_run`` / ``batch_frontend_run`` — the fused lane-block
-  chain and the capacitive front end (marshalled by
-  :mod:`repro.batch.kernel`), built in three ISA variants (below);
+  chain (with a one-lane instantiation for a solo chain) and the
+  capacitive front end, taking plain addresses that
+  :mod:`repro.batch.kernel` computes once per buffer; built in three ISA
+  variants (below);
 * ``crc16_rows`` — CRC-16/CCITT-FALSE of row-strided frame bodies, the
   gateway batch plane's frame check (marshalled by
   :mod:`repro.daq.batchdecode`). Integer table steps, exact by
@@ -84,15 +86,16 @@ import subprocess
 import tempfile
 import warnings
 
-# Lanes per block in batch_chain_run; the batch engine pads B up
-# to a multiple of this with inert lanes. Must match #define LB below.
+# Lanes per block in batch_chain_run; the batch engine pads B > 1 up
+# to a multiple of this with inert lanes (a lone lane runs unpadded).
+# Must match #define LB below.
 LANE_BLOCK = 8
 
 SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 
-#define LB 8   /* lanes per block; Python pads B to a multiple */
+#define LB 8   /* lanes per block; Python pads B > 1 to a multiple */
 #define VW 8   /* samples per front-end vector block */
 
 /* The two fused batch kernels are built once per x86-64 level and the
@@ -197,18 +200,21 @@ long long sdm_run(long long n,
  * one head index, returned via state_out so the caller can unroll it.
  * Output words are lane-major (B, cap).
  *
- * Lanes advance in blocks of LB whose modulator/integrator/comb state
- * lives in local arrays for the whole chunk; B must be a multiple of LB
- * (the Python layer pads with inert lanes). The v3/v4 clones hold a
- * block in vector registers; baseline SSE2 has no blend, so it runs the
- * lanes one at a time out of L1.
+ * Lanes advance in blocks of lb whose modulator/integrator/comb state
+ * lives in local arrays for the whole chunk. batch_chain_run below
+ * instantiates this body twice at compile time: lb = LB for a batch of
+ * a multiple of LB lanes (the Python layer pads with inert lanes), and
+ * lb = 1 for a lone lane, which would otherwise pay for a whole padded
+ * block. The v3/v4 clones hold an LB block in vector registers;
+ * baseline SSE2 has no blend, so it runs the lanes one at a time out
+ * of L1.
  *
  * Arithmetic mirrors the Python reference stages operation for
  * operation. Returns the number of emitted words per lane; state_out
  * carries the final scalar phases.
  */
-ISA_CLONES
-long long batch_chain_run(
+static inline __attribute__((always_inline)) long long chain_blocks(
+    const long long lb,
     long long n, long long B,
     const double *restrict au, long long au_stride,
     const double *restrict noise, long long noise_stride,
@@ -232,11 +238,8 @@ long long batch_chain_run(
     double qscale, long long qmax, long long qmin,
     long long *restrict words,       /* (B, cap) out                 */
     long long cap,
-    long long *restrict state_out)   /* [cic_phase, fir_phase, head] */
+    long long *restrict state_out)
 {
-    if (B % LB) {
-        return -2; /* caller pads the batch */
-    }
     const long long half = 1LL << (reg_bits - 1);
     const unsigned long long mask = ((unsigned long long)1 << reg_bits) - 1;
     const long long nh = taps - 1;
@@ -245,7 +248,7 @@ long long batch_chain_run(
     long long head_out = 0;
     long long b0, i, j, k, r;
 
-    for (b0 = 0; b0 < B; b0 += LB) {
+    for (b0 = 0; b0 < B; b0 += lb) {
         double lx1[LB], lx2[LB], lpv[LB];
         double lp1[LB], lb1[LB], lp2[LB], la2[LB], lb2[LB];
         double lsw[LB], loff[LB], lhy[LB], ldg[LB];
@@ -254,7 +257,7 @@ long long batch_chain_run(
         long long lc0[LB], lc1[LB], lc2[LB], lcur[LB];
         const double *pa[LB], *pn[LB], *pd[LB];
 
-        for (j = 0; j < LB; j++) {
+        for (j = 0; j < lb; j++) {
             const long long l = b0 + j;
             lx1[j] = x1[l];
             lx2[j] = x2[l];
@@ -283,7 +286,7 @@ long long batch_chain_run(
         long long bnw = 0;
 
         for (i = 0; i < n; i++) {
-            for (j = 0; j < LB; j++) {
+            for (j = 0; j < lb; j++) {
                 double x2v = lx2[j];
                 /* Branchless deterministic comparator: with zero offset
                  * and hysteresis this is bit-exactly the ideal x2 >= 0
@@ -318,7 +321,7 @@ long long batch_chain_run(
             if (cphase == 0) {
                 /* CIC output word: wrap the third integrator to the
                  * register width, run the comb cascade. */
-                for (j = 0; j < LB; j++) {
+                for (j = 0; j < lb; j++) {
                     long long v = (long long)(((li2[j]
                                   + (unsigned long long)half) & mask))
                                   - half;
@@ -344,7 +347,7 @@ long long batch_chain_run(
                      * current, times the time-reversed quantized
                      * coefficients. Integer MAC is exact, so order is
                      * free. */
-                    for (j = 0; j < LB; j++) {
+                    for (j = 0; j < lb; j++) {
                         const long long *restrict h = hist + (b0 + j) * nh;
                         long long a = lcur[j] * ftail;
                         k = 0;
@@ -363,7 +366,7 @@ long long batch_chain_run(
                 }
                 /* Push the CIC word into each lane's circular history. */
                 if (nh > 0) {
-                    for (j = 0; j < LB; j++) {
+                    for (j = 0; j < lb; j++) {
                         hist[(b0 + j) * nh + head] = lcur[j];
                     }
                     head++;
@@ -381,7 +384,7 @@ long long batch_chain_run(
                 cphase = 0;
             }
         }
-        for (j = 0; j < LB; j++) {
+        for (j = 0; j < lb; j++) {
             const long long l = b0 + j;
             x1[l] = lx1[j];
             x2[l] = lx2[j];
@@ -403,6 +406,47 @@ long long batch_chain_run(
     state_out[1] = fphase_out;
     state_out[2] = head_out;
     return nw;
+}
+
+ISA_CLONES
+long long batch_chain_run(
+    long long n, long long B,
+    const double *restrict au, long long au_stride,
+    const double *restrict noise, long long noise_stride,
+    const double *restrict dacn, long long dacn_stride,
+    const double *restrict dac_gain,
+    const double *restrict p1, const double *restrict b1,
+    const double *restrict p2, const double *restrict a2,
+    const double *restrict b2,
+    const double *restrict swing,
+    const double *restrict c_off,    /* (B) comparator offset        */
+    const double *restrict c_hys,    /* (B) comparator hysteresis    */
+    double *restrict x1, double *restrict x2,   /* (B) in/out        */
+    long long *restrict prev,        /* (B) in/out comparator memory */
+    long long *restrict clipped,     /* (B) out, caller zeroes       */
+    unsigned long long *restrict integ, /* (3, B) in/out, raw mod 2^64 */
+    long long *restrict comb,        /* (3, B) in/out, wrapped       */
+    long long cic_R, long long cic_phase, long long reg_bits,
+    const long long *restrict flip,  /* (taps) reversed Q coeffs     */
+    long long taps, long long fir_M, long long fir_phase,
+    long long *restrict hist,        /* (B, taps-1) in/out ring      */
+    double qscale, long long qmax, long long qmin,
+    long long *restrict words,       /* (B, cap) out                 */
+    long long cap,
+    long long *restrict state_out)   /* [cic_phase, fir_phase, head] */
+{
+#define CHAIN_ARGS n, B, au, au_stride, noise, noise_stride, dacn, \
+    dacn_stride, dac_gain, p1, b1, p2, a2, b2, swing, c_off, c_hys, x1, \
+    x2, prev, clipped, integ, comb, cic_R, cic_phase, reg_bits, flip, \
+    taps, fir_M, fir_phase, hist, qscale, qmax, qmin, words, cap, state_out
+    if (B == 1) {
+        return chain_blocks(1, CHAIN_ARGS);
+    }
+    if (B % LB) {
+        return -2; /* caller pads the batch */
+    }
+    return chain_blocks(LB, CHAIN_ARGS);
+#undef CHAIN_ARGS
 }
 
 /* One sample of the capacitive front end: domain map + Clenshaw
@@ -583,13 +627,12 @@ void crc16_rows(const uint8_t *restrict mat, long long k,
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
 
 DBL_P = ctypes.POINTER(ctypes.c_double)
-LL_P = ctypes.POINTER(ctypes.c_longlong)
-ULL_P = ctypes.POINTER(ctypes.c_uint64)
 U8_P = ctypes.POINTER(ctypes.c_uint8)
 U16_P = ctypes.POINTER(ctypes.c_uint16)
 _LL = ctypes.c_longlong
 _D = ctypes.c_double
 _I = ctypes.c_int
+_P = ctypes.c_void_p
 
 # restype/argtypes per exported kernel, in C parameter order.
 _SIGNATURES = {
@@ -600,26 +643,28 @@ _SIGNATURES = {
         _I, _D, _D,  # ideal_comparator, comp_offset, comp_hysteresis
         ctypes.POINTER(_I),  # prev
     ]),
+    # The fused kernels take plain addresses: their callers compute them
+    # once per buffer (repro.batch.kernel), not once per call.
     "batch_chain_run": (_LL, [
         _LL, _LL,  # n, B
-        DBL_P, _LL, DBL_P, _LL, DBL_P, _LL,  # au, noise, dacn (+ strides)
-        DBL_P, DBL_P, DBL_P, DBL_P, DBL_P, DBL_P,  # dac_gain, p1, b1, p2, a2, b2
-        DBL_P, DBL_P, DBL_P,  # swing, c_off, c_hys
-        DBL_P, DBL_P, LL_P, LL_P,  # x1, x2, prev, clipped
-        ULL_P, LL_P,  # integ, comb
+        _P, _LL, _P, _LL, _P, _LL,  # au, noise, dacn (+ strides)
+        _P, _P, _P, _P, _P, _P,  # dac_gain, p1, b1, p2, a2, b2
+        _P, _P, _P,  # swing, c_off, c_hys
+        _P, _P, _P, _P,  # x1, x2, prev, clipped
+        _P, _P,  # integ, comb
         _LL, _LL, _LL,  # cic_R, cic_phase, reg_bits
-        LL_P, _LL, _LL, _LL,  # flip, taps, fir_M, fir_phase
-        LL_P,  # hist
+        _P, _LL, _LL, _LL,  # flip, taps, fir_M, fir_phase
+        _P,  # hist
         _D, _LL, _LL,  # qscale, qmax, qmin
-        LL_P, _LL, LL_P,  # words, cap, state_out
+        _P, _LL, _P,  # words, cap, state_out
     ]),
     "batch_frontend_run": (_LL, [
-        _LL, _LL, ULL_P, LL_P,  # n, B, pbase, pstep
-        DBL_P, _LL, DBL_P, _LL,  # au, au_stride, cheb, ncoef
+        _LL, _LL, _P, _P,  # n, B, pbase, pstep
+        _P, _LL, _P, _LL,  # au, au_stride, cheb, ncoef
         _D, _D, _D, _D,  # dom_off, dom_scl, pmin, pmax
-        DBL_P, DBL_P, DBL_P,  # cscale, coffs, inj
-        DBL_P, DBL_P, DBL_P,  # cref, cfb, cexc
-        DBL_P, DBL_P,  # a1, u_last
+        _P, _P, _P,  # cscale, coffs, inj
+        _P, _P, _P,  # cref, cfb, cexc
+        _P, _P,  # a1, u_last
     ]),
     "repro_native_isa": (ctypes.c_char_p, []),
     "crc16_rows": (None, [

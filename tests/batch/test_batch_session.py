@@ -240,3 +240,74 @@ class TestValidation:
         )
         with pytest.raises(SimulationError, match="outside transducer range"):
             sess.feed_pressure(fields)
+
+
+def chip_codes(chain, field, element=1):
+    """Delivered words of one chunk on the chip -> bitstream -> FPGA path."""
+    chain.chip.select_element(element)
+    chain.fpga.select_element(element)
+    bits = chain.chip.acquire_pressure(field).bitstream
+    codes = chain.fpga.filter.process(bits).codes
+    return chain.fpga.tail(codes, field.shape[0])
+
+
+class TestReferencePinned:
+    def test_reference_lanes_never_run_a_kernel(self, monkeypatch):
+        """backend="reference" holds in a batch: no fused kernel and no
+        sdm_run, and the codes equal the chip path's reference loop."""
+        from repro.batch import kernel as batch_kernel
+        from repro.sdm.modulator import SecondOrderSDM
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a reference-pinned lane ran compiled code")
+
+        monkeypatch.setattr(batch_kernel.ChainKernel, "run", forbidden)
+        monkeypatch.setattr(batch_kernel, "run_batch_chunk", forbidden)
+        monkeypatch.setattr(SecondOrderSDM, "_simulate_fast", forbidden)
+
+        def chains():
+            return [
+                ReadoutChain(rng=np.random.default_rng(60 + l),
+                             backend="reference")
+                for l in range(2)
+            ]
+
+        n_el = make_chain(0).chip.mux.array.n_elements
+        fields = [pressure_field(2_000, n_el, seed=l) for l in range(2)]
+        sess = BatchAcquisitionSession(chains(), element=1)
+        assert not sess.engine.uses_kernel
+        sess.feed_pressure(fields)
+        for l, chain in enumerate(chains()):
+            assert np.array_equal(sess.codes(l), chip_codes(chain, fields[l]))
+
+
+class TestBoundedStaging:
+    @pytest.mark.skipif(not native.available(), reason="no C compiler")
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_staging_does_not_grow_with_chunk_length(self, lanes):
+        """Chunks longer than STAGE_SAMPLES run as slices, so the staging
+        rows stop at STAGE_SAMPLES for a solo and a batch session."""
+        from repro.batch.engine import STAGE_SAMPLES
+        from repro.batch.kernel import pad_lanes
+
+        chains = [make_chain(l, ideal=False) for l in range(lanes)]
+        n_el = chains[0].chip.mux.array.n_elements
+        if lanes == 1:
+            session = AcquisitionSession(chains[0], element=1)
+            engine = session._engine
+
+            def feed(field):
+                session.feed_pressure(field)
+        else:
+            session = BatchAcquisitionSession(chains, element=1)
+            engine = session.engine
+
+            def feed(field):
+                session.feed_pressure([field] * lanes)
+
+        feed(pressure_field(128_000, n_el))
+        one_second = engine.staging_nbytes
+        feed(pressure_field(512_000, n_el))
+        assert engine.staging_nbytes == one_second
+        # au and noise rows (no DAC noise here) plus the shared zero row.
+        assert one_second == (2 * pad_lanes(lanes) + 1) * STAGE_SAMPLES * 8

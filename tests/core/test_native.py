@@ -275,7 +275,7 @@ def chain_case(B: int, kind: str, seed: int):
 
     def lanes(v, spread=0.0):
         out = np.full(B, float(v))
-        out[8:] *= 1.0 + spread * rng.standard_normal(B - 8)
+        out[8:] *= 1.0 + spread * rng.standard_normal(max(B - 8, 0))
         return out
 
     n = 2 * 1531
@@ -333,11 +333,15 @@ def chain_case(B: int, kind: str, seed: int):
     return n, c, inputs, state, fixed
 
 
-def run_chain_case(case) -> list[bytes]:
-    """Both calls of one case through whichever library is loaded."""
+def run_chain_case(case, lanes=None) -> list[bytes]:
+    """Both calls of one case through whichever library is loaded.
+
+    ``lanes`` keeps only the first lanes of every per-lane output.
+    """
     n, c, inputs, state, fixed = case
     state = BatchState(**{k: (v.copy() if isinstance(v, np.ndarray) else v)
                           for k, v in vars(state).items()})
+    keep = slice(lanes)
     out = []
     for lo, hi in ((0, n // 2 - 7), (n // 2 - 7, n)):
         def lane_rows(a):
@@ -351,10 +355,11 @@ def run_chain_case(case) -> list[bytes]:
             hi - lo, au, au_s, noise, n_s, dacn, d_s, **c, state=state,
             **fixed,
         )
-        out += [bits(res.codes), bits(res.clipped)]
-    out += [bits(getattr(state, f)) for f in
-            ("x1", "x2", "comp_previous", "cic_integrators", "cic_combs",
-             "fir_history")]
+        out += [bits(res.codes[keep]), bits(res.clipped[keep])]
+    out += [bits(getattr(state, f)[keep]) for f in
+            ("x1", "x2", "comp_previous", "fir_history")]
+    out += [bits(getattr(state, f)[:, keep]) for f in
+            ("cic_integrators", "cic_combs")]
     return out + [bits(np.array([state.cic_phase, state.fir_phase]))]
 
 
@@ -403,7 +408,7 @@ def run_frontend_case(case) -> list[bytes]:
     return [bytes([ok]), bits(au), bits(u_last)]
 
 
-@pytest.mark.parametrize("B", [8, 16, 64])
+@pytest.mark.parametrize("B", [1, 8, 16, 64])
 @pytest.mark.parametrize(
     "kind", ["stock", "clipping", "comparator", "dac_noise", "shared",
              "negzero"],
@@ -414,6 +419,42 @@ def test_chain_variants_match_dispatched(variants, monkeypatch, B, kind):
     for level, lib in variants.items():
         monkeypatch.setattr(native, "_lib", lib)
         assert run_chain_case(case) == expected, level
+
+
+def pad_case(case, Bp: int):
+    """One lane's case padded with inert lanes to ``Bp``, the layout the
+    engine used for a lone lane before the one-lane instantiation."""
+    n, c, inputs, state, fixed = case
+
+    def pad(a, fill=0.0):
+        out = np.full((Bp,) + a.shape[1:], fill, dtype=a.dtype)
+        out[:1] = a
+        return out
+
+    c = {k: pad(v, 1.0 if k == "swing" else 0.0) for k, v in c.items()}
+    inputs = {k: v if v.ndim == 1 else pad(v) for k, v in inputs.items()}
+    state = BatchState(
+        x1=pad(state.x1), x2=pad(state.x2),
+        comp_previous=pad(state.comp_previous, 1),
+        cic_integrators=pad(state.cic_integrators.T).T.copy(),
+        cic_combs=pad(state.cic_combs.T).T.copy(),
+        cic_phase=state.cic_phase,
+        fir_history=pad(state.fir_history), fir_phase=state.fir_phase,
+    )
+    return n, c, inputs, state, fixed
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "kind", ["stock", "clipping", "comparator", "dac_noise", "shared",
+             "negzero"],
+)
+def test_lone_lane_matches_padded_block(kind):
+    """The one-lane instantiation of batch_chain_run returns lane 0 of a
+    padded block, bit for bit: codes, clip counts and every state."""
+    case = chain_case(1, kind, seed=5)
+    padded = pad_case(case, native.LANE_BLOCK)
+    assert run_chain_case(case) == run_chain_case(padded, lanes=1)
 
 
 @pytest.mark.parametrize("B", [8, 16, 64])

@@ -15,6 +15,7 @@ from repro.daq.fpga import FPGAFilterBank
 from repro.daq.stream import SampleStream
 from repro.daq.usb import FrameDecoder
 from repro.dsp.decimator import DecimationFilter
+from repro.params import NonidealityParams, SystemParams
 
 
 def random_bits(n, seed=0):
@@ -167,3 +168,199 @@ class TestSessionChunkingEquivalence:
         n = min(c.size for c in columns)
         chunked = np.column_stack([c[:n] for c in columns])
         assert np.array_equal(chunked, batch[:n])
+
+
+def chip_path(chain, chunks, kind, switches=None):
+    """The solo data path without the fused chain: chip -> bitstream ->
+    ``FPGAFilterBank.process`` -> frames -> decoder -> stream.
+
+    ``switches`` maps a chunk index to the element selected before it.
+    Returns the host stream (every element's samples).
+    """
+    payload = b""
+    for i, chunk in enumerate(chunks):
+        if switches and i in switches:
+            chain.chip.select_element(switches[i])
+            chain.fpga.select_element(switches[i])
+        if kind == "pressure":
+            out = chain.chip.acquire_pressure(chunk)
+        else:
+            out = chain.chip.acquire_voltage(chunk)
+        payload += chain.fpga.process(out.bitstream.astype(np.int64))
+    payload += chain.fpga.flush()
+    decoder = FrameDecoder()
+    stream = SampleStream(
+        sample_rate_hz=chain.output_rate_hz,
+        samples_per_frame=chain.fpga.encoder.samples_per_frame,
+    )
+    stream.ingest(decoder.feed(payload) + decoder.finalize())
+    return stream
+
+
+def engine_path(chain, chunks, kind, switches=None):
+    """The same chunks through an :class:`AcquisitionSession`."""
+    session = chain.session()
+    assert session._engine is not None
+    for i, chunk in enumerate(chunks):
+        if switches and i in switches:
+            chain.chip.select_element(switches[i])
+            chain.fpga.select_element(switches[i])
+        if kind == "pressure":
+            session.feed_pressure(chunk)
+        else:
+            session.feed_voltage(chunk)
+    session.finish()
+    if not switches:
+        # A switch resets the filter mid-session, which the residue
+        # identity does not model.
+        session.telemetry.reconcile(lossless=True)
+    return session
+
+
+def chain_state(chain):
+    """Everything a later chunk (solo or batched) reads from the chain."""
+    m = chain.chip.modulator
+    fpga = chain.fpga
+    filt = fpga.filter
+    return {
+        "x": (m.stage1.state, m.stage2.state),
+        "comparator": m.comparator._previous,
+        "last_input": m._last_input,
+        "rng": [
+            g.bit_generator.state
+            for g in (m.rng, m._jitter_rng, m._noise_rng, m._dac_rng)
+        ],
+        "cic": (
+            filt.cic._integrators.tolist(),
+            filt.cic._combs.tolist(),
+            filt.cic._phase,
+        ),
+        "fir": (filt.fir._history.tolist(), filt.fir._phase),
+        "fpga": (
+            fpga.samples_in,
+            fpga.words_filtered,
+            fpga.words_suppressed,
+            fpga.filter_resets,
+            fpga._suppress,
+            fpga.selected_element,
+        ),
+        "encoder": (
+            fpga.encoder.frames_emitted,
+            fpga.encoder.pending_samples,
+        ),
+        "mux": (chain.chip.mux._selected, chain.chip.mux._just_switched),
+    }
+
+
+def split(data, sizes):
+    """Consecutive chunks of ``data`` with the given sizes (remainder last)."""
+    edges = np.cumsum([0] + list(sizes))
+    chunks = [data[a:b] for a, b in zip(edges[:-1], edges[1:])]
+    if edges[-1] < len(data):
+        chunks.append(data[edges[-1]:])
+    return chunks
+
+
+#: Chunk splits: single samples, chunks crossing several decimation
+#: boundaries (R = 128), and one longer than the engine's staging slice.
+SPLITS = {
+    "single-samples": [1, 1, 1, 125, 1, 127],
+    "decimation-crossing": [300, 129, 1000, 2047],
+    "beyond-staging": [17, 40_000],
+}
+
+
+class TestSoloEnginePath:
+    """A solo session's fused one-lane chain == the chip/FPGA path.
+
+    Codes for every element and the whole chain state afterwards
+    (modulator, RNG streams, CIC/FIR, FPGA counters, framer, mux) must
+    agree, so the chain can continue on ``chip.acquire_pressure`` or
+    join a batch lane bit-exactly.
+    """
+
+    N = 128 * 400
+
+    def chains(self, nonideality=None, seed=21):
+        params = SystemParams()
+        if nonideality is not None:
+            params = params.replace(nonideality=nonideality)
+        return [
+            ReadoutChain(params, rng=np.random.default_rng(seed))
+            for _ in range(2)
+        ]
+
+    def check(self, a, b, chunks, kind, switches=None, elements=(1,)):
+        for c in (a, b):
+            c.chip.select_element(elements[0])
+            c.fpga.select_element(elements[0])
+        stream = chip_path(a, chunks, kind, switches)
+        session = engine_path(b, chunks, kind, switches)
+        for e in elements:
+            assert np.array_equal(stream.samples(e), session.stream.samples(e))
+        assert stream.samples(elements[0]).size > 0
+        assert chain_state(a) == chain_state(b)
+        # Both chains continue bit-exactly on the chip path.
+        more = sine_field(3000)
+        ca = a.chip.acquire_pressure(more).bitstream
+        cb = b.chip.acquire_pressure(more).bitstream
+        assert np.array_equal(ca, cb)
+        return session
+
+    @pytest.mark.parametrize("splits", list(SPLITS), ids=list(SPLITS))
+    @pytest.mark.parametrize("ideal", [False, True], ids=["noisy", "ideal"])
+    def test_chunk_splits(self, splits, ideal):
+        nonideality = NonidealityParams.ideal() if ideal else None
+        a, b = self.chains(nonideality)
+        chunks = split(sine_field(self.N), SPLITS[splits])
+        self.check(a, b, chunks, "pressure")
+
+    def test_comparator_offset_and_hysteresis(self):
+        a, b = self.chains(
+            NonidealityParams(
+                comparator_offset_v=3e-3, comparator_hysteresis_v=5e-3
+            )
+        )
+        chunks = split(sine_field(self.N), [5000, 777])
+        self.check(a, b, chunks, "pressure")
+
+    def test_element_switch_mid_stream(self):
+        """Charge injection on the new element's first sample and the
+        FPGA's post-switch suppression window, on both paths."""
+        a, b = self.chains()
+        chunks = split(sine_field(self.N), [4000, 2500, 130, 9000])
+        self.check(
+            a, b, chunks, "pressure", switches={2: 3, 4: 0},
+            elements=(1, 3, 0),
+        )
+
+    def test_word_and_loop_input_hooks(self):
+        """A loop-input hook forces the NumPy front end; the word hook
+        runs in the FPGA tail and its output is saturated to i16."""
+        a, b = self.chains()
+        for c in (a, b):
+            c.chip.loop_input_hook = lambda u: 0.9 * u
+            c.fpga.word_hook = lambda w: w * 40
+        chunks = split(sine_field(self.N), [3000, 6000])
+        self.check(a, b, chunks, "pressure")
+
+    @pytest.mark.parametrize("ideal", [False, True], ids=["noisy", "ideal"])
+    def test_voltage_path(self, ideal):
+        a, b = self.chains(NonidealityParams.ideal() if ideal else None)
+        t = np.arange(self.N) / 128000.0
+        v = 0.3 * np.sin(2 * np.pi * 15.625 * t)
+        self.check(a, b, split(v, [1, 4095, 20_000]), "voltage")
+
+    def test_metastable_comparator_runs_engine_fallback(self):
+        a, b = self.chains()
+        for c in (a, b):
+            c.chip.modulator.comparator.metastable_band_v = 1e-4
+        chunks = split(sine_field(128 * 60), [1000, 3000])
+        session = self.check(a, b, chunks, "pressure")
+        assert not session._engine.uses_kernel
+
+    def test_no_compiler(self, no_native):
+        a, b = self.chains()
+        chunks = split(sine_field(128 * 60), [1, 2000, 3000])
+        session = self.check(a, b, chunks, "pressure")
+        assert not session._engine.uses_kernel
