@@ -19,10 +19,14 @@ afterwards, so the chains remain the single source of truth:
   interchangeable mid-stream.
 
 Stochastic terms are drawn per lane through each modulator's own
-:meth:`~repro.sdm.modulator.SecondOrderSDM._prepare_inputs`, preserving
-the per-term child-stream discipline that makes noisy configurations
-chunk-invariant. Fully deterministic lanes (no jitter, noise, flicker or
-DAC noise) skip that call entirely: its only effects are the identity
+:meth:`~repro.sdm.modulator.SecondOrderSDM._prepare_inputs`, straight
+into the lane's staging rows, preserving the per-term child-stream
+discipline that makes noisy configurations chunk-invariant. With two or
+more noisy lanes and CPUs, the lanes are split between the calling
+thread and a shared thread pool (NumPy releases the GIL while drawing);
+a lane touches only its own modulator and rows, so the split changes no
+value. Fully deterministic lanes (no jitter, noise, flicker or DAC
+noise) skip that call entirely: its only effects are the identity
 transform and the jitter-slope carry, which the engine replays directly.
 
 The kernel runs on a batch padded to :data:`~repro.native.LANE_BLOCK`
@@ -40,6 +44,9 @@ per-engine :class:`~repro.batch.kernel.ChainKernel` (and
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -59,6 +66,51 @@ from .kernel import ChainKernel, FrontendKernel
 #: runs in one call.
 STAGE_SAMPLES = 16384
 
+# Noisy lanes stage on the calling thread plus this pool, created on
+# first use. A forked child inherits the pool object but not its worker
+# threads, so a submit there would wait forever: the at-fork hook drops
+# the pool, and a forked child stages inline (its parent already spreads
+# the work over the cores).
+_pool = None
+_pool_lock = threading.Lock()
+_forked = False
+
+
+def _after_fork_in_child() -> None:
+    global _pool, _pool_lock, _forked
+    _pool = None
+    # Another thread may have held the lock at fork; the child's copy
+    # would then stay locked.
+    _pool_lock = threading.Lock()
+    _forked = True
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def staging_cpus() -> int:
+    """CPUs noisy-lane staging may spread over (1 in a forked child)."""
+    if _forked:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def _staging_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                max_workers=max(1, staging_cpus() - 1),
+                thread_name_prefix="repro-stage",
+            )
+        return _pool
+
 
 class BatchChainEngine:
     """Lockstep executor for ``B`` chains' modulator+decimation cascades.
@@ -74,6 +126,7 @@ class BatchChainEngine:
     """
 
     def __init__(self, chains):
+        self._staging_threads = 0
         self._configure(list(chains))
 
     def _configure(self, chains) -> None:
@@ -132,8 +185,8 @@ class BatchChainEngine:
         self._a1 = np.zeros(Bp)
         self._ideal_comp = np.zeros(Bp, dtype=bool)
         self._det = np.zeros(B, dtype=bool)  # fully deterministic lanes
-        self._has_noise = np.zeros(B, dtype=bool)
-        self._has_dacn = np.zeros(B, dtype=bool)
+        has_noise = np.zeros(B, dtype=bool)
+        has_dacn = np.zeros(B, dtype=bool)
         kernel_ok = True
         for l, c in enumerate(chains):
             m = c.chip.modulator
@@ -151,14 +204,14 @@ class BatchChainEngine:
             self._ideal_comp[l] = ideal
             c_off[l] = 0.0 if ideal else comp.offset_v
             c_hys[l] = 0.0 if ideal else comp.hysteresis_v
-            self._has_noise[l] = (
+            has_noise[l] = (
                 m._noise_sigma_u > 0.0 or m._flicker is not None
             )
-            self._has_dacn[l] = m.dac.reference_noise_sigma > 0.0
+            has_dacn[l] = m.dac.reference_noise_sigma > 0.0
             self._det[l] = not (
                 m.nonideality.clock_jitter_s > 0.0
-                or self._has_noise[l]
-                or self._has_dacn[l]
+                or has_noise[l]
+                or has_dacn[l]
             )
             if m.backend != "fast":
                 # Pinned to the reference loop: honour it.
@@ -196,8 +249,11 @@ class BatchChainEngine:
         self._noise: np.ndarray | None = None
         self._dacn: np.ndarray | None = None
         self._zero_row: np.ndarray | None = None
-        self._any_noise = bool(self._has_noise.any())
-        self._any_dacn = bool(self._has_dacn.any())
+        self._work: np.ndarray | None = None
+        self._det_lanes = np.flatnonzero(self._det).tolist()
+        self._noisy_lanes = np.flatnonzero(~self._det).tolist()
+        self._any_noise = bool(has_noise.any())
+        self._any_dacn = bool(has_dacn.any())
         self._front = self._build_front() if kernel_ok else None
 
     @property
@@ -220,9 +276,17 @@ class BatchChainEngine:
         :data:`STAGE_SAMPLES` per padded lane and buffer)."""
         return sum(
             a.nbytes
-            for a in (self._au, self._noise, self._dacn, self._zero_row)
+            for a in (
+                self._au, self._noise, self._dacn, self._zero_row, self._work
+            )
             if a is not None
         )
+
+    @property
+    def staging_threads(self) -> int:
+        """Threads the last kernel slice staged its lanes on (0 before
+        the first one): 1 inline, more when noisy lanes were sharded."""
+        return self._staging_threads
 
     # -- dynamic lane membership -------------------------------------------
 
@@ -295,6 +359,7 @@ class BatchChainEngine:
                 np.zeros((self._padded, size)) if self._any_dacn else None
             )
             self._zero_row = np.zeros(size)
+            self._work = None
             zero = (self._zero_row.ctypes.data, 0)
             noise = (
                 (self._noise.ctypes.data, size) if self._any_noise else zero
@@ -526,33 +591,75 @@ class BatchChainEngine:
         over deterministic lanes) whose rows already hold ``a1 * u`` —
         the compiled front end writes those directly, passing the raw
         final sample per lane in ``u_last`` for the jitter-slope carry.
+
+        Noisy lanes are staged by :meth:`_stage_noisy`, split across the
+        usable CPUs when there are at least two of each. A lane touches
+        only its own modulator, RNG streams and staging rows, so the
+        split cannot change a value.
         """
         B = len(self.chains)
         au = self._au
-        for l, c in enumerate(self.chains):
-            m = c.chip.modulator
-            row = au[l, :n]
+        for l in self._det_lanes:
+            m = self.chains[l].chip.modulator
             if folded is not None and folded[l]:
                 m._last_input = float(u_last[l])
                 continue
-            if self._det[l]:
-                # _prepare_inputs with every stochastic term disabled is
-                # the identity transform plus the jitter-slope carry.
-                m._last_input = float(row[-1])
-                np.multiply(row, self._a1[l], out=row)
-                continue
-            ul, nl, dl, _dg = m._prepare_inputs(row)
-            np.multiply(ul, self._a1[l], out=row)
-            if self._has_noise[l]:
-                self._noise[l, :n] = nl
-            if dl is not None:
-                self._dacn[l, :n] = dl
+            # _prepare_inputs with every stochastic term disabled is
+            # the identity transform plus the jitter-slope carry.
+            row = au[l, :n]
+            m._last_input = float(row[-1])
+            np.multiply(row, self._a1[l], out=row)
+
+        noisy = self._noisy_lanes
+        shares = min(staging_cpus(), len(noisy)) if len(noisy) > 1 else 1
+        self._staging_threads = shares
+        if shares > 1:
+            work = self._work_rows(shares)
+            pool = _staging_pool()
+            futures = [
+                pool.submit(self._stage_noisy, noisy[i::shares], n, work[i])
+                for i in range(1, shares)
+            ]
+            try:
+                self._stage_noisy(noisy[::shares], n, work[0])
+            finally:
+                # Every share finishes before the rows are read or an
+                # error leaves this call.
+                errors = [f.exception() for f in futures]
+            for err in errors:
+                if err is not None:
+                    raise err
+        elif noisy:
+            self._stage_noisy(noisy, n, self._work_rows(1)[0])
 
         k = self._kernel
         self._load_state(k)
         nw = k.run(n, *self._stage)
         self._store_state(k)
         return k.words[:B, :nw].copy(), k.clipped[:B].copy()
+
+    def _work_rows(self, shares: int) -> np.ndarray:
+        """``(>=shares, 2, buf_n)`` jitter scratch, one pair per share."""
+        if self._work is None or self._work.shape[0] < shares:
+            self._work = np.empty((shares, 2, self._buf_n))
+        return self._work
+
+    def _stage_noisy(self, lanes, n: int, work: np.ndarray) -> None:
+        """Draw ``lanes``' stochastic terms straight into their rows."""
+        au, noise, dacn = self._au, self._noise, self._dacn
+        work = work[:, :n]
+        for l in lanes:
+            row = au[l, :n]
+            self.chains[l].chip.modulator._prepare_inputs(
+                row,
+                out=(
+                    row,
+                    None if noise is None else noise[l, :n],
+                    None if dacn is None else dacn[l, :n],
+                    work,
+                ),
+            )
+            np.multiply(row, self._a1[l], out=row)
 
     # -- state hand-over ---------------------------------------------------
 
@@ -609,6 +716,7 @@ class BatchChainEngine:
         clipped = np.zeros(B, dtype=np.int64)
         if n == 0:
             return np.zeros((B, 0), dtype=np.int64), clipped
+        self._staging_threads = 1
         lane_codes = []
         for l, c in enumerate(self.chains):
             m = c.chip.modulator

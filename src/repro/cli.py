@@ -304,6 +304,11 @@ def cmd_batch(
             ("fused kernel", "compiled", "yes" if batch_kernel_available() else "no (fallback)"),
             ("native library build", "cached|compiled", native.build_status()),
             ("batch kernel ISA", "x86-64-v4|v3|baseline", native.isa()),
+            (
+                "staging threads",
+                "1 (noiseless lanes)",
+                f"{session.engine.staging_threads}",
+            ),
             ("pipeline rate", "-", f"{msps:.1f} MS/s"),
             (
                 "words delivered",

@@ -17,6 +17,7 @@ chosen word widths never actually overflow where wrap would be harmful.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,33 @@ def wrap_twos_complement(values: np.ndarray, bits: int) -> np.ndarray:
 
 
 def saturate(values: np.ndarray, bits: int) -> np.ndarray:
-    """Clamp integers to the signed ``bits``-wide range."""
+    """Clamp integers to the signed ``bits``-wide range.
+
+    Equal to ``np.clip(values, bottom, top)`` in value and dtype. For
+    integer input the rails are cast once per (dtype, width) and applied
+    as ``minimum(maximum(...))``: ``np.clip`` with Python-int bounds
+    rebuilds ``np.iinfo`` on every call, and this runs on every decimator
+    output and FPGA tail.
+    """
     if bits < 1:
         raise ConfigurationError("word width must be >= 1 bit")
     values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        bottom, top = _int_rails(values.dtype, bits)
+        return np.minimum(np.maximum(values, bottom), top)
     top = (1 << (bits - 1)) - 1
     bottom = -(1 << (bits - 1))
     return np.clip(values, bottom, top)
+
+
+@functools.lru_cache(maxsize=64)
+def _int_rails(dtype: np.dtype, bits: int):
+    """The signed ``bits``-wide rails as ``dtype`` scalars, limited to
+    what ``dtype`` holds (as ``np.clip`` limits out-of-range bounds)."""
+    info = np.iinfo(dtype)
+    top = min((1 << (bits - 1)) - 1, info.max)
+    bottom = max(-(1 << (bits - 1)), info.min)
+    return dtype.type(bottom), dtype.type(top)
 
 
 def check_overflow(values: np.ndarray, bits: int, context: str = "") -> np.ndarray:

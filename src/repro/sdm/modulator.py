@@ -264,7 +264,7 @@ class SecondOrderSDM:
         )
 
     def _prepare_inputs(
-        self, u: np.ndarray
+        self, u: np.ndarray, out=None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
         """Draw every stochastic term for a block, shared by both backends.
 
@@ -274,36 +274,57 @@ class SecondOrderSDM:
         chunked. With equal RNG state both backends, and any chunking of
         the same record, consume identical streams, which is what makes
         them bit-identical rather than merely statistically equivalent.
+
+        ``out`` optionally names where the block lands, as ``(u_row,
+        noise_row, dac_row, work)``: contiguous float64 rows of ``n``
+        samples for the jittered input (written only when the clock has
+        jitter; ``u`` itself is allowed, and is then updated in place),
+        the integrator noise and the DAC noise, plus a ``(2, n)`` scratch
+        for the jitter term. A ``None`` entry is allocated here when it
+        is needed. The values do not depend on where they land; the
+        batch engine passes its staging rows so that staging a lane
+        allocates and copies nothing.
         """
         n = u.size
+        u_row, noise, dac_noise, work = (None,) * 4 if out is None else out
         ni = self.nonideality
+        fs = self.params.sampling_rate_hz
         last_input = self._last_input
         self._last_input = float(u[-1])
         # Clock jitter: error = delta_t * du/dt, applied to the input.
         if ni.clock_jitter_s > 0.0:
-            slope = np.empty_like(u)
-            slope[1:] = (u[1:] - u[:-1]) * self.params.sampling_rate_hz
+            slope, jitter = np.empty((2, n)) if work is None else work
+            np.subtract(u[1:], u[:-1], out=slope[1:])
+            np.multiply(slope[1:], fs, out=slope[1:])
             if last_input is not None:
                 # Chunk continuation: the slope at the chunk's first
                 # sample differences against the previous chunk's last
                 # sample, exactly as an unchunked call would at the
                 # same position.
-                slope[0] = (u[0] - last_input) * self.params.sampling_rate_hz
+                slope[0] = (u[0] - last_input) * fs
             else:
                 slope[0] = slope[1] if n > 1 else 0.0
-            jitter = ni.clock_jitter_s * self._jitter_rng.standard_normal(n)
-            u = u + jitter * slope
+            self._jitter_rng.standard_normal(out=jitter)
+            np.multiply(jitter, ni.clock_jitter_s, out=jitter)
+            np.multiply(jitter, slope, out=jitter)
+            u = np.add(u, jitter, out=np.empty(n) if u_row is None else u_row)
 
         # Per-sample analog noise entering the first integrator.
+        if noise is None:
+            noise = np.empty(n)
         if self._noise_sigma_u > 0.0:
-            noise = self._noise_sigma_u * self._noise_rng.standard_normal(n)
+            self._noise_rng.standard_normal(out=noise)
+            np.multiply(noise, self._noise_sigma_u, out=noise)
         else:
-            noise = np.zeros(n)
+            noise.fill(0.0)
         if self._flicker is not None:
-            noise = noise + self._flicker.sample_block(n)
+            np.add(noise, self._flicker.sample_block(n), out=noise)
         # Un-shaped DAC reference noise adds at the same node.
         if self.dac.reference_noise_sigma > 0.0:
-            dac_noise = self.dac.reference_noise_sigma * self._dac_rng.standard_normal(n)
+            if dac_noise is None:
+                dac_noise = np.empty(n)
+            self._dac_rng.standard_normal(out=dac_noise)
+            np.multiply(dac_noise, self.dac.reference_noise_sigma, out=dac_noise)
         else:
             dac_noise = None
         dac_gain = 1.0 + self.dac.reference_error

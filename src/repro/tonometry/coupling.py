@@ -92,6 +92,12 @@ class TonometricCoupling:
         streaming form of :meth:`element_pressures_pa` (which delegates
         here), so converting a record chunk-by-chunk is bit-identical to
         converting it whole, at O(chunk) memory.
+
+        The field is built element-major and returned as the transpose
+        view, so it is F-ordered: each element's series is contiguous,
+        which is how the front ends read one routed element. The values
+        are those of the time-major ``P_static + T * outer(pulsatile,
+        w)``, bit for bit (the same products and sums, in place).
         """
         state = self.contact.state(hold_down_pa)
         weights = self.element_weights()
@@ -102,9 +108,10 @@ class TonometricCoupling:
             if arterial.ndim != 1:
                 raise ConfigurationError("arterial pressure must be 1-D")
             pulsatile = arterial - map_pa
-            return state.static_membrane_pressure_pa + state.transmission * (
-                np.multiply.outer(pulsatile, weights)
-            )
+            out = np.multiply.outer(weights, pulsatile)
+            out *= state.transmission
+            out += state.static_membrane_pressure_pa
+            return out.T
 
         return field
 
@@ -125,7 +132,8 @@ class TonometricCoupling:
         Returns
         -------
         (n_samples, n_elements) membrane pressures [Pa], positive pressing
-        the membranes toward their bottom electrodes.
+        the membranes toward their bottom electrodes; F-ordered (see
+        :meth:`pressure_field_fn`).
         """
         return self.pressure_field_fn(hold_down_pa)(arterial_pressure_pa)
 

@@ -309,5 +309,7 @@ class TestBoundedStaging:
         one_second = engine.staging_nbytes
         feed(pressure_field(512_000, n_el))
         assert engine.staging_nbytes == one_second
-        # au and noise rows (no DAC noise here) plus the shared zero row.
-        assert one_second == (2 * pad_lanes(lanes) + 1) * STAGE_SAMPLES * 8
+        # au and noise rows (no DAC noise here), the shared zero row and
+        # two jitter scratch rows per staging thread.
+        rows = 2 * pad_lanes(lanes) + 1 + 2 * engine.staging_threads
+        assert one_second == rows * STAGE_SAMPLES * 8

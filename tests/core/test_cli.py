@@ -169,6 +169,9 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         (row,) = [line for line in out.splitlines() if "batch kernel ISA" in line]
         assert row.split()[-1] == native.isa()
+        # The command's lanes are noiseless, so staging runs inline.
+        (row,) = [line for line in out.splitlines() if "staging threads" in line]
+        assert row.split()[-1] == "1"
 
 
 class TestStreamCommand:

@@ -59,6 +59,45 @@ class TestSaturate:
         assert np.array_equal(saturate(x, 8), x)
 
 
+class TestSaturateMatchesClip:
+    """The integer fast path equals ``np.clip`` in value and dtype."""
+
+    DTYPES = (
+        np.int8, np.int16, np.int32, np.int64,
+        np.uint8, np.uint16, np.uint32, np.uint64,
+    )
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("bits", [1, 2, 7, 8, 9, 12, 16, 17, 32, 33, 63, 64])
+    def test_rails_and_dtype(self, dtype, bits):
+        info = np.iinfo(dtype)
+        top = (1 << (bits - 1)) - 1
+        bottom = -(1 << (bits - 1))
+        probes = {info.min, info.max, 0, 1}
+        for rail in (top, bottom):
+            probes |= {rail - 1, rail, rail + 1}
+        x = np.array(
+            sorted(p for p in probes if info.min <= p <= info.max),
+            dtype=dtype,
+        )
+        want = np.clip(x, bottom, top)
+        got = saturate(x, bits)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        scalar = saturate(x[-1:].reshape(()), bits)
+        assert scalar == np.clip(x[-1:].reshape(()), bottom, top)
+
+    @pytest.mark.parametrize("dtype", DTYPES + (np.float64,))
+    def test_empty(self, dtype):
+        got = saturate(np.zeros(0, dtype=dtype), 12)
+        assert got.dtype == np.dtype(dtype)
+        assert got.size == 0
+
+    def test_floats_keep_clip(self):
+        x = np.array([-5000.5, -0.0, 2047.5, np.inf])
+        assert np.array_equal(saturate(x, 12), np.clip(x, -2048, 2047))
+
+
 class TestCheckOverflow:
     def test_passes_in_range(self):
         x = np.array([-128, 127])

@@ -248,3 +248,63 @@ class TestConfiguration:
         text = SecondOrderSDM().describe()
         assert "OSR" in text
         assert "full scale" in text
+
+
+class TestPrepareInputs:
+    """``_prepare_inputs`` against the stochastic-term formulas written
+    out with fresh arrays, drawn from copies of the modulator's streams.
+
+    Every backend and the batch engine share this one definition, so the
+    bit-identity suites compare it only with itself; this pins what it
+    computes, for fresh arrays and for caller-provided rows.
+    """
+
+    NONIDEAL = NonidealityParams(flicker_corner_hz=1000.0)
+
+    @staticmethod
+    def expected(m, u, last_input):
+        import copy
+
+        fs = m.params.sampling_rate_hz
+        jit, noi, dac = (
+            copy.deepcopy(g) for g in (m._jitter_rng, m._noise_rng, m._dac_rng)
+        )
+        flicker = copy.deepcopy(m._flicker)
+        n = u.size
+        slope = np.empty_like(u)
+        slope[1:] = (u[1:] - u[:-1]) * fs
+        if last_input is not None:
+            slope[0] = (u[0] - last_input) * fs
+        else:
+            slope[0] = slope[1] if n > 1 else 0.0
+        ju = u + (m.nonideality.clock_jitter_s * jit.standard_normal(n)) * slope
+        noise = m._noise_sigma_u * noi.standard_normal(n)
+        noise = noise + flicker.sample_block(n)
+        dac_noise = m.dac.reference_noise_sigma * dac.standard_normal(n)
+        return ju, noise, dac_noise
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_matches_formulas_across_chunks(self, rows):
+        m = SecondOrderSDM(
+            nonideality=self.NONIDEAL,
+            dac=FeedbackDAC(reference_noise_sigma=1e-4),
+            rng=np.random.default_rng(6),
+        )
+        rng = np.random.default_rng(2)
+        for n in (1, 1, 300, 129):
+            u = 0.4 * rng.standard_normal(n)
+            want = self.expected(m, u, m._last_input)
+            if rows:
+                # Staged in place, as the batch engine does.
+                buf = np.full((5, n), np.nan)
+                buf[0] = u
+                got = m._prepare_inputs(
+                    buf[0], out=(buf[0], buf[1], buf[2], buf[3:])
+                )
+                for g, row in zip(got[:3], buf[:3]):
+                    assert np.shares_memory(g, row)
+            else:
+                got = m._prepare_inputs(u.copy())
+            for g, w in zip(got[:3], want):
+                assert np.array_equal(g, w)
+            assert m._last_input == u[-1]

@@ -141,3 +141,83 @@ class TestScanSegments:
             coupling.scan_pressure_segments(np.zeros(8), 0)
         with pytest.raises(ConfigurationError):
             coupling.scan_pressure_segments(np.zeros(7), 2)
+
+
+class TestFieldLayout:
+    """``pressure_field_fn`` builds the field element-major (F-ordered)
+    with the values of the time-major formula, and every session reads
+    the layout the same way."""
+
+    @staticmethod
+    def het_coupling():
+        return TonometricCoupling(
+            ArrayGeometry(ArrayParams()), ContactModel(),
+            contact_heterogeneity=0.3, rng=np.random.default_rng(21),
+        )
+
+    @staticmethod
+    def arterial(coupling, n, seed=4):
+        t = np.arange(n) / 128e3
+        rng = np.random.default_rng(seed)
+        return coupling.contact.map_pa + (
+            2500.0 * np.sin(2 * np.pi * 1.2 * t)
+            + 30.0 * rng.standard_normal(n)
+        )
+
+    @pytest.mark.parametrize("splits", [(1, 1, 5), (127, 129, 700), (3000,)])
+    def test_equals_time_major_formula_over_chunk_splits(self, splits):
+        coupling = self.het_coupling()
+        state = coupling.contact.state()
+        weights = coupling.element_weights()
+        arterial = self.arterial(coupling, 4000)
+        field = coupling.pressure_field_fn()
+        edges = np.cumsum((0,) + splits + (arterial.size - sum(splits),))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            chunk = field(arterial[lo:hi])
+            old = state.static_membrane_pressure_pa + state.transmission * (
+                np.multiply.outer(arterial[lo:hi] - coupling.contact.map_pa,
+                                  weights)
+            )
+            assert chunk.shape == old.shape
+            assert chunk.flags.f_contiguous
+            assert np.array_equal(chunk, old)
+        assert coupling.element_pressures_pa(arterial).flags.f_contiguous
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_solo_and_batch_sessions_agree(self, request, compiled):
+        from repro.batch import BatchAcquisitionSession
+        from repro.core.chain import ReadoutChain
+        from repro.core.session import AcquisitionSession
+        from repro.params import SystemParams
+
+        if not compiled:
+            request.getfixturevalue("no_native")
+        coupling = self.het_coupling()
+        field = coupling.pressure_field_fn()
+        arterial = self.arterial(coupling, 128 * 60)
+        chunks = [
+            field(arterial[lo : lo + 1000])
+            for lo in range(0, arterial.size, 1000)
+        ]
+
+        def chain(seed):
+            return ReadoutChain(
+                SystemParams(), rng=np.random.default_rng(seed)
+            )
+
+        def solo(seed, layout):
+            session = AcquisitionSession(chain(seed), element=2)
+            for c in chunks:
+                session.feed_pressure(layout(c))
+            session.finish()
+            return session.recording().codes
+
+        batch = BatchAcquisitionSession([chain(1), chain(2)], element=2)
+        for c in chunks:
+            batch.feed_pressure([c, c])
+        batch.finish()
+        for lane, seed in enumerate((1, 2)):
+            f_order = solo(seed, lambda c: c)
+            assert f_order.size > 0
+            assert np.array_equal(f_order, solo(seed, np.ascontiguousarray))
+            assert np.array_equal(batch.codes(lane), f_order)
