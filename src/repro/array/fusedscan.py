@@ -38,43 +38,37 @@ def _kernel():
 def fused_scan_supported(chain) -> bool:
     """Whether :func:`run_fused_scan` can reproduce this chain's scan.
 
-    The envelope is the batch kernel's: compiled kernel present, a fully
-    deterministic modulator (no jitter, thermal/flicker noise, or DAC
-    reference noise — the kernel cannot replay the per-segment draw order
-    of :meth:`~repro.sdm.modulator.SecondOrderSDM.simulate_batch`), no
-    in-loop metastability draws, the stock third-order/unit-delay CIC,
-    and no word hook (the hook must see each element's words in
-    sequential order). When the FPGA still points at element 0 the scan's
-    first visit does not reset the filter, so any carried filter state
-    must sit at a decimation boundary (phase 0) for the lanes to run in
-    lockstep.
+    The envelope is the batch kernel's: a modulator the compiled loop may
+    run (:meth:`~repro.sdm.modulator.SecondOrderSDM.compiled_loop_ok`:
+    library loaded, not pinned to the reference loop, no in-loop
+    metastability draws) that is fully deterministic (no jitter,
+    thermal/flicker noise, or DAC reference noise — the kernel cannot
+    replay the per-segment draw order of
+    :meth:`~repro.sdm.modulator.SecondOrderSDM.simulate_batch`), the
+    stock third-order/unit-delay CIC, and no word hook (the hook must
+    see each element's words in sequential order). When the FPGA still
+    points at element 0 the scan's first visit does not reset the
+    filter, so any carried filter state must sit at a decimation
+    boundary (phase 0) for the lanes to run in lockstep.
     """
-    if not _kernel().batch_kernel_available():
-        return False
     m = chain.chip.modulator
-    comp = m.comparator
     filt = chain.fpga.filter
-    deterministic = not (
-        m.nonideality.clock_jitter_s > 0.0
-        or m._noise_sigma_u > 0.0
-        or m._flicker is not None
-        or m.dac.reference_noise_sigma > 0.0
+    return (
+        m.compiled_loop_ok()
+        and not (
+            m.nonideality.clock_jitter_s > 0.0
+            or m._noise_sigma_u > 0.0
+            or m._flicker is not None
+            or m.dac.reference_noise_sigma > 0.0
+        )
+        and filt.cic.order == 3
+        and filt.cic.diff_delay == 1
+        and chain.fpga.word_hook is None
+        and not (
+            chain.fpga._element == 0
+            and (filt.cic._phase != 0 or filt.fir._phase != 0)
+        )
     )
-    if not deterministic:
-        return False
-    if comp.metastable_band_v != 0.0:
-        return False
-    if 1.0 + m.dac.reference_error == 0.0:
-        return False
-    if filt.cic.order != 3 or filt.cic.diff_delay != 1:
-        return False
-    if chain.fpga.word_hook is not None:
-        return False
-    if chain.fpga._element == 0 and (
-        filt.cic._phase != 0 or filt.fir._phase != 0
-    ):
-        return False
-    return True
 
 
 def _stage_frontend_kernel(

@@ -213,15 +213,9 @@ class BatchChainEngine:
                 or has_noise[l]
                 or has_dacn[l]
             )
-            if m.backend != "fast":
-                # Pinned to the reference loop: honour it.
-                kernel_ok = False
-            if comp.metastable_band_v != 0.0:
-                # In-loop random draws: reference loop only.
-                kernel_ok = False
-            if dac_gain[l] == 0.0 and m.dac.reference_noise_sigma == 0.0:
-                # Degenerate zero DAC gain: the unified comparator form
-                # would see -0.0 where the reference sees +0.0.
+            if not m.compiled_loop_ok():
+                # Pinned to the reference loop, in-loop random draws, or
+                # no native library: honour the modulator's own choice.
                 kernel_ok = False
         if ref.cic.order != 3 or ref.cic.diff_delay != 1:
             kernel_ok = False
@@ -707,8 +701,8 @@ class BatchChainEngine:
 
         Exact by construction: each lane runs the same modulator loop
         dispatch (:meth:`~repro.sdm.modulator.SecondOrderSDM.simulate`'s
-        choice, under the lane's own backend, between the compiled
-        kernel and the reference loop) and
+        choice, under the lane's own backend, between the compiled loop
+        and the reference loop) and
         :class:`~repro.dsp.decimator.DecimationFilter` the single session
         would, against the same chain state.
         """

@@ -20,10 +20,12 @@ output buffers — whose addresses are computed once, so a call passes a
 few integers; each :class:`~repro.batch.engine.BatchChainEngine` owns
 one of each. :func:`run_batch_chunk` and :func:`run_frontend_chunk`
 are their one-shot forms for callers without a long-lived batch (the
-fused array scan).
+fused array scan). :func:`run_bits` runs one lane with a bitstream
+output instead of words: it is the compiled loop of
+``SecondOrderSDM(backend="fast")``.
 
-Bit-identity discipline (the same contract as :mod:`repro.sdm.fastpath`,
-extended across the cascade):
+Bit-identity discipline (the modulator's reference loop is the spec,
+and the contract extends across the cascade):
 
 * The modulator recurrence performs the identical IEEE-754 double
   operations in the identical order as the reference loop, compiled with
@@ -65,9 +67,8 @@ the library's flags forbid FMA contraction and reassociation, so every
 variant returns the same bits. Measured on a 2-vCPU AVX-512 host
 (best of 40 calls), an imaging-shaped chunk (B=64, n=4352) takes 3.31 ms
 at baseline, 1.26 ms at v3 and 0.91 ms at v4; a fleet-shaped one
-(B=16, n=5120, with noise rows) 1.12, 0.52 and 0.40 ms. ``sdm_run`` (a
-serial recurrence) and ``crc16_rows`` (slower under AVX-512) stay
-single-variant.
+(B=16, n=5120, with noise rows) 1.12, 0.52 and 0.40 ms. ``crc16_rows``
+(slower under AVX-512) stays single-variant.
 
 All decimation phases are scalar and shared: the engine requires every
 lane to be fed the same number of samples per call (lanes run in
@@ -239,7 +240,7 @@ class ChainKernel:
         nw = _library().batch_chain_run(
             n, self.lanes, au, au_stride, noise, noise_stride, dac_noise,
             dacn_stride, *self._mid, R, self.cic_phase, self.register_bits,
-            *self._fir, self.fir_phase, *self._quant, *self._out,
+            *self._fir, self.fir_phase, *self._quant, *self._out, None,
         )
         if nw < 0:  # pragma: no cover - capacity/padding invariants are exact
             raise RuntimeError("batched kernel invariant violation")
@@ -394,6 +395,42 @@ def run_batch_chunk(
     state.fir_history = k.ordered_history()
     state.fir_phase = k.fir_phase
     return BatchChunkResult(codes=k.words[:, :nw], clipped=k.clipped)
+
+
+def run_bits(au, noise, dac_noise, coeffs, x1, x2, comp_previous):
+    """Run one modulator lane through ``batch_chain_run`` for its bitstream.
+
+    With its ``bits`` row set, the kernel runs the one-lane body with
+    the CIC/FIR section compiled out and writes the +/-1 decisions. ``au``
+    is ``a1 * u``, ``noise`` the drawn per-sample noise and ``dac_noise``
+    the DAC reference noise, or None for none; ``coeffs`` is the lane's
+    ``(dac_gain, p1, b1, p2, a2, b2, swing, comp_offset,
+    comp_hysteresis)``. Returns ``(bits, clipped, x1, x2,
+    comp_previous)``. The caller checks :func:`batch_kernel_available`.
+    """
+    n = int(au.size)
+    au, noise, dacn = (
+        None if a is None else np.ascontiguousarray(a, dtype=np.float64)
+        for a in (au, noise, dac_noise)
+    )
+    # The per-lane vectors of a one-lane batch are scalars: coefficients
+    # then state in one float64 block, and in one int64 block the
+    # comparator memory, the clip count and the inert CIC/FIR slots
+    # (integrators, combs, one FIR tap, phases out) the bits body skips.
+    f = np.array([*coeffs, x1, x2], dtype=np.float64)
+    w = np.zeros(12, dtype=np.int64)
+    w[0] = comp_previous
+    bits = np.empty(n, dtype=np.int8)
+    fa, wa = f.ctypes.data, w.ctypes.data
+    _library().batch_chain_run(
+        n, 1, au.ctypes.data, 0, noise.ctypes.data, 0,
+        None if dacn is None else dacn.ctypes.data, 0,
+        *(fa + 8 * k for k in range(11)),
+        wa, wa + 8, wa + 16, wa + 40,  # prev, clipped, integ, comb
+        1, 0, 1, wa + 64, 1, 1, 0,  # CIC R/phase/bits, FIR flip/taps/M/phase
+        None, 0.0, 0, 0, None, 0, wa + 72, bits.ctypes.data,
+    )
+    return bits, int(w[1]), float(f[9]), float(f[10]), int(w[0])
 
 
 def run_frontend_chunk(

@@ -1,11 +1,12 @@
 """The one native library: every compiled kernel, compiled once per machine.
 
-The ΣΔ recurrence, the fused batch cascade and the gateway's frame CRC
-share one C translation unit (:data:`SOURCE`), one flag set and one
-compiler run, loaded through :mod:`ctypes`. The first call to
-:func:`library` in a process loads the compiled library from the
-per-user cache (``$XDG_CACHE_HOME/repro-native``, else
-``~/.cache/repro-native``) and compiles only on a miss.
+The fused ΣΔ cascade (which also serves as the modulator's compiled
+loop) and the gateway's frame CRC share one C translation unit
+(:data:`SOURCE`), one flag set and one compiler run, loaded through
+:mod:`ctypes`. The first call to :func:`library` in a process loads
+the compiled library from the per-user cache
+(``$XDG_CACHE_HOME/repro-native``, else ``~/.cache/repro-native``) and
+compiles only on a miss.
 
 Cache contract:
 
@@ -32,12 +33,10 @@ Cache contract:
 
 Kernels:
 
-* ``sdm_run`` — the single-lane second-order loop behind
-  ``SecondOrderSDM(backend="fast")`` (marshalled by
-  :mod:`repro.sdm.fastpath`);
 * ``batch_chain_run`` / ``batch_frontend_run`` — the fused lane-block
-  chain (with a one-lane instantiation for a solo chain) and the
-  capacitive front end, taking plain addresses that
+  chain (with a one-lane instantiation for a solo chain, and a one-lane
+  bitstream instantiation behind ``SecondOrderSDM(backend="fast")``)
+  and the capacitive front end, taking plain addresses that
   :mod:`repro.batch.kernel` computes once per buffer; built in three ISA
   variants (below);
 * ``crc16_rows`` — CRC-16/CCITT-FALSE of row-strided frame bodies, the
@@ -65,10 +64,9 @@ flags above forbid FMA contraction and reassociation at every level, so
 each lane performs the same IEEE operations in every variant and the
 variants agree bit for bit (``tests/core/test_native.py`` builds each
 level separately and compares). Any other platform or compiler builds
-the baseline code only. ``sdm_run`` is a serial recurrence with nothing
-to vectorize, and ``crc16_rows`` measured slower built for x86-64-v4
-(best of 200: 0.18 against 0.14-0.16 ms per 2000 x 71-byte batch), so
-both stay single-variant.
+the baseline code only. ``crc16_rows`` measured slower built for
+x86-64-v4 (best of 200: 0.18 against 0.14-0.16 ms per 2000 x 71-byte
+batch), so it stays single-variant.
 
 When no compiler works, :func:`library` returns ``None`` and warns once
 per process; every compiled path then runs its Python reference, which
@@ -124,70 +122,6 @@ const char *repro_native_isa(void)
     return "baseline";
 }
 
-/* Second-order single-bit sigma-delta recurrence.
- *
- * Arithmetic mirrors repro/sdm/modulator.py's reference loop exactly:
- * evaluation order of every floating-point expression matches the
- * Python source so the results are bit-identical. state[] carries
- * {x1, x2} in and out, *prev the comparator memory. Returns the number
- * of clipped cycles.
- */
-long long sdm_run(long long n,
-                  const double *au,        /* a1 * u[i], precomputed   */
-                  const double *noise,     /* per-sample input noise   */
-                  const double *dac_noise, /* may be NULL              */
-                  double dac_gain,
-                  double p1, double b1,
-                  double p2, double a2, double b2,
-                  double swing,
-                  double *state,           /* in/out: {x1, x2}         */
-                  int8_t *bits,            /* out: n decisions         */
-                  int ideal_comparator,
-                  double comp_offset, double comp_hysteresis,
-                  int *prev)               /* in/out comparator memory */
-{
-    double x1 = state[0];
-    double x2 = state[1];
-    long long clipped = 0;
-    int pv = *prev;
-    long long i;
-
-    for (i = 0; i < n; i++) {
-        double v, fb, x1_new, x2_new;
-        /* Decisions as 2*(test)-1 rather than ?: — with GCC 12 -O3 on
-         * x86-64 the ternaries became split branch paths, ~25% slower. */
-        if (ideal_comparator) {
-            v = (double)(2 * (x2 >= 0.0) - 1);
-        } else {
-            double threshold = comp_offset - 0.5 * comp_hysteresis * (double)pv;
-            double margin = x2 - threshold;
-            pv = 2 * (margin >= 0.0) - 1;
-            v = (double)pv;
-        }
-        fb = v * dac_gain;
-        if (dac_noise) {
-            fb += dac_noise[i];
-        }
-        x1_new = p1 * x1 + au[i] - b1 * fb + noise[i];
-        x2_new = p2 * x2 + a2 * x1 - b2 * fb;
-        if (x1_new > swing || x1_new < -swing ||
-            x2_new > swing || x2_new < -swing) {
-            clipped++;
-            if (x1_new > swing) x1_new = swing;
-            else if (x1_new < -swing) x1_new = -swing;
-            if (x2_new > swing) x2_new = swing;
-            else if (x2_new < -swing) x2_new = -swing;
-        }
-        x1 = x1_new;
-        x2 = x2_new;
-        bits[i] = (int8_t)(2 * (v > 0.0) - 1);
-    }
-    state[0] = x1;
-    state[1] = x2;
-    *prev = pv;
-    return clipped;
-}
-
 /* Fused batched chain: B second-order sigma-delta loops feeding B
  * CIC(order 3, diff delay 1) + FIR cascades, sharing scalar decimation
  * phases (lanes run in lockstep).
@@ -202,12 +136,16 @@ long long sdm_run(long long n,
  *
  * Lanes advance in blocks of lb whose modulator/integrator/comb state
  * lives in local arrays for the whole chunk. batch_chain_run below
- * instantiates this body twice at compile time: lb = LB for a batch of
- * a multiple of LB lanes (the Python layer pads with inert lanes), and
- * lb = 1 for a lone lane, which would otherwise pay for a whole padded
- * block. The v3/v4 clones hold an LB block in vector registers;
- * baseline SSE2 has no blend, so it runs the lanes one at a time out
- * of L1.
+ * instantiates this body three times at compile time: lb = LB for a
+ * batch of a multiple of LB lanes (the Python layer pads with inert
+ * lanes), lb = 1 for a lone lane, which would otherwise pay for a whole
+ * padded block, and lb = 1 with a bits row, which writes the lone
+ * lane's +/-1 decisions and compiles the CIC/FIR section out (the
+ * modulator's compiled loop; integrators, combs, ring and phases pass
+ * through untouched, and a NULL dacn means no DAC noise, as in the
+ * reference loop). The v3/v4 clones hold an LB block in vector
+ * registers; baseline SSE2 has no blend, so it runs the lanes one at a
+ * time out of L1.
  *
  * Arithmetic mirrors the Python reference stages operation for
  * operation. Returns the number of emitted words per lane; state_out
@@ -215,6 +153,7 @@ long long sdm_run(long long n,
  */
 static inline __attribute__((always_inline)) long long chain_blocks(
     const long long lb,
+    int8_t *restrict bits,           /* (n) out, or NULL for words   */
     long long n, long long B,
     const double *restrict au, long long au_stride,
     const double *restrict noise, long long noise_stride,
@@ -295,7 +234,10 @@ static inline __attribute__((always_inline)) long long chain_blocks(
                 double threshold = loff[j] - 0.5 * lhy[j] * lpv[j];
                 double margin = x2v - threshold;
                 double v = (margin >= 0.0) ? 1.0 : -1.0;
-                double fb = v * ldg[j] + pd[j][i];
+                double fb = v * ldg[j];
+                if (!bits || dacn) {
+                    fb += pd[j][i];
+                }
                 double x1v = lx1[j];
                 double x1n = lp1[j] * x1v + pa[j][i] - lb1[j] * fb
                              + pn[j][i];
@@ -308,6 +250,10 @@ static inline __attribute__((always_inline)) long long chain_blocks(
                 lx1[j] = x1n;
                 lx2[j] = x2n;
                 lpv[j] = v;
+                if (bits) {
+                    bits[i] = (int8_t)v;
+                    continue;
+                }
                 /* Integrate the +/-1 decision: uint64 wraparound
                  * commutes with the per-stage two's-complement wrap of
                  * the NumPy CIC, so sign-extension can wait until the
@@ -317,6 +263,9 @@ static inline __attribute__((always_inline)) long long chain_blocks(
                 li0[j] += bu;
                 li1[j] += li0[j];
                 li2[j] += li1[j];
+            }
+            if (bits) {
+                continue;
             }
             if (cphase == 0) {
                 /* CIC output word: wrap the third integrator to the
@@ -433,19 +382,23 @@ long long batch_chain_run(
     double qscale, long long qmax, long long qmin,
     long long *restrict words,       /* (B, cap) out                 */
     long long cap,
-    long long *restrict state_out)   /* [cic_phase, fir_phase, head] */
+    long long *restrict state_out,   /* [cic_phase, fir_phase, head] */
+    int8_t *restrict bits)           /* (n) out for B == 1, or NULL  */
 {
 #define CHAIN_ARGS n, B, au, au_stride, noise, noise_stride, dacn, \
     dacn_stride, dac_gain, p1, b1, p2, a2, b2, swing, c_off, c_hys, x1, \
     x2, prev, clipped, integ, comb, cic_R, cic_phase, reg_bits, flip, \
     taps, fir_M, fir_phase, hist, qscale, qmax, qmin, words, cap, state_out
+    if (bits) {
+        return (B == 1) ? chain_blocks(1, bits, CHAIN_ARGS) : -2;
+    }
     if (B == 1) {
-        return chain_blocks(1, CHAIN_ARGS);
+        return chain_blocks(1, 0, CHAIN_ARGS);
     }
     if (B % LB) {
         return -2; /* caller pads the batch */
     }
-    return chain_blocks(LB, CHAIN_ARGS);
+    return chain_blocks(LB, 0, CHAIN_ARGS);
 #undef CHAIN_ARGS
 }
 
@@ -626,23 +579,14 @@ void crc16_rows(const uint8_t *restrict mat, long long k,
 
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
 
-DBL_P = ctypes.POINTER(ctypes.c_double)
 U8_P = ctypes.POINTER(ctypes.c_uint8)
 U16_P = ctypes.POINTER(ctypes.c_uint16)
 _LL = ctypes.c_longlong
 _D = ctypes.c_double
-_I = ctypes.c_int
 _P = ctypes.c_void_p
 
 # restype/argtypes per exported kernel, in C parameter order.
 _SIGNATURES = {
-    "sdm_run": (_LL, [
-        _LL, DBL_P, DBL_P, DBL_P,  # n, au, noise, dac_noise (nullable)
-        _D, _D, _D, _D, _D, _D, _D,  # dac_gain, p1, b1, p2, a2, b2, swing
-        DBL_P, ctypes.POINTER(ctypes.c_int8),  # state, bits
-        _I, _D, _D,  # ideal_comparator, comp_offset, comp_hysteresis
-        ctypes.POINTER(_I),  # prev
-    ]),
     # The fused kernels take plain addresses: their callers compute them
     # once per buffer (repro.batch.kernel), not once per call.
     "batch_chain_run": (_LL, [
@@ -656,7 +600,7 @@ _SIGNATURES = {
         _P, _LL, _LL, _LL,  # flip, taps, fir_M, fir_phase
         _P,  # hist
         _D, _LL, _LL,  # qscale, qmax, qmin
-        _P, _LL, _P,  # words, cap, state_out
+        _P, _LL, _P, _P,  # words, cap, state_out, bits (nullable)
     ]),
     "batch_frontend_run": (_LL, [
         _LL, _LL, _P, _P,  # n, B, pbase, pstep

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import native
 from ..errors import ConfigurationError, ModulatorOverloadError
 from ..params import ModulatorParams, NonidealityParams
-from . import fastpath
 from .comparator import Comparator
 from .feedback import FeedbackDAC
 from .integrator import SCIntegrator
@@ -80,11 +80,12 @@ class SecondOrderSDM:
         Random generator; a fixed default keeps runs reproducible.
     backend:
         ``"fast"`` (default) runs the recurrence through the compiled
-        kernel of :mod:`repro.sdm.fastpath` when the native library is
-        available, and through the reference loop otherwise.
-        ``"reference"`` pins the original cycle-accurate Python loop.
-        Both produce bit-identical bitstreams for any deterministic
-        comparator, so the switch trades only wall-time.
+        loop (the fused chain kernel's one-lane body with a bitstream
+        output, :func:`repro.batch.kernel.run_bits`) whenever
+        :meth:`compiled_loop_ok`, and through the reference loop
+        otherwise. ``"reference"`` pins the original cycle-accurate
+        Python loop. Both produce bit-identical bitstreams for any
+        deterministic comparator, so the switch trades only wall-time.
     """
 
     def __init__(
@@ -202,6 +203,23 @@ class SecondOrderSDM:
         self.stage2.state = state.x2
         self.comparator._previous = state.comparator_previous
         self._last_input = state.last_input
+
+    def compiled_loop_ok(self, backend: str | None = None) -> bool:
+        """Whether the compiled loop may run this modulator.
+
+        True when the backend (the constructor's unless ``backend``
+        overrides it) is ``"fast"``, the comparator has no metastable
+        band (its in-loop random draws exist only in the reference loop)
+        and the native library is loaded. Each caller adds its own
+        conditions: :meth:`simulate` a recorded trajectory or an
+        overload abort, the batch engine and the fused scan their
+        decimation architecture.
+        """
+        return (
+            (self.backend if backend is None else backend) == "fast"
+            and self.comparator.metastable_band_v == 0.0
+            and native.available()
+        )
 
     @property
     def input_full_scale(self) -> float:
@@ -342,60 +360,50 @@ class SecondOrderSDM:
     ) -> ModulatorOutput:
         """Run a prepared block through the one loop dispatch.
 
-        The compiled kernel takes the block when the backend is
-        ``"fast"``, the native library is loaded and the run needs
-        nothing only the reference loop provides (in-loop metastability
-        draws, a recorded trajectory, an abort on overload). Everything
-        else runs :meth:`_simulate_reference`.
+        The compiled loop takes the block when :meth:`compiled_loop_ok`
+        and the run needs nothing only the reference loop provides (a
+        recorded trajectory, an abort on overload). Everything else runs
+        :meth:`_simulate_reference`.
         """
         if (
-            backend == "fast"
-            and not record_states
-            and overload_policy == "ignore"
-            and self.comparator.metastable_band_v == 0.0
-            and fastpath.kernel_available()
+            record_states
+            or overload_policy != "ignore"
+            or not self.compiled_loop_ok(backend)
         ):
-            return self._simulate_fast(u, noise, dac_noise, dac_gain)
-        return self._simulate_reference(
-            u, noise, dac_noise, dac_gain, record_states, overload_policy
-        )
+            return self._simulate_reference(
+                u, noise, dac_noise, dac_gain, record_states, overload_policy
+            )
+        # Imported lazily: repro.batch imports this package.
+        from ..batch.kernel import run_bits
 
-    def _simulate_fast(
-        self,
-        u: np.ndarray,
-        noise: np.ndarray,
-        dac_noise: np.ndarray | None,
-        dac_gain: float,
-    ) -> ModulatorOutput:
-        """Run the prepared block through :mod:`repro.sdm.fastpath`."""
         s1, s2 = self.stage1, self.stage2
         comp = self.comparator
-        fast_comparator = comp.is_ideal()
+        ideal = comp.is_ideal()
         a1 = s1.signal_gain * s1.gain_error
-        result = fastpath.run_loop(
-            au=a1 * u,
-            noise=noise,
-            dac_noise=dac_noise,
-            dac_gain=dac_gain,
-            p1=s1.leak,
-            b1=s1.feedback_gain * s1.gain_error,
-            p2=s2.leak,
-            a2=s2.signal_gain * s2.gain_error,
-            b2=s2.feedback_gain * s2.gain_error,
-            swing=s1.swing_limit,
-            x1=s1.state,
-            x2=s2.state,
-            ideal_comparator=fast_comparator,
-            comp_offset=comp.offset_v,
-            comp_hysteresis=comp.hysteresis_v,
-            comp_previous=comp.previous_decision,
+        bits, clipped, s1.state, s2.state, previous = run_bits(
+            a1 * u,
+            noise,
+            dac_noise,
+            (
+                dac_gain,
+                s1.leak,
+                s1.feedback_gain * s1.gain_error,
+                s2.leak,
+                s2.signal_gain * s2.gain_error,
+                s2.feedback_gain * s2.gain_error,
+                s1.swing_limit,
+                0.0 if ideal else comp.offset_v,
+                0.0 if ideal else comp.hysteresis_v,
+            ),
+            s1.state,
+            s2.state,
+            comp.previous_decision,
         )
-        if not fast_comparator:
-            comp._previous = result.comp_previous
-        s1.state, s2.state = result.x1, result.x2
-        return ModulatorOutput(
-            bitstream=result.bits, clipped_samples=result.clipped
-        )
+        if not ideal:
+            # The ideal comparator has no memory; the reference loop
+            # leaves its _previous untouched, so mirror that.
+            comp._previous = previous
+        return ModulatorOutput(bitstream=bits, clipped_samples=clipped)
 
     def _simulate_reference(
         self,

@@ -130,6 +130,35 @@ class TestFallback:
         assert not controller.last_scan_fused
         assert records.ndim == 2 and records.shape[1] == 4
 
+    def test_reference_pinned_chain_runs_no_compiled_code(self, monkeypatch):
+        """backend="reference" holds in a fused scan request: the scan
+        declines the fused kernel and replays the batched reference scan."""
+        from repro.array import fused_scan_supported
+        from repro.batch import kernel as batch_kernel
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a reference-pinned scan ran compiled code")
+
+        monkeypatch.setattr(batch_kernel.ChainKernel, "run", forbidden)
+        monkeypatch.setattr(batch_kernel, "run_batch_chunk", forbidden)
+
+        def pinned():
+            base = make_chain(2, 2)
+            return ReadoutChain(base.params, backend="reference")
+
+        segments = tone_segments(4, DWELL_WORDS * DECIMATION)
+        chain = pinned()
+        assert not fused_scan_supported(chain)
+        controller = ScanController(chain.chip.mux)
+        fused = controller.scan_records(chain, segments=segments, fused=True)
+        assert not controller.last_scan_fused
+
+        chain = pinned()
+        batched = ScanController(chain.chip.mux).scan_records(
+            chain, segments=segments, batched=True
+        )
+        assert np.array_equal(fused, batched)
+
     def test_segments_require_batched_or_fused(self):
         from repro.errors import ConfigurationError
 

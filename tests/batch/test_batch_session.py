@@ -254,16 +254,16 @@ def chip_codes(chain, field, element=1):
 class TestReferencePinned:
     def test_reference_lanes_never_run_a_kernel(self, monkeypatch):
         """backend="reference" holds in a batch: no fused kernel and no
-        sdm_run, and the codes equal the chip path's reference loop."""
+        compiled modulator loop, and the codes equal the chip path's
+        reference loop."""
         from repro.batch import kernel as batch_kernel
-        from repro.sdm.modulator import SecondOrderSDM
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a reference-pinned lane ran compiled code")
 
         monkeypatch.setattr(batch_kernel.ChainKernel, "run", forbidden)
         monkeypatch.setattr(batch_kernel, "run_batch_chunk", forbidden)
-        monkeypatch.setattr(SecondOrderSDM, "_simulate_fast", forbidden)
+        monkeypatch.setattr(batch_kernel, "run_bits", forbidden)
 
         def chains():
             return [

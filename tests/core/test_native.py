@@ -18,10 +18,16 @@ import pytest
 
 import repro
 from repro import native
-from repro.batch.kernel import BatchState, run_batch_chunk, run_frontend_chunk
+from repro.batch.kernel import (
+    BatchState,
+    run_batch_chunk,
+    run_bits,
+    run_frontend_chunk,
+)
 from repro.core.chain import ReadoutChain
 from repro.mems.membrane import MembraneSensor
-from repro.sdm import kernel_available
+from repro.params import NonidealityParams
+from repro.sdm import SecondOrderSDM, kernel_available
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -333,6 +339,11 @@ def chain_case(B: int, kind: str, seed: int):
     return n, c, inputs, state, fixed
 
 
+def calls(n):
+    """The two consecutive sample ranges every chain case runs as."""
+    return (0, n // 2 - 7), (n // 2 - 7, n)
+
+
 def run_chain_case(case, lanes=None) -> list[bytes]:
     """Both calls of one case through whichever library is loaded.
 
@@ -343,7 +354,7 @@ def run_chain_case(case, lanes=None) -> list[bytes]:
                           for k, v in vars(state).items()})
     keep = slice(lanes)
     out = []
-    for lo, hi in ((0, n // 2 - 7), (n // 2 - 7, n)):
+    for lo, hi in calls(n):
         def lane_rows(a):
             if a.ndim == 1:  # stride-0 shared row
                 return np.ascontiguousarray(a[lo:hi]), 0
@@ -361,6 +372,58 @@ def run_chain_case(case, lanes=None) -> list[bytes]:
     out += [bits(getattr(state, f)[:, keep]) for f in
             ("cic_integrators", "cic_combs")]
     return out + [bits(np.array([state.cic_phase, state.fir_phase]))]
+
+
+def lane0_rows(inputs, lo, hi):
+    """Lane 0's au, noise and DAC noise (None when all zero) for a call."""
+    au, noise, dacn = (a[lo:hi] if a.ndim == 1 else a[0, lo:hi]
+                       for a in (inputs["au"], inputs["noise"], inputs["dacn"]))
+    return au, noise, dacn if dacn.any() else None
+
+
+def run_bits_case(case) -> list[bytes]:
+    """Lane 0 of a case through the bitstream instantiation, in the same
+    two calls as :func:`run_chain_case`: [bits, clipped] per call, then
+    the final x1, x2 and comparator memory (indices line up with
+    :func:`run_chain_case`'s words, clip counts and states)."""
+    n, c, inputs, state, _ = case
+    coeffs = tuple(float(v[0]) for v in c.values())
+    x1, x2 = float(state.x1[0]), float(state.x2[0])
+    prev = int(state.comp_previous[0])
+    out = []
+    for lo, hi in calls(n):
+        b, clipped, x1, x2, prev = run_bits(
+            *lane0_rows(inputs, lo, hi), coeffs, x1, x2, prev
+        )
+        out += [bits(b), bits(np.int64(clipped))]
+    return out + [bits(np.float64(x1)), bits(np.float64(x2)),
+                  bits(np.int64(prev))]
+
+
+def reference_bits_case(case) -> list[bytes]:
+    """:func:`run_bits_case` through the modulator's reference loop."""
+    n, c, inputs, state, _ = case
+    m = SecondOrderSDM(nonideality=NonidealityParams.ideal())
+    s1, s2, comp = m.stage1, m.stage2, m.comparator
+    # a1 = 1: the loop's a1 * u[i] is then the staged au[i] exactly.
+    s1.signal_gain = s1.gain_error = s2.gain_error = 1.0
+    (s1.leak, s1.feedback_gain, s2.leak, s2.signal_gain, s2.feedback_gain,
+     s1.swing_limit, comp.offset_v, comp.hysteresis_v) = (
+        float(c[k][0]) for k in ("p1", "b1", "p2", "a2", "b2", "swing",
+                                 "comp_offset", "comp_hysteresis"))
+    s1.state, s2.state = float(state.x1[0]), float(state.x2[0])
+    comp._previous = int(state.comp_previous[0])
+    out = []
+    for lo, hi in calls(n):
+        res = m._simulate_reference(
+            *lane0_rows(inputs, lo, hi), float(c["dac_gain"][0]), False,
+            "ignore",
+        )
+        out += [bits(res.bitstream), bits(np.int64(res.clipped_samples))]
+    # The ideal comparator keeps no memory: its last decision stands in.
+    prev = comp.previous_decision if not comp.is_ideal() else res.bitstream[-1]
+    return out + [bits(np.float64(s1.state)), bits(np.float64(s2.state)),
+                  bits(np.int64(prev))]
 
 
 def frontend_case(B: int, kind: str, seed: int):
@@ -414,11 +477,17 @@ def run_frontend_case(case) -> list[bytes]:
              "negzero"],
 )
 def test_chain_variants_match_dispatched(variants, monkeypatch, B, kind):
+    """Every variant's words and states, and lane 0's bitstream, clip
+    counts and final x1/x2/prev, equal the dispatched build's; the
+    bitstream run also equals the reference loop."""
     case = chain_case(B, kind, seed=B)
     expected = run_chain_case(case)
+    expected_bits = run_bits_case(case)
+    assert expected_bits == reference_bits_case(case)
     for level, lib in variants.items():
         monkeypatch.setattr(native, "_lib", lib)
         assert run_chain_case(case) == expected, level
+        assert run_bits_case(case) == expected_bits, level
 
 
 def pad_case(case, Bp: int):
@@ -451,10 +520,17 @@ def pad_case(case, Bp: int):
 )
 def test_lone_lane_matches_padded_block(kind):
     """The one-lane instantiation of batch_chain_run returns lane 0 of a
-    padded block, bit for bit: codes, clip counts and every state."""
+    padded block, bit for bit: codes, clip counts and every state. The
+    bitstream instantiation runs the same recurrence: the reference
+    loop's bits, and the words body's clip counts and x1/x2/prev."""
     case = chain_case(1, kind, seed=5)
     padded = pad_case(case, native.LANE_BLOCK)
-    assert run_chain_case(case) == run_chain_case(padded, lanes=1)
+    lone = run_chain_case(case)
+    assert lone == run_chain_case(padded, lanes=1)
+    got = run_bits_case(case)
+    assert got == reference_bits_case(case)
+    same = (1, 3, 4, 5, 6)  # clip counts of both calls, x1, x2, prev
+    assert [got[i] for i in same] == [lone[i] for i in same]
 
 
 @pytest.mark.parametrize("B", [8, 16, 64])

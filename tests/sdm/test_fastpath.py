@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.batch import batch_kernel_available
+from repro.batch import kernel as batch_kernel
 from repro.dsp.cic import CICDecimator
 from repro.dsp.spectrum import analyze_tone, coherent_tone_frequency
 from repro.errors import ConfigurationError, ModulatorOverloadError
@@ -47,11 +48,11 @@ class TestBitIdentity:
     def test_ideal_bitstream_identical(self, monkeypatch):
         ref, fast = make_pair(NonidealityParams.ideal())
         kernel_runs = []
-        run_loop = fastpath.run_loop
+        run_bits = batch_kernel.run_bits
         monkeypatch.setattr(
-            fastpath,
-            "run_loop",
-            lambda **kw: kernel_runs.append(1) or run_loop(**kw),
+            batch_kernel,
+            "run_bits",
+            lambda *a: kernel_runs.append(1) or run_bits(*a),
         )
         u = tone(20000)
         out_ref = ref.simulate(u)
