@@ -19,9 +19,11 @@ Layering:
   state lives *in the chains* between calls, so any chunk split, and any
   mix of batched and single-session processing, is bit-identical.
 * :mod:`repro.batch.session` — :class:`BatchAcquisitionSession`, the
-  batched sibling of :class:`~repro.core.session.AcquisitionSession`
-  with per-lane :class:`~repro.core.session.PipelineTelemetry` that
-  still reconciles exactly.
+  ``B``-lane :class:`~repro.core.session.LaneSession` (with counted
+  links) whose one-lane, USB-linked case is
+  :class:`~repro.core.session.AcquisitionSession`; per-lane
+  :class:`~repro.core.session.PipelineTelemetry` still reconciles
+  exactly.
 """
 
 from .engine import BatchChainEngine

@@ -13,10 +13,10 @@ afterwards, so the chains remain the single source of truth:
 * any chunk split produces bit-identical output,
 * a lane can be handed back to single-session processing at any chunk
   boundary and resumes bit-exactly,
-* the per-lane fallback (the single-session modulator dispatch plus the
-  NumPy decimation filter, used when the native library is unavailable
-  or a lane needs the reference loop) and the kernel are
-  interchangeable mid-stream.
+* the per-lane fallback (the modulator's own loop dispatch plus the
+  NumPy decimation filter, used when the native library is unavailable,
+  a lane needs the reference loop or a chip taps its bitstream) and the
+  kernel are interchangeable mid-stream.
 
 Stochastic terms are drawn per lane through each modulator's own
 :meth:`~repro.sdm.modulator.SecondOrderSDM._prepare_inputs`, straight
@@ -433,7 +433,10 @@ class BatchChainEngine:
             return None
         kernel, sel, n_el, _ = self._front
         for l, c in enumerate(self.chains):
-            if c.chip.loop_input_hook is not None:
+            if (
+                c.chip.loop_input_hook is not None
+                or c.chip.bitstream_hook is not None
+            ):
                 return None
             if c.chip.mux._selected != sel[l]:
                 # An element switched between chunks: rebuild for the
@@ -482,8 +485,9 @@ class BatchChainEngine:
         ``fields`` holds one ``(n, n_elements)`` float array per lane,
         all with the same ``n``. Each lane routes its selected element
         through its own mux and front end (charge injection included)
-        and honours its chip's ``loop_input_hook``. Returns ``(codes,
-        clipped)`` as :meth:`feed_loop_inputs` does.
+        and honours its chip's ``loop_input_hook`` and
+        ``bitstream_hook``. Returns ``(codes, clipped)`` as
+        :meth:`feed_loop_inputs` does.
 
         A pressure outside the transducer's range (NaN included) raises
         the per-lane NumPy front end's error. In a chunk longer than
@@ -560,7 +564,11 @@ class BatchChainEngine:
                 "loop inputs must be (n_samples, n_lanes)"
             )
         n, B = u.shape
-        if n == 0 or not self.uses_kernel:
+        if (
+            n == 0
+            or not self.uses_kernel
+            or any(c.chip.bitstream_hook is not None for c in self.chains)
+        ):
             return self._feed_fallback(u)
         parts = []
         for start in range(0, n, STAGE_SAMPLES):
@@ -697,14 +705,15 @@ class BatchChainEngine:
             filt.fir._phase = k.fir_phase
 
     def _feed_fallback(self, u: np.ndarray):
-        """Per-lane processing through the existing single-session stages.
+        """Per-lane processing through the modulator and the NumPy filter.
 
-        Exact by construction: each lane runs the same modulator loop
+        Exact by construction: each lane runs the modulator loop
         dispatch (:meth:`~repro.sdm.modulator.SecondOrderSDM.simulate`'s
         choice, under the lane's own backend, between the compiled loop
-        and the reference loop) and
-        :class:`~repro.dsp.decimator.DecimationFilter` the single session
-        would, against the same chain state.
+        and the reference loop) and its
+        :class:`~repro.dsp.decimator.DecimationFilter`, against the same
+        chain state as the kernel. The one path that builds a bitstream,
+        so a chip's ``bitstream_hook`` runs here, between the two.
         """
         n, B = u.shape
         clipped = np.zeros(B, dtype=np.int64)
@@ -716,7 +725,10 @@ class BatchChainEngine:
             m = c.chip.modulator
             out = m._run_prepared(*m._prepare_inputs(u[:, l]), m.backend)
             clipped[l] = out.clipped_samples
-            lane_codes.append(c.fpga.filter.process(out.bitstream).codes)
+            bits = out.bitstream
+            if c.chip.bitstream_hook is not None:
+                bits = c.chip.bitstream_hook(bits)
+            lane_codes.append(c.fpga.filter.process(bits).codes)
         widths = {codes.size for codes in lane_codes}
         if len(widths) != 1:  # pragma: no cover - lockstep guard
             raise ConfigurationError(

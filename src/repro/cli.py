@@ -247,7 +247,7 @@ def cmd_batch(
     import numpy as np
 
     from . import native
-    from .batch import batch_kernel_available
+    from .batch import BatchAcquisitionSession, batch_kernel_available
     from .core.chain import ReadoutChain
     from .core.session import AcquisitionSession
     from .params import NonidealityParams, SystemParams
@@ -278,7 +278,7 @@ def cmd_batch(
         f"chunk {chunk_s:.2f} s ...",
         flush=True,
     )
-    session = AcquisitionSession.batched(chains, element=1)
+    session = BatchAcquisitionSession(chains, element=1)
     start = time.perf_counter()
     for lo in range(0, n, step):
         session.feed_pressure([field[lo : lo + step]] * lanes)

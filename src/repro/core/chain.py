@@ -13,10 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..daq.fpga import FPGAFilterBank
-from ..daq.stream import SampleStream
-from ..daq.usb import FrameDecoder
 from ..errors import ConfigurationError
-from ..faults.detection import quality_mask
 from ..params import SystemParams
 from .chip import SensorChip
 
@@ -95,23 +92,12 @@ class ReadoutChain:
         return self.fpga.output_rate_hz
 
     def _collect(self, payload: bytes, element: int) -> ChainRecording:
-        decoder = FrameDecoder()
-        frames = decoder.feed(payload) + decoder.finalize()
-        stream = SampleStream(
-            sample_rate_hz=self.output_rate_hz,
-            samples_per_frame=self.fpga.encoder.samples_per_frame,
-        )
-        stream.ingest(frames)
-        codes = stream.samples(element).astype(np.int64)
-        return ChainRecording(
-            codes=codes,
-            sample_rate_hz=self.output_rate_hz,
-            element=element,
-            lost_frames=decoder.lost_frames,
-            crc_errors=decoder.crc_errors,
-            lost_samples=stream.lost_samples(element),
-            quality=quality_mask(codes, gaps=stream.gaps(element)),
-        )
+        """One element's recording from a complete framed payload."""
+        from .session import PipelineTelemetry, UsbLink
+
+        link = UsbLink(self, element)
+        link.receive(payload, PipelineTelemetry(), final=True)
+        return link.recording()
 
     def session(
         self, element: int | None = None, faults=None, quality=None

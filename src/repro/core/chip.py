@@ -64,6 +64,12 @@ class SensorChip:
         #: by both acquisition paths just before conversion — the fault
         #: injector's sdm-saturation hook.
         self.loop_input_hook = None
+        #: Optional tap on the bitstream, set only by a fault injector
+        #: (its stuck-comparator hook). The session engine applies it
+        #: between the modulator and the decimation filter, on its
+        #: per-lane path; :meth:`acquire_pressure` and
+        #: :meth:`acquire_voltage` return the untapped bits.
+        self.bitstream_hook = None
 
     # -- element selection -------------------------------------------------
 

@@ -11,18 +11,22 @@ persist across chunk boundaries, so the concatenated chunked output is
 (:meth:`~repro.core.chain.ReadoutChain.record_pressure` is itself a thin
 wrapper over a session).
 
-The data path: without a fault injector, each chunk runs through a
-one-lane :class:`~repro.batch.engine.BatchChainEngine` (the compiled
-front end, ΣΔ, CIC and FIR fused in one C pass, the NumPy front end and
-reference loop where a configuration needs them), then the FPGA's
-post-filter tail and the real USB framer, decoder and sample stream.
-With an injector it takes the chip -> bitstream ->
-:meth:`~repro.daq.fpga.FPGAFilterBank.process` path, because the
-``stuck_comparator`` fault rewrites the bitstream the fused kernel never
-builds. Both leave the chain in the same state, so a chain moves
-between them (or into a batch lane) bit-exactly at any chunk boundary.
-Stage timers book the engine (or the chip) to ``modulator`` and the
-tail and framing to ``fpga``.
+One implementation, :class:`LaneSession`, serves every session: per lane
+it owns the :class:`~repro.batch.engine.BatchChainEngine` call (compiled
+front end, ΣΔ, CIC and FIR fused in one C pass; NumPy front end and
+reference loop where a configuration needs them), the telemetry, the
+FPGA's post-filter tail and a link to the host — a :class:`UsbLink`
+(the chain's framer, a fresh decoder and sample stream, an optional
+payload fault hook) or a :class:`CountedLink` (no wire; synthesized
+frame counters). :class:`AcquisitionSession` is one lane with a USB
+link, :class:`~repro.batch.session.BatchAcquisitionSession` ``B`` lanes
+with counted links. A fault injector rides the same path (array faults
+on the chunk, loop-input and bitstream taps in the engine, word faults
+in the tail, link faults on the wire), and the chain objects hold all
+state, so a chain moves between sessions (or into a batch lane)
+bit-exactly at any chunk boundary. Stage timers book the engine to
+``modulator``, tail and framing to ``fpga``, the host side to
+``decode`` and ``ingest``.
 
 Every session carries a :class:`PipelineTelemetry` that counts what each
 stage consumed and produced (modulator samples in, bits out, words
@@ -111,6 +115,11 @@ class PipelineTelemetry:
     stage_seconds: dict[str, float] = field(
         default_factory=lambda: {stage: 0.0 for stage in STAGES}
     )
+
+    @classmethod
+    def for_chain(cls, chain) -> "PipelineTelemetry":
+        """Empty telemetry for a session on ``chain``."""
+        return cls(decimation_factor=chain.fpga.filter.params.total_decimation)
 
     def add_stage_seconds(self, stage: str, seconds: float) -> None:
         """Accumulate wall time against one pipeline stage."""
@@ -287,7 +296,270 @@ class PipelineTelemetry:
         return "\n".join(lines)
 
 
-class AcquisitionSession:
+def _empty() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+def _recording(
+    codes, rate_hz, element, quality, lost_frames=0, crc_errors=0,
+    lost_samples=0, gaps=(),
+) -> ChainRecording:
+    """The one :class:`~repro.core.chain.ChainRecording` builder."""
+    return ChainRecording(
+        codes=codes,
+        sample_rate_hz=rate_hz,
+        element=element,
+        lost_frames=lost_frames,
+        crc_errors=crc_errors,
+        lost_samples=lost_samples,
+        quality=quality_mask(codes, gaps=gaps, config=quality),
+    )
+
+
+class UsbLink:
+    """One lane's USB wire: the chain's framer -> a fresh decoder -> stream.
+
+    ``payload_hook`` (a fault injector's link faults) rewrites each
+    payload on its way from the framer to the decoder. Only frames of
+    ``element`` count as this lane's delivered words; the stream keeps
+    every element's samples.
+    """
+
+    def __init__(self, chain, element: int, payload_hook=None):
+        self.element = element
+        self.rate_hz = chain.output_rate_hz
+        self.payload_hook = payload_hook
+        self.decoder = FrameDecoder()
+        self.stream = SampleStream(
+            sample_rate_hz=chain.output_rate_hz,
+            samples_per_frame=chain.fpga.encoder.samples_per_frame,
+        )
+
+    def deliver(self, fpga, codes, n: int, tm) -> np.ndarray:
+        """Tail and frame one chunk's cascade words; return the words
+        the host received for this element."""
+        return self._send(fpga, tm, lambda: fpga.frame(codes, n))
+
+    def finish(self, fpga, tm) -> np.ndarray:
+        """Flush the partial frame; return the words it delivers."""
+        return self._send(fpga, tm, fpga.flush, final=True)
+
+    def _send(self, fpga, tm, emit, final: bool = False) -> np.ndarray:
+        t0 = time.perf_counter()
+        framed = fpga.encoder.frames_emitted
+        payload = emit()
+        tm.frames_framed += fpga.encoder.frames_emitted - framed
+        tm.add_stage_seconds("fpga", time.perf_counter() - t0)
+        return self.receive(payload, tm, final)
+
+    def receive(self, payload: bytes, tm, final: bool = False) -> np.ndarray:
+        """Carry one payload to the host; return this element's words."""
+        t0 = time.perf_counter()
+        if self.payload_hook is not None:
+            payload = self.payload_hook(payload)
+        d = self.decoder
+        frames = d.feed(payload)
+        if final:
+            # End of stream: drain any frames stalled behind a corrupted
+            # length claim (a no-op on clean pipelines).
+            frames += d.finalize()
+        t1 = time.perf_counter()
+        tm.add_stage_seconds("decode", t1 - t0)
+        tm.frames_decoded = d.frames_decoded
+        tm.lost_frames = d.lost_frames
+        tm.crc_errors = d.crc_errors
+        tm.stale_frames = d.stale_frames
+        tm.resync_bytes = d.resync_bytes
+        self.stream.ingest(frames)
+        tm.add_stage_seconds("ingest", time.perf_counter() - t1)
+        mine = [f.samples for f in frames if f.element == self.element]
+        return np.concatenate(mine).astype(np.int64) if mine else _empty()
+
+    def recording(self, quality: QualityConfig | None = None):
+        stream = self.stream
+        return _recording(
+            stream.samples(self.element).astype(np.int64),
+            self.rate_hz,
+            self.element,
+            quality,
+            lost_frames=self.decoder.lost_frames,
+            crc_errors=self.decoder.crc_errors,
+            lost_samples=stream.lost_samples(self.element),
+            gaps=stream.gaps(self.element),
+        )
+
+
+class CountedLink:
+    """One lane without a wire: tailed words go straight to a buffer.
+
+    The USB encoder/decoder pair is a lossless identity on a clean
+    pipeline, so it is skipped; the frame counters are synthesized from
+    the encoder's ``samples_per_frame`` grouping, so ``frames_framed ==
+    frames_decoded`` and both match what a USB link reports for the same
+    input. The chain's encoder is never used, hence it must hold no
+    partial frame.
+    """
+
+    def __init__(self, chain, element: int):
+        if chain.fpga.encoder.pending_samples:
+            raise ConfigurationError(
+                "chain has a partial USB frame pending; finish the "
+                "previous session before batching"
+            )
+        self.element = element
+        self.rate_hz = chain.output_rate_hz
+        self._spf = chain.fpga.encoder.samples_per_frame
+        self._pending = 0
+        self._words: list[np.ndarray] = []
+
+    def deliver(self, fpga, codes, n: int, tm) -> np.ndarray:
+        t0 = time.perf_counter()
+        words = fpga.tail(codes, n).astype(np.int64)
+        whole, self._pending = divmod(self._pending + words.size, self._spf)
+        tm.frames_framed += whole
+        tm.frames_decoded += whole
+        if words.size:
+            self._words.append(words)
+        tm.add_stage_seconds("fpga", time.perf_counter() - t0)
+        return words
+
+    def finish(self, fpga, tm) -> np.ndarray:
+        """Count the final partial frame (once)."""
+        if self._pending:
+            tm.frames_framed += 1
+            tm.frames_decoded += 1
+            self._pending = 0
+        return _empty()
+
+    def codes(self) -> np.ndarray:
+        if self._words:
+            return np.concatenate(self._words).astype(np.int64)
+        return _empty()
+
+    def recording(self, quality: QualityConfig | None = None):
+        return _recording(self.codes(), self.rate_hz, self.element, quality)
+
+
+class LaneSession:
+    """Lanes advanced in lockstep by one engine, each with its own link.
+
+    The shared body of :class:`AcquisitionSession` and
+    :class:`~repro.batch.session.BatchAcquisitionSession`: element
+    selection, the per-chunk engine call, telemetry booking, the FPGA
+    tail (inside each lane's link) and completion. A subclass picks the
+    link in :meth:`_open_link`.
+    """
+
+    #: Fault injector wired into the (single) lane, or None.
+    faults = None
+
+    def __init__(self, chains, element: int | None, quality):
+        # Imported here: repro.batch imports this module.
+        from ..batch.engine import BatchChainEngine
+
+        self.engine = BatchChainEngine(chains)
+        self.chains = self.engine.chains
+        if element is not None:
+            for c in self.chains:
+                c.chip.select_element(element)
+                c.fpga.select_element(element)
+        self.links = [self._open_link(c) for c in self.chains]
+        self.telemetries = [PipelineTelemetry.for_chain(c) for c in self.chains]
+        self._quality = quality
+        self._kind: str | None = None
+        self._finished = False
+
+    def _open_link(self, chain):
+        raise NotImplementedError
+
+    @property
+    def lanes(self) -> int:
+        return len(self.chains)
+
+    @property
+    def elements(self) -> list[int]:
+        return [link.element for link in self.links]
+
+    @property
+    def finished(self) -> bool:
+        return self._finished
+
+    def _check_open(self) -> None:
+        if self._finished:
+            raise ConfigurationError(
+                f"session already finished; start a new "
+                f"{type(self).__name__}"
+            )
+
+    def _feed(self, kind: str, inputs) -> list[np.ndarray]:
+        """Advance every lane by one chunk; return each lane's words."""
+        self._check_open()
+        if self._kind is None:
+            self._kind = kind
+        elif self._kind != kind:
+            raise ConfigurationError(
+                f"cannot mix acquisition paths in one session "
+                f"(started with {self._kind!r}, got {kind!r})"
+            )
+        if inputs[0].shape[0] == 0:
+            return [_empty() for _ in self.chains]
+        faults = self.faults
+        if faults is None:
+            return self._advance(kind, inputs)
+        with faults.wired(self.chains[0]):
+            if kind == "pressure":
+                inputs = [faults.apply_array(inputs[0])]
+            delivered = self._advance(kind, inputs)
+        self.telemetries[0].faults_injected = faults.events_applied
+        return delivered
+
+    def _advance(self, kind: str, inputs) -> list[np.ndarray]:
+        n = inputs[0].shape[0]
+        t0 = time.perf_counter()
+        if kind == "pressure":
+            codes, clipped = self.engine.feed_pressure(inputs)
+        else:
+            codes, clipped = self.engine.feed_voltage(inputs)
+        mod_dt = (time.perf_counter() - t0) / len(self.chains)
+        delivered = []
+        for l, c in enumerate(self.chains):
+            tm = self.telemetries[l]
+            tm.chunks += 1
+            tm.peak_chunk_bytes = max(tm.peak_chunk_bytes, inputs[l].nbytes)
+            tm.add_stage_seconds("modulator", mod_dt)
+            tm.mod_samples_in += n
+            tm.bits_out += n
+            tm.clipped_samples += int(clipped[l])
+            suppressed = c.fpga.words_suppressed
+            words = self.links[l].deliver(c.fpga, codes[l], n, tm)
+            tm.words_filtered += codes[l].size
+            tm.words_suppressed += c.fpga.words_suppressed - suppressed
+            tm.words_delivered += words.size
+            delivered.append(words)
+        return delivered
+
+    def _finish(self) -> list[np.ndarray]:
+        """Close every lane's link once; return the words each delivers.
+
+        No new words appear from the cascades: samples still inside the
+        decimation filter (:attr:`PipelineTelemetry.filter_remainder`
+        of them) stay there — fewer than one output word's worth,
+        exactly as in the hardware.
+        """
+        if self._finished:
+            return [_empty() for _ in self.chains]
+        self._finished = True
+        delivered = []
+        for c, link, tm in zip(self.chains, self.links, self.telemetries):
+            words = link.finish(c.fpga, tm)
+            tm.words_delivered += words.size
+            delivered.append(words)
+        if self.faults is not None:
+            self.telemetries[0].faults_injected = self.faults.events_applied
+        return delivered
+
+
+class AcquisitionSession(LaneSession):
     """One stateful streaming acquisition through a readout chain.
 
     Feed modulator-rate chunks with :meth:`feed_pressure` or
@@ -295,7 +567,8 @@ class AcquisitionSession:
     chunk completed (possibly empty — the decimator and the framer hold
     partial words/frames across boundaries). :meth:`finish` flushes the
     final partial USB frame; :meth:`recording` assembles the standard
-    :class:`~repro.core.chain.ChainRecording`.
+    :class:`~repro.core.chain.ChainRecording`. The one-lane
+    :class:`LaneSession` with a :class:`UsbLink`.
 
     Memory is O(chunk) at the modulator rate: only the caller's current
     chunk and the pipeline's transients exist at 128 kS/s. The delivered
@@ -316,11 +589,11 @@ class AcquisitionSession:
         the batch path does.
     faults:
         Optional :class:`~repro.faults.FaultInjector`. The session binds
-        it to the chain, installs its hooks at every pipeline layer
+        it to the chain and wires its hooks at every pipeline layer
         (pressure field, loop input, bitstream, decimated words, USB
-        payload) and restores the hooks on :meth:`finish`. With ``None``
-        (default) the pipeline is bit-identical to an un-instrumented
-        session.
+        payload); the chain's own hooks come back when each feed
+        returns or raises. With ``None`` (default) the pipeline is
+        bit-identical to an un-instrumented session.
     quality:
         Detector thresholds for the recording's per-sample quality mask
         (default :class:`~repro.faults.QualityConfig`).
@@ -334,51 +607,16 @@ class AcquisitionSession:
         quality: QualityConfig | None = None,
     ):
         self.chain = chain
-        if element is not None:
-            chain.chip.select_element(element)
-            chain.fpga.select_element(element)
-        self.element = chain.chip.selected_element
-        self._decoder = FrameDecoder()
-        self._stream = SampleStream(
-            sample_rate_hz=chain.output_rate_hz,
-            samples_per_frame=chain.fpga.encoder.samples_per_frame,
-        )
-        self.telemetry = PipelineTelemetry(
-            decimation_factor=chain.fpga.filter.params.total_decimation
-        )
-        self._kind: str | None = None
-        self._finished = False
-        self._quality_config = quality or QualityConfig()
         self.faults = faults
-        # Without an injector nothing taps the bitstream, so every chunk
-        # runs the fused one-lane chain; an injector keeps the chip ->
-        # bitstream -> FPGA path its stuck_comparator fault needs.
-        self._engine = None
-        if faults is None:
-            from ..batch.engine import BatchChainEngine
-
-            self._engine = BatchChainEngine([chain])
-        else:
+        if faults is not None:
             faults.bind(chain)
-            self._prev_loop_hook = chain.chip.loop_input_hook
-            self._prev_word_hook = chain.fpga.word_hook
-            chain.chip.loop_input_hook = faults.apply_loop_input
-            chain.fpga.word_hook = faults.apply_words
+        super().__init__([chain], element, quality)
+        self.element = self.links[0].element
+        self.telemetry = self.telemetries[0]
 
-    @classmethod
-    def batched(cls, chains, **kwargs):
-        """Open a batched session over ``chains`` (one lane per chain).
-
-        The batched mode advances every lane in lockstep through the
-        fused chip->sigma-delta->CIC->FIR->decode kernel of
-        :mod:`repro.batch`; per-lane codes and telemetry are
-        bit-identical to ``len(chains)`` independent single sessions.
-        Keyword arguments are forwarded to
-        :class:`~repro.batch.session.BatchAcquisitionSession`.
-        """
-        from ..batch import BatchAcquisitionSession
-
-        return BatchAcquisitionSession(chains, **kwargs)
+    def _open_link(self, chain) -> UsbLink:
+        hook = None if self.faults is None else self.faults.apply_payload
+        return UsbLink(chain, chain.chip.selected_element, hook)
 
     # -- feeding -----------------------------------------------------------
 
@@ -394,132 +632,23 @@ class AcquisitionSession:
             raise ConfigurationError(
                 "expected (n_samples, n_elements) pressures"
             )
-        return self._feed("pressure", chunk)
+        return self._feed("pressure", [chunk])[0]
 
     def feed_voltage(self, differential_voltage_v: np.ndarray) -> np.ndarray:
         """Convert one test-voltage chunk (Fig. 7 path); return words."""
         chunk = np.asarray(differential_voltage_v, dtype=float)
         if chunk.ndim != 1:
             raise ConfigurationError("voltage chunk must be 1-D")
-        return self._feed("voltage", chunk)
-
-    def _feed(self, kind: str, chunk: np.ndarray) -> np.ndarray:
-        if self._finished:
-            raise ConfigurationError(
-                "session already finished; start a new AcquisitionSession"
-            )
-        if self._kind is None:
-            self._kind = kind
-        elif self._kind != kind:
-            raise ConfigurationError(
-                f"cannot mix acquisition paths in one session "
-                f"(started with {self._kind!r}, got {kind!r})"
-            )
-        if chunk.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-
-        tm = self.telemetry
-        chip, fpga = self.chain.chip, self.chain.fpga
-        n = chunk.shape[0]
-        tm.chunks += 1
-        tm.peak_chunk_bytes = max(tm.peak_chunk_bytes, chunk.nbytes)
-
-        t0 = time.perf_counter()
-        if self._engine is not None:
-            if kind == "pressure":
-                codes, clipped = self._engine.feed_pressure([chunk])
-            else:
-                codes, clipped = self._engine.feed_voltage([chunk])
-            clipped = int(clipped[0])
-        else:
-            if kind == "pressure":
-                mod_out = chip.acquire_pressure(self.faults.apply_array(chunk))
-            else:
-                mod_out = chip.acquire_voltage(chunk)
-            clipped = mod_out.clipped_samples
-        t1 = time.perf_counter()
-        tm.add_stage_seconds("modulator", t1 - t0)
-        tm.mod_samples_in += n
-        tm.bits_out += n
-        tm.clipped_samples += clipped
-
-        words_before = fpga.words_filtered
-        suppressed_before = fpga.words_suppressed
-        frames_before = fpga.encoder.frames_emitted
-        if self._engine is not None:
-            payload = fpga.frame(codes[0], n)
-        else:
-            bitstream = self.faults.apply_bitstream(mod_out.bitstream)
-            payload = fpga.process(bitstream.astype(np.int64))
-        t2 = time.perf_counter()
-        tm.add_stage_seconds("fpga", t2 - t1)
-        tm.words_filtered += fpga.words_filtered - words_before
-        tm.words_suppressed += fpga.words_suppressed - suppressed_before
-        tm.frames_framed += fpga.encoder.frames_emitted - frames_before
-        if self.faults is not None:
-            payload = self.faults.apply_payload(payload)
-            tm.faults_injected = self.faults.events_applied
-
-        return self._deliver(payload, t2)
-
-    def _deliver(
-        self, payload: bytes, t_start: float, final: bool = False
-    ) -> np.ndarray:
-        """Decode and ingest one payload; return this element's new words."""
-        tm = self.telemetry
-        frames = self._decoder.feed(payload)
-        if final:
-            # End of stream: drain any frames stalled behind a corrupted
-            # length claim (a no-op on clean pipelines).
-            frames += self._decoder.finalize()
-        t3 = time.perf_counter()
-        tm.add_stage_seconds("decode", t3 - t_start)
-        tm.frames_decoded = self._decoder.frames_decoded
-        tm.lost_frames = self._decoder.lost_frames
-        tm.crc_errors = self._decoder.crc_errors
-        tm.stale_frames = self._decoder.stale_frames
-        tm.resync_bytes = self._decoder.resync_bytes
-
-        self._stream.ingest(frames)
-        tm.add_stage_seconds("ingest", time.perf_counter() - t3)
-        mine = [f.samples for f in frames if f.element == self.element]
-        if not mine:
-            return np.zeros(0, dtype=np.int64)
-        delivered = np.concatenate(mine).astype(np.int64)
-        tm.words_delivered += delivered.size
-        return delivered
+        return self._feed("voltage", [chunk])[0]
 
     # -- completion --------------------------------------------------------
 
     def finish(self) -> np.ndarray:
         """Flush the partial USB frame; return the words it delivers.
 
-        Idempotent: later calls return an empty array. Samples still
-        inside the decimation cascade (:attr:`PipelineTelemetry.
-        filter_remainder` of them) stay there — fewer than one output
-        word's worth, exactly as in the hardware.
+        Idempotent: later calls return an empty array.
         """
-        if self._finished:
-            return np.zeros(0, dtype=np.int64)
-        self._finished = True
-        tm = self.telemetry
-        t0 = time.perf_counter()
-        frames_before = self.chain.fpga.encoder.frames_emitted
-        payload = self.chain.fpga.flush()
-        t1 = time.perf_counter()
-        tm.add_stage_seconds("fpga", t1 - t0)
-        tm.frames_framed += (
-            self.chain.fpga.encoder.frames_emitted - frames_before
-        )
-        if self.faults is not None:
-            payload = self.faults.apply_payload(payload)
-            tm.faults_injected = self.faults.events_applied
-        delivered = self._deliver(payload, t1, final=True)
-        if self.faults is not None:
-            # Hand the chain back fault-free.
-            self.chain.chip.loop_input_hook = self._prev_loop_hook
-            self.chain.fpga.word_hook = self._prev_word_hook
-        return delivered
+        return self._finish()[0]
 
     def recording(self) -> ChainRecording:
         """Finish (if needed) and assemble the session's recording.
@@ -528,38 +657,21 @@ class AcquisitionSession:
         regardless of how the input was chunked.
         """
         self.finish()
-        codes = self._stream.samples(self.element).astype(np.int64)
-        return ChainRecording(
-            codes=codes,
-            sample_rate_hz=self.chain.output_rate_hz,
-            element=self.element,
-            lost_frames=self._decoder.lost_frames,
-            crc_errors=self._decoder.crc_errors,
-            lost_samples=self._stream.lost_samples(self.element),
-            quality=quality_mask(
-                codes,
-                gaps=self._stream.gaps(self.element),
-                config=self._quality_config,
-            ),
-        )
+        return self.links[0].recording(self._quality)
 
     # -- introspection -----------------------------------------------------
 
     @property
     def words_available(self) -> int:
         """Words delivered for the selected element so far."""
-        return self._stream.sample_count(self.element)
+        return self.stream.sample_count(self.element)
 
     @property
     def stream(self) -> SampleStream:
         """The session's host-side sample stream (gap accounting etc.)."""
-        return self._stream
+        return self.links[0].stream
 
     @property
     def decoder(self) -> FrameDecoder:
         """The session's USB frame decoder (loss/CRC/resync counters)."""
-        return self._decoder
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
+        return self.links[0].decoder

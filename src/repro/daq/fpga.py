@@ -130,7 +130,3 @@ class FPGAFilterBank:
         point of the whole FPGA.
         """
         return self.encoder.flush()
-
-    def finish(self) -> bytes:
-        """Alias of :meth:`flush` (historical batch-path name)."""
-        return self.flush()

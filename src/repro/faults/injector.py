@@ -12,13 +12,16 @@ indices on the three pipeline timelines:
 * decimated words (1 kS/s) for FPGA word corruption,
 * USB frames for link faults.
 
-:class:`~repro.core.session.AcquisitionSession` wires the four
-``apply_*`` hooks into the matching pipeline stages; each hook keeps a
-global position counter so events land at the same absolute sample no
-matter how the session is chunked.
+:class:`~repro.core.session.AcquisitionSession` wires the ``apply_*``
+hooks into the matching pipeline stages (the chip and FPGA taps through
+:meth:`FaultInjector.wired`); each hook keeps a global position counter
+so events land at the same absolute sample no matter how the session is
+chunked.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -190,6 +193,28 @@ class FaultInjector:
             self._frame_events.setdefault(frame, []).append(event)
         self._bound = True
         self.reset()
+
+    @contextmanager
+    def wired(self, chain):
+        """Install the chip and FPGA hooks on ``chain`` for a block.
+
+        The loop-input and word hooks always; the bitstream hook only
+        when a ``stuck_comparator`` event is scheduled, because a
+        tapped bitstream sends the lane through the engine's per-lane
+        loop instead of the fused kernel. The chain's previous hooks
+        come back on every exit, an exception included, so a failed
+        feed never leaves faults on the chain.
+        """
+        chip, fpga = chain.chip, chain.fpga
+        saved = chip.loop_input_hook, chip.bitstream_hook, fpga.word_hook
+        chip.loop_input_hook = self.apply_loop_input
+        if any(e.kind == "stuck_comparator" for _, _, e in self._sdm_windows):
+            chip.bitstream_hook = self.apply_bitstream
+        fpga.word_hook = self.apply_words
+        try:
+            yield
+        finally:
+            chip.loop_input_hook, chip.bitstream_hook, fpga.word_hook = saved
 
     def _require_bound(self) -> None:
         if not self._bound:

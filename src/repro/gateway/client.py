@@ -95,30 +95,13 @@ def chain_payloads(
 ) -> Iterator[bytes]:
     """Framed payloads from a full physics chain run over a pressure field.
 
-    Streams ``field`` (n_samples, n_elements) through the chain's fused
-    one-lane chain (a :class:`~repro.batch.engine.BatchChainEngine`, the
-    solo session's data path) and its FPGA tail and framer in
-    ``chunk``-row slices, yielding each slice's framed output; the final
-    flush payload closes the stream. The chain's encoder keeps numbering
-    across sessions exactly as on hardware.
+    The one-lane case of :func:`batch_chain_payloads`: streams ``field``
+    (n_samples, n_elements) through the chain in ``chunk``-row slices,
+    yielding each slice's framed output; the final flush payload closes
+    the stream. The chain's encoder keeps numbering across sessions
+    exactly as on hardware.
     """
-    from ..batch.engine import BatchChainEngine
-
-    field = np.asarray(field, dtype=float)
-    if field.ndim != 2:
-        raise ConfigurationError("expected (n_samples, n_elements) field")
-    chain.chip.select_element(element)
-    chain.fpga.select_element(element)
-    engine = BatchChainEngine([chain])
-    for start in range(0, field.shape[0], chunk):
-        rows = field[start : start + chunk]
-        codes, _ = engine.feed_pressure([rows])
-        payload = chain.fpga.frame(codes[0], rows.shape[0])
-        if payload:
-            yield payload
-    tail = chain.fpga.flush()
-    if tail:
-        yield tail
+    yield from batch_chain_payloads([chain], [field], element, chunk)[0]
 
 
 def batch_chain_payloads(
@@ -142,6 +125,8 @@ def batch_chain_payloads(
     from ..batch import BatchAcquisitionSession
 
     fields = [np.asarray(f, dtype=float) for f in fields]
+    if any(f.ndim != 2 for f in fields):
+        raise ConfigurationError("expected (n_samples, n_elements) fields")
     if len(fields) != len(chains):
         raise ConfigurationError(
             f"need one pressure field per chain, got {len(fields)} "

@@ -294,7 +294,7 @@ class TestBoundedStaging:
         n_el = chains[0].chip.mux.array.n_elements
         if lanes == 1:
             session = AcquisitionSession(chains[0], element=1)
-            engine = session._engine
+            engine = session.engine
 
             def feed(field):
                 session.feed_pressure(field)

@@ -115,6 +115,29 @@ class TestDetach:
             )
             assert np.array_equal(sess.codes(lane), solo_codes(l, full))
 
+    def test_detached_lane_stays_in_aggregate(self):
+        """A departed lane's words and frames still count fleet-wide,
+        and its books are reconciled when it leaves."""
+        n = 12_817
+        sess = BatchAcquisitionSession(
+            [make_chain(0), make_chain(1), make_chain(2)]
+        )
+        sess.feed_voltage(
+            np.stack([lane_voltage(n, l) for l in range(3)], axis=1)
+        )
+        _, rec = sess.detach_lane(1)
+        sess.finish()
+        total = sess.aggregate_telemetry()
+        sizes = [rec.codes.size] + [
+            sess.codes(l).size for l in range(sess.lanes)
+        ]
+        assert total.words_delivered == sum(sizes)
+        assert total.mod_samples_in == 3 * n
+        # Every lane's last, partial frame is counted, the departed
+        # lane's at its detach.
+        frames = sum(-(-size // 64) for size in sizes)
+        assert total.frames_framed == total.frames_decoded == frames
+
     def test_rejoin_after_detach(self):
         D = make_chain(0).fpga.filter.params.total_decimation
         n = 3 * D

@@ -6,6 +6,7 @@ import pytest
 from repro.core.chain import ReadoutChain
 from repro.daq.fpga import FPGAFilterBank
 from repro.daq.usb import FrameDecoder
+from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultSpec
 from repro.params import SystemParams
 
@@ -135,6 +136,28 @@ class TestFaultedSessions:
         assert chain.fpga.word_hook is None
         assert session.telemetry.faults_injected == 1
 
+    def test_hooks_restored_after_failed_feed(self):
+        """A feed that raises hands the chain back fault-free: the next
+        clean record equals a fresh chain's."""
+        chain = ReadoutChain(rng=np.random.default_rng(77))
+        injector = FaultInjector(
+            [
+                FaultSpec("sdm_saturation", start_s=0.0, duration_s=0.5),
+                FaultSpec("stuck_comparator", start_s=0.0, duration_s=0.5),
+            ],
+            seed=3,
+        )
+        session = chain.session(element=1, faults=injector)
+        field = pressure_field(0.1)
+        field[100] = np.nan
+        with pytest.raises(SimulationError):
+            session.feed_pressure(field)
+        assert chain.chip.loop_input_hook is None
+        assert chain.chip.bitstream_hook is None
+        assert chain.fpga.word_hook is None
+        after = chain.record_pressure(pressure_field(0.25), element=1)
+        assert np.array_equal(after.codes, clean_record(duration_s=0.25).codes)
+
     def test_chunking_invariance_with_faults(self):
         spec = FaultSpec("element_dropout", start_s=0.15, duration_s=0.2)
         field = pressure_field(0.5)
@@ -165,7 +188,7 @@ class TestWordHookSaturation:
             input_rate_hz=params.modulator.sampling_rate_hz,
         )
         fpga.word_hook = lambda codes: codes + 40_000
-        payload = fpga.process(np.ones(128 * 40)) + fpga.finish()
+        payload = fpga.process(np.ones(128 * 40)) + fpga.flush()
         frames = FrameDecoder().feed(payload)
         samples = np.concatenate([f.samples for f in frames])
         assert samples.size > 0
@@ -179,7 +202,7 @@ class TestWordHookSaturation:
             input_rate_hz=params.modulator.sampling_rate_hz,
         )
         fpga.word_hook = lambda codes: codes - 40_000
-        payload = fpga.process(np.ones(128 * 40)) + fpga.finish()
+        payload = fpga.process(np.ones(128 * 40)) + fpga.flush()
         frames = FrameDecoder().feed(payload)
         samples = np.concatenate([f.samples for f in frames])
         assert samples.min() == -32768

@@ -15,6 +15,7 @@ from repro.daq.fpga import FPGAFilterBank
 from repro.daq.stream import SampleStream
 from repro.daq.usb import FrameDecoder
 from repro.dsp.decimator import DecimationFilter
+from repro.faults import FAULT_KINDS, FaultInjector, FaultSpec
 from repro.params import NonidealityParams, SystemParams
 
 
@@ -73,7 +74,7 @@ class TestFPGAToHost:
         payload = b""
         for i in range(0, bits.size, 1000):
             payload += fpga.process(bits[i : i + 1000])
-        payload += fpga.finish()
+        payload += fpga.flush()
         decoder = FrameDecoder()
         stream = SampleStream()
         stream.ingest(decoder.feed(payload))
@@ -85,7 +86,7 @@ class TestFPGAToHost:
     def test_path_survives_fragmented_delivery(self):
         bits = random_bits(128 * 50, seed=7)
         fpga = FPGAFilterBank(samples_per_frame=16, flush_words_on_switch=0)
-        payload = fpga.process(bits) + fpga.finish()
+        payload = fpga.process(bits) + fpga.flush()
         decoder = FrameDecoder()
         stream = SampleStream()
         rng = np.random.default_rng(8)
@@ -170,37 +171,51 @@ class TestSessionChunkingEquivalence:
         assert np.array_equal(chunked, batch[:n])
 
 
-def chip_path(chain, chunks, kind, switches=None):
+def chip_path(chain, chunks, kind, switches=None, faults=None):
     """The solo data path without the fused chain: chip -> bitstream ->
     ``FPGAFilterBank.process`` -> frames -> decoder -> stream.
 
     ``switches`` maps a chunk index to the element selected before it.
-    Returns the host stream (every element's samples).
+    ``faults`` is a :class:`~repro.faults.FaultInjector` whose hooks are
+    applied here by hand, each at its own layer. Returns the host stream
+    (every element's samples) and the decoder.
     """
+    if faults is not None:
+        faults.bind(chain)
+        chain.chip.loop_input_hook = faults.apply_loop_input
+        chain.fpga.word_hook = faults.apply_words
+    wire = faults.apply_payload if faults is not None else (lambda p: p)
     payload = b""
     for i, chunk in enumerate(chunks):
         if switches and i in switches:
             chain.chip.select_element(switches[i])
             chain.fpga.select_element(switches[i])
         if kind == "pressure":
+            if faults is not None:
+                chunk = faults.apply_array(chunk)
             out = chain.chip.acquire_pressure(chunk)
         else:
             out = chain.chip.acquire_voltage(chunk)
-        payload += chain.fpga.process(out.bitstream.astype(np.int64))
-    payload += chain.fpga.flush()
+        bits = out.bitstream
+        if faults is not None:
+            bits = faults.apply_bitstream(bits)
+        payload += wire(chain.fpga.process(bits.astype(np.int64)))
+    payload += wire(chain.fpga.flush())
+    if faults is not None:
+        chain.chip.loop_input_hook = chain.fpga.word_hook = None
     decoder = FrameDecoder()
     stream = SampleStream(
         sample_rate_hz=chain.output_rate_hz,
         samples_per_frame=chain.fpga.encoder.samples_per_frame,
     )
     stream.ingest(decoder.feed(payload) + decoder.finalize())
-    return stream
+    return stream, decoder
 
 
 def engine_path(chain, chunks, kind, switches=None):
     """The same chunks through an :class:`AcquisitionSession`."""
     session = chain.session()
-    assert session._engine is not None
+    assert session.engine is not None
     for i, chunk in enumerate(chunks):
         if switches and i in switches:
             chain.chip.select_element(switches[i])
@@ -294,7 +309,7 @@ class TestSoloEnginePath:
         for c in (a, b):
             c.chip.select_element(elements[0])
             c.fpga.select_element(elements[0])
-        stream = chip_path(a, chunks, kind, switches)
+        stream, _ = chip_path(a, chunks, kind, switches)
         session = engine_path(b, chunks, kind, switches)
         for e in elements:
             assert np.array_equal(stream.samples(e), session.stream.samples(e))
@@ -357,10 +372,122 @@ class TestSoloEnginePath:
             c.chip.modulator.comparator.metastable_band_v = 1e-4
         chunks = split(sine_field(128 * 60), [1000, 3000])
         session = self.check(a, b, chunks, "pressure")
-        assert not session._engine.uses_kernel
+        assert not session.engine.uses_kernel
 
     def test_no_compiler(self, no_native):
         a, b = self.chains()
         chunks = split(sine_field(128 * 60), [1, 2000, 3000])
         session = self.check(a, b, chunks, "pressure")
-        assert not session._engine.uses_kernel
+        assert not session.engine.uses_kernel
+
+
+#: A fault magnitude per kind that visibly degrades the record.
+FAULT_MAGNITUDES = {
+    "capacitance_drift": 30_000.0,
+    "sdm_saturation": 1.5,
+    "word_corruption": 1024.0,
+    "frame_truncation": 0.5,
+}
+
+
+def injector(kind, duration_s):
+    """One pinned event plus a Poisson process of ``kind``."""
+    magnitude = FAULT_MAGNITUDES.get(kind, 1.0)
+    return FaultInjector(
+        [
+            FaultSpec(kind, start_s=0.08, duration_s=0.05, magnitude=magnitude),
+            FaultSpec(kind, rate_hz=8.0, duration_s=0.03, magnitude=magnitude),
+        ],
+        seed=9,
+        horizon_s=duration_s,
+    )
+
+
+class TestFaultedSessionPath:
+    """A faulted session == the chip/FPGA path with the injector's hooks
+    applied by hand, for every fault kind, chunk split and backend.
+
+    The session runs its faults on the engine path (array faults before
+    the engine, loop-input and bitstream taps inside it, word faults in
+    the FPGA tail, link faults on the USB link); the reference is the
+    chip -> bitstream -> ``FPGAFilterBank.process`` path.
+    """
+
+    DURATION_S = 0.3
+
+    def run_both(self, kind, backend, n_chunks, element=1):
+        field = sine_field(int(self.DURATION_S * 128_000))
+        chunks = np.array_split(field, n_chunks)
+        a, b = (make_chain(backend, seed=31) for _ in range(2))
+        for c in (a, b):
+            c.chip.select_element(element)
+            c.fpga.select_element(element)
+        ref_faults = injector(kind, self.DURATION_S)
+        stream, decoder = chip_path(a, chunks, "pressure", faults=ref_faults)
+        faults = injector(kind, self.DURATION_S)
+        session = b.session(faults=faults)
+        for chunk in chunks:
+            session.feed_pressure(chunk)
+        rec = session.recording()
+        return a, b, stream, decoder, ref_faults, session, rec
+
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    @pytest.mark.parametrize("n_chunks", [1, 5, 13])
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_matches_chip_path(self, kind, n_chunks, backend):
+        a, b, stream, decoder, ref_faults, session, rec = self.run_both(
+            kind, backend, n_chunks
+        )
+        assert session.faults.events_applied > 0
+        assert session.faults.applied == ref_faults.applied
+        assert np.array_equal(rec.codes, stream.samples(1))
+        assert rec.lost_frames == decoder.lost_frames
+        assert rec.crc_errors == decoder.crc_errors
+        assert rec.lost_samples == stream.lost_samples(1)
+        assert session.stream.gaps(1) == stream.gaps(1)
+        assert session.decoder.stale_frames == decoder.stale_frames
+        assert session.decoder.resync_bytes == decoder.resync_bytes
+        assert chain_state(a) == chain_state(b)
+        session.telemetry.reconcile()
+        assert b.chip.loop_input_hook is None
+        assert b.chip.bitstream_hook is None
+        assert b.fpga.word_hook is None
+
+    def test_no_chip_or_fpga_process_calls(self, monkeypatch):
+        """Faulted solo sessions never call the chip's acquisition paths
+        or ``FPGAFilterBank.process``: they run the engine."""
+        from repro.core.chip import SensorChip
+
+        expected = {}
+        for kind in ("stuck_comparator", "element_dropout", "frame_drop"):
+            stream = self.run_both(kind, "fast", 5)[2]
+            expected[kind] = stream.samples(1)
+        t = np.arange(128 * 200) / 128000.0
+        v = 0.3 * np.sin(2 * np.pi * 15.625 * t)
+        ref_v, _ = chip_path(
+            make_chain("fast"), [v], "voltage",
+            faults=injector("stuck_comparator", 0.2),
+        )
+
+        def boom(*args, **kwargs):
+            raise AssertionError("faulted session left the engine path")
+
+        monkeypatch.setattr(SensorChip, "acquire_pressure", boom)
+        monkeypatch.setattr(SensorChip, "acquire_voltage", boom)
+        monkeypatch.setattr(FPGAFilterBank, "process", boom)
+        for kind, codes in expected.items():
+            field = sine_field(int(self.DURATION_S * 128_000))
+            chain = make_chain("fast", seed=31)
+            session = chain.session(
+                element=1, faults=injector(kind, self.DURATION_S)
+            )
+            for chunk in np.array_split(field, 5):
+                session.feed_pressure(chunk)
+            assert np.array_equal(session.recording().codes, codes)
+        session = make_chain("fast").session(
+            faults=injector("stuck_comparator", 0.2)
+        )
+        session.feed_voltage(v)
+        assert np.array_equal(
+            session.recording().codes, ref_v.samples(session.element)
+        )
