@@ -1,19 +1,20 @@
 """One-call fused N x N scan through the batched cascade kernel.
 
-The batched scan semantics (``ScanController.scan_records(batched=True)``)
-are a *bank of matched modulators*: every element's dwell segment runs
-from the chain's pre-scan analog state, and the decimation filter resets
-at each switch. That is exactly a ``repro.batch`` workload — B lanes with
-identical coefficients, independent state, advancing in lockstep — so a
-64x64 scan collapses from 4096 sequential chain passes into one fused C
-kernel call with 4096 lanes.
+The bank scan (``ScanController.scan_records(batched=True)``) visits
+every element as one ordinary acquisition from the chain's pre-scan
+analog state — a *bank of matched modulators* — and the decimation
+filter resets at each switch. That is exactly a ``repro.batch``
+workload — B lanes with identical coefficients, independent state,
+advancing in lockstep — so a 64x64 scan collapses from 4096 sequential
+chain passes into one fused C kernel call with 4096 lanes.
 
-:func:`run_fused_scan` reproduces the batched path bit-for-bit for every
+:func:`run_fused_scan` reproduces the bank scan bit-for-bit for every
 configuration it supports (deterministic modulator, stock decimation
-architecture): the same per-lane initial state, the same post-switch word
-suppression, the same FPGA counter and filter-state bookkeeping
-afterwards. Anything outside that envelope returns ``None`` — with no
-side effects — and the caller falls back to the batched loop.
+architecture, stock chip composition and in-range pressures): the same
+per-lane initial state, the same post-switch word suppression, the same
+FPGA counter and filter-state bookkeeping afterwards. Anything outside
+that envelope returns ``None`` — with no side effects — and the caller
+runs the bank scan, which raises the exact error for bad input.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ def fused_scan_supported(chain) -> bool:
     library loaded, not pinned to the reference loop, no in-loop
     metastability draws) that is fully deterministic (no jitter,
     thermal/flicker noise, or DAC reference noise — the kernel cannot
-    replay the per-segment draw order of
-    :meth:`~repro.sdm.modulator.SecondOrderSDM.simulate_batch`), the
+    replay the bank scan's visit-by-visit draw order), the
     stock third-order/unit-delay CIC, and no word hook (the hook must
     see each element's words in sequential order). When the FPGA still
     points at element 0 the scan's first visit does not reset the
@@ -81,11 +81,10 @@ def _stage_frontend_kernel(
     each lane's "selected column" is a row of the segment matrix). The C
     pass replays the membrane Chebyshev evaluation, mismatch affine,
     first-sample charge injection and charge-front-end transfer term for
-    term, so the staged doubles equal the NumPy route's exactly. Returns
-    False (with nothing written and no state touched) when the
-    configuration carries substituted models or any sample violates the
-    transfer's domain/positivity constraints — the caller then replays
-    the NumPy route, which raises the single-session path's exact error.
+    term, so the staged doubles equal the NumPy front end's exactly.
+    Returns False (with no state touched) when the configuration carries
+    substituted models or any sample violates the transfer's
+    domain/positivity constraints.
     """
     fe = chip.frontend
     array = chip.array
@@ -98,11 +97,6 @@ def _stage_frontend_kernel(
         return False
     transfer = array.vectorized_transfer()
     if transfer is None:
-        return False
-    if not (
-        segments.dtype == np.float64
-        and segments.flags.c_contiguous
-    ):
         return False
     scales, offsets = transfer
     fit = sensor._fit
@@ -148,9 +142,10 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
     Returns
     -------
     Per-element record values (decimated words / 2048, post-suppression)
-    in scan order — bit-identical to the ``batched=True`` loop — or
-    ``None`` when the configuration is outside the kernel envelope.
-    Chain side effects match the batched path exactly: the mux and FPGA
+    in scan order — bit-identical to the bank scan — or ``None``, with
+    nothing touched, when the configuration is outside the kernel
+    envelope or the compiled front end declines the input.
+    Chain side effects match the bank scan exactly: the mux and FPGA
     finish on the last element, the decimation filter carries the last
     element's state, telemetry counters advance identically, and the
     modulator's analog state is untouched (bank-of-matched-modulators
@@ -159,7 +154,7 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
     if not fused_scan_supported(chain):
         return None
     batch_kernel = _kernel()
-    segments = np.asarray(dwell_pressures_pa, dtype=float)
+    segments = np.ascontiguousarray(dwell_pressures_pa, dtype=float)
     chip = chain.chip
     fpga = chain.fpga
     filt = fpga.filter
@@ -184,9 +179,7 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
     # Stage the front end: the compiled kernel evaluates the membrane
     # Chebyshev transfer, mismatch, charge injection and the charge
     # front end per lane directly into the a1*u buffer (the dominant
-    # cost at 64x64); the NumPy route below is its bit-identical
-    # fallback and the one that raises the exact range/positivity
-    # errors. Either way the mux finishes on the last element with its
+    # cost at 64x64). The mux then finishes on the last element with its
     # injection state consumed — the sequential-scan semantics.
     B = n_elements
     Bp = batch_kernel.pad_lanes(B)
@@ -196,13 +189,10 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
     inj = np.full(B, mux.charge_injection_c / 2.5)
     if mux._selected == 0 and not mux._just_switched:
         inj[0] = 0.0
-    if _stage_frontend_kernel(batch_kernel, chip, segments, au, inj, a1):
-        mux._selected = B - 1
-        mux._just_switched = False
-    else:
-        caps = mux.scan_segments_capacitance_f(segments)
-        u = chip.frontend.loop_input(caps)
-        np.multiply(u, a1, out=au[:B])
+    if not _stage_frontend_kernel(batch_kernel, chip, segments, au, inj, a1):
+        return None
+    mux._selected = B - 1
+    mux._just_switched = False
 
     def lanes(value, pad=0.0):
         vec = np.full(Bp, pad)
@@ -210,7 +200,6 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
         return vec
 
     comp = m.comparator
-    ideal = comp.is_ideal()
     st = batch_kernel.BatchState(
         x1=lanes(m.stage1.state),
         x2=lanes(m.stage2.state),
@@ -228,27 +217,17 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
         st.cic_combs[:, 0] = filt.cic._combs[:, 0]
         st.fir_history[0, :] = filt.fir._history
 
+    # The loop constants in kernel order; padding lanes are inert (zero
+    # gains, unit swing).
+    coeffs = np.zeros((9, Bp))
+    coeffs[6] = 1.0
+    coeffs[:, :B] = np.array(m.kernel_coefficients())[:, None]
     zero = np.zeros(n)
     qscale = (1 << (filt.params.output_bits - 1)) / (
         float(filt.cic.dc_gain) / filt.fir.coeff_format.scale
     )
     result = batch_kernel.run_batch_chunk(
-        n=n,
-        au=au,
-        au_stride=au.shape[1],
-        noise=zero,
-        noise_stride=0,
-        dac_noise=zero,
-        dacn_stride=0,
-        dac_gain=lanes(1.0 + m.dac.reference_error),
-        p1=lanes(m.stage1.leak),
-        b1=lanes(m.stage1.feedback_gain * m.stage1.gain_error),
-        p2=lanes(m.stage2.leak),
-        a2=lanes(m.stage2.signal_gain * m.stage2.gain_error),
-        b2=lanes(m.stage2.feedback_gain * m.stage2.gain_error),
-        swing=lanes(m.stage1.swing_limit, pad=1.0),
-        comp_offset=lanes(0.0 if ideal else comp.offset_v),
-        comp_hysteresis=lanes(0.0 if ideal else comp.hysteresis_v),
+        n, au, au.shape[1], zero, 0, zero, 0, *coeffs,
         state=st,
         cic_decimation=filt.cic.decimation,
         register_bits=filt.cic.register_bits,
@@ -270,7 +249,7 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
         kept = codes[k, int(drops[k]) :]
         records.append(saturate(kept, 16).astype(float) / 2048.0)
 
-    # FPGA bookkeeping, exactly as the batched per-element loop leaves it.
+    # FPGA bookkeeping, exactly as the bank scan's visits leave it.
     resets = (B - 1) + (1 if start_element != 0 else 0)
     fpga._element = B - 1
     fpga._suppress = int(max(0, budgets[B - 1] - n_words))

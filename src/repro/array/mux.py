@@ -119,82 +119,6 @@ class AnalogMultiplexer:
             self._just_switched = False
         return caps
 
-    def scan_routed_capacitance_f(
-        self, element_pressures_pa: np.ndarray, dwell_samples: int
-    ) -> np.ndarray:
-        """Routed capacitance for a whole row-major scan, one call.
-
-        Splits the pressure field into per-element dwell segments (row k
-        covers samples ``[k*dwell, (k+1)*dwell)`` routed from element k)
-        and returns them as a ``(n_elements, dwell_samples)`` matrix —
-        the batched equivalent of selecting each element in turn and
-        calling :meth:`routed_capacitance_f` on its segment. The switch
-        charge-injection glitch lands on each segment's first sample,
-        except for an element already selected when the scan starts
-        (matching the sequential path, where re-selecting the current
-        element injects nothing). Afterwards the last element is left
-        selected, as after a sequential scan.
-        """
-        pressures = np.asarray(element_pressures_pa, dtype=float)
-        n_elements = self.array.n_elements
-        if pressures.ndim != 2 or pressures.shape[1] != n_elements:
-            raise ConfigurationError("expected shape (n_samples, n_elements)")
-        if dwell_samples < 1:
-            raise ConfigurationError("dwell must be >= 1 sample")
-        if pressures.shape[0] < dwell_samples * n_elements:
-            raise ConfigurationError("pressure field too short for the scan")
-        # Gather each element's own dwell window: the (n_elements, dwell)
-        # "diagonal" of the field. Only these samples ever reach the
-        # readout, so a large-array scan never needs the full field.
-        idx = np.arange(n_elements)
-        windows = pressures[: dwell_samples * n_elements].reshape(
-            n_elements, dwell_samples, n_elements
-        )
-        return self.scan_segments_capacitance_f(windows[idx, :, idx])
-
-    def scan_segments_capacitance_f(
-        self, dwell_pressures_pa: np.ndarray
-    ) -> np.ndarray:
-        """Routed capacitance for a scan given per-element dwell segments.
-
-        ``dwell_pressures_pa`` has shape ``(n_elements, dwell_samples)``:
-        row k is the membrane pressure element k sees during its own visit.
-        This is the memory-lean entry point for large arrays — O(elements x
-        dwell) instead of the O(samples x elements) full field that
-        :meth:`scan_routed_capacitance_f` accepts — with identical routing,
-        charge-injection and selection semantics.
-        """
-        segments = np.asarray(dwell_pressures_pa, dtype=float)
-        n_elements = self.array.n_elements
-        if segments.ndim != 2 or segments.shape[0] != n_elements:
-            raise ConfigurationError(
-                "expected shape (n_elements, dwell_samples)"
-            )
-        if segments.shape[1] < 1:
-            raise ConfigurationError("dwell must be >= 1 sample")
-        transfer = self.array.vectorized_transfer()
-        if transfer is not None:
-            scales, offsets = transfer
-            caps = (
-                self.array.sensor.capacitance_f(segments)
-                * scales[:, None]
-                + offsets[:, None]
-            )
-        else:
-            caps = np.empty_like(segments)
-            for k in range(n_elements):
-                caps[k] = self.array.elements[k].capacitance_f(segments[k])
-        # Every visit is a switch except re-selecting the element that was
-        # already routed when the scan started (k == 0 only: every later
-        # visit k follows element k-1 != k).
-        inject = self.charge_injection_c / 2.5
-        caps[1:, 0] += inject
-        if self._selected != 0 or self._just_switched:
-            caps[0, 0] += inject
-        self._selected = n_elements - 1
-        self._just_switched = False
-        return caps
-
 
 @dataclass(frozen=True)
 class ScanSchedule:

@@ -172,12 +172,16 @@ class ScanController:
     ) -> np.ndarray:
         """Sequence a chain through every element; return their records.
 
-        The single owner of element-scan sequencing
-        (:meth:`~repro.core.chain.ReadoutChain.scan_elements` delegates
-        here). Returns (n_words, n_elements) decimated values over the
-        common word count; per-element word counts can legitimately
-        differ (the element routed at scan start skips the filter
-        flush), and whatever the alignment drops is booked in
+        The single owner of element-scan sequencing. Every visit is one
+        ordinary acquisition, as on the chip, where the multiplexer
+        routes one element at a time into the shared ΣΔ readout:
+        element k's window (rows ``[k*dwell, (k+1)*dwell)`` of the
+        field, or row k of ``segments``) goes through
+        :meth:`~repro.core.chain.ReadoutChain.record_pressure` with
+        ``element=k``. Returns (n_words, n_elements) decimated values
+        over the common word count; per-element word counts can
+        legitimately differ (the element routed at scan start skips the
+        filter flush), and whatever the alignment drops is booked in
         :attr:`last_scan_truncation` rather than lost silently.
 
         Parameters
@@ -191,26 +195,27 @@ class ScanController:
         dwell_s:
             Seconds spent on each element.
         batched:
-            Convert all elements' dwell segments through one batched
-            modulator call (a bank of matched modulators) instead of
-            visiting them sequentially; the difference is confined to
-            the post-switch words the FPGA suppresses.
+            Scan as a bank of matched modulators: every visit starts
+            from the modulator's pre-scan analog state (restored before
+            each visit and once more at the end) instead of the previous
+            element's final state; the difference is confined to the
+            post-switch words the FPGA suppresses.
         segments:
             Alternative to ``element_pressures_pa`` for large arrays:
             shape (n_elements, dwell_mod_samples), row k the pressure
-            element k sees during its own visit. O(elements x dwell)
-            memory instead of O(samples x elements); implies the
-            batched/fused paths (the sequential path needs the full
-            field). ``dwell_s`` is ignored — the dwell is the
-            row length.
+            element k sees during its own visit, fed as a zero-copy
+            broadcast window. O(elements x dwell) memory instead of
+            O(samples x elements); requires the bank or fused scan.
+            ``dwell_s`` is ignored — the dwell is the row length.
         fused:
             Run the whole scan as one fused batch-kernel pass, every
             element a lane — the 64x64-scan-in-one-call path. Falls
-            back to ``batched=True`` (bit-identical for every supported
+            back to the bank scan (bit-identical for every supported
             configuration; see :mod:`repro.array.fusedscan`) when the
-            C kernel is unavailable or the chain configuration is
-            outside the kernel's envelope. :attr:`last_scan_fused`
-            records which path ran.
+            C kernel is unavailable, the chain configuration is outside
+            the kernel's envelope or its compiled front end declines
+            the input (the visit then raises the exact error).
+            :attr:`last_scan_fused` records which path ran.
         """
         n_elements = self.array.n_elements
         if segments is not None:
@@ -221,8 +226,8 @@ class ScanController:
                 )
             if not (batched or fused):
                 raise ConfigurationError(
-                    "segments are supported by the batched/fused scan "
-                    "paths only; pass the full field for a sequential scan"
+                    "segments are supported by the bank (batched) and fused "
+                    "scans only; pass the full field for a sequential scan"
                 )
             dwell_mod = segments.shape[1]
             pressures = None
@@ -238,8 +243,9 @@ class ScanController:
                 raise ConfigurationError(
                     "pressure field too short for the requested scan"
                 )
-        records = []
-        self.last_scan_fused = False
+        if dwell_mod < 1:
+            raise ConfigurationError("dwell must be >= 1 sample")
+        records = None
         if fused:
             from .fusedscan import run_fused_scan
 
@@ -250,30 +256,26 @@ class ScanController:
                 )
                 segments = windows[idx, :, idx]
             records = run_fused_scan(chain, segments)
-            if records is not None:
-                self.last_scan_fused = True
-            else:
-                records = []
-                batched = True  # the fused scan's Python fallback
-        if not records and batched:
-            if segments is not None:
-                mod_outs = chain.chip.acquire_scan_segments(segments)
-            else:
-                mod_outs = chain.chip.acquire_pressure_scan(
-                    pressures[: dwell_mod * n_elements], dwell_mod
-                )
-            for k, mod_out in enumerate(mod_outs):
-                chain.fpga.select_element(k)
-                payload = chain.fpga.process(
-                    mod_out.bitstream.astype(np.int64)
-                )
-                payload += chain.fpga.flush()
-                records.append(chain._collect(payload, k).values)
-        elif not records:
-            for k in range(n_elements):
-                chunk = pressures[k * dwell_mod : (k + 1) * dwell_mod]
-                rec = chain.record_pressure(chunk, element=k)
-                records.append(rec.values)
+        self.last_scan_fused = records is not None
+        if records is None:
+            bank = batched or fused
+            saved = chain.chip.state_snapshot()
+            records = []
+            try:
+                for k in range(n_elements):
+                    if segments is not None:
+                        window = np.broadcast_to(
+                            segments[k][:, None], (dwell_mod, n_elements)
+                        )
+                    else:
+                        window = pressures[k * dwell_mod : (k + 1) * dwell_mod]
+                    if bank:
+                        chain.chip.restore_state(saved)
+                    rec = chain.record_pressure(window, element=k)
+                    records.append(rec.values)
+            finally:
+                if bank:
+                    chain.chip.restore_state(saved)
         sizes = np.array([r.size for r in records])
         n = int(sizes.min())
         self.last_scan_truncation = ScanTruncation(
@@ -428,7 +430,7 @@ class ScanController:
         """Drive a full scan through a readout chain and pick the winner.
 
         Sequences the chain through every element (:meth:`scan_records`,
-        batched through the modulator fast path by default), drops the
+        as a bank of matched modulators by default), drops the
         filter-flush words at the start of the common record, and feeds
         the settled signals to :meth:`select_strongest`. With
         ``health_screen=True`` the settled records are first scored by
@@ -447,7 +449,7 @@ class ScanController:
         dwell_s:
             Seconds spent on each element.
         batched:
-            Convert all elements through one batched modulator call.
+            Scan as a bank of matched modulators (see :meth:`scan_records`).
         settle_words:
             Output words discarded before the amplitude metric; defaults
             to this controller's ``discard_samples``.

@@ -168,20 +168,14 @@ class BatchChainEngine:
                 )
         self._filter = ref
 
-        # Constant per-lane modulator coefficient vectors, padded to the
-        # kernel's lane-block multiple with inert lanes (zero gains).
+        # Constant per-lane modulator coefficient rows in kernel order,
+        # padded to the kernel's lane-block multiple with inert lanes
+        # (zero gains, unit swing).
         B = len(chains)
         Bp = batch_kernel.pad_lanes(B)
         self._padded = Bp
-        dac_gain = np.zeros(Bp)
-        p1 = np.zeros(Bp)
-        b1 = np.zeros(Bp)
-        p2 = np.zeros(Bp)
-        a2 = np.zeros(Bp)
-        b2 = np.zeros(Bp)
-        swing = np.ones(Bp)
-        c_off = np.zeros(Bp)
-        c_hys = np.zeros(Bp)
+        coeffs = np.zeros((9, Bp))
+        coeffs[6] = 1.0
         self._a1 = np.zeros(Bp)
         self._ideal_comp = np.zeros(Bp, dtype=bool)
         self._det = np.zeros(B, dtype=bool)  # fully deterministic lanes
@@ -190,20 +184,9 @@ class BatchChainEngine:
         kernel_ok = True
         for l, c in enumerate(chains):
             m = c.chip.modulator
-            s1, s2 = m.stage1, m.stage2
-            comp = m.comparator
-            self._a1[l] = s1.signal_gain * s1.gain_error
-            p1[l] = s1.leak
-            b1[l] = s1.feedback_gain * s1.gain_error
-            p2[l] = s2.leak
-            a2[l] = s2.signal_gain * s2.gain_error
-            b2[l] = s2.feedback_gain * s2.gain_error
-            swing[l] = s1.swing_limit
-            dac_gain[l] = 1.0 + m.dac.reference_error
-            ideal = comp.is_ideal()
-            self._ideal_comp[l] = ideal
-            c_off[l] = 0.0 if ideal else comp.offset_v
-            c_hys[l] = 0.0 if ideal else comp.hysteresis_v
+            coeffs[:, l] = m.kernel_coefficients()
+            self._a1[l] = m.stage1.signal_gain * m.stage1.gain_error
+            self._ideal_comp[l] = m.comparator.is_ideal()
             has_noise[l] = (
                 m._noise_sigma_u > 0.0 or m._flicker is not None
             )
@@ -223,7 +206,7 @@ class BatchChainEngine:
         self._kernel = None
         if kernel_ok:
             self._kernel = ChainKernel(
-                dac_gain, p1, b1, p2, a2, b2, swing, c_off, c_hys,
+                *coeffs,
                 cic_decimation=ref.cic.decimation,
                 register_bits=ref.cic.register_bits,
                 fir_flipped=ref.fir.coefficients_int[::-1],

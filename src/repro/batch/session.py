@@ -139,6 +139,7 @@ class BatchAcquisitionSession(LaneSession):
         self.chains = self.engine.chains
         self.links.append(link)
         self.telemetries.append(PipelineTelemetry.for_chain(chain))
+        self._resets.append(chain.fpga.filter_resets)
         return lane
 
     def detach_lane(self, lane: int):
@@ -155,6 +156,7 @@ class BatchAcquisitionSession(LaneSession):
         self.chains = self.engine.chains
         link = self.links.pop(lane)
         tm = self.telemetries.pop(lane)
+        self._resets.pop(lane)
         link.finish(chain.fpga, tm)
         self._closed.append(tm)
         tm.reconcile()

@@ -91,14 +91,6 @@ class ReadoutChain:
     def output_rate_hz(self) -> float:
         return self.fpga.output_rate_hz
 
-    def _collect(self, payload: bytes, element: int) -> ChainRecording:
-        """One element's recording from a complete framed payload."""
-        from .session import PipelineTelemetry, UsbLink
-
-        link = UsbLink(self, element)
-        link.receive(payload, PipelineTelemetry(), final=True)
-        return link.recording()
-
     def session(
         self, element: int | None = None, faults=None, quality=None
     ):
@@ -152,47 +144,3 @@ class ReadoutChain:
         session = self.session()
         session.feed_voltage(v)
         return session.recording()
-
-    def scan_elements(
-        self,
-        element_pressures_pa: np.ndarray | None = None,
-        dwell_s: float = 2.0,
-        batched: bool = False,
-        *,
-        segments: np.ndarray | None = None,
-        fused: bool = False,
-    ) -> np.ndarray:
-        """Visit every element for ``dwell_s`` and return their records.
-
-        Returns (n_words, n_elements) decimated values — the input to
-        strongest-element selection. The pressure field must be long
-        enough for ``n_elements * dwell_s``.
-
-        The scan sequencing itself is owned by
-        :class:`~repro.array.scan.ScanController` (this method delegates
-        to :meth:`~repro.array.scan.ScanController.scan_records`).
-
-        ``batched=True`` converts all elements' dwell segments through
-        one batched modulator call
-        (:meth:`~repro.core.chip.SensorChip.acquire_pressure_scan`)
-        instead of visiting them sequentially. Each segment then starts
-        from the modulator's pre-scan state instead of the previous
-        element's final state; the difference is confined to the
-        post-switch words the FPGA already suppresses.
-
-        For large arrays pass ``segments`` ((n_elements, dwell) pressures,
-        O(elements x dwell) memory) and/or ``fused=True`` to run the whole
-        scan as one fused batch-kernel pass (bit-identical to
-        ``batched=True``; see :mod:`repro.array.fusedscan`).
-        """
-        from ..array.scan import ScanController
-
-        controller = ScanController(self.chip.mux)
-        return controller.scan_records(
-            self,
-            element_pressures_pa,
-            dwell_s=dwell_s,
-            batched=batched,
-            segments=segments,
-            fused=fused,
-        )

@@ -130,40 +130,33 @@ class SensorChip:
     def acquire_pressure_scan(
         self, element_pressures_pa: np.ndarray, dwell_samples: int
     ) -> list[ModulatorOutput]:
-        """Convert a whole row-major scan in one batched modulator call.
+        """Convert a row-major scan as a bank of matched modulators.
 
-        The batched counterpart of selecting each element and calling
-        :meth:`acquire_pressure` on its dwell segment: element k converts
-        samples ``[k*dwell, (k+1)*dwell)`` of the field. Each segment
-        runs from the modulator's current analog state (a bank of
-        matched modulators converting in parallel) rather than
-        continuing the previous element's state, which only perturbs the
-        post-switch transient that the decimation filter flushes anyway.
+        Element k is selected and converts samples ``[k*dwell,
+        (k+1)*dwell)`` of the field through :meth:`acquire_pressure`,
+        each visit from the modulator's pre-scan analog state rather
+        than the previous element's final state (which only perturbs
+        the post-switch transient the decimation filter flushes anyway).
+        The modulator's state is restored afterwards; the last element
+        stays selected.
         """
         pressures = np.asarray(element_pressures_pa, dtype=float)
-        if pressures.ndim != 2:
-            raise ConfigurationError(
-                "expected (n_samples, n_elements) pressures"
-            )
-        caps = self.mux.scan_routed_capacitance_f(pressures, dwell_samples)
-        u = self.frontend.loop_input(caps)
-        return self.modulator.simulate_batch(u)
-
-    def acquire_scan_segments(
-        self, dwell_pressures_pa: np.ndarray
-    ) -> list[ModulatorOutput]:
-        """:meth:`acquire_pressure_scan` from per-element dwell segments.
-
-        Takes the (n_elements, dwell_samples) matrix of pressures each
-        element sees during its own visit — the only samples a scan ever
-        routes — so a large-array scan never materializes the
-        O(samples x elements) full field. Routing, charge injection and
-        batched-conversion semantics are identical to
-        :meth:`acquire_pressure_scan`.
-        """
-        caps = self.mux.scan_segments_capacitance_f(dwell_pressures_pa)
-        u = self.frontend.loop_input(caps)
-        return self.modulator.simulate_batch(u)
+        n_elements = self.array.n_elements
+        if pressures.ndim != 2 or pressures.shape[1] != n_elements:
+            raise ConfigurationError("expected shape (n_samples, n_elements)")
+        if dwell_samples < 1 or pressures.shape[0] < dwell_samples * n_elements:
+            raise ConfigurationError("pressure field too short for the scan")
+        saved = self.state_snapshot()
+        outputs = []
+        try:
+            for k in range(n_elements):
+                self.restore_state(saved)
+                self.select_element(k)
+                window = pressures[k * dwell_samples : (k + 1) * dwell_samples]
+                outputs.append(self.acquire_pressure(window))
+        finally:
+            self.restore_state(saved)
+        return outputs
 
     def acquire_voltage(
         self, differential_voltage_v: np.ndarray

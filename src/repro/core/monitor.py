@@ -249,9 +249,8 @@ class BloodPressureMonitor:
         self,
         recording: PatientRecording,
         dwell_s: float = 1.5,
-        batched: bool = False,
     ) -> ElementSelection:
-        """Visit every element and select the strongest one."""
+        """Visit every element in turn and select the strongest one."""
         n_elements = self.chain.chip.array.n_elements
         field = self._pressure_field(
             recording, 0.0, dwell_s * n_elements
@@ -259,7 +258,7 @@ class BloodPressureMonitor:
         controller = ScanController(self.chain.chip.mux)
         # Drop the filter-flush words at the start of the record.
         return controller.scan_and_select(
-            self.chain, field, dwell_s=dwell_s, batched=batched,
+            self.chain, field, dwell_s=dwell_s, batched=False,
             settle_words=8,
         )
 

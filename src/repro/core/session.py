@@ -35,12 +35,14 @@ accumulates per-stage wall time plus the peak chunk byte size — the
 observability the batch path never had. The counters reconcile exactly:
 
 * ``bits_out == mod_samples_in`` (the ΣΔ emits one bit per clock),
-* ``mod_samples_in == R * (words_filtered - 1) + 1 + filter_remainder``
-  with ``0 <= filter_remainder < R`` — the cascade emits word *w* at
-  modulator sample ``R*(w-1) + 1`` (both stages produce an output on
-  their first input, from zero-padded history), so ``words_filtered ==
-  ceil(mod_samples_in / R)`` and the remainder counts samples consumed
-  since the last word,
+* per filter run — from the session's opening, or from a filter reset
+  (an element switch), to the next reset — a run that starts ``p``
+  samples past a word boundary and consumes ``n`` samples holds ``w``
+  words with ``p + n == R * (w + [p > 0] - 1) + 1 + residue`` and ``0
+  <= residue < R``: the cascade emits a word on every sample at phase
+  0 (both stages produce an output on their first input, from
+  zero-padded history), so ``w == ceil((p + n) / R) - [p > 0]`` and
+  the residue counts samples consumed since the last word,
 * ``frames_framed == frames_decoded + lost_frames`` on a lossless or
   merely lossy (non-corrupting) link,
 * ``words_delivered == words_filtered - words_suppressed`` when nothing
@@ -103,7 +105,7 @@ class PipelineTelemetry:
     #: Bytes the decoder discarded while re-hunting sync (garbage or
     #: corrupt regions on the link).
     resync_bytes: int = 0
-    #: Decimated words delivered to the consumer.
+    #: Decimated words delivered to the host (every element's).
     words_delivered: int = 0
     #: Fault events the session's injector has applied so far (0 when no
     #: injector is wired — the counters then reconcile strictly).
@@ -111,6 +113,13 @@ class PipelineTelemetry:
     #: Largest single input chunk, in bytes (the memory high-water mark
     #: of the acquisition-rate data).
     peak_chunk_bytes: int = 0
+    #: Cascade phase (:attr:`~repro.dsp.decimator.DecimationFilter.phase`)
+    #: at the start of the current filter run: the chain's phase when
+    #: the session opened, 0 after a filter reset.
+    filter_phase: int = 0
+    #: Earlier filter runs, each ended by a filter reset (an element
+    #: switch), as ``(start phase, samples, words)``.
+    filter_runs: list[tuple[int, int, int]] = field(default_factory=list)
     #: Wall time per pipeline stage [s].
     stage_seconds: dict[str, float] = field(
         default_factory=lambda: {stage: 0.0 for stage in STAGES}
@@ -119,7 +128,11 @@ class PipelineTelemetry:
     @classmethod
     def for_chain(cls, chain) -> "PipelineTelemetry":
         """Empty telemetry for a session on ``chain``."""
-        return cls(decimation_factor=chain.fpga.filter.params.total_decimation)
+        filt = chain.fpga.filter
+        return cls(
+            decimation_factor=filt.params.total_decimation,
+            filter_phase=filt.phase,
+        )
 
     def add_stage_seconds(self, stage: str, seconds: float) -> None:
         """Accumulate wall time against one pipeline stage."""
@@ -133,22 +146,46 @@ class PipelineTelemetry:
     def total_seconds(self) -> float:
         return sum(self.stage_seconds.values())
 
+    def _current_run(self) -> tuple[int, int, int]:
+        """``(start phase, samples, words)`` of the current filter run."""
+        return (
+            self.filter_phase,
+            self.mod_samples_in - sum(run[1] for run in self.filter_runs),
+            self.words_filtered - sum(run[2] for run in self.filter_runs),
+        )
+
+    def book_filter_reset(self) -> None:
+        """Close the current filter run: the cascade was reset (an
+        element switch), so the next sample starts a run at phase 0."""
+        self.filter_runs.append(self._current_run())
+        self.filter_phase = 0
+
+    def _residue(self, phase: int, samples: int, words: int) -> int:
+        """Samples a filter run holds toward its next word.
+
+        The run's samples plus the ``phase`` before them, less those
+        up to and including its last word (the word at the boundary
+        before a run that starts mid-word included). In ``[0, R)``
+        exactly when ``words`` is what the cascade emits; negative
+        when a run without samples holds words.
+        """
+        seen = phase + samples
+        words += phase > 0
+        if seen == 0:
+            return -words
+        return seen - self.decimation_factor * (words - 1) - 1
+
     @property
     def filter_remainder(self) -> int:
         """Modulator samples consumed since the cascade's last word.
 
         The CIC and FIR stages each emit on their first input (from
-        zero-padded history), so word *w* appears at modulator sample
-        ``R*(w-1) + 1`` and after ``n`` samples the cascade holds
-        ``n - R*(words - 1) - 1`` samples toward the next word.
+        zero-padded history), so in a filter run that starts at phase 0
+        word *w* appears at sample ``R*(w-1) + 1`` and after ``n``
+        samples the cascade holds ``n - R*(words - 1) - 1`` samples
+        toward the next word.
         """
-        if self.words_filtered == 0:
-            return self.mod_samples_in
-        return (
-            self.mod_samples_in
-            - self.decimation_factor * (self.words_filtered - 1)
-            - 1
-        )
+        return self._residue(*self._current_run())
 
     @property
     def frames_unaccounted(self) -> int:
@@ -186,12 +223,8 @@ class PipelineTelemetry:
         require(self.bits_out == self.mod_samples_in,
                 "modulator must emit one bit per input sample")
         if self.decimation_factor > 0:
-            if self.mod_samples_in == 0:
-                require(self.words_filtered == 0,
-                        "no words can be filtered from no samples")
-            else:
-                remainder = self.filter_remainder
-                require(0 <= remainder < self.decimation_factor,
+            for run in self.filter_runs + [self._current_run()]:
+                require(0 <= self._residue(*run) < self.decimation_factor,
                         "decimator residue must be less than one output word")
         require(self.words_suppressed <= self.words_filtered,
                 "cannot suppress more words than were filtered")
@@ -321,8 +354,9 @@ class UsbLink:
 
     ``payload_hook`` (a fault injector's link faults) rewrites each
     payload on its way from the framer to the decoder. Only frames of
-    ``element`` count as this lane's delivered words; the stream keeps
-    every element's samples.
+    ``element`` are returned as this lane's words; the telemetry books,
+    and the stream keeps, every element's (an element switched
+    mid-session).
     """
 
     def __init__(self, chain, element: int, payload_hook=None):
@@ -372,6 +406,7 @@ class UsbLink:
         tm.resync_bytes = d.resync_bytes
         self.stream.ingest(frames)
         tm.add_stage_seconds("ingest", time.perf_counter() - t1)
+        tm.words_delivered += sum(f.samples.size for f in frames)
         mine = [f.samples for f in frames if f.element == self.element]
         return np.concatenate(mine).astype(np.int64) if mine else _empty()
 
@@ -415,6 +450,7 @@ class CountedLink:
     def deliver(self, fpga, codes, n: int, tm) -> np.ndarray:
         t0 = time.perf_counter()
         words = fpga.tail(codes, n).astype(np.int64)
+        tm.words_delivered += words.size
         whole, self._pending = divmod(self._pending + words.size, self._spf)
         tm.frames_framed += whole
         tm.frames_decoded += whole
@@ -465,6 +501,8 @@ class LaneSession:
                 c.fpga.select_element(element)
         self.links = [self._open_link(c) for c in self.chains]
         self.telemetries = [PipelineTelemetry.for_chain(c) for c in self.chains]
+        # Each lane's FPGA filter-reset count as last booked.
+        self._resets = [c.fpga.filter_resets for c in self.chains]
         self._quality = quality
         self._kind: str | None = None
         self._finished = False
@@ -524,6 +562,10 @@ class LaneSession:
         delivered = []
         for l, c in enumerate(self.chains):
             tm = self.telemetries[l]
+            if c.fpga.filter_resets != self._resets[l]:
+                # The element switched between chunks.
+                tm.book_filter_reset()
+                self._resets[l] = c.fpga.filter_resets
             tm.chunks += 1
             tm.peak_chunk_bytes = max(tm.peak_chunk_bytes, inputs[l].nbytes)
             tm.add_stage_seconds("modulator", mod_dt)
@@ -534,7 +576,6 @@ class LaneSession:
             words = self.links[l].deliver(c.fpga, codes[l], n, tm)
             tm.words_filtered += codes[l].size
             tm.words_suppressed += c.fpga.words_suppressed - suppressed
-            tm.words_delivered += words.size
             delivered.append(words)
         return delivered
 
@@ -551,9 +592,7 @@ class LaneSession:
         self._finished = True
         delivered = []
         for c, link, tm in zip(self.chains, self.links, self.telemetries):
-            words = link.finish(c.fpga, tm)
-            tm.words_delivered += words.size
-            delivered.append(words)
+            delivered.append(link.finish(c.fpga, tm))
         if self.faults is not None:
             self.telemetries[0].faults_injected = self.faults.events_applied
         return delivered

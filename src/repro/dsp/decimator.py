@@ -116,6 +116,20 @@ class DecimationFilter:
         fir_delay = (self.params.fir_taps - 1) / 2.0 / self._fir_rate_hz
         return cic_delay + fir_delay
 
+    @property
+    def phase(self) -> int:
+        """Input samples since the cascade's last output-word boundary.
+
+        In ``[0, R)``: the cascade emits a word on each input sample at
+        phase 0. The CIC phase counts inputs modulo its decimation and
+        the FIR phase counts CIC outputs; a CIC part-way through its
+        frame has already passed that frame's output to the FIR.
+        """
+        c, f = self.cic._phase, self.fir._phase
+        return (
+            self.cic.decimation * (f - (c > 0)) + c
+        ) % self.params.total_decimation
+
     # -- bit-true path ------------------------------------------------------
 
     def reset(self) -> None:

@@ -52,7 +52,7 @@ class ModulatorState:
     comparator's last decision (hysteresis memory) and the last input
     sample (the jitter slope at the next chunk's first sample needs it).
     RNG positions are *not* part of the snapshot — restoring state fans
-    out fresh noise, which is what the batched scan wants.
+    out fresh noise, which is what the bank scan wants.
     """
 
     x1: float
@@ -221,6 +221,29 @@ class SecondOrderSDM:
             and native.available()
         )
 
+    def kernel_coefficients(self) -> tuple[float, ...]:
+        """The compiled loop's per-lane constants, in kernel order.
+
+        ``(dac_gain, p1, b1, p2, a2, b2, swing, comp_offset,
+        comp_hysteresis)``: DAC gain, the two integrators' leaks and
+        gains, the swing limit and the comparator's offset and
+        hysteresis (zero for an ideal comparator). The input gain
+        ``a1`` is not among them; callers stage ``a1 * u``.
+        """
+        s1, s2, comp = self.stage1, self.stage2, self.comparator
+        ideal = comp.is_ideal()
+        return (
+            1.0 + self.dac.reference_error,
+            s1.leak,
+            s1.feedback_gain * s1.gain_error,
+            s2.leak,
+            s2.signal_gain * s2.gain_error,
+            s2.feedback_gain * s2.gain_error,
+            s1.swing_limit,
+            0.0 if ideal else comp.offset_v,
+            0.0 if ideal else comp.hysteresis_v,
+        )
+
     @property
     def input_full_scale(self) -> float:
         """Largest DC input (Vref units) the loop can represent."""
@@ -378,28 +401,16 @@ class SecondOrderSDM:
 
         s1, s2 = self.stage1, self.stage2
         comp = self.comparator
-        ideal = comp.is_ideal()
-        a1 = s1.signal_gain * s1.gain_error
         bits, clipped, s1.state, s2.state, previous = run_bits(
-            a1 * u,
+            s1.signal_gain * s1.gain_error * u,
             noise,
             dac_noise,
-            (
-                dac_gain,
-                s1.leak,
-                s1.feedback_gain * s1.gain_error,
-                s2.leak,
-                s2.signal_gain * s2.gain_error,
-                s2.feedback_gain * s2.gain_error,
-                s1.swing_limit,
-                0.0 if ideal else comp.offset_v,
-                0.0 if ideal else comp.hysteresis_v,
-            ),
+            self.kernel_coefficients(),
             s1.state,
             s2.state,
             comp.previous_decision,
         )
-        if not ideal:
+        if not comp.is_ideal():
             # The ideal comparator has no memory; the reference loop
             # leaves its _previous untouched, so mirror that.
             comp._previous = previous
@@ -456,47 +467,6 @@ class SecondOrderSDM:
         return ModulatorOutput(
             bitstream=bits, clipped_samples=clipped, states=states
         )
-
-    def simulate_batch(
-        self,
-        loop_inputs: np.ndarray,
-        record_states: bool = False,
-        overload_policy: str = "ignore",
-        backend: str | None = None,
-    ) -> list[ModulatorOutput]:
-        """Run several independent input segments through one call.
-
-        Models a bank of identical modulators (one per array element)
-        converting in parallel: every row of ``loop_inputs`` (shape
-        ``(n_segments, n_samples)``) starts from this instance's current
-        analog state and evolves independently. Unlike :meth:`simulate`,
-        the instance state and comparator memory are left untouched —
-        the batch is a stateless fan-out, not a continuation of the
-        stream. Stochastic terms are drawn row by row, so with an ideal
-        (noiseless) configuration each row is bit-identical to a fresh
-        single-segment run.
-        """
-        u = np.asarray(loop_inputs, dtype=float)
-        if u.ndim != 2:
-            raise ConfigurationError(
-                "batched loop input must be (n_segments, n_samples)"
-            )
-        saved = self.state_snapshot()
-        outputs: list[ModulatorOutput] = []
-        try:
-            for row in u:
-                self.restore_state(saved)
-                outputs.append(
-                    self.simulate(
-                        row,
-                        record_states=record_states,
-                        overload_policy=overload_policy,
-                        backend=backend,
-                    )
-                )
-        finally:
-            self.restore_state(saved)
-        return outputs
 
     def describe(self) -> str:
         """Human-readable configuration summary."""

@@ -90,13 +90,34 @@ class TestTiming:
             AnalogMultiplexer(SensorArray(), switch_resistance_ohm=0.0)
 
 
+def visit_caps(mux, segments):
+    """Route each element's dwell row the way a scan visits it: select
+    the element, then route its row as a zero-copy (dwell, n) window."""
+    n_el, dwell = segments.shape
+    rows = []
+    for k in range(n_el):
+        mux.select_index(k)
+        window = np.broadcast_to(segments[k][:, None], (dwell, n_el))
+        rows.append(mux.routed_capacitance_f(window))
+    return np.vstack(rows)
+
+
+def ideal_scan_chain():
+    from repro.core.chain import ReadoutChain
+    from repro.params import NonidealityParams, SystemParams
+
+    params = SystemParams().replace(nonideality=NonidealityParams.ideal())
+    return ReadoutChain(params, rng=np.random.default_rng(3))
+
+
 class TestScanSegments:
     def _field(self, dwell, n_elements=4, seed=7):
         rng = np.random.default_rng(seed)
         return 2000.0 * rng.standard_normal((dwell * n_elements, 4))
 
     def test_matches_sequential_selection(self):
-        """One segments call == select each element and route its dwell."""
+        """A segment row routed as a broadcast window == the element's
+        column of the full-field window."""
         dwell = 6
         field = self._field(dwell)
 
@@ -114,27 +135,29 @@ class TestScanSegments:
         idx = np.arange(4)
         windows = field.reshape(4, dwell, 4)
         segments = windows[idx, :, idx]
-        got = AnalogMultiplexer(SensorArray()).scan_segments_capacitance_f(
-            segments
-        )
+        got = visit_caps(AnalogMultiplexer(SensorArray()), segments)
         assert np.array_equal(got, sequential)
 
     def test_full_field_entry_point_is_identical(self):
-        dwell = 5
-        field = self._field(dwell)
-        full = AnalogMultiplexer(SensorArray()).scan_routed_capacitance_f(
-            field, dwell
-        )
+        """A scan from the full field == the scan from its segments."""
+        from repro.array.scan import ScanController
+
+        dwell = 4 * 128
+        field = 3000.0 + self._field(dwell)
         idx = np.arange(4)
         segments = field.reshape(4, dwell, 4)[idx, :, idx]
-        segs = AnalogMultiplexer(SensorArray()).scan_segments_capacitance_f(
-            segments
+        chain = ideal_scan_chain()
+        full = ScanController(chain.chip.mux).scan_records(
+            chain, field, dwell_s=dwell / 128e3, batched=True
+        )
+        chain = ideal_scan_chain()
+        segs = ScanController(chain.chip.mux).scan_records(
+            chain, segments=segments, batched=True
         )
         assert np.array_equal(full, segs)
 
     def test_injection_semantics(self, mux):
-        segments = np.zeros((4, 3))
-        caps = mux.scan_segments_capacitance_f(segments)
+        caps = visit_caps(mux, np.zeros((4, 3)))
         # Element 0 was already routed: no glitch. Every later visit is
         # a real switch: one-sample glitch on its first word.
         assert caps[0, 0] == pytest.approx(caps[0, 1])
@@ -144,16 +167,28 @@ class TestScanSegments:
     def test_injection_when_scan_starts_elsewhere(self):
         mux = AnalogMultiplexer(SensorArray())
         mux.select_index(2)
-        caps = mux.scan_segments_capacitance_f(np.zeros((4, 3)))
+        caps = visit_caps(mux, np.zeros((4, 3)))
         assert caps[0, 0] > caps[0, 1]  # visiting element 0 is a switch
 
-    def test_validation(self, mux):
+    def test_validation(self):
+        from repro.array.scan import ScanController
+
+        chain = ideal_scan_chain()
+        controller = ScanController(chain.chip.mux)
         with pytest.raises(ConfigurationError):
-            mux.scan_segments_capacitance_f(np.zeros((3, 5)))
+            controller.scan_records(
+                chain, segments=np.zeros((3, 5)), batched=True
+            )
         with pytest.raises(ConfigurationError):
-            mux.scan_segments_capacitance_f(np.zeros((4, 0)))
+            controller.scan_records(
+                chain, segments=np.zeros((4, 0)), batched=True
+            )
         with pytest.raises(ConfigurationError):
-            mux.scan_routed_capacitance_f(np.zeros((10, 4)), 5)
+            controller.scan_records(
+                chain, np.zeros((10, 4)), dwell_s=5 / 128e3, batched=True
+            )
+        with pytest.raises(ConfigurationError):
+            chain.chip.acquire_pressure_scan(np.zeros((10, 4)), 5)
 
 
 class TestScanSchedule:

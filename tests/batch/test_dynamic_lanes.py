@@ -138,6 +138,25 @@ class TestDetach:
         frames = sum(-(-size // 64) for size in sizes)
         assert total.frames_framed == total.frames_decoded == frames
 
+    def test_detach_after_element_switch(self):
+        """Lanes switched mid-session close their books at detach: the
+        residue identity follows the filter reset."""
+        chains = [make_chain(0), make_chain(1)]
+        sess = BatchAcquisitionSession(chains, element=0)
+        field = np.full((129, 4), 2500.0)
+        sess.feed_pressure([field, field])
+        for c in chains:
+            c.chip.select_element(3)
+            c.fpga.select_element(3)
+        sess.feed_pressure([field, field])
+        chain, rec = sess.detach_lane(0)
+        assert chain is chains[0]
+        # Two words per run; the second run's fall in the post-switch
+        # suppression window.
+        assert rec.codes.size == 2
+        sess.finish()
+        sess.telemetries[0].reconcile(lossless=True)
+
     def test_rejoin_after_detach(self):
         D = make_chain(0).fpga.filter.params.total_decimation
         n = 3 * D

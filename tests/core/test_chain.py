@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.array.scan import ScanController
 from repro.core.chain import ReadoutChain
 from repro.errors import ConfigurationError
 
@@ -10,6 +11,13 @@ from repro.errors import ConfigurationError
 @pytest.fixture()
 def chain() -> ReadoutChain:
     return ReadoutChain(rng=np.random.default_rng(60))
+
+
+def scan(chain, field, dwell_s, batched=False):
+    """Visit every element for ``dwell_s``; return their records."""
+    return ScanController(chain.chip.mux).scan_records(
+        chain, field, dwell_s=dwell_s, batched=batched
+    )
 
 
 class TestVoltageRecording:
@@ -60,7 +68,7 @@ class TestScan:
     def test_scan_shape(self, chain):
         n_mod = int(0.25 * 128e3) * 4
         field = np.zeros((n_mod, 4))
-        records = chain.scan_elements(field, dwell_s=0.25)
+        records = scan(chain, field, 0.25)
         assert records.shape[1] == 4
         assert records.shape[0] >= 240  # 250 words minus flush
 
@@ -73,19 +81,20 @@ class TestScan:
         t = np.arange(n) / 128e3
         field = np.zeros((n, 4))
         field[:, 1] = 10000.0 * (1 + np.sin(2 * np.pi * 5.0 * t)) / 2
-        records = chain.scan_elements(field, dwell_s=0.25)
+        records = scan(chain, field, 0.25)
         settled = records[16:]
         swings = settled.max(axis=0) - settled.min(axis=0)
         assert np.argmax(swings) == 1
 
     def test_scan_too_short_rejected(self, chain):
         with pytest.raises(ConfigurationError, match="too short"):
-            chain.scan_elements(np.zeros((100, 4)), dwell_s=1.0)
+            scan(chain, np.zeros((100, 4)), 1.0)
 
 
 class TestBatchedScan:
-    """batched=True converts all elements in one modulator call; the
-    result must be interchangeable with the sequential visit."""
+    """batched=True scans as a bank of matched modulators (every visit
+    from the pre-scan state); the result must be interchangeable with
+    the sequential visit."""
 
     def pulsing_field(self, n_per):
         n = n_per * 4
@@ -104,8 +113,8 @@ class TestBatchedScan:
         """Element 0 starts from the same (zero) state in both modes, so
         an ideal chain produces bit-identical words for it."""
         field = self.pulsing_field(int(0.1 * 128e3))
-        seq = self.ideal_chain().scan_elements(field, dwell_s=0.1)
-        bat = self.ideal_chain().scan_elements(field, dwell_s=0.1, batched=True)
+        seq = scan(self.ideal_chain(), field, 0.1)
+        bat = scan(self.ideal_chain(), field, 0.1, batched=True)
         assert seq.shape == bat.shape
         assert np.array_equal(seq[:, 0], bat[:, 0])
 
@@ -113,10 +122,8 @@ class TestBatchedScan:
         """Later elements start from different modulator states; after
         the FPGA settle words the records must still agree closely."""
         field = self.pulsing_field(int(0.1 * 128e3))
-        seq = self.ideal_chain().scan_elements(field, dwell_s=0.1)[16:]
-        bat = self.ideal_chain().scan_elements(
-            field, dwell_s=0.1, batched=True
-        )[16:]
+        seq = scan(self.ideal_chain(), field, 0.1)[16:]
+        bat = scan(self.ideal_chain(), field, 0.1, batched=True)[16:]
         assert np.allclose(seq.mean(axis=0), bat.mean(axis=0), atol=0.01)
         swing_seq = seq.max(axis=0) - seq.min(axis=0)
         swing_bat = bat.max(axis=0) - bat.min(axis=0)
@@ -124,14 +131,12 @@ class TestBatchedScan:
 
     def test_batched_scan_detects_pulsing_element(self, chain):
         field = self.pulsing_field(int(0.25 * 128e3))
-        records = chain.scan_elements(field, dwell_s=0.25, batched=True)
+        records = scan(chain, field, 0.25, batched=True)
         settled = records[16:]
         swings = settled.max(axis=0) - settled.min(axis=0)
         assert np.argmax(swings) == 1
 
     def test_scan_and_select_agrees_across_modes(self):
-        from repro.array.scan import ScanController
-
         field = self.pulsing_field(int(0.1 * 128e3))
         picks = []
         for batched in (False, True):

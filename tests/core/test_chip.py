@@ -63,6 +63,44 @@ class TestPressurePath:
             chip.acquire_pressure(np.zeros(100))
 
 
+class TestPressureScan:
+    def test_scan_is_a_bank_of_visits(self):
+        """``acquire_pressure_scan`` == per element: restore the pre-scan
+        modulator state, select the element, convert its dwell window;
+        the pre-scan state is restored at the end."""
+        dwell = 700
+        t = np.arange(4 * dwell) / 128e3
+        field = 2500.0 + 600.0 * np.sin(
+            2 * np.pi * 40.0 * t[:, None] + np.arange(4)[None, :]
+        )
+        scanned, ref = (SensorChip(rng=np.random.default_rng(8)) for _ in "ab")
+        for c in (scanned, ref):
+            c.select_element(2)
+            c.acquire_pressure(field[:300])
+        outs = scanned.acquire_pressure_scan(field, dwell)
+
+        saved = ref.state_snapshot()
+        for k, out in enumerate(outs):
+            ref.restore_state(saved)
+            ref.select_element(k)
+            expected = ref.acquire_pressure(field[k * dwell : (k + 1) * dwell])
+            assert np.array_equal(out.bitstream, expected.bitstream)
+            assert out.clipped_samples == expected.clipped_samples
+        ref.restore_state(saved)
+        assert scanned.state_snapshot() == saved
+        assert scanned.selected_element == ref.selected_element == 3
+        # Both chips continue identically (RNG streams in step).
+        more = field[:500]
+        assert np.array_equal(
+            scanned.acquire_pressure(more).bitstream,
+            ref.acquire_pressure(more).bitstream,
+        )
+
+    def test_rejects_short_field(self, chip):
+        with pytest.raises(ConfigurationError, match="too short"):
+            chip.acquire_pressure_scan(np.zeros((10, 4)), 5)
+
+
 class TestDerived:
     def test_pressure_gain_positive(self, chip):
         assert chip.pressure_to_loop_gain() > 0

@@ -145,6 +145,90 @@ class TestSessionTelemetry:
         assert "MS/s" in text
 
 
+class TestFilterRuns:
+    """The residue identity follows filter resets and the phase a
+    session opens at (a chain moved between sessions mid-word)."""
+
+    def test_mid_session_switch_reconciles(self):
+        chain = ReadoutChain(rng=np.random.default_rng(7))
+        session = chain.session(element=0)
+        session.feed_pressure(pressure_field(129))
+        chain.chip.select_element(2)
+        chain.fpga.select_element(2)
+        session.feed_pressure(pressure_field(129, seed=1))
+        session.finish()
+        tm = session.telemetry
+        tm.reconcile(lossless=True)
+        assert tm.filter_runs == [(0, 129, 2)]
+        r = tm.decimation_factor
+        assert tm.filter_remainder == (chain.fpga.filter.phase - 1) % r
+
+    def test_session_opened_mid_word_reconciles(self):
+        chain = ReadoutChain(rng=np.random.default_rng(7))
+        first = chain.session(element=1)
+        first.feed_pressure(pressure_field(100))
+        first.finish()
+        first.telemetry.reconcile(lossless=True)
+        second = chain.session(element=1)
+        second.feed_pressure(pressure_field(156, seed=1))
+        second.finish()
+        tm = second.telemetry
+        tm.reconcile(lossless=True)
+        assert tm.filter_phase == 100
+        assert tm.words_filtered == 1  # the word at sample 128
+        assert tm.filter_remainder == 256 - 128 - 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_switches_and_splits(self, seed):
+        """Sessions opened at any phase, switched between any chunks:
+        the identity holds and the residue tracks the filter itself."""
+        rng = np.random.default_rng(seed)
+        chain = ReadoutChain(rng=np.random.default_rng(seed))
+        for _ in range(3):
+            session = chain.session()
+            for _ in range(4):
+                if rng.random() < 0.5:
+                    element = int(rng.integers(0, 4))
+                    chain.chip.select_element(element)
+                    chain.fpga.select_element(element)
+                n = int(rng.integers(1, 600))
+                session.feed_pressure(pressure_field(n, seed=seed))
+            session.finish()
+            tm = session.telemetry
+            tm.reconcile(lossless=True)
+            r = tm.decimation_factor
+            assert tm.filter_remainder == (chain.fpga.filter.phase - 1) % r
+
+    def test_miscounted_runs_still_raise(self):
+        """Opening phase and closed runs are checked, not trusted."""
+        base = dict(decimation_factor=128, mod_samples_in=156, bits_out=156)
+        PipelineTelemetry(
+            **base, words_filtered=1, words_delivered=1, filter_phase=100
+        ).reconcile()
+        for words in (0, 2):
+            tm = PipelineTelemetry(
+                **base, words_filtered=words, words_delivered=words,
+                filter_phase=100,
+            )
+            with pytest.raises(ConfigurationError, match="residue"):
+                tm.reconcile()
+        # A closed run holding one word too many, hidden by the totals.
+        tm = PipelineTelemetry(
+            decimation_factor=128,
+            mod_samples_in=258,
+            bits_out=258,
+            words_filtered=4,
+            words_delivered=4,
+            filter_runs=[(0, 129, 3)],
+        )
+        with pytest.raises(ConfigurationError, match="residue"):
+            tm.reconcile()
+        tm.filter_runs = [(0, 129, 2)]
+        tm.words_filtered = tm.words_delivered = 3
+        with pytest.raises(ConfigurationError, match="residue"):
+            tm.reconcile()
+
+
 class TestTelemetryValidation:
     def test_unknown_stage_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -158,3 +158,20 @@ class TestAlternativeArchitectures:
             SystemParams(
                 decimation=DecimationParams(cic_decimation=16, fir_decimation=4)
             )
+
+
+class TestPhase:
+    @pytest.mark.parametrize(
+        "chunks", [[1], [31, 1], [32], [33, 95], [128], [129, 300, 7]]
+    )
+    def test_phase_counts_samples_since_word_boundary(self, chunks):
+        filt = DecimationFilter()
+        r = filt.params.total_decimation
+        rng = np.random.default_rng(3)
+        n = 0
+        for size in chunks:
+            filt.process(rng.choice([-1, 1], size=size))
+            n += size
+            assert filt.phase == n % r
+        filt.reset()
+        assert filt.phase == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.chain import ReadoutChain
+from repro.core.session import PipelineTelemetry, UsbLink
 from repro.daq.stream import SampleStream
 from repro.daq.usb import FrameDecoder, FrameEncoder
 from repro.errors import ModulatorOverloadError, SimulationError
@@ -82,7 +83,9 @@ class TestTransportFaults:
         payload = self._frames(n_codes=5 * spf, spf=spf)
         frame_bytes = 7 + 2 * spf + 2
         cut = payload[: frame_bytes * 3] + payload[frame_bytes * 4 :]
-        rec = chain._collect(cut, element=0)
+        link = UsbLink(chain, element=0)
+        link.receive(cut, PipelineTelemetry(), final=True)
+        rec = link.recording()
         assert rec.lost_frames == 1
         assert rec.lost_samples == spf
 

@@ -3,7 +3,7 @@
 The second half is the PR's core equivalence property: an
 :class:`~repro.core.session.AcquisitionSession` fed any random chunking
 of a record produces output bit-identical to the one-shot batch path,
-for the pressure, voltage and batched-scan acquisitions, on both
+for the pressure, voltage and bank-scan acquisitions, on both
 modulator backends (noise, jitter and mismatch all enabled).
 """
 
@@ -138,37 +138,64 @@ class TestSessionChunkingEquivalence:
         assert np.array_equal(chunked.codes, batch.codes)
         session.telemetry.reconcile(lossless=True)
 
-    @pytest.mark.parametrize("seed", [6, 7])
-    def test_batched_scan_matches_chunked_sessions(self, backend, seed):
-        """The batched modulator fan-out == per-element chunked sessions.
+    @pytest.mark.parametrize("start", [0, 2])
+    @pytest.mark.parametrize("source", ["field", "segments"])
+    @pytest.mark.parametrize("ideal", [False, True], ids=["noisy", "ideal"])
+    def test_batched_scan_matches_chunked_sessions(
+        self, backend, ideal, source, start
+    ):
+        """The bank scan == the chip/FPGA reference, visit by visit.
 
-        ``scan_elements(batched=True)`` converts every element's dwell
-        segment from the same pre-scan modulator state. Replaying that by
-        hand — restore the snapshot, open a session on the element, feed
-        its segment in random chunks — must land on identical words.
+        ``scan_records(batched=True)`` converts every element's dwell
+        window from the pre-scan modulator state. Replaying that through
+        :func:`chip_path` — restore the snapshot, select the element,
+        convert its window in random chunks, decode — must give the same
+        words and leave the chain in the same state.
         """
-        dwell_mod = 128 * 16
-        n_elements = 4
-        field = sine_field(dwell_mod * n_elements)
-        batch = make_chain(backend).scan_elements(
-            field, dwell_s=dwell_mod / 128000.0, batched=True
-        )
+        from repro.array.scan import ScanController
 
-        chain = make_chain(backend)
-        saved = chain.chip.state_snapshot()
+        dwell = 128 * 16
+        n_el = 4
+        field = sine_field(dwell * n_el)
+        params = SystemParams()
+        if ideal:
+            params = params.replace(nonideality=NonidealityParams.ideal())
+        scanned, ref = (
+            ReadoutChain(params, rng=np.random.default_rng(11), backend=backend)
+            for _ in range(2)
+        )
+        for c in (scanned, ref):
+            # A prefix on the start element leaves the modulator, RNG
+            # streams, filter and framer mid-stream.
+            c.record_pressure(sine_field(1000), element=start)
+
+        controller = ScanController(scanned.chip.mux)
+        if source == "field":
+            records = controller.scan_records(
+                scanned, field, dwell_s=dwell / 128000.0, batched=True
+            )
+        else:
+            idx = np.arange(n_el)
+            segments = field.reshape(n_el, dwell, n_el)[idx, :, idx]
+            records = controller.scan_records(
+                scanned, segments=segments, batched=True
+            )
+
+        saved = ref.chip.state_snapshot()
         columns = []
-        for k in range(n_elements):
-            chain.chip.restore_state(saved)
-            session = chain.session(element=k)
-            segment = field[k * dwell_mod : (k + 1) * dwell_mod]
-            start = 0
-            for size in random_splits(dwell_mod, seed + k):
-                session.feed_pressure(segment[start : start + size])
-                start += size
-            columns.append(session.recording().values)
+        for k in range(n_el):
+            ref.chip.restore_state(saved)
+            window = field[k * dwell : (k + 1) * dwell]
+            chunks = split(window, random_splits(dwell, start + k))
+            stream, _ = chip_path(ref, chunks, "pressure", switches={0: k})
+            columns.append(stream.samples(k).astype(float) / 2048.0)
+        ref.chip.restore_state(saved)
         n = min(c.size for c in columns)
-        chunked = np.column_stack([c[:n] for c in columns])
-        assert np.array_equal(chunked, batch[:n])
+        assert records.shape == (n, n_el)
+        assert np.array_equal(
+            records, np.column_stack([c[:n] for c in columns])
+        )
+        assert chain_state(scanned) == chain_state(ref)
 
 
 def chip_path(chain, chunks, kind, switches=None, faults=None):
@@ -225,10 +252,7 @@ def engine_path(chain, chunks, kind, switches=None):
         else:
             session.feed_voltage(chunk)
     session.finish()
-    if not switches:
-        # A switch resets the filter mid-session, which the residue
-        # identity does not model.
-        session.telemetry.reconcile(lossless=True)
+    session.telemetry.reconcile(lossless=True)
     return session
 
 

@@ -172,14 +172,19 @@ class TestClippingAndOverload:
 
 
 class TestBatch:
+    """A bank of matched modulators: every row converts from one saved
+    analog state (how the bank array scan visits its elements)."""
+
     def test_batch_rows_match_fresh_single_runs(self):
         sdm = SecondOrderSDM(
             nonideality=NonidealityParams.ideal(),
             rng=np.random.default_rng(5),
         )
         rows = np.stack([tone(3000, 0.4), tone(3000, 0.6), tone(3000, 0.2)])
-        batch = sdm.simulate_batch(rows)
-        for row, out in zip(rows, batch):
+        saved = sdm.state_snapshot()
+        for row in rows:
+            sdm.restore_state(saved)
+            out = sdm.simulate(row)
             fresh = SecondOrderSDM(
                 nonideality=NonidealityParams.ideal(),
                 rng=np.random.default_rng(5),
@@ -187,19 +192,25 @@ class TestBatch:
             assert np.array_equal(out.bitstream, fresh.simulate(row).bitstream)
 
     def test_batch_leaves_state_untouched(self):
-        sdm = SecondOrderSDM(
-            nonideality=NonidealityParams.ideal(),
-            rng=np.random.default_rng(5),
-        )
-        sdm.simulate(tone(1000))
-        before = (sdm.stage1.state, sdm.stage2.state)
-        sdm.simulate_batch(np.stack([tone(500), tone(500, 0.7)]))
-        assert (sdm.stage1.state, sdm.stage2.state) == before
+        """The chip's bank conversion restores the modulator afterwards."""
+        from repro.core.chip import SensorChip
+
+        chip = SensorChip(rng=np.random.default_rng(5))
+        chip.acquire_voltage(0.2 * tone(1000))
+        m = chip.modulator
+        before = m.state_snapshot()
+        field = 2500.0 + np.zeros((4 * 500, 4))
+        outs = chip.acquire_pressure_scan(field, 500)
+        assert len(outs) == 4
+        assert m.state_snapshot() == before
+        assert chip.selected_element == 3
 
     def test_batch_rejects_1d(self):
-        sdm = SecondOrderSDM(rng=np.random.default_rng(5))
+        from repro.core.chip import SensorChip
+
+        chip = SensorChip(rng=np.random.default_rng(5))
         with pytest.raises(ConfigurationError):
-            sdm.simulate_batch(tone(100))
+            chip.acquire_pressure_scan(tone(100), 10)
 
 
 class TestFallbackAndDispatch:
