@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import print_rows
+from conftest import native_provenance, print_rows
 
 from repro.faults import FaultInjector, FaultSpec
 from repro.gateway.chaos import CHAOS_KINDS
@@ -314,6 +314,7 @@ def test_perf_gateway():
         ),
         "soak": soak,
         "reconciled": True,
+        **native_provenance(),
     }
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import print_rows
+from conftest import native_provenance, print_rows
 
 from repro.experiments import run_design_space, run_population
 
@@ -40,6 +40,7 @@ def update_bench(section: dict) -> None:
         except json.JSONDecodeError:
             report = {}
     report.update(section)
+    report.update(native_provenance())
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
 

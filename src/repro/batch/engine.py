@@ -30,7 +30,7 @@ noise) skip that call entirely: its only effects are the identity
 transform and the jitter-slope carry, which the engine replays directly.
 
 The kernel runs on a batch padded to :data:`~repro.native.LANE_BLOCK`
-lanes; padded lanes carry zero coefficients and inputs, and their
+lanes; padded lanes carry inert coefficients and zero inputs, and their
 outputs are discarded. Input staging buffers persist across chunks
 (lane-major, stride-addressed) and never hold more than
 :data:`STAGE_SAMPLES` samples per lane: a longer chunk runs as
@@ -39,8 +39,11 @@ call. Lanes without a given stochastic term share one all-zero row
 instead of materializing ``(B, n)`` zeros. The kernel's state and
 output arrays, and the addresses of everything it reads, are held by a
 per-engine :class:`~repro.batch.kernel.ChainKernel` (and
-:class:`~repro.batch.kernel.FrontendKernel`), computed once per
-(re)configuration or staging growth.
+:class:`~repro.batch.kernel.FrontendKernel`), bound once per
+(re)configuration (the front end once per element selection) and run
+through the module's one call form,
+:func:`~repro.batch.kernel.run_batch_chunk` (and
+:func:`~repro.batch.kernel.run_frontend_chunk`).
 """
 
 from __future__ import annotations
@@ -50,15 +53,9 @@ import threading
 
 import numpy as np
 
-from numpy.polynomial import polyutils as _pu
-
-from ..array.element import ArrayElement
-from ..array.mux import AnalogMultiplexer
 from ..errors import ConfigurationError
-from ..mems.membrane import MembraneSensor
-from ..sdm.frontend import CapacitiveFrontEnd
 from . import kernel as batch_kernel
-from .kernel import ChainKernel, FrontendKernel
+from .kernel import ChainKernel
 
 #: Most samples per lane one kernel call stages; longer chunks run as
 #: slices of this length. 16384 keeps the staging rows of a solo
@@ -166,55 +163,24 @@ class BatchChainEngine:
                     "batch lanes must share the decimation architecture "
                     "(CIC/FIR geometry and quantized coefficients)"
                 )
-        self._filter = ref
 
-        # Constant per-lane modulator coefficient rows in kernel order,
-        # padded to the kernel's lane-block multiple with inert lanes
-        # (zero gains, unit swing).
-        B = len(chains)
-        Bp = batch_kernel.pad_lanes(B)
-        self._padded = Bp
-        coeffs = np.zeros((9, Bp))
-        coeffs[6] = 1.0
-        self._a1 = np.zeros(Bp)
-        self._ideal_comp = np.zeros(Bp, dtype=bool)
-        self._det = np.zeros(B, dtype=bool)  # fully deterministic lanes
-        has_noise = np.zeros(B, dtype=bool)
-        has_dacn = np.zeros(B, dtype=bool)
-        kernel_ok = True
-        for l, c in enumerate(chains):
-            m = c.chip.modulator
-            coeffs[:, l] = m.kernel_coefficients()
-            self._a1[l] = m.stage1.signal_gain * m.stage1.gain_error
-            self._ideal_comp[l] = m.comparator.is_ideal()
-            has_noise[l] = (
-                m._noise_sigma_u > 0.0 or m._flicker is not None
-            )
-            has_dacn[l] = m.dac.reference_noise_sigma > 0.0
-            self._det[l] = not (
-                m.nonideality.clock_jitter_s > 0.0
-                or has_noise[l]
-                or has_dacn[l]
-            )
-            if not m.compiled_loop_ok():
-                # Pinned to the reference loop, in-loop random draws, or
-                # no native library: honour the modulator's own choice.
-                kernel_ok = False
-        if ref.cic.order != 3 or ref.cic.diff_delay != 1:
-            kernel_ok = False
-        self._kernel_ok = kernel_ok
-        self._kernel = None
-        if kernel_ok:
-            self._kernel = ChainKernel(
-                *coeffs,
-                cic_decimation=ref.cic.decimation,
-                register_bits=ref.cic.register_bits,
-                fir_flipped=ref.fir.coefficients_int[::-1],
-                fir_decimation=ref.fir.decimation,
-                qscale=(1 << (ref.params.output_bits - 1))
-                / (float(ref.cic.dc_gain) / ref.fir.coeff_format.scale),
-                output_bits=ref.params.output_bits,
-            )
+        mods = [c.chip.modulator for c in chains]
+        self._padded = batch_kernel.pad_lanes(len(chains))
+        self._a1 = np.array(
+            [m.stage1.signal_gain * m.stage1.gain_error for m in mods]
+        )
+        self._ideal_comp = [m.comparator.is_ideal() for m in mods]
+        self._det = np.array([m.is_deterministic() for m in mods])
+        # A modulator pinned to the reference loop, with in-loop random
+        # draws or without the native library keeps its own choice.
+        self._kernel_ok = ChainKernel.supports(ref) and all(
+            m.compiled_loop_ok() for m in mods
+        )
+        self._kernel = (
+            ChainKernel([m.kernel_coefficients() for m in mods], ref)
+            if self._kernel_ok
+            else None
+        )
 
         # Lane-major staging buffers, grown on demand up to
         # STAGE_SAMPLES and reused across chunks. Rows that are never
@@ -229,9 +195,13 @@ class BatchChainEngine:
         self._work: np.ndarray | None = None
         self._det_lanes = np.flatnonzero(self._det).tolist()
         self._noisy_lanes = np.flatnonzero(~self._det).tolist()
-        self._any_noise = bool(has_noise.any())
-        self._any_dacn = bool(has_dacn.any())
-        self._front = self._build_front() if kernel_ok else None
+        self._any_noise = any(
+            m._noise_sigma_u > 0.0 or m._flicker is not None for m in mods
+        )
+        self._any_dacn = any(m.dac.reference_noise_sigma > 0.0 for m in mods)
+        # The compiled front end, bound on first use for the lanes'
+        # element selection (see _front_for).
+        self._front = self._front_sel = None
 
     @property
     def lanes(self) -> int:
@@ -347,111 +317,61 @@ class BatchChainEngine:
 
     # -- front end ---------------------------------------------------------
 
-    def _build_front(self):
-        """Per-lane constants of the compiled front end, or None.
-
-        The compiled front end covers the stock chip composition: a
-        plain mux routing one :class:`~repro.array.element.ArrayElement`
-        whose membrane transfer is the shared Chebyshev interpolant,
-        into the stock charge front end. Anything exotic (subclasses,
-        per-lane membrane fits) runs the per-lane NumPy front end, which
-        stays bit-identical — just slower. Built for the lanes' current
-        element selection; :meth:`feed_pressure` rebuilds it when a
-        selection changes.
-        """
-        B = self.lanes
-        fit = None
-        sel, n_el, inj_amt = [], [], []
-        cscale = np.zeros(B)
-        coff = np.zeros(B)
-        ref = np.zeros(B)
-        fb = np.zeros(B)
-        exc = np.zeros(B)
-        for l, c in enumerate(self.chains):
-            chip = c.chip
-            mux = chip.mux
-            fe = chip.frontend
-            if (
-                type(mux) is not AnalogMultiplexer
-                or type(fe) is not CapacitiveFrontEnd
-            ):
-                return None
-            el = mux.array.elements[mux._selected]
-            if type(el) is not ArrayElement:
-                return None
-            s = el.sensor
-            if type(s) is not MembraneSensor:
-                return None
-            if fit is None:
-                fit = s._fit
-                p_min, p_max = s._p_min, s._p_max
-            elif s._fit is not fit or s._p_min != p_min or s._p_max != p_max:
-                # Lanes with distinct membrane transfers (the shared
-                # precompute cache makes one fit object the norm).
-                return None
-            sel.append(mux._selected)
-            n_el.append(mux.array.n_elements)
-            inj_amt.append(mux.charge_injection_c / 2.5)
-            cscale[l] = el.capacitance_scale
-            coff[l] = el.offset_cap_f
-            ref[l] = fe.reference_cap_f
-            fb[l] = fe.feedback_cap_f
-            exc[l] = fe.excitation_fraction
-        dom_off, dom_scl = _pu.mapparms(fit.domain, fit.window)
-        # Fold the modulator input gain only for lanes whose prep is the
-        # identity; other lanes receive raw u for _prepare_inputs.
-        a1_eff = np.where(self._det, self._a1[:B], 1.0)
-        kernel = FrontendKernel(
-            np.zeros(B, dtype=np.uint64),
-            np.zeros(B, dtype=np.int64),
-            np.ascontiguousarray(fit.coef, dtype=float),
-            dom_off, dom_scl, p_min, p_max, cscale, coff, np.zeros(B),
-            ref, fb, exc, a1_eff, np.empty(B),
-        )
-        return kernel, sel, n_el, inj_amt
-
     def _front_for(self, fields):
-        """The compiled front end if it can stage this chunk, else None."""
-        if self._front is None or not batch_kernel.batch_kernel_available():
+        """The compiled front end if it can stage this chunk, else None.
+
+        Bound by :func:`~repro.batch.kernel.frontend_kernel` for the
+        lanes' current element selection, and rebound when a lane's
+        selection (and so its element's mismatch) changes.
+        """
+        chains = self.chains
+        sel = [c.chip.mux._selected for c in chains]
+        if sel != self._front_sel:
+            self._front_sel = sel
+            # Fold the modulator input gain only for lanes whose prep is
+            # the identity; other lanes receive raw u for _prepare_inputs.
+            self._front = batch_kernel.frontend_kernel(
+                [
+                    (c.chip.mux, c.chip.mux.array.elements[s], c.chip.frontend)
+                    for c, s in zip(chains, sel)
+                ],
+                np.where(self._det, self._a1, 1.0),
+            )
+        if self._front is None:
             return None
-        kernel, sel, n_el, _ = self._front
-        for l, c in enumerate(self.chains):
+        for l, c in enumerate(chains):
+            chip = c.chip
             if (
-                c.chip.loop_input_hook is not None
-                or c.chip.bitstream_hook is not None
+                chip.loop_input_hook is not None
+                or chip.bitstream_hook is not None
             ):
                 return None
-            if c.chip.mux._selected != sel[l]:
-                # An element switched between chunks: rebuild for the
-                # new selection (and its element's mismatch).
-                self._front = self._build_front()
-                return self._front_for(fields)
             arr = fields[l]
             if (
                 arr.dtype != np.float64
                 or arr.ndim != 2
-                or arr.shape[1] != n_el[l]
+                or arr.shape[1] != chip.mux.array.n_elements
                 or arr.strides[0] % 8
                 or arr.strides[1] % 8
             ):
                 return None
-        return kernel
+        return self._front
 
     def _stage_front(self, kernel, fields, start: int, n: int) -> bool:
         """Stage samples ``[start, start + n)`` of every lane's field."""
-        _, sel, _, inj_amt = self._front
         for l, c in enumerate(self.chains):
             arr = fields[l]
             kernel.pbase[l] = (
                 arr.ctypes.data + start * arr.strides[0]
-                + sel[l] * arr.strides[1]
+                + self._front_sel[l] * arr.strides[1]
             )
             kernel.pstep[l] = arr.strides[0] // 8
             kernel.injection[l] = (
-                inj_amt[l] if c.chip.mux._just_switched else 0.0
+                kernel.switch_injection[l] if c.chip.mux._just_switched
+                else 0.0
             )
         self.ensure_buffers(n)
-        if not kernel.run(n, self._stage[0], self._stage[1]):
+        if not batch_kernel.run_frontend_chunk(kernel, n, *self._stage[:2]):
             # Domain or positivity violation: the front end is pure (no
             # state was touched), so the caller replays through the
             # per-lane path to raise the exact per-lane error.
@@ -619,7 +539,7 @@ class BatchChainEngine:
 
         k = self._kernel
         self._load_state(k)
-        nw = k.run(n, *self._stage)
+        nw = batch_kernel.run_batch_chunk(k, n, *self._stage)
         self._store_state(k)
         return k.words[:B, :nw].copy(), k.clipped[:B].copy()
 

@@ -14,15 +14,17 @@ compiled pass, reading the caller's pressure fields in place (no
 
 Both kernels run in the process's one native library
 (:mod:`repro.native`, which holds their C source) and take plain
-addresses. :class:`ChainKernel` and :class:`FrontendKernel` bind them
-to arrays held in the kernel's layout — coefficients, cascade state,
-output buffers — whose addresses are computed once, so a call passes a
-few integers; each :class:`~repro.batch.engine.BatchChainEngine` owns
-one of each. :func:`run_batch_chunk` and :func:`run_frontend_chunk`
-are their one-shot forms for callers without a long-lived batch (the
-fused array scan). :func:`run_bits` runs one lane with a bitstream
-output instead of words: it is the compiled loop of
-``SecondOrderSDM(backend="fast")``.
+addresses. Each has one binding: :class:`ChainKernel` (built from the
+lanes' coefficient rows and their shared decimation filter) and
+:class:`FrontendKernel` (built by :func:`frontend_kernel` from the
+routed elements and their front ends) hold arrays in the kernel's
+layout — coefficients, cascade state, output buffers — whose addresses
+are computed once, and each has one call form, :func:`run_batch_chunk`
+and :func:`run_frontend_chunk`, which passes a few integers. The
+:class:`~repro.batch.engine.BatchChainEngine` keeps one of each across
+chunks; the fused array scan binds a pair per scan. :func:`run_bits`
+runs one lane with a bitstream output instead of words: it is the
+compiled loop of ``SecondOrderSDM(backend="fast")``.
 
 Bit-identity discipline (the modulator's reference loop is the spec,
 and the contract extends across the cascade):
@@ -52,9 +54,9 @@ and the contract extends across the cascade):
 
 Lanes are processed in blocks of :data:`~repro.native.LANE_BLOCK` so the
 per-block working set (modulator and integrator state plus a handful of
-input streams) stays L1-resident; the engine pads a batch of more than
-one lane to a block multiple with inert lanes, while a lone lane runs
-a one-lane instantiation of the same C body (:func:`pad_lanes`).
+input streams) stays L1-resident; :class:`ChainKernel` pads a batch of
+more than one lane to a block multiple with inert lanes, while a lone
+lane runs a one-lane instantiation of the same C body (:func:`pad_lanes`).
 Reordering lanes into blocks never changes any single lane's operation
 sequence, so identity is unaffected.
 
@@ -82,13 +84,16 @@ the same bits, so results never depend on the toolchain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.polynomial import polyutils as _pu
 
 from .. import native
+from ..array.element import ArrayElement
+from ..array.mux import AnalogMultiplexer
 from ..dsp.fixed_point import wrap_twos_complement
+from ..mems.membrane import MembraneSensor
 from ..native import LANE_BLOCK
+from ..sdm.frontend import CapacitiveFrontEnd
 
 
 def batch_kernel_available() -> bool:
@@ -115,79 +120,44 @@ def _library():
     return lib
 
 
-@dataclass
-class BatchState:
-    """Mutable per-batch cascade state the kernel reads and writes.
-
-    The functional entry point :func:`run_batch_chunk` takes and updates
-    one of these; arrays are sized to the padded batch
-    (``pad_lanes(B)``), rows past the real batch are inert.
-    """
-
-    x1: np.ndarray  # (Bp) float64 first-integrator states
-    x2: np.ndarray  # (Bp) float64 second-integrator states
-    comp_previous: np.ndarray  # (Bp) int64 comparator memory
-    cic_integrators: np.ndarray  # (3, Bp) int64 (wrapped)
-    cic_combs: np.ndarray  # (3, Bp) int64
-    cic_phase: int
-    fir_history: np.ndarray  # (Bp, taps-1) int64, column 0 oldest
-    fir_phase: int
-
-
-@dataclass
-class BatchChunkResult:
-    """Outcome of one fused batched chunk."""
-
-    codes: np.ndarray  # (Bp, n_words) int64 12-bit codes, pre-suppression
-    clipped: np.ndarray  # (Bp) int64 clipped-cycle counts
-
-
 class ChainKernel:
     """A bound ``batch_chain_run``: constants, state and outputs in place.
 
-    Holds the per-lane coefficient vectors, the cascade state and the
-    output buffers in the kernel's own layout, and computes their
-    addresses once, so a call passes ``n``, the staging rows and the two
-    decimation phases and nothing is re-marshalled. Each
-    :class:`~repro.batch.engine.BatchChainEngine` owns one (never shared:
-    concurrent engines on other threads call their own).
+    Built from one coefficient row per lane
+    (:meth:`~repro.sdm.modulator.SecondOrderSDM.kernel_coefficients`)
+    and the :class:`~repro.dsp.decimator.DecimationFilter` the lanes
+    share. The rows are padded to :func:`pad_lanes` with inert lanes
+    (zero gains, unit swing); the CIC decimation and register width, the
+    flipped FIR and the quantizer scale come from the filter. Every
+    array the kernel reads or writes is held here in the kernel's layout
+    and its address computed once, so :func:`run_batch_chunk` passes
+    ``n``, the staging rows and the two decimation phases and
+    re-marshals nothing. Never shared: each engine, and each fused scan,
+    binds its own.
 
-    The coefficient vectors are bound by reference and must be
-    contiguous ``float64`` of the padded batch size. State lives in
-    :attr:`x1`, :attr:`x2`, :attr:`comp_previous`, :attr:`integ` (raw
-    mod-2^64 integrators, int64 storage), :attr:`comb` and :attr:`hist`
-    (a ring whose oldest column is :attr:`head` after a call); the
-    caller loads it before a call and reads it back after.
+    State lives in :attr:`x1`, :attr:`x2`, :attr:`comp_previous`,
+    :attr:`integ` (raw mod-2^64 integrators, int64 storage), :attr:`comb`
+    and :attr:`hist` (a ring read oldest column first, whose oldest
+    column is :attr:`head` after a call), plus :attr:`cic_phase` and
+    :attr:`fir_phase`; a new kernel holds the reset state. The caller
+    loads it before a call and reads it back after.
     """
 
-    def __init__(
-        self,
-        dac_gain: np.ndarray,
-        p1: np.ndarray,
-        b1: np.ndarray,
-        p2: np.ndarray,
-        a2: np.ndarray,
-        b2: np.ndarray,
-        swing: np.ndarray,
-        comp_offset: np.ndarray,
-        comp_hysteresis: np.ndarray,
-        cic_decimation: int,
-        register_bits: int,
-        fir_flipped: np.ndarray,
-        fir_decimation: int,
-        qscale: float,
-        output_bits: int,
-    ):
-        coeffs = (dac_gain, p1, b1, p2, a2, b2, swing, comp_offset,
-                  comp_hysteresis)
-        Bp = int(dac_gain.size)
-        for a in coeffs:
-            if a.dtype != np.float64 or a.size != Bp or not a.flags.c_contiguous:
-                raise ValueError("coefficients must be contiguous float64 (Bp,)")
+    def __init__(self, coefficient_rows, decimation_filter):
+        rows = np.asarray(coefficient_rows, dtype=np.float64).reshape(-1, 9)
+        B = rows.shape[0]
+        Bp = pad_lanes(B)
+        coeffs = np.zeros((9, Bp))
+        coeffs[6] = 1.0
+        coeffs[:, :B] = rows.T
+        cic, fir = decimation_filter.cic, decimation_filter.fir
+        output_bits = decimation_filter.params.output_bits
         self.lanes = Bp
-        self.register_bits = int(register_bits)
-        self._R = int(cic_decimation)
-        self._flip = np.ascontiguousarray(fir_flipped, dtype=np.int64)
+        self.register_bits = int(cic.register_bits)
+        self._R = int(cic.decimation)
+        self._flip = np.ascontiguousarray(
+            fir.coefficients_int[::-1], dtype=np.int64
+        )
         taps = int(self._flip.size)
         self.x1 = np.zeros(Bp)
         self.x2 = np.zeros(Bp)
@@ -202,52 +172,25 @@ class ChainKernel:
         self.cic_phase = 0
         self.fir_phase = 0
         self.head = 0
-        self._mid = tuple(a.ctypes.data for a in coeffs) + tuple(
+        self._mid = tuple(row.ctypes.data for row in coeffs) + tuple(
             a.ctypes.data
             for a in (self.x1, self.x2, self.comp_previous, self.clipped,
                       self.integ, self.comb)
         )
-        self._fir = (self._flip.ctypes.data, taps, int(fir_decimation))
+        self._fir = (self._flip.ctypes.data, taps, int(fir.decimation))
+        qscale = (1 << (output_bits - 1)) / (
+            float(cic.dc_gain) / fir.coeff_format.scale
+        )
         qmax = (1 << (output_bits - 1)) - 1
-        self._quant = (self.hist.ctypes.data, float(qscale), qmax, -qmax - 1)
+        self._quant = (self.hist.ctypes.data, qscale, qmax, -qmax - 1)
         self._out = (0, 0, self._state_out.ctypes.data)
 
-    def run(
-        self,
-        n: int,
-        au: int,
-        au_stride: int,
-        noise: int,
-        noise_stride: int,
-        dac_noise: int,
-        dacn_stride: int,
-    ) -> int:
-        """Advance every lane by ``n`` samples; return the word count.
-
-        ``au``/``noise``/``dac_noise`` are the addresses of lane-major
-        rows read as ``base[l * stride + i]`` (stride 0 shares one row).
-        The words land in ``words[:, :count]``; :attr:`clipped` holds
-        this call's clipped-cycle counts and the phases and ring head
-        advance.
-        """
-        R = self._R
-        first = (R - self.cic_phase) % R
-        cap = max(1, 0 if n <= first else (n - first + R - 1) // R)
-        if cap > self.words.shape[1]:
-            self.words = np.empty((self.lanes, cap), dtype=np.int64)
-            self._out = (self.words.ctypes.data, cap, self._out[2])
-        self.clipped.fill(0)
-        nw = _library().batch_chain_run(
-            n, self.lanes, au, au_stride, noise, noise_stride, dac_noise,
-            dacn_stride, *self._mid, R, self.cic_phase, self.register_bits,
-            *self._fir, self.fir_phase, *self._quant, *self._out, None,
-        )
-        if nw < 0:  # pragma: no cover - capacity/padding invariants are exact
-            raise RuntimeError("batched kernel invariant violation")
-        self.cic_phase, self.fir_phase, self.head = (
-            int(v) for v in self._state_out
-        )
-        return int(nw)
+    @staticmethod
+    def supports(decimation_filter) -> bool:
+        """Whether the kernel's cascade is the filter's: the stock
+        third-order, unit-delay CIC."""
+        cic = decimation_filter.cic
+        return cic.order == 3 and cic.diff_delay == 1
 
     def wrapped_integrators(self) -> np.ndarray:
         """The integrators wrapped to the Hogenauer register width."""
@@ -261,140 +204,148 @@ class ChainKernel:
         return np.concatenate([self.hist[:, h:], self.hist[:, :h]], axis=1)
 
 
+def run_batch_chunk(
+    kernel: ChainKernel,
+    n: int,
+    au: int,
+    au_stride: int,
+    noise: int,
+    noise_stride: int,
+    dac_noise: int,
+    dacn_stride: int,
+) -> int:
+    """Advance every lane of ``kernel`` by ``n`` samples; return the word
+    count.
+
+    The one call form of a bound :class:`ChainKernel`. ``au``/``noise``/
+    ``dac_noise`` are the addresses of contiguous lane-major float64
+    rows read as ``base[l * stride + i]`` for every padded lane (stride
+    0 shares one row). The words land in ``kernel.words[:, :count]``;
+    ``kernel.clipped`` holds this call's clipped-cycle counts and the
+    phases and ring head advance. The caller checks
+    :func:`batch_kernel_available` first: there is no Python fallback at
+    this layer (the engine falls back through the single-session stages
+    instead).
+    """
+    k = kernel
+    R = k._R
+    first = (R - k.cic_phase) % R
+    cap = max(1, 0 if n <= first else (n - first + R - 1) // R)
+    if cap > k.words.shape[1]:
+        k.words = np.empty((k.lanes, cap), dtype=np.int64)
+        k._out = (k.words.ctypes.data, cap, k._out[2])
+    k.clipped.fill(0)
+    nw = _library().batch_chain_run(
+        n, k.lanes, au, au_stride, noise, noise_stride, dac_noise,
+        dacn_stride, *k._mid, R, k.cic_phase, k.register_bits, *k._fir,
+        k.fir_phase, *k._quant, *k._out, None,
+    )
+    if nw < 0:  # pragma: no cover - capacity/padding invariants are exact
+        raise RuntimeError("batched kernel invariant violation")
+    k.cic_phase, k.fir_phase, k.head = (int(v) for v in k._state_out)
+    return int(nw)
+
+
 class FrontendKernel:
     """A bound ``batch_frontend_run`` over ``B`` lanes.
 
-    Every per-lane vector is bound by reference (contiguous, of the
-    kernel's dtype) and its address computed once. Per chunk the caller
-    writes :attr:`pbase` (uint64 address of each lane's first pressure),
-    :attr:`pstep` (its sample stride in doubles) and :attr:`injection`
-    in place, then calls :meth:`run`; :attr:`u_last` receives each
-    lane's final pre-gain loop input.
+    Holds the membrane's Chebyshev ``fit`` and pressure range and, per
+    lane (a scalar is shared), the element mismatch (``cap_scale``,
+    ``cap_offset``), the charge a mux switch injects
+    (:attr:`switch_injection`), the charge front end (``ref_cap``,
+    ``fb_cap``, ``excitation``) and the folded input gain ``a1``, each
+    address computed once. Per chunk the caller writes :attr:`pbase`
+    (uint64 address of each lane's first pressure), :attr:`pstep` (its
+    sample stride in doubles) and :attr:`injection` (the charge the
+    lane's first sample takes) in place, then calls
+    :func:`run_frontend_chunk`; :attr:`u_last` receives each lane's
+    final pre-gain loop input. :func:`frontend_kernel` binds one to a
+    chip composition.
     """
 
     def __init__(
-        self,
-        pbase: np.ndarray,
-        pstep: np.ndarray,
-        cheb_coef: np.ndarray,
-        dom_off: float,
-        dom_scl: float,
-        p_min: float,
-        p_max: float,
-        cap_scale: np.ndarray,
-        cap_offset: np.ndarray,
-        injection: np.ndarray,
-        ref_cap: np.ndarray,
-        fb_cap: np.ndarray,
-        excitation: np.ndarray,
-        a1: np.ndarray,
-        u_last: np.ndarray,
+        self, fit, p_min, p_max, cap_scale, cap_offset, switch_injection,
+        ref_cap, fb_cap, excitation, a1,
     ):
-        B = int(pbase.size)
-        lanes = (cap_scale, cap_offset, injection, ref_cap, fb_cap,
-                 excitation, a1, u_last)
-        for a, dtype in ((pbase, np.uint64), (pstep, np.int64)) + tuple(
-                (a, np.float64) for a in lanes):
-            if a.dtype != dtype or a.size != B or not a.flags.c_contiguous:
-                raise ValueError("per-lane vectors must be contiguous (B,)")
-        if cheb_coef.dtype != np.float64 or not cheb_coef.flags.c_contiguous:
-            raise ValueError("Chebyshev coefficients must be contiguous")
-        self.pbase, self.pstep = pbase, pstep
-        self.injection, self.u_last = injection, u_last
-        self._keep = (cheb_coef,) + lanes
-        self._head = (B, pbase.ctypes.data, pstep.ctypes.data)
+        B = np.size(cap_scale)
+
+        def lane(a):
+            return np.array(np.broadcast_to(a, B), dtype=np.float64)
+
+        self.pbase = np.zeros(B, dtype=np.uint64)
+        self.pstep = np.zeros(B, dtype=np.int64)
+        self.switch_injection = lane(switch_injection)
+        self.injection = np.zeros(B)
+        self.u_last = np.empty(B)
+        coef = np.array(fit.coef, dtype=np.float64)
+        lanes = (lane(cap_scale), lane(cap_offset), self.injection,
+                 lane(ref_cap), lane(fb_cap), lane(excitation), lane(a1),
+                 self.u_last)
+        dom_off, dom_scl = _pu.mapparms(fit.domain, fit.window)
+        self._keep = (coef,) + lanes
+        self._head = (B, self.pbase.ctypes.data, self.pstep.ctypes.data)
         self._tail = (
-            cheb_coef.ctypes.data, int(cheb_coef.size), float(dom_off),
-            float(dom_scl), float(p_min), float(p_max),
+            coef.ctypes.data, int(coef.size), float(dom_off), float(dom_scl),
+            float(p_min), float(p_max),
         ) + tuple(a.ctypes.data for a in lanes)
 
-    def run(self, n: int, au: int, au_stride: int) -> bool:
-        """Stage ``n`` samples per lane into the rows at address ``au``.
 
-        Returns False when any sample violates the transfer's domain or
-        positivity constraints (nothing else is touched).
-        """
-        rc = _library().batch_frontend_run(
-            n, *self._head, au, au_stride, *self._tail
-        )
-        return rc == 0
+def frontend_kernel(routes, a1) -> FrontendKernel | None:
+    """Bind the compiled front end to routed elements, or return None.
 
-
-def run_batch_chunk(
-    n: int,
-    au: np.ndarray,
-    au_stride: int,
-    noise: np.ndarray,
-    noise_stride: int,
-    dac_noise: np.ndarray,
-    dacn_stride: int,
-    dac_gain: np.ndarray,
-    p1: np.ndarray,
-    b1: np.ndarray,
-    p2: np.ndarray,
-    a2: np.ndarray,
-    b2: np.ndarray,
-    swing: np.ndarray,
-    comp_offset: np.ndarray,
-    comp_hysteresis: np.ndarray,
-    state: BatchState,
-    cic_decimation: int,
-    register_bits: int,
-    fir_flipped: np.ndarray,
-    fir_decimation: int,
-    qscale: float,
-    output_bits: int,
-) -> BatchChunkResult:
-    """Advance ``Bp`` fused chains by ``n`` samples through the C kernel.
-
-    The one-shot form of :class:`ChainKernel` for callers without a
-    long-lived batch (the fused array scan). ``au``/``noise``/
-    ``dac_noise`` are contiguous lane-major float64 buffers addressed as
-    ``base[l * stride + i]`` — a stride of 0 shares one zero row across
-    every lane. ``state`` is updated in place. The caller is responsible
-    for checking :func:`batch_kernel_available` first — there is no
-    Python fallback at this layer (the engine falls back through the
-    existing single-session stages instead).
+    ``routes`` holds one ``(mux, element, frontend)`` per lane: the
+    multiplexer, the element it routes and the front end it feeds.
+    ``a1`` is the input gain folded into each lane's staged rows. The
+    compiled front end covers the stock chip composition: a plain
+    :class:`~repro.array.mux.AnalogMultiplexer`,
+    :class:`~repro.array.element.ArrayElement` elements on
+    :class:`~repro.mems.membrane.MembraneSensor` membranes that share
+    one Chebyshev fit and pressure range (the shared precompute cache
+    makes one fit object the norm), and the stock
+    :class:`~repro.sdm.frontend.CapacitiveFrontEnd`. Anything exotic
+    (subclasses, per-lane membrane fits) returns None and runs the NumPy
+    front end, which stays bit-identical, just slower.
     """
-    k = ChainKernel(
-        *(np.ascontiguousarray(a, dtype=np.float64)
-          for a in (dac_gain, p1, b1, p2, a2, b2, swing, comp_offset,
-                    comp_hysteresis)),
-        cic_decimation, register_bits, fir_flipped, fir_decimation, qscale,
-        output_bits,
-    )
-    k.x1[:] = state.x1
-    k.x2[:] = state.x2
-    k.comp_previous[:] = state.comp_previous
-    k.integ[:] = state.cic_integrators
-    k.comb[:] = state.cic_combs
-    k.hist[:] = state.fir_history
-    k.cic_phase, k.fir_phase = state.cic_phase, state.fir_phase
-
-    def rows(a, stride):
-        # The kernel reads base[l * stride + i] for every padded lane.
+    fit = None
+    per_lane = []
+    for mux, el, fe in routes:
         if (
-            a.dtype != np.float64
-            or not a.flags.c_contiguous
-            or a.size < (k.lanes - 1) * stride + n
+            type(mux) is not AnalogMultiplexer
+            or type(el) is not ArrayElement
+            or type(fe) is not CapacitiveFrontEnd
+            or type(el.sensor) is not MembraneSensor
         ):
-            raise ValueError("staging rows must be contiguous float64 "
-                             "covering every lane")
-        return a.ctypes.data, int(stride)
+            return None
+        s = el.sensor
+        if fit is None:
+            fit, p_range = s._fit, (s._p_min, s._p_max)
+        elif s._fit is not fit or (s._p_min, s._p_max) != p_range:
+            return None
+        per_lane.append((
+            el.capacitance_scale, el.offset_cap_f,
+            mux.charge_injection_c / 2.5, fe.reference_cap_f,
+            fe.feedback_cap_f, fe.excitation_fraction,
+        ))
+    return FrontendKernel(fit, *p_range, *np.array(per_lane).T, a1)
 
-    nw = k.run(
-        n, *rows(au, au_stride), *rows(noise, noise_stride),
-        *rows(dac_noise, dacn_stride),
+
+def run_frontend_chunk(
+    kernel: FrontendKernel, n: int, au: int, au_stride: int
+) -> bool:
+    """Stage ``n`` samples per lane of ``kernel`` into the rows at ``au``.
+
+    The one call form of a bound :class:`FrontendKernel`. Reads each
+    lane's pressures in place via ``(pbase[l], pstep[l])`` and writes
+    ``a1 * u`` into the float64 row at address ``au + 8 * l *
+    au_stride``. Returns False when any sample violates the transfer's
+    domain or positivity constraints, with nothing else touched: the
+    caller then replays the chunk through the NumPy front end, which
+    raises the exact error the single-session path raises.
+    """
+    rc = _library().batch_frontend_run(
+        n, *kernel._head, au, au_stride, *kernel._tail
     )
-    state.x1[:] = k.x1
-    state.x2[:] = k.x2
-    state.comp_previous[:] = k.comp_previous
-    state.cic_integrators = k.wrapped_integrators()
-    state.cic_combs = k.comb
-    state.cic_phase = k.cic_phase
-    state.fir_history = k.ordered_history()
-    state.fir_phase = k.fir_phase
-    return BatchChunkResult(codes=k.words[:, :nw], clipped=k.clipped)
+    return rc == 0
 
 
 def run_bits(au, noise, dac_noise, coeffs, x1, x2, comp_previous):
@@ -431,46 +382,3 @@ def run_bits(au, noise, dac_noise, coeffs, x1, x2, comp_previous):
         None, 0.0, 0, 0, None, 0, wa + 72, bits.ctypes.data,
     )
     return bits, int(w[1]), float(f[9]), float(f[10]), int(w[0])
-
-
-def run_frontend_chunk(
-    n: int,
-    pbase: np.ndarray,
-    pstep: np.ndarray,
-    au: np.ndarray,
-    au_stride: int,
-    cheb_coef: np.ndarray,
-    dom_off: float,
-    dom_scl: float,
-    p_min: float,
-    p_max: float,
-    cap_scale: np.ndarray,
-    cap_offset: np.ndarray,
-    injection: np.ndarray,
-    ref_cap: np.ndarray,
-    fb_cap: np.ndarray,
-    excitation: np.ndarray,
-    a1: np.ndarray,
-    u_last: np.ndarray,
-) -> bool:
-    """Evaluate the capacitive front end for ``B`` lanes in one pass.
-
-    The one-shot form of :class:`FrontendKernel`. Reads each lane's
-    selected-element pressure column in place via ``(pbase[l],
-    pstep[l])`` and writes ``a1 * u`` into the lane's ``au`` row.
-    Returns False when any sample violates the transfer's domain or
-    positivity constraints — the caller then replays the chunk through
-    the per-lane NumPy front end, which raises the exact error the
-    single-session path raises.
-    """
-    k = FrontendKernel(
-        pbase, pstep, cheb_coef, dom_off, dom_scl, p_min, p_max, cap_scale,
-        cap_offset, injection, ref_cap, fb_cap, excitation, a1, u_last,
-    )
-    if (
-        au.dtype != np.float64
-        or not au.flags.c_contiguous
-        or au.size < (pbase.size - 1) * au_stride + n
-    ):
-        raise ValueError("au must be contiguous float64 covering every lane")
-    return k.run(int(n), au.ctypes.data, int(au_stride))

@@ -221,6 +221,22 @@ class SecondOrderSDM:
             and native.available()
         )
 
+    def is_deterministic(self) -> bool:
+        """Whether :meth:`_prepare_inputs` draws nothing.
+
+        True without clock jitter, thermal or flicker noise and DAC
+        reference noise. Its work is then the identity transform plus
+        the jitter-slope carry, which the batch engine replays without
+        calling it and the fused scan needs (it cannot replay the bank
+        scan's visit-by-visit draw order).
+        """
+        return not (
+            self.nonideality.clock_jitter_s > 0.0
+            or self._noise_sigma_u > 0.0
+            or self._flicker is not None
+            or self.dac.reference_noise_sigma > 0.0
+        )
+
     def kernel_coefficients(self) -> tuple[float, ...]:
         """The compiled loop's per-lane constants, in kernel order.
 

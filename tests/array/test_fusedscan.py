@@ -139,7 +139,6 @@ class TestFallback:
         def forbidden(*args, **kwargs):
             raise AssertionError("a reference-pinned scan ran compiled code")
 
-        monkeypatch.setattr(batch_kernel.ChainKernel, "run", forbidden)
         monkeypatch.setattr(batch_kernel, "run_batch_chunk", forbidden)
 
         def pinned():
@@ -154,6 +153,32 @@ class TestFallback:
         assert not controller.last_scan_fused
 
         chain = pinned()
+        batched = ScanController(chain.chip.mux).scan_records(
+            chain, segments=segments, batched=True
+        )
+        assert np.array_equal(fused, batched)
+
+    @pytest.mark.parametrize("hook", ["loop_input", "bitstream"])
+    def test_chip_hooks_decline_the_fused_kernel(self, hook):
+        """The kernel stages neither chip hook, so a hooked chain runs
+        the bank scan, which honours it."""
+        hooks = {
+            "loop_input": lambda u: u + 0.3,
+            "bitstream": lambda bits: np.ones_like(bits),
+        }
+
+        def hooked():
+            chain = make_chain(2, 2)
+            setattr(chain.chip, f"{hook}_hook", hooks[hook])
+            return chain
+
+        segments = tone_segments(4, 4096)
+        chain = hooked()
+        controller = ScanController(chain.chip.mux)
+        fused = controller.scan_records(chain, segments=segments, fused=True)
+        assert not controller.last_scan_fused
+
+        chain = hooked()
         batched = ScanController(chain.chip.mux).scan_records(
             chain, segments=segments, batched=True
         )

@@ -261,7 +261,6 @@ class TestReferencePinned:
         def forbidden(*args, **kwargs):
             raise AssertionError("a reference-pinned lane ran compiled code")
 
-        monkeypatch.setattr(batch_kernel.ChainKernel, "run", forbidden)
         monkeypatch.setattr(batch_kernel, "run_batch_chunk", forbidden)
         monkeypatch.setattr(batch_kernel, "run_bits", forbidden)
 

@@ -19,7 +19,8 @@ import pytest
 import repro
 from repro import native
 from repro.batch.kernel import (
-    BatchState,
+    ChainKernel,
+    FrontendKernel,
     run_batch_chunk,
     run_bits,
     run_frontend_chunk,
@@ -266,7 +267,8 @@ def bits(a: np.ndarray) -> bytes:
 
 
 def chain_case(B: int, kind: str, seed: int):
-    """Inputs for two consecutive ``batch_chain_run`` calls over B lanes.
+    """Inputs for two consecutive calls of a :class:`ChainKernel` over B
+    lanes: ``(n, coefficient columns, input rows, state, filter)``.
 
     The first lane block keeps the stock coefficients of a noisy chain;
     the others are perturbed. ``kind`` adds clipping lanes (a swing the
@@ -313,30 +315,21 @@ def chain_case(B: int, kind: str, seed: int):
     R, M = filt.cic.decimation, filt.fir.decimation
     taps = filt.fir.taps
     half = 1 << (filt.cic.register_bits - 1)
-    state = BatchState(
-        x1=x1, x2=x2,
-        comp_previous=rng.choice([-1, 1], B).astype(np.int64),
-        cic_integrators=rng.integers(-half, half, (3, B)),
-        cic_combs=rng.integers(-half, half, (3, B)),
-        cic_phase=int(rng.integers(R)),
-        fir_history=rng.integers(-4096, 4096, (B, taps - 1)),
-        fir_phase=int(rng.integers(M)),
-    )
+    state = {
+        "x1": x1, "x2": x2,
+        "comp_previous": rng.choice([-1, 1], B).astype(np.int64),
+        "integ": rng.integers(-half, half, (3, B)),
+        "comb": rng.integers(-half, half, (3, B)),
+        "cic_phase": int(rng.integers(R)),
+        "hist": rng.integers(-4096, 4096, (B, taps - 1)),
+        "fir_phase": int(rng.integers(M)),
+    }
     shared = kind == "shared"
     inputs = {
         "au": au, "noise": np.zeros(n) if shared else noise,
         "dacn": np.zeros(n) if shared or kind != "dac_noise" else dacn,
     }
-    fixed = {
-        "cic_decimation": R, "register_bits": filt.cic.register_bits,
-        "fir_flipped": np.ascontiguousarray(
-            filt.fir.coefficients_int[::-1], dtype=np.int64),
-        "fir_decimation": M,
-        "qscale": (1 << (filt.params.output_bits - 1))
-        / (float(filt.cic.dc_gain) / filt.fir.coeff_format.scale),
-        "output_bits": filt.params.output_bits,
-    }
-    return n, c, inputs, state, fixed
+    return n, c, inputs, state, filt
 
 
 def calls(n):
@@ -345,13 +338,20 @@ def calls(n):
 
 
 def run_chain_case(case, lanes=None) -> list[bytes]:
-    """Both calls of one case through whichever library is loaded.
+    """Both calls of one case through a kernel bound from its
+    coefficient rows and filter, on whichever library is loaded.
 
     ``lanes`` keeps only the first lanes of every per-lane output.
     """
-    n, c, inputs, state, fixed = case
-    state = BatchState(**{k: (v.copy() if isinstance(v, np.ndarray) else v)
-                          for k, v in vars(state).items()})
+    n, c, inputs, state, filt = case
+    k = ChainKernel(np.column_stack(list(c.values())), filt)
+    B = c["swing"].size
+    assert k.lanes == B  # every case is a whole number of blocks
+    k.x1[:], k.x2[:] = state["x1"], state["x2"]
+    k.comp_previous[:] = state["comp_previous"]
+    k.integ[:], k.comb[:] = state["integ"], state["comb"]
+    k.cic_phase, k.fir_phase = state["cic_phase"], state["fir_phase"]
+    k.hist[:] = state["hist"]
     keep = slice(lanes)
     out = []
     for lo, hi in calls(n):
@@ -359,19 +359,17 @@ def run_chain_case(case, lanes=None) -> list[bytes]:
             if a.ndim == 1:  # stride-0 shared row
                 return np.ascontiguousarray(a[lo:hi]), 0
             return np.ascontiguousarray(a[:, lo:hi]), hi - lo
-        au, au_s = lane_rows(inputs["au"])
-        noise, n_s = lane_rows(inputs["noise"])
-        dacn, d_s = lane_rows(inputs["dacn"])
-        res = run_batch_chunk(
-            hi - lo, au, au_s, noise, n_s, dacn, d_s, **c, state=state,
-            **fixed,
+        rows = [lane_rows(inputs[x]) for x in ("au", "noise", "dacn")]
+        # The kernel reads each history ring oldest column first.
+        k.hist[:] = k.ordered_history()
+        nw = run_batch_chunk(
+            k, hi - lo, *(v for a, s in rows for v in (a.ctypes.data, s))
         )
-        out += [bits(res.codes[keep]), bits(res.clipped[keep])]
-    out += [bits(getattr(state, f)[keep]) for f in
-            ("x1", "x2", "comp_previous", "fir_history")]
-    out += [bits(getattr(state, f)[:, keep]) for f in
-            ("cic_integrators", "cic_combs")]
-    return out + [bits(np.array([state.cic_phase, state.fir_phase]))]
+        out += [bits(k.words[keep, :nw]), bits(k.clipped[keep])]
+    out += [bits(a[keep]) for a in
+            (k.x1, k.x2, k.comp_previous, k.ordered_history())]
+    out += [bits(a[:, keep]) for a in (k.wrapped_integrators(), k.comb)]
+    return out + [bits(np.array([k.cic_phase, k.fir_phase]))]
 
 
 def lane0_rows(inputs, lo, hi):
@@ -388,8 +386,8 @@ def run_bits_case(case) -> list[bytes]:
     :func:`run_chain_case`'s words, clip counts and states)."""
     n, c, inputs, state, _ = case
     coeffs = tuple(float(v[0]) for v in c.values())
-    x1, x2 = float(state.x1[0]), float(state.x2[0])
-    prev = int(state.comp_previous[0])
+    x1, x2 = float(state["x1"][0]), float(state["x2"][0])
+    prev = int(state["comp_previous"][0])
     out = []
     for lo, hi in calls(n):
         b, clipped, x1, x2, prev = run_bits(
@@ -411,8 +409,8 @@ def reference_bits_case(case) -> list[bytes]:
      s1.swing_limit, comp.offset_v, comp.hysteresis_v) = (
         float(c[k][0]) for k in ("p1", "b1", "p2", "a2", "b2", "swing",
                                  "comp_offset", "comp_hysteresis"))
-    s1.state, s2.state = float(state.x1[0]), float(state.x2[0])
-    comp._previous = int(state.comp_previous[0])
+    s1.state, s2.state = float(state["x1"][0]), float(state["x2"][0])
+    comp._previous = int(state["comp_previous"][0])
     out = []
     for lo, hi in calls(n):
         res = m._simulate_reference(
@@ -427,7 +425,8 @@ def reference_bits_case(case) -> list[bytes]:
 
 
 def frontend_case(B: int, kind: str, seed: int):
-    """Inputs for one ``batch_frontend_run`` over B lanes of one field.
+    """A :class:`FrontendKernel` over B lanes of one field, its per-call
+    inputs written in place, and the field (kept alive with it).
 
     Lane l reads column l % n_el of a strided (n, n_el) pressure field.
     "negzero" writes ``-0.0`` pressures; "reject" puts one lane out of
@@ -443,32 +442,28 @@ def frontend_case(B: int, kind: str, seed: int):
     elif kind == "reject":
         field[700, B % n_el] = 1.01 * p_max
         field[1500, (B + 1) % n_el] = np.nan
-    fit = sensor._fit
-    dom_off, dom_scl = np.polynomial.polyutils.mapparms(fit.domain, fit.window)
     col = np.arange(B) % n_el
     rest = sensor.rest_capacitance_f
-    return dict(
-        n=n,
-        pbase=(field.ctypes.data + col * field.strides[1]).astype(np.uint64),
-        pstep=np.full(B, field.strides[0] // 8, dtype=np.int64),
-        cheb_coef=np.ascontiguousarray(fit.coef, dtype=float),
-        dom_off=float(dom_off), dom_scl=float(dom_scl),
-        p_min=float(p_min), p_max=float(p_max),
+    injection = np.where(np.arange(B) % 2, 0.002 * rest, 0.0)
+    k = FrontendKernel(
+        sensor._fit, p_min, p_max,
         cap_scale=1.0 + 0.01 * rng.standard_normal(B),
         cap_offset=0.01 * rest * rng.standard_normal(B),
-        injection=np.where(np.arange(B) % 2, 0.002 * rest, 0.0),
-        ref_cap=np.full(B, rest), fb_cap=np.full(B, 2.0 * rest),
-        excitation=np.full(B, 0.5), a1=rng.uniform(0.2, 0.6, B),
-        field=field,
+        switch_injection=injection, ref_cap=rest, fb_cap=2.0 * rest,
+        excitation=0.5, a1=rng.uniform(0.2, 0.6, B),
     )
+    k.pbase[:] = field.ctypes.data + col * field.strides[1]
+    k.pstep[:] = field.strides[0] // 8
+    k.injection[:] = injection
+    return n, k, field
 
 
 def run_frontend_case(case) -> list[bytes]:
-    args = {k: v for k, v in case.items() if k != "field"}
-    au = np.full((args["pbase"].size, case["n"]), 7.0)
-    u_last = np.full(args["pbase"].size, 7.0)
-    ok = run_frontend_chunk(au=au, au_stride=au.shape[1], u_last=u_last, **args)
-    return [bytes([ok]), bits(au), bits(u_last)]
+    n, k, _ = case
+    au = np.full((k.pbase.size, n), 7.0)
+    k.u_last[:] = 7.0
+    ok = run_frontend_chunk(k, n, au.ctypes.data, au.shape[1])
+    return [bytes([ok]), bits(au), bits(k.u_last)]
 
 
 @pytest.mark.parametrize("B", [1, 8, 16, 64])
@@ -491,9 +486,10 @@ def test_chain_variants_match_dispatched(variants, monkeypatch, B, kind):
 
 
 def pad_case(case, Bp: int):
-    """One lane's case padded with inert lanes to ``Bp``, the layout the
-    engine used for a lone lane before the one-lane instantiation."""
-    n, c, inputs, state, fixed = case
+    """One lane's case padded to ``Bp`` lanes: its coefficient row plus
+    inert rows (zero gains, unit swing), the layout the engine used for
+    a lone lane before the one-lane instantiation."""
+    n, c, inputs, state, filt = case
 
     def pad(a, fill=0.0):
         out = np.full((Bp,) + a.shape[1:], fill, dtype=a.dtype)
@@ -502,15 +498,13 @@ def pad_case(case, Bp: int):
 
     c = {k: pad(v, 1.0 if k == "swing" else 0.0) for k, v in c.items()}
     inputs = {k: v if v.ndim == 1 else pad(v) for k, v in inputs.items()}
-    state = BatchState(
-        x1=pad(state.x1), x2=pad(state.x2),
-        comp_previous=pad(state.comp_previous, 1),
-        cic_integrators=pad(state.cic_integrators.T).T.copy(),
-        cic_combs=pad(state.cic_combs.T).T.copy(),
-        cic_phase=state.cic_phase,
-        fir_history=pad(state.fir_history), fir_phase=state.fir_phase,
-    )
-    return n, c, inputs, state, fixed
+    state = {
+        k: v if np.ndim(v) == 0
+        else pad(v.T).T.copy() if k in ("integ", "comb")
+        else pad(v, 1 if k == "comp_previous" else 0)
+        for k, v in state.items()
+    }
+    return n, c, inputs, state, filt
 
 
 @needs_cc
