@@ -8,9 +8,12 @@ in ``BENCH_gateway.json``:
 * **sessions/s** — complete device sessions (HELLO → frames → BYE)
   the gateway closes per wall-clock second, steady-state: one warmup
   run pays the lazy CRC-table build and allocator growth, then the
-  best of ``TRIALS`` timed runs is recorded (the load generator
-  pre-materializes its wire bytes via ``prepare()``, so the measured
-  wall is transport + gateway work, not client-side frame encoding);
+  best of ``TRIALS`` timed runs is recorded. The load generator
+  prepares its wire bytes via ``prepare()``, so frame encoding and
+  fault mangling stay out of the measured wall; the clients' send loop
+  (one wire slice, replay update and stamp pass per group of
+  ``COALESCE_PAYLOADS`` payloads) shares the event loop with the
+  gateway and stays in it;
 * **p99 end-to-end frame latency** — client ``on_frame_sent`` stamp to
   gateway decode stamp, measured per frame on the same monotonic
   clock, faults and replays included;

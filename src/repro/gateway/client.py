@@ -3,7 +3,7 @@
 :class:`DeviceClient` plays the role of one acquisition device (FPGA +
 USB bridge) on the gateway's TCP wire: HELLO handshake, framed data
 interleaved with DLE heartbeats, BYE with conservation counts. Its
-robustness behaviours are the ones the tentpole demands:
+robustness behaviours:
 
 * **Retry with exponential backoff + jitter**
   (:class:`~repro.gateway.backoff.ExponentialBackoff`) around every
@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from collections import OrderedDict, deque
+from dataclasses import dataclass
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,12 +55,14 @@ def _after(seq: int, acked: int) -> bool:
     return 0 < (seq - acked) % 0x10000 < 0x8000
 
 
+#: Runs an iterator to exhaustion at C speed, keeping nothing.
+_consume = deque(maxlen=0).extend
+
+
 # -- payload sources ---------------------------------------------------------
 
 
-def expected_codes(
-    n_frames: int, samples_per_frame: int = 64
-) -> np.ndarray:
+def expected_codes(n_frames: int, samples_per_frame: int = 64) -> np.ndarray:
     """The exact int16 codes :func:`synthetic_payloads` frames carry.
 
     Content is a deterministic function of absolute sample index, so a
@@ -83,11 +86,8 @@ def synthetic_payloads(
         raise ConfigurationError("frame count must be >= 0")
     encoder = FrameEncoder(samples_per_frame=samples_per_frame)
     codes = expected_codes(n_frames, samples_per_frame)
-    for k in range(n_frames):
-        yield encoder.push(
-            codes[k * samples_per_frame : (k + 1) * samples_per_frame],
-            element,
-        )
+    for chunk in codes.reshape(n_frames, samples_per_frame):
+        yield encoder.push(chunk, element)
 
 
 def chain_payloads(
@@ -109,18 +109,13 @@ def batch_chain_payloads(
 ) -> list[list[bytes]]:
     """Per-device framed payload lists for a whole fleet, in one pass.
 
-    The fleet-scale sibling of :func:`chain_payloads`: runs ``B``
-    chains' pressure fields through one
+    Runs ``B`` chains' pressure fields through one
     :class:`~repro.batch.session.BatchAcquisitionSession` (the fused
-    batch kernel) and frames each lane's delivered words with that
-    lane's own :class:`~repro.daq.usb.FrameEncoder`. The concatenated
-    bytes per device are bit-identical to ``B`` independent
-    :func:`chain_payloads` runs — same words, same element tags, same
-    sequence numbers — at batched throughput, so a many-device gateway
-    scenario no longer pays ``B`` single-chain simulations.
-
-    Returns one payload list per chain, in chain order; feed each list
-    to its own :class:`DeviceClient`.
+    batch kernel) and frames each lane's words with that lane's own
+    :class:`~repro.daq.usb.FrameEncoder`: per device, the bytes of
+    ``B`` independent :func:`chain_payloads` runs (same words, element
+    tags and sequence numbers) at batched throughput. Returns one
+    payload list per chain, in chain order.
     """
     from ..batch import BatchAcquisitionSession
 
@@ -154,6 +149,18 @@ def batch_chain_payloads(
 # -- the client --------------------------------------------------------------
 
 
+class _WireStream(NamedTuple):
+    """Flattened payloads: payload ``k`` is ``wire[wire_at[k]:wire_at[k+1]]``
+    on the wire (faults applied) and ``frames[frame_at[k]:frame_at[k+1]]``
+    (clean, sequence numbers in ``seqs``) in the replay buffer."""
+
+    wire: bytes
+    wire_at: list[int]
+    frames: list[bytes]
+    seqs: list[int]
+    frame_at: list[int]
+
+
 @dataclass
 class DeviceReport:
     """What one device run did — the client-side half of the audit."""
@@ -171,7 +178,7 @@ class DeviceReport:
     replay_evictions: int = 0
     faults_injected: int = 0
     bye_sent: bool = False
-    backoff_slept_s: float = field(default=0.0)
+    backoff_slept_s: float = 0.0
 
 
 class DeviceClient:
@@ -210,15 +217,17 @@ class DeviceClient:
     pace_s:
         Sleep between payloads (0 = as fast as the loop allows).
     coalesce_payloads:
-        Accumulate this many payloads per TCP write+drain (1 = one
-        write per payload, the legacy behaviour). The wire bytes,
-        fault applications and replay bookkeeping are identical —
-        only the syscall granularity changes, so a load generator can
-        saturate the gateway instead of its own ``drain()`` round
-        trips. Pacing and forced drops still flush at each payload.
+        Payloads per TCP write+drain (1 = one write per payload). A
+        group ends at the next multiple of ``coalesce_payloads`` or
+        ``drop_every``; with ``pace_s`` set every payload is its own
+        group. The wire bytes, fault applications and replay
+        bookkeeping do not depend on it — only the syscall granularity
+        does, so a load generator can saturate the gateway instead of
+        its own ``drain()`` round trips.
     on_frame_sent:
         Latency probe ``(sequence, t_monotonic)`` called per transmitted
-        frame (replays included).
+        frame (replays included) when its group is handed to the
+        writer; every frame of one write gets the same stamp.
     """
 
     def __init__(
@@ -266,7 +275,7 @@ class DeviceClient:
         self.on_frame_sent = on_frame_sent
         self._clock = clock
         self.report = DeviceReport(device_id=self.device_id)
-        self._prepared: list[tuple[bytes, list[bytes]]] | None = None
+        self._prepared: _WireStream | None = None
         self._replay: OrderedDict[int, bytes] = OrderedDict()
         self._reader_task: asyncio.Task | None = None
         self._writer: asyncio.StreamWriter | None = None
@@ -276,69 +285,75 @@ class DeviceClient:
     # -- lifecycle -----------------------------------------------------------
 
     def prepare(self) -> None:
-        """Materialize every payload's wire bytes (faults applied) now.
+        """Flatten every payload (faults applied) into one stream now.
 
-        Load-generation front-loading for benchmarks: frame encoding
-        and fault mangling happen here, outside the measured window, so
-        :meth:`run` spends its wall time on transport and protocol
-        only. The bytes sent are identical to an unprepared run —
-        replay buffering and latency stamps still happen at send time.
+        Load-generation front-loading for benchmarks: splitting and fault
+        mangling happen outside the measured window. Indexed per payload,
+        the stream serves any ``coalesce_payloads``; :meth:`run` sends each
+        group as one slice of its wire blob, the bytes of a live run.
         """
         if self._prepared is not None:
             raise GatewayError("client already prepared")
-        self._prepared = list(self._payload_stream())
+        self._prepared = self._flatten(self.payloads)
 
-    def _payload_stream(
-        self,
-    ) -> Iterator[tuple[bytes, list[bytes], list[int]]]:
-        """(wire_bytes, clean_frames, sequences) per payload."""
-        if self._prepared is not None:
-            yield from self._prepared
-            return
-        for payload in self.payloads:
-            frames = split_frames(payload)
-            seqs = [frame_sequence(f) for f in frames]
-            if self.faults is not None:
-                wire = self.faults.apply_payload(payload)
-                self.report.faults_injected = self.faults.events_applied
-            else:
-                wire = payload
-            yield wire, frames, seqs
+    def _flatten(self, payloads: Iterable[bytes]) -> _WireStream:
+        """Split, sequence and fault-mangle ``payloads`` into one stream."""
+        faults = self.faults
+        wires, frames, wire_at, frame_at = [], [], [0], [0]
+        for payload in payloads:
+            frames += split_frames(payload)
+            frame_at.append(len(frames))
+            wire = faults.apply_payload(payload) if faults else payload
+            wires.append(wire)
+            wire_at.append(wire_at[-1] + len(wire))
+        if faults:
+            self.report.faults_injected = faults.events_applied
+        seqs = list(map(frame_sequence, frames))
+        return _WireStream(b"".join(wires), wire_at, frames, seqs, frame_at)
+
+    def _group_end(self, index: int) -> int:
+        """Payload index one past the group that starts at ``index``."""
+        if self.pace_s:
+            return index + 1
+        drop = self.drop_every or self.coalesce_payloads
+        return min(index // k * k + k for k in (self.coalesce_payloads, drop))
 
     async def run(self) -> DeviceReport:
-        """Stream every payload (reconnecting as needed), BYE, report."""
+        """Stream every payload group (reconnecting as needed), BYE, report.
+
+        A live (unprepared) client flattens each group's payloads as it
+        reaches them, so it holds one group at a time.
+        """
         await self._connect(resume=False)
         try:
-            wire = bytearray()
-            seqs: list[int] = []
-            for index, (p_wire, p_frames, p_seqs) in enumerate(
-                self._payload_stream()
-            ):
-                for seq, frame in zip(p_seqs, p_frames):
-                    self._buffer_frame(seq, frame)
-                seqs.extend(p_seqs)
-                wire += p_wire
-                self.report.payloads += 1
-                forced = (
-                    self.drop_every is not None
-                    and (index + 1) % self.drop_every == 0
-                )
-                if (
-                    forced
-                    or self.pace_s
-                    or (index + 1) % self.coalesce_payloads == 0
-                ):
-                    await self._send_group(bytes(wire), seqs)
-                    wire = bytearray()
-                    seqs = []
-                if forced:
+            stream = self._prepared
+            live = iter(self.payloads) if stream is None else None
+            index = 0
+            while True:
+                end = self._group_end(index)
+                if live is None:
+                    lo, hi = index, min(end, len(stream.wire_at) - 1)
+                else:
+                    stream = self._flatten(islice(live, end - index))
+                    lo, hi = 0, len(stream.wire_at) - 1
+                if hi <= lo:
+                    break
+                index += hi - lo
+                self.report.payloads += hi - lo
+                f_lo, f_hi = stream.frame_at[lo], stream.frame_at[hi]
+                seqs = stream.seqs[f_lo:f_hi]
+                self._buffer(seqs, stream.frames[f_lo:f_hi])
+                wire = stream.wire[stream.wire_at[lo] : stream.wire_at[hi]]
+                if index == end or wire or seqs:
+                    await self._send_group(wire, seqs)
+                if index < end:
+                    break  # the stream ended inside this group
+                if self.drop_every and index % self.drop_every == 0:
                     self.report.forced_drops += 1
                     await self._abort()
                     await self._connect(resume=True)
                 if self.pace_s:
                     await asyncio.sleep(self.pace_s)
-            if wire or seqs:
-                await self._send_group(bytes(wire), seqs)
             await self._send_bye()
         finally:
             await self._close()
@@ -414,11 +429,10 @@ class DeviceClient:
                     if event.kind == "ack":
                         self.report.acks_received += 1
                         self._trim(event.last_acked)
-                    elif event.kind == "heartbeat":
+                    elif event.kind == "heartbeat" and self._writer:
                         # Gateway liveness probe: traffic is the answer.
-                        if self._writer is not None:
-                            self._writer.write(heartbeat())
-                            self.report.heartbeats_sent += 1
+                        self._writer.write(heartbeat())
+                        self.report.heartbeats_sent += 1
         except (ConnectionError, OSError, asyncio.CancelledError):
             return
 
@@ -427,7 +441,15 @@ class DeviceClient:
     async def _send_group(self, wire: bytes, seqs: list[int]) -> None:
         """Put already-buffered (possibly mangled) bytes on the wire."""
         try:
-            await self._write(wire, seqs)
+            # A first transmission counts once handed to the writer: if
+            # the drain fails, the replay tallies the retransmission.
+            self.report.frames_sent += len(seqs)
+            now = self._put(wire, seqs)
+            if now - self._last_hb >= self.heartbeat_s:
+                self._writer.write(heartbeat())
+                self.report.heartbeats_sent += 1
+                self._last_hb = now
+            await self._writer.drain()
         except (ConnectionError, OSError):
             # The replay buffer already holds these frames: reconnect-
             # and-resume retransmits whatever the gateway missed, so
@@ -435,49 +457,37 @@ class DeviceClient:
             await self._abort()
             await self._connect(resume=True)
 
-    async def _write(self, wire: bytes, seqs: list[int]) -> None:
-        writer = self._writer
-        if writer is None:
-            raise ConnectionResetError("no connection")
+    def _put(self, wire: bytes, seqs: Iterable[int]) -> float:
+        """Hand ``wire`` to the writer, stamp its frames; returns the stamp."""
         if wire:
-            writer.write(wire)
-        now = self._clock()
-        if now - self._last_hb >= self.heartbeat_s:
-            writer.write(heartbeat())
-            self.report.heartbeats_sent += 1
-            self._last_hb = now
-        await writer.drain()
+            self._writer.write(wire)
         self.report.bytes_sent += len(wire)
-        self.report.frames_sent += len(seqs)
+        now = self._clock()
         if self.on_frame_sent is not None:
-            for seq in seqs:
-                self.on_frame_sent(seq, now)
+            _consume(map(self.on_frame_sent, seqs, repeat(now)))
+        return now
 
-    def _buffer_frame(self, seq: int, frame: bytes) -> None:
-        self._replay[seq] = frame
-        while len(self._replay) > self.replay_limit:
-            self._replay.popitem(last=False)
-            self.report.replay_evictions += 1
+    def _buffer(self, seqs: list[int], frames: list[bytes]) -> None:
+        """Hold a group's clean frames for replay; evict the overflow."""
+        replay = self._replay
+        replay.update(zip(seqs, frames))
+        over = len(replay) - self.replay_limit
+        if over > 0:
+            self.report.replay_evictions += over
+            for _ in range(over):
+                replay.popitem(last=False)
 
     def _trim(self, last_acked: int | None) -> None:
-        if last_acked is None:
-            return
-        for seq in [
-            s for s in self._replay if not _after(s, last_acked)
-        ]:
-            del self._replay[seq]
+        if last_acked is not None:
+            for seq in [s for s in self._replay if not _after(s, last_acked)]:
+                del self._replay[seq]
 
     async def _resend_unacked(self) -> None:
         """Replay everything the gateway's ACK did not cover, in order."""
         if not self._replay or self._writer is None:
             return
-        now = self._clock()
-        for seq, frame in self._replay.items():
-            self._writer.write(frame)
-            self.report.frames_replayed += 1
-            self.report.bytes_sent += len(frame)
-            if self.on_frame_sent is not None:
-                self.on_frame_sent(seq, now)
+        self.report.frames_replayed += len(self._replay)
+        self._put(b"".join(self._replay.values()), self._replay)
         await self._writer.drain()
 
     # -- teardown ------------------------------------------------------------
@@ -487,9 +497,7 @@ class DeviceClient:
         writer = self._writer
         if writer is None:
             return
-        faults = (
-            self.faults.events_applied if self.faults is not None else 0
-        )
+        faults = self.faults.events_applied if self.faults else 0
         # ``frames_sent`` counts first transmissions only (replays are
         # tallied separately), so it is the device's lifetime framed count.
         writer.write(pack_bye(self.report.frames_sent, faults))
@@ -511,17 +519,9 @@ class DeviceClient:
 
     async def _close(self) -> None:
         writer = self._writer
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._reader_task = None
+        await self._abort()
         if writer is not None:
-            self._writer = None
             try:
-                writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
