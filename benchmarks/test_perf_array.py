@@ -11,20 +11,33 @@ Writes ``BENCH_array.json`` at the repo root. Two gates:
   and 64x64, with a floor on the 8x8 figure, plus the *device-time*
   :class:`~repro.array.mux.ScanSchedule` timetable (shared converter vs
   one ΣΔ bank per column) for each size.
+* ``test_warm_8x8_frame`` — the repeated 8x8 imaging frame on one chain
+  after its first scan, split into synthesis, scan and image + localize
+  (per-part medians; the frame is their sum), with the path and the
+  kernel's ISA named, and an allocation gate: a warm fused scan reuses
+  the staging rows the chain holds, so its tracemalloc peak must stay
+  below half of those rows.
 """
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from conftest import native_provenance, print_rows
 
+from repro import native
+from repro.array.imaging import amplitude_image, localize_artery
 from repro.array.scan import ScanController
 from repro.batch import batch_kernel_available
+from repro.batch.kernel import pad_lanes
 from repro.core.chain import ReadoutChain
 from repro.params import ArrayParams, NonidealityParams, SystemParams
+from repro.tonometry.contact import ContactModel
+from repro.tonometry.coupling import TonometricCoupling
+from repro.tonometry.placement import ArrayPlacement
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_array.json"
 
@@ -34,6 +47,8 @@ IDENTITY_SIZE = (64, 64)
 FRAME_SIZES = ((8, 8), (16, 16), (64, 64))
 REQUIRED_SPEEDUP = 10.0
 MIN_8X8_FRAME_RATE_HZ = 5.0
+WARM_FRAMES = 41  # the first is the cold bind, then 40 timed frames
+SETTLE_WORDS = 9
 
 
 def update_bench(section: dict) -> None:
@@ -208,4 +223,100 @@ def test_array_frame_rates():
             f"8x8 host frame rate "
             f"{sizes['8x8']['host_frame_rate_hz']:.1f} Hz below the "
             f"{MIN_8X8_FRAME_RATE_HZ} Hz floor"
+        )
+
+
+def test_warm_8x8_frame():
+    """The repeated 8x8 frame, warm and split, plus the allocation gate."""
+    rows = cols = 8
+    n_el = rows * cols
+    dwell = DWELL_WORDS * DECIMATION
+    chain = make_chain(rows, cols)
+    controller = ScanController(chain.chip.mux)
+    geometry = chain.chip.array.geometry
+    contact = ContactModel(
+        contact=chain.params.contact, tissue=chain.params.tissue
+    )
+    coupling = TonometricCoupling(
+        geometry,
+        contact,
+        placement=ArrayPlacement(lateral_offset_m=40e-6, rotation_rad=0.03),
+        contact_heterogeneity=0.0,
+    )
+    t = np.arange(n_el * dwell) / chain.params.modulator.sampling_rate_hz
+    arterial = contact.map_pa + 2500.0 * np.sin(2 * np.pi * 40.0 * t)
+
+    clock = time.perf_counter
+    parts = {"synthesis": [], "scan": [], "image_localize": []}
+    fused = []
+    for _ in range(WARM_FRAMES):
+        t0 = clock()
+        segments = coupling.scan_pressure_segments(arterial, dwell)
+        t1 = clock()
+        records = controller.scan_records(
+            chain, segments=segments, fused=True
+        )
+        t2 = clock()
+        image = amplitude_image(records[SETTLE_WORDS:], rows, cols, "std")
+        localize_artery(image, geometry)
+        t3 = clock()
+        fused.append(controller.last_scan_fused)
+        for name, dt in zip(parts, (t1 - t0, t2 - t1, t3 - t2)):
+            parts[name].append(dt * 1e3)
+    medians = {name: float(np.median(v[1:])) for name, v in parts.items()}
+    frame_ms = sum(medians.values())
+    used_fused = all(fused)
+
+    # One more warm scan under tracemalloc: the chain holds the
+    # (pad_lanes(B), dwell) staging rows, so the scan allocates only
+    # its record matrix and small per-scan arrays.
+    staging_bytes = pad_lanes(n_el) * dwell * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        controller.scan_records(chain, segments=segments, fused=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    path = "fused" if used_fused else "bank"
+    update_bench(
+        {
+            "warm_frame_8x8": {
+                "path": path,
+                "kernel_isa": native.isa(),
+                "frames_timed": WARM_FRAMES - 1,
+                "synthesis_ms": medians["synthesis"],
+                "scan_ms": medians["scan"],
+                "image_localize_ms": medians["image_localize"],
+                "frame_ms": frame_ms,
+                "frame_rate_hz": 1e3 / frame_ms,
+                "scan_tracemalloc_peak_bytes": peak,
+                "staging_bytes": staging_bytes,
+            }
+        }
+    )
+    print_rows(
+        f"warm 8x8 frame ({path}, kernel {native.isa()})",
+        [
+            ("synthesis", "median", f"{medians['synthesis']:.3f} ms"),
+            ("scan", "median", f"{medians['scan']:.3f} ms"),
+            (
+                "image + localize",
+                "median",
+                f"{medians['image_localize']:.3f} ms",
+            ),
+            ("frame", "sum", f"{frame_ms:.3f} ms ({1e3 / frame_ms:.0f} Hz)"),
+            (
+                "warm scan tracemalloc peak",
+                f"< {staging_bytes // 2} B",
+                f"{peak} B",
+            ),
+        ],
+    )
+    assert used_fused is batch_kernel_available()
+    if used_fused:
+        assert peak < staging_bytes // 2, (
+            f"a warm 8x8 scan peaked at {peak} B: it allocates staging "
+            f"rows again (the held rows are {staging_bytes} B)"
         )

@@ -8,18 +8,21 @@ workload — B lanes with identical coefficients, independent state,
 advancing in lockstep — so a 64x64 scan collapses from 4096 sequential
 chain passes into one fused C kernel call with 4096 lanes.
 
-:func:`run_fused_scan` binds the engine's two kernels to the scan, one
+:func:`run_fused_scan` runs the engine's two kernels over the scan, one
 lane per element — a :class:`~repro.batch.kernel.ChainKernel` from the
 modulator's coefficients and the chain's decimation filter, and the
 compiled front end of :func:`~repro.batch.kernel.frontend_kernel` —
-and runs each once through the module's one call form. It reproduces
-the bank scan bit-for-bit for every configuration it supports
-(deterministic modulator, stock decimation architecture, stock chip
-composition without hooks, in-range pressures): the same per-lane
-initial state, the same post-switch word suppression, the same FPGA
-counter and filter-state bookkeeping afterwards. Anything outside that
-envelope returns ``None`` — with no side effects — and the caller runs
-the bank scan, which raises the exact error for bad input.
+each once per scan through the module's one call form. The chain keeps
+the bound pair and the kernel's staging rows across scans and rebinds
+only when what they were bound to changes (see :func:`run_fused_scan`),
+so a repeated frame binds once. The scan reproduces the bank scan
+bit-for-bit for every configuration it supports (deterministic
+modulator, stock decimation architecture, stock chip composition
+without hooks, in-range pressures): the same per-lane initial state,
+the same post-switch word suppression, the same FPGA counter and
+filter-state bookkeeping afterwards. Anything outside that envelope
+returns ``None`` — with no side effects on the scan state — and the
+caller runs the bank scan, which raises the exact error for bad input.
 """
 
 from __future__ import annotations
@@ -70,8 +73,127 @@ def fused_scan_supported(chain) -> bool:
     )
 
 
-def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
+def _unbound():
+    return None
+
+
+class _ScanBinding:
+    """A chain's bound scan kernels, staging rows and their key.
+
+    ``objects`` are compared with ``is`` and ``values`` with ``==``; a
+    scan reuses the binding only when both match. The kernels hold raw
+    addresses into this binding's arrays, so a copied or unpickled
+    chain starts unbound rather than writing into this chain's buffers.
+    """
+
+    __slots__ = ("objects", "values", "front", "kernel", "au", "zero",
+                 "row_offsets", "stage")
+
+    def __init__(self, objects, values, front, kernel, au, zero):
+        self.objects = objects
+        self.values = values
+        self.front = front
+        self.kernel = kernel
+        self.au = au
+        self.zero = zero
+        n = au.shape[1]
+        # Lane k reads row k of a C-contiguous (B, n) segment matrix.
+        self.row_offsets = np.arange(front.pbase.size, dtype=np.uint64) * (
+            8 * n
+        )
+        front.pstep[:] = 1
+        self.stage = (au.ctypes.data, n, zero.ctypes.data, 0,
+                      zero.ctypes.data, 0)
+
+    def matches(self, objects, values) -> bool:
+        held = self.objects
+        return (
+            len(objects) == len(held)
+            and all(a is b for a, b in zip(objects, held))
+            and values == self.values
+        )
+
+    def __reduce__(self):
+        return (_unbound, ())
+
+
+def _binding_key(chip, filt, a1: float, n: int):
+    """What the scan's kernels and staging rows are bound to.
+
+    The routes (the mux, its elements, the front end, each membrane's
+    fit and pressure range), the modulator's kernel coefficients and
+    input gain, the decimation filter's constants and the dwell length.
+    Objects are kept by reference; the mutable scalars the bind reads
+    from them are kept by value.
+    """
+    mux, fe = chip.mux, chip.frontend
+    cic, fir = filt.cic, filt.fir
+    elements = tuple(mux.array.elements)
+    sensors = [el.sensor for el in elements]
+    objects = (
+        (mux, fe, cic, fir, fir.coefficients_int, fir.coeff_format)
+        + elements
+        + tuple(s._fit for s in sensors)
+    )
+    values = (
+        mux.charge_injection_c,
+        fe.reference_cap_f,
+        fe.feedback_cap_f,
+        fe.excitation_fraction,
+        chip.modulator.kernel_coefficients(),
+        a1,
+        cic.decimation,
+        cic.register_bits,
+        fir.decimation,
+        filt.params.output_bits,
+        n,
+        tuple((s._p_min, s._p_max) for s in sensors),
+    )
+    return objects, values
+
+
+def _bind(chain, n: int) -> _ScanBinding | None:
+    """The chain's scan binding for dwell ``n``: the held one while its
+    key matches, else a new one, or None when the front end declines
+    (nothing is cached then)."""
+    chip, filt = chain.chip, chain.fpga.filter
+    m = chip.modulator
+    a1 = m.stage1.signal_gain * m.stage1.gain_error
+    objects, values = _binding_key(chip, filt, a1, n)
+    held = chain._fused_scan
+    if held is not None and held.matches(objects, values):
+        return held
+    chain._fused_scan = None
+    batch_kernel = _kernel()
+    mux = chip.mux
+    front = batch_kernel.frontend_kernel(
+        [(mux, el, chip.frontend) for el in mux.array.elements], a1
+    )
+    if front is None:
+        return None
+    B = len(mux.array.elements)
+    kernel = batch_kernel.ChainKernel([m.kernel_coefficients()] * B, filt)
+    au = np.zeros((batch_kernel.pad_lanes(B), n))
+    chain._fused_scan = _ScanBinding(
+        objects, values, front, kernel, au, np.zeros(n)
+    )
+    return chain._fused_scan
+
+
+def run_fused_scan(
+    chain, dwell_pressures_pa
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Run a whole array scan as one fused batch-kernel call.
+
+    The chain keeps the scan's :class:`~repro.batch.kernel.FrontendKernel`,
+    :class:`~repro.batch.kernel.ChainKernel` and ``(pad_lanes(B), n)``
+    staging rows across scans, and binds new ones only when their key
+    changes: the routes (mux, elements, front end, membrane fit and
+    range), the modulator's kernel coefficients and input gain, the
+    decimation filter's constants or the dwell length ``n``. A reused
+    chain kernel is reset to a new kernel's state before every scan. A
+    front end that declines to bind is not kept, so the next scan tries
+    again; a copy or pickle of the chain carries no binding.
 
     Parameters
     ----------
@@ -83,10 +205,13 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
 
     Returns
     -------
-    Per-element record values (decimated words / 2048, post-suppression)
-    in scan order — bit-identical to the bank scan — or ``None``, with
-    nothing touched, when the configuration is outside the kernel
-    envelope or the compiled front end declines the input.
+    ``(records, sizes)``: ``records`` is the (n_words, n_elements)
+    matrix of record values (decimated words / 2048, post-suppression)
+    over the common word count, in scan order, and ``sizes`` the word
+    count each element recorded before that alignment — bit-identical
+    to the bank scan. ``None``, with no scan state touched, when the
+    configuration is outside the kernel envelope or the compiled front
+    end declines the input.
     Chain side effects match the bank scan exactly: the mux and FPGA
     finish on the last element, the decimation filter carries the last
     element's state, telemetry counters advance identically, and the
@@ -101,46 +226,35 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
     fpga = chain.fpga
     filt = fpga.filter
     m = chip.modulator
-    n_elements = chip.array.n_elements
-    if (
-        segments.ndim != 2
-        or segments.shape[0] != n_elements
-        or segments.shape[1] < 1
-    ):
+    B = chip.array.n_elements
+    if segments.ndim != 2 or segments.shape[0] != B or segments.shape[1] < 1:
         return None
     n = segments.shape[1]
+    bound = _bind(chain, n)
+    if bound is None:
+        return None
+    front, k = bound.front, bound.kernel
     start_element = fpga._element
     # Lane-0 suppression budget: the first visit re-selects the current
     # element when the FPGA already points at 0 (no reset, any pending
     # suppression window keeps draining); every other visit is a switch.
     flush = fpga.flush_words_on_switch
-    budgets = np.full(n_elements, flush, dtype=np.int64)
+    budgets = np.full(B, flush, dtype=np.int64)
     if start_element == 0:
         budgets[0] = fpga._suppress
 
     # Stage the front end: the compiled kernel evaluates the membrane
     # Chebyshev transfer, mismatch, charge injection and the charge
-    # front end per lane directly into the a1*u buffer (the dominant
-    # cost at 64x64). Lane k reads row k of the segments in place. The
-    # mux then finishes on the last element with its injection state
+    # front end per lane directly into the a1*u rows (the dominant cost
+    # at 64x64). Lane k reads row k of the segments in place. The mux
+    # then finishes on the last element with its injection state
     # consumed — the sequential-scan semantics.
-    B = n_elements
     mux = chip.mux
-    au = np.zeros((batch_kernel.pad_lanes(B), n))
-    front = batch_kernel.frontend_kernel(
-        [(mux, el, chip.frontend) for el in mux.array.elements],
-        m.stage1.signal_gain * m.stage1.gain_error,
-    )
-    if front is None:
-        return None
-    front.pbase[:] = segments.ctypes.data + segments.strides[0] * np.arange(
-        B, dtype=np.uint64
-    )
-    front.pstep[:] = 1
+    np.add(bound.row_offsets, segments.ctypes.data, out=front.pbase)
     front.injection[:] = front.switch_injection
     if mux._selected == 0 and not mux._just_switched:
         front.injection[0] = 0.0
-    if not batch_kernel.run_frontend_chunk(front, n, au.ctypes.data, n):
+    if not batch_kernel.run_frontend_chunk(front, n, bound.stage[0], n):
         return None
     mux._selected = B - 1
     mux._just_switched = False
@@ -148,7 +262,7 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
     # Every lane starts from the modulator's pre-scan analog state and a
     # reset filter, except that a first visit re-selecting element 0
     # continues from the carried filter state (phase 0, checked above).
-    k = batch_kernel.ChainKernel([m.kernel_coefficients()] * B, filt)
+    k.reset()
     k.x1[:B] = m.stage1.state
     k.x2[:B] = m.stage2.state
     k.comp_previous[:B] = m.comparator.previous_decision
@@ -156,19 +270,19 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
         k.integ[:, 0] = filt.cic._integrators
         k.comb[:, 0] = filt.cic._combs[:, 0]
         k.hist[0] = filt.fir._history
-    zero = np.zeros(n)
-    n_words = batch_kernel.run_batch_chunk(
-        k, n, au.ctypes.data, n, zero.ctypes.data, 0, zero.ctypes.data, 0
-    )
-    codes = k.words[:B, :n_words]
+    n_words = batch_kernel.run_batch_chunk(k, n, *bound.stage)
 
-    # Per-element post-switch suppression, then the same i16 clamp the
-    # framing path applies; values in modulator FS like ChainRecording.
-    records: list[np.ndarray] = []
+    # Per-element post-switch suppression: lane e's record starts at
+    # its drop count. One gather takes every lane's first
+    # ``min(sizes)`` kept words as a column, then one pass applies the
+    # framing path's i16 clamp and scales to modulator FS like
+    # ChainRecording.
     drops = np.minimum(budgets, n_words)
-    for e in range(B):
-        kept = codes[e, int(drops[e]) :]
-        records.append(saturate(kept, 16).astype(float) / 2048.0)
+    sizes = n_words - drops
+    kept = np.arange(int(sizes.min()))[:, None] + drops
+    codes = k.words[np.arange(B), kept]
+    records = saturate(codes, 16).astype(float)
+    records /= 2048.0
 
     # FPGA bookkeeping, exactly as the bank scan's visits leave it.
     resets = (B - 1) + (1 if start_element != 0 else 0)
@@ -186,4 +300,4 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
     filt.cic._phase = k.cic_phase
     filt.fir._history = k.ordered_history()[B - 1].copy()
     filt.fir._phase = k.fir_phase
-    return records
+    return records, sizes

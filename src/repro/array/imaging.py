@@ -105,6 +105,48 @@ class ArteryEstimate:
         return self.transverse_m + math.tan(self.angle_rad) * y_m
 
 
+def _log_parabola_vertices(xs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """:func:`log_parabola_vertex` for every row of ``amps`` in one solve.
+
+    Row r fits a parabola to ln(amps[r]) against ``xs`` over its positive
+    samples, by one batched solve of the per-row 3x3 normal equations;
+    rows with fewer than three positive samples return NaN. Each row's x
+    is centred on its samples' mean and scaled to [-1, 1], and ln(A) is
+    taken relative to the row's peak, so the normal equations stay well
+    conditioned and a flat row fits a zero curvature exactly. Not
+    bit-identical to ``np.polyfit``'s SVD solve: agreement with the
+    per-row spec is a property test. Degenerate (flat or inverted) rows
+    fall back to the strongest sample's position, as the spec does.
+    """
+    g = (amps > 0.0).astype(float)
+    count = g.sum(axis=1)
+    fit = count >= 3
+    vertices = np.full(amps.shape[0], np.nan)
+    if not fit.any():
+        return vertices
+    g, amps = g[fit], amps[fit]
+    centre = g @ xs / count[fit]
+    u = xs - centre[:, None]
+    scale = np.abs(u * g).max(axis=1)
+    u /= scale[:, None]
+    log_amp = np.log(np.clip(amps, 1e-30, None))
+    y = g * (log_amp - log_amp.max(axis=1, keepdims=True))
+    # powers[p] = u**p on the good samples, p = 0..4.
+    powers = np.empty((5,) + g.shape)
+    powers[0] = g
+    for p in range(1, 5):
+        np.multiply(powers[p - 1], u, out=powers[p])
+    sums = powers.sum(axis=2)
+    moments = (powers[:3] * y).sum(axis=2)
+    normal = sums[[[4, 3, 2], [3, 2, 1], [2, 1, 0]]].transpose(2, 0, 1)
+    a, b, _ = np.linalg.solve(normal, moments[::-1].T[:, :, None])[:, :, 0].T
+    peak = xs[np.argmax(amps, axis=1)]
+    curved = a < 0.0
+    vertex = centre - scale * b / np.where(curved, 2.0 * a, 1.0)
+    vertices[fit] = np.where(curved, vertex, peak)
+    return vertices
+
+
 def localize_artery(
     amplitude_map: np.ndarray,
     geometry: ArrayGeometry,
@@ -114,17 +156,22 @@ def localize_artery(
     """Sub-pixel artery-line estimate from a pulsatile amplitude map.
 
     Each array row samples the artery's Gaussian coupling profile along
-    x; :func:`log_parabola_vertex` locates the per-row peak, and a
-    weighted least-squares line through the row peaks (weights: each
-    row's peak amplitude) gives transverse position and tilt. With fewer
-    than ``min_rows`` usable rows the estimate degrades gracefully to the
-    column-collapsed vertex at zero tilt (the 1-D estimate
-    ``experiments/localization.py`` uses).
+    x; a log-parabola vertex fit (:func:`log_parabola_vertex`, solved for
+    all rows at once) locates the per-row peak, and a weighted
+    least-squares line through the row peaks (weights: each row's peak
+    amplitude) gives transverse position and tilt. With fewer than
+    ``min_rows`` usable rows (at least 2: a line needs two rows) the
+    estimate degrades gracefully to the column-collapsed vertex at zero
+    tilt (the 1-D estimate ``experiments/localization.py`` uses).
 
     ``exclude`` is an optional (rows*cols,) or (rows, cols) boolean mask
     of unhealthy elements (``True`` = excluded); their amplitudes are
     zeroed before fitting so a railed pixel cannot bend the line.
     """
+    if min_rows < 2:
+        raise ConfigurationError(
+            "min_rows must be >= 2: a line fit needs two usable rows"
+        )
     amps = np.asarray(amplitude_map, dtype=float)
     rows, cols = geometry.rows, geometry.cols
     if amps.shape != (rows, cols):
@@ -141,41 +188,40 @@ def localize_artery(
     if not np.any(amps > 0.0):
         raise SignalQualityError("no pulsatile amplitude to localize")
 
-    centers = geometry.element_centers_m()
-    xs = centers[:, 0].reshape(rows, cols)[0]
-    ys = centers[:, 1].reshape(rows, cols)[:, 0]
+    xs = geometry.column_x_m()
+    ys = geometry.row_y_m()
 
-    row_positions = np.full(rows, np.nan)
-    row_weights = np.zeros(rows)
-    for r in range(rows):
-        good = amps[r] > 0.0
-        if np.count_nonzero(good) < 3:
-            continue
-        row_positions[r] = log_parabola_vertex(xs[good], amps[r][good])
-        row_weights[r] = amps[r].max()
-    usable = np.isfinite(row_positions) & (row_weights > 0.0)
+    row_positions = _log_parabola_vertices(xs, amps)
+    usable = np.isfinite(row_positions)
     n_used = int(np.count_nonzero(usable))
 
-    if n_used >= min_rows and rows >= 2:
-        slope, intercept = np.polyfit(
-            ys[usable],
-            row_positions[usable],
-            1,
-            w=np.sqrt(row_weights[usable]),
-        )
+    if n_used >= min_rows:
+        # Weighted line x = slope * y + intercept (weights: row peak
+        # amplitudes), as the 2x2 normal equations in y centred on its
+        # weighted mean.
+        w = amps[usable].max(axis=1)
+        y = ys[usable]
+        x = row_positions[usable]
+        sw = float(w.sum())
+        y_mean = float(w @ y) / sw
+        d = y - y_mean
+        wd = w * d
+        swd, swdd = float(wd.sum()), float(wd @ d)
+        swx, swdx = float(w @ x), float(wd @ x)
+        det = swdd * sw - swd * swd
+        slope = (sw * swdx - swd * swx) / det
+        level = (swdd * swx - swd * swdx) / det
         return ArteryEstimate(
-            transverse_m=float(intercept),
+            transverse_m=level - slope * y_mean,
             angle_rad=float(math.atan(slope)),
             row_positions_m=row_positions,
             n_rows_used=n_used,
         )
     # Graceful 1-D fallback: collapse rows, fit the column profile.
     col_amp = amps.mean(axis=0)
-    good = col_amp > 0.0
-    if np.count_nonzero(good) >= 3:
-        x0 = log_parabola_vertex(xs[good], col_amp[good])
-    else:
-        x0 = float(xs[int(np.argmax(col_amp))])
+    x0 = _log_parabola_vertices(xs, col_amp[None, :])[0]
+    if not np.isfinite(x0):
+        x0 = xs[int(np.argmax(col_amp))]
     return ArteryEstimate(
         transverse_m=float(x0),
         angle_rad=0.0,

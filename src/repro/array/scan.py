@@ -209,12 +209,16 @@ class ScanController:
             ``dwell_s`` is ignored — the dwell is the row length.
         fused:
             Run the whole scan as one fused batch-kernel pass, every
-            element a lane — the 64x64-scan-in-one-call path. Falls
-            back to the bank scan (bit-identical for every supported
-            configuration; see :mod:`repro.array.fusedscan`) when the
-            C kernel is unavailable, the chain configuration is outside
-            the kernel's envelope or its compiled front end declines
-            the input (the visit then raises the exact error).
+            element a lane — the 64x64-scan-in-one-call path. The
+            fused pass hands back the common-length record matrix and
+            the per-element word counts itself, in one conversion, and
+            the chain keeps its bound kernels and staging rows for the
+            next scan. Falls back to the bank scan (bit-identical for
+            every supported configuration; see
+            :mod:`repro.array.fusedscan`) when the C kernel is
+            unavailable, the chain configuration is outside the
+            kernel's envelope or its compiled front end declines the
+            input (the visit then raises the exact error).
             :attr:`last_scan_fused` records which path ran.
         """
         n_elements = self.array.n_elements
@@ -255,12 +259,14 @@ class ScanController:
                     n_elements, dwell_mod, n_elements
                 )
                 segments = windows[idx, :, idx]
-            records = run_fused_scan(chain, segments)
+            scanned = run_fused_scan(chain, segments)
+            if scanned is not None:
+                records, sizes = scanned
         self.last_scan_fused = records is not None
         if records is None:
             bank = batched or fused
             saved = chain.chip.state_snapshot()
-            records = []
+            visits = []
             try:
                 for k in range(n_elements):
                     if segments is not None:
@@ -272,18 +278,20 @@ class ScanController:
                     if bank:
                         chain.chip.restore_state(saved)
                     rec = chain.record_pressure(window, element=k)
-                    records.append(rec.values)
+                    visits.append(rec.values)
             finally:
                 if bank:
                     chain.chip.restore_state(saved)
-        sizes = np.array([r.size for r in records])
-        n = int(sizes.min())
+            sizes = np.array([v.size for v in visits])
+            n = int(sizes.min())
+            records = np.column_stack([v[:n] for v in visits])
+        n = records.shape[0]
         self.last_scan_truncation = ScanTruncation(
             words_recorded=sizes,
             words_kept=n,
             words_dropped=sizes - n,
         )
-        return np.column_stack([r[:n] for r in records])
+        return records
 
     def element_health(
         self,

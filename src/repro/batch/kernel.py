@@ -22,7 +22,8 @@ layout — coefficients, cascade state, output buffers — whose addresses
 are computed once, and each has one call form, :func:`run_batch_chunk`
 and :func:`run_frontend_chunk`, which passes a few integers. The
 :class:`~repro.batch.engine.BatchChainEngine` keeps one of each across
-chunks; the fused array scan binds a pair per scan. :func:`run_bits`
+chunks; the fused array scan keeps a pair on its chain across scans.
+:func:`run_bits`
 runs one lane with a bitstream output instead of words: it is the
 compiled loop of ``SecondOrderSDM(backend="fast")``.
 
@@ -132,15 +133,16 @@ class ChainKernel:
     array the kernel reads or writes is held here in the kernel's layout
     and its address computed once, so :func:`run_batch_chunk` passes
     ``n``, the staging rows and the two decimation phases and
-    re-marshals nothing. Never shared: each engine, and each fused scan,
-    binds its own.
+    re-marshals nothing. Never shared: each engine, and each chain's
+    fused scan, binds its own.
 
     State lives in :attr:`x1`, :attr:`x2`, :attr:`comp_previous`,
     :attr:`integ` (raw mod-2^64 integrators, int64 storage), :attr:`comb`
     and :attr:`hist` (a ring read oldest column first, whose oldest
     column is :attr:`head` after a call), plus :attr:`cic_phase` and
-    :attr:`fir_phase`; a new kernel holds the reset state. The caller
-    loads it before a call and reads it back after.
+    :attr:`fir_phase`; a new kernel holds the reset state, and
+    :meth:`reset` restores it. The caller loads it before a call and
+    reads it back after.
     """
 
     def __init__(self, coefficient_rows, decimation_filter):
@@ -184,6 +186,20 @@ class ChainKernel:
         qmax = (1 << (output_bits - 1)) - 1
         self._quant = (self.hist.ctypes.data, qscale, qmax, -qmax - 1)
         self._out = (0, 0, self._state_out.ctypes.data)
+
+    def reset(self) -> None:
+        """Return every lane to a new kernel's reset state, in place.
+
+        Zeroes the integrator, comb and FIR-ring state, sets each
+        comparator's memory to +1, and rewinds the ring head and both
+        decimation phases. Arrays stay where they are, so the bound
+        addresses stay valid.
+        """
+        for a in (self.x1, self.x2, self.clipped, self.integ, self.comb,
+                  self.hist):
+            a.fill(0)
+        self.comp_previous.fill(1)
+        self.cic_phase = self.fir_phase = self.head = 0
 
     @staticmethod
     def supports(decimation_filter) -> bool:

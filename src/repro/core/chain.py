@@ -86,6 +86,10 @@ class ReadoutChain:
             params=self.params.decimation,
             input_rate_hz=self.params.modulator.sampling_rate_hz,
         )
+        #: The fused array scan's bound kernels and staging rows, kept
+        #: across scans (:func:`~repro.array.fusedscan.run_fused_scan`);
+        #: None until the first fused scan, and in a copy of the chain.
+        self._fused_scan = None
 
     @property
     def output_rate_hz(self) -> float:

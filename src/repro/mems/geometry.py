@@ -59,12 +59,17 @@ class ArrayGeometry:
     def pitch_m(self) -> float:
         return self.params.membrane.pitch_m
 
+    def column_x_m(self) -> np.ndarray:
+        """(cols,) x coordinate of each column's element centers."""
+        return (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.pitch_m
+
+    def row_y_m(self) -> np.ndarray:
+        """(rows,) y coordinate of each row's element centers."""
+        return (np.arange(self.rows) - (self.rows - 1) / 2.0) * self.pitch_m
+
     def element_centers_m(self) -> np.ndarray:
         """(rows*cols, 2) array of (x, y) element centers, row-major order."""
-        pitch = self.pitch_m
-        xs = (np.arange(self.cols) - (self.cols - 1) / 2.0) * pitch
-        ys = (np.arange(self.rows) - (self.rows - 1) / 2.0) * pitch
-        grid_x, grid_y = np.meshgrid(xs, ys)
+        grid_x, grid_y = np.meshgrid(self.column_x_m(), self.row_y_m())
         return np.column_stack([grid_x.ravel(), grid_y.ravel()])
 
     def element_index(self, row: int, col: int) -> int:

@@ -165,11 +165,14 @@ class TonometricCoupling:
             )
         state = self.contact.state(hold_down_pa)
         weights = self.element_weights()
+        # One result array, built in place: the products and the sum of
+        # ``P_static + T * (pulsatile * w)`` commute, so the bits match.
         pulsatile = arterial[: dwell_samples * n].reshape(n, dwell_samples)
-        pulsatile = pulsatile - self.contact.map_pa
-        return state.static_membrane_pressure_pa + state.transmission * (
-            pulsatile * weights[:, None]
-        )
+        out = pulsatile - self.contact.map_pa
+        out *= weights[:, None]
+        out *= state.transmission
+        out += state.static_membrane_pressure_pa
+        return out
 
     def effective_gain(self, hold_down_pa: float | None = None) -> np.ndarray:
         """Per-element d(P_membrane)/d(P_arterial) at the operating point."""

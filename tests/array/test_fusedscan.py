@@ -234,3 +234,188 @@ class TestNonSquareOrientation:
         x, y = controller.localize_source(records[SETTLE_EXTRA:])
         assert x > 0  # +x column
         assert y > 0  # row index grows toward +y in array coordinates
+
+
+def scan(chain, segments, fused):
+    """One scan of ``chain``: fused, or the bank scan it must equal."""
+    controller = ScanController(chain.chip.mux)
+    records = controller.scan_records(
+        chain, segments=segments, batched=not fused, fused=fused
+    )
+    return records, controller.last_scan_fused
+
+
+def frame(k, n_elements=9, dwell=DWELL_WORDS * DECIMATION):
+    """Scan k's segments: a different stimulus on every frame."""
+    amplitudes = 800.0 + 400.0 * ((np.arange(n_elements) + k) % 5)
+    return tone_segments(n_elements, dwell, amplitudes)
+
+
+def replace_element(chain, index, **changes):
+    import dataclasses
+
+    elements = chain.chip.array.elements
+    elements[index] = dataclasses.replace(elements[index], **changes)
+
+
+def replace_mux(chain):
+    from repro.array.mux import AnalogMultiplexer
+
+    old = chain.chip.mux
+    mux = AnalogMultiplexer(
+        old.array, charge_injection_c=2.0 * old.charge_injection_c
+    )
+    mux._selected, mux._just_switched = old._selected, old._just_switched
+    chain.chip.mux = mux
+
+
+def replace_frontend(chain):
+    from repro.sdm.frontend import CapacitiveFrontEnd
+
+    fe = chain.chip.frontend
+    chain.chip.frontend = CapacitiveFrontEnd(
+        reference_cap_f=fe.reference_cap_f,
+        feedback_cap_f=1.05 * fe.feedback_cap_f,
+        excitation_fraction=fe.excitation_fraction,
+    )
+
+
+def set_reference_error(chain):
+    chain.chip.modulator.dac.reference_error = 0.004
+
+
+needs_kernel = pytest.mark.skipif(
+    not batch_kernel_available(), reason="the fused path needs the library"
+)
+
+
+@needs_kernel
+class TestBindingLifetime:
+    """The chain keeps its bound kernels and staging rows across scans."""
+
+    @pytest.mark.parametrize("start", [0, 4])
+    def test_repeated_scans_equal_bank_scans(self, start):
+        fused_chain, bank_chain = make_chain(3, 3), make_chain(3, 3)
+        if start:
+            # Both chains first record one element, so the first scan
+            # starts on element ``start`` with a carried filter state.
+            field = np.full((700, 9), 300.0)
+            for chain in (fused_chain, bank_chain):
+                chain.record_pressure(field, element=start)
+        binding = None
+        for k in range(4):
+            segments = frame(k)
+            fused, ran = scan(fused_chain, segments, fused=True)
+            bank, _ = scan(bank_chain, segments, fused=False)
+            assert ran
+            assert np.array_equal(fused, bank)
+            assert fused_chain.fpga.filter_resets == (
+                bank_chain.fpga.filter_resets
+            )
+            assert fused_chain.fpga.words_suppressed == (
+                bank_chain.fpga.words_suppressed
+            )
+            if binding is not None:
+                assert fused_chain._fused_scan is binding
+            binding = fused_chain._fused_scan
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda c: replace_element(c, 4, capacitance_scale=1.03),
+            lambda c: replace_element(c, 0, offset_cap_f=2e-15),
+            replace_mux,
+            lambda c: setattr(c.chip.mux, "charge_injection_c", 3e-14),
+            replace_frontend,
+            lambda c: setattr(c.chip.frontend, "reference_cap_f", 1.2e-12),
+            set_reference_error,
+        ],
+        ids=[
+            "element-scale", "element-offset", "mux", "mux-charge",
+            "frontend", "frontend-reference", "dac-reference-error",
+        ],
+    )
+    def test_rebinds_after_a_change(self, change):
+        fused_chain, bank_chain = make_chain(3, 3), make_chain(3, 3)
+        for chain in (fused_chain, bank_chain):
+            scan(chain, frame(0), fused=chain is fused_chain)
+        before = fused_chain._fused_scan
+        for chain in (fused_chain, bank_chain):
+            change(chain)
+        fused, ran = scan(fused_chain, frame(1), fused=True)
+        bank, _ = scan(bank_chain, frame(1), fused=False)
+        assert ran
+        assert fused_chain._fused_scan is not before
+        assert np.array_equal(fused, bank)
+
+    def test_rebinds_after_a_dwell_change(self):
+        fused_chain, bank_chain = make_chain(3, 3), make_chain(3, 3)
+        for dwell_words in (DWELL_WORDS, DWELL_WORDS + 5, DWELL_WORDS):
+            segments = frame(dwell_words, dwell=dwell_words * DECIMATION)
+            fused, ran = scan(fused_chain, segments, fused=True)
+            bank, _ = scan(bank_chain, segments, fused=False)
+            assert ran
+            assert fused_chain._fused_scan.au.shape[1] == segments.shape[1]
+            assert np.array_equal(fused, bank)
+
+    def test_declined_scan_is_retried(self):
+        """A hook declines the fused scan; once cleared, it runs again."""
+        fused_chain, bank_chain = make_chain(3, 3), make_chain(3, 3)
+        for k, hook in enumerate([None, lambda u: u + 0.1, None]):
+            for chain in (fused_chain, bank_chain):
+                chain.chip.loop_input_hook = hook
+            fused, ran = scan(fused_chain, frame(k), fused=True)
+            bank, _ = scan(bank_chain, frame(k), fused=False)
+            assert ran is (hook is None)
+            assert np.array_equal(fused, bank)
+
+    def test_declined_bind_is_not_kept(self):
+        """A front end outside the compiled composition declines the
+        bind, which is not cached: restoring the element binds again."""
+        from repro.array.element import ArrayElement
+
+        class CustomElement(ArrayElement):
+            pass
+
+        fused_chain, bank_chain = make_chain(3, 3), make_chain(3, 3)
+        stock = fused_chain.chip.array.elements[2]
+        custom = CustomElement(**{
+            f: getattr(stock, f) for f in stock.__dataclass_fields__
+        })
+        for k, element in enumerate([stock, custom, stock]):
+            fused_chain.chip.array.elements[2] = element
+            fused, ran = scan(fused_chain, frame(k), fused=True)
+            bank, _ = scan(bank_chain, frame(k), fused=False)
+            assert ran is (element is stock)
+            assert (fused_chain._fused_scan is None) is (element is custom)
+            assert np.array_equal(fused, bank)
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copy_carries_no_addresses(self, how):
+        """The bound kernels hold raw addresses; a copied chain must bind
+        its own instead of writing into the original's buffers."""
+        import copy
+        import pickle
+
+        chain = make_chain(3, 3)
+        scan(chain, frame(0), fused=True)
+        twin = (
+            copy.deepcopy(chain) if how == "deepcopy"
+            else pickle.loads(pickle.dumps(chain))
+        )
+        assert twin._fused_scan is None
+        held = chain._fused_scan
+        k = held.kernel
+        buffers = {
+            "au": held.au, "words": k.words, "x1": k.x1, "x2": k.x2,
+            "integ": k.integ, "comb": k.comb, "hist": k.hist,
+            "u_last": held.front.u_last,
+        }
+        saved = {name: a.copy() for name, a in buffers.items()}
+        twin_records, ran = scan(twin, frame(1), fused=True)
+        assert ran
+        assert twin._fused_scan is not held
+        for name, a in buffers.items():
+            assert np.array_equal(a, saved[name]), name
+        records, _ = scan(chain, frame(1), fused=True)
+        assert np.array_equal(twin_records, records)

@@ -122,6 +122,17 @@ class TestLocalizeArtery:
         with pytest.raises(ConfigurationError):
             localize_artery(np.ones((3, 3)), geometry(2, 3))
 
+    @pytest.mark.parametrize("min_rows", [1, 0, -3])
+    def test_min_rows_below_two_is_rejected(self, min_rows):
+        """A line through one usable row is no line: with one pulsatile
+        row a 4x4 map used to return a -0.067 rad tilt from a rank-
+        deficient fit (and only warn)."""
+        geo = geometry(4, 4)
+        amps = np.zeros((4, 4))
+        amps[1] = ridge_map(geo, 20e-6, 0.0, sigma_m=200e-6)[1]
+        with pytest.raises(ConfigurationError, match="min_rows"):
+            localize_artery(amps, geo, min_rows=min_rows)
+
     def test_narrow_array_falls_back_to_1d(self):
         """Rows with < 3 usable columns collapse to the 1-D estimate."""
         geo = geometry(4, 3)
