@@ -67,8 +67,10 @@ def log_parabola_vertex(
     Fits a parabola to ln(amplitude) vs position: for a Gaussian profile
     ln(A) is exactly quadratic, so the vertex recovers the peak position
     — including peaks outside the sampled footprint, where a plain
-    centroid saturates at the array edge. Degenerate (flat or inverted)
-    fits fall back to the strongest sample's position.
+    centroid saturates at the array edge. ln(A) is taken relative to the
+    peak, so a flat profile at any amplitude fits a zero curvature
+    exactly. Degenerate (flat or inverted) fits fall back to the
+    strongest sample's position.
     """
     xs = np.asarray(positions_m, dtype=float)
     amp = np.asarray(amplitudes, dtype=float)
@@ -79,7 +81,7 @@ def log_parabola_vertex(
     if xs.size < 3:
         return float(xs[int(np.argmax(amp))])
     log_amp = np.log(np.clip(amp, 1e-30, None))
-    coeffs = np.polyfit(xs, log_amp, 2)
+    coeffs = np.polyfit(xs, log_amp - log_amp.max(), 2)
     if coeffs[0] >= 0.0:
         return float(xs[int(np.argmax(amp))])
     return float(-coeffs[1] / (2.0 * coeffs[0]))

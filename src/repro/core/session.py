@@ -142,6 +142,16 @@ class PipelineTelemetry:
             )
         self.stage_seconds[stage] += float(seconds)
 
+    def book_link(self, decoder, stream) -> None:
+        """Copy a host link's lifetime books: the decoder's frame
+        counters and the words its stream took in."""
+        self.frames_decoded = decoder.frames_decoded
+        self.lost_frames = decoder.lost_frames
+        self.crc_errors = decoder.crc_errors
+        self.stale_frames = decoder.stale_frames
+        self.resync_bytes = decoder.resync_bytes
+        self.words_delivered = stream.samples_ingested
+
     @property
     def total_seconds(self) -> float:
         return sum(self.stage_seconds.values())
@@ -399,14 +409,9 @@ class UsbLink:
             frames += d.finalize()
         t1 = time.perf_counter()
         tm.add_stage_seconds("decode", t1 - t0)
-        tm.frames_decoded = d.frames_decoded
-        tm.lost_frames = d.lost_frames
-        tm.crc_errors = d.crc_errors
-        tm.stale_frames = d.stale_frames
-        tm.resync_bytes = d.resync_bytes
         self.stream.ingest(frames)
         tm.add_stage_seconds("ingest", time.perf_counter() - t1)
-        tm.words_delivered += sum(f.samples.size for f in frames)
+        tm.book_link(d, self.stream)
         mine = [f.samples for f in frames if f.element == self.element]
         return np.concatenate(mine).astype(np.int64) if mine else _empty()
 

@@ -17,15 +17,16 @@ path the :mod:`repro.gateway.batchplane` scheduler runs per tick:
   candidate goes through the reference
   :func:`~repro.daq.usb.crc16_ccitt`, the same function
   :class:`~repro.daq.usb.FrameDecoder` uses.
-* :func:`commit` books the validated candidates exactly as
-  :meth:`~repro.daq.usb.FrameDecoder._parse` and
-  :meth:`~repro.daq.stream.SampleStream.ingest` would — same sequence
-  gap/stale arithmetic, same gap records, same counters — in segment
-  granularity rather than frame granularity. The moment anything is
-  irregular (CRC failure, garbage, a split frame), the committed prefix
-  ends and the **reference parser finishes the chunk byte-exactly**, so
-  the fast path never changes a single decoded bit, counter, or resync
-  decision relative to per-session decoding.
+* :func:`commit` books the validated candidates through the decoder's
+  own sequence rule (:meth:`~repro.daq.usb.FrameDecoder._book`), one
+  call per *segment* of in-order frames, and hands each segment to the
+  stream with the gap the decoder found. Where the validated prefix
+  ends (CRC failure, garbage, a corrupted length claim) the decoder's
+  own resync (:meth:`~repro.daq.usb.FrameDecoder._resync`) hunts for
+  the next valid frame, and the tiled scan resumes there. Both are the
+  reference parser's own code, so the fast path never changes a single
+  decoded bit, counter, or resync decision relative to per-session
+  decoding.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import native
-from .stream import SampleStream, StreamGap
+from .stream import SampleStream
 from .usb import _CRC_TABLE, SYNC, FrameDecoder, crc16_ccitt
 
 _SYNC0, _SYNC1 = SYNC[0], SYNC[1]
@@ -114,7 +115,7 @@ class Staged:
 
     decoder: FrameDecoder
     runs: list[Run] = field(default_factory=list)
-    scan_end: int = 0  # where tiling stopped (reference parser takes over)
+    scan_end: int = 0  # where tiling stopped (the resync takes over)
 
     @property
     def candidates(self) -> int:
@@ -127,7 +128,7 @@ def stage(decoder: FrameDecoder, data: bytes) -> Staged:
     Candidate bytes are copied out of the buffer immediately (the commit
     trims the ``bytearray`` in place, which would invalidate live
     views); everything from the first irregular byte on is left for the
-    reference parser.
+    decoder's resync.
     """
     if data:
         decoder._buffer += data
@@ -215,69 +216,31 @@ def commit(
     frame_hook=None,
     now: float = 0.0,
 ) -> int:
-    """Book the CRC-validated prefix, then let ``_parse`` finish.
+    """Book the CRC-validated prefix; resync over each irregular region.
 
-    Mirrors exactly what feeding the same (merged) chunk through
-    :meth:`FrameDecoder.feed` + :meth:`SampleStream.ingest` would do —
+    Books exactly what feeding the same (merged) chunk through
+    :meth:`FrameDecoder.feed` + :meth:`SampleStream.ingest` would —
     decoded/lost/stale/CRC/resync counters, gap records, delivered
     samples and hook stamps included — but touches Python once per
     *segment* of in-order frames instead of once per frame.
 
-    Irregular bytes (a CRC failure, garbage, a corrupted length claim)
-    are handed to the reference parser **in bounded windows**: the slow
-    path eats just the broken region, then the tiled scan resumes on
-    whatever follows, so one flipped bit doesn't demote the rest of a
-    large batch to byte-at-a-time decoding. Windowing is exact because
-    ``FrameDecoder.feed`` is chunk-boundary invariant — a window edge
-    behaves like any other TCP chunk edge. Returns the number of frames
-    decoded (fast path + reference windows).
+    Where the committed prefix stops (a CRC failure, garbage, a
+    corrupted length claim), the decoder's own resync hunts for the
+    next valid frame, counting what it skips; the tiled scan resumes
+    there. The hunt stops at a split tail, which waits for the next
+    chunk. Returns the number of frames decoded.
     """
     decoded = _commit_staged_runs(decoder, staged, stream, frame_hook, now)
-    window = _FALLBACK_WINDOW
-    while decoder._buffer:
-        before = len(decoder._buffer)
-        if before > window:
-            # Reference-parse only the window; the rest of the buffer
-            # is re-attached afterwards, exactly as if it had arrived
-            # in the next TCP chunk.
-            rest = decoder._buffer[window:]
-            del decoder._buffer[window:]
-            frames = decoder._parse(final=False)
-            decoder._buffer += rest
-        else:
-            frames = decoder._parse(final=False)
-        if frames:
-            stream.ingest(frames)
-            if frame_hook is not None:
-                for frame in frames:
-                    frame_hook(frame.sequence, now)
-            decoded += len(frames)
-        after = len(decoder._buffer)
-        progressed = frames or after < before
-        if before <= window and not progressed:
+    buf = decoder._buffer
+    while buf:
+        start, total = decoder._resync(0, final=False)
+        del buf[:start]
+        if not total:
             break  # a split tail: wait for more bytes
-        if not progressed:
-            # The window cut inside one huge claimed frame; widen so
-            # the reference pass can act on the full claim.
-            window *= 4
-            continue
-        window = _FALLBACK_WINDOW
-        # Back to the fast path for whatever follows the bad region.
         staged = stage(decoder, b"")
-        if staged.runs:
-            crc_check([staged])
-            decoded += _commit_staged_runs(
-                decoder, staged, stream, frame_hook, now
-            )
+        crc_check([staged])
+        decoded += _commit_staged_runs(decoder, staged, stream, frame_hook, now)
     return decoded
-
-
-#: Bytes handed to the reference parser per fallback pass — enough to
-#: swallow a typical corrupted frame plus its resync scan in one go,
-#: small enough that a clean run resumes on the fast path quickly (the
-#: window quadruples automatically when a corrupted length claim needs
-#: more context).
-_FALLBACK_WINDOW = 128
 
 
 def _commit_staged_runs(
@@ -319,13 +282,17 @@ def _commit_run(
     frame_hook,
     now: float,
 ) -> int:
-    """Book ``k_ok`` validated candidates of one run, segment-wise."""
+    """Book ``k_ok`` validated candidates of one run, segment-wise.
+
+    A segment is a stretch of consecutive sequence numbers of one
+    element; :meth:`FrameDecoder._book` books it whole. A stale first
+    frame is dropped alone and the rest of its segment booked again.
+    """
     seqs = run.sequences[:k_ok]
     elements = run.elements[:k_ok]
-    count = run.count
     # int16 sample matrix (one copy; rows are handed to the stream).
     samples = np.ascontiguousarray(
-        run.mat[:k_ok, 7 : 7 + 2 * count]
+        run.mat[:k_ok, 7 : 7 + 2 * run.count]
     ).view("<i2").astype(np.int16)
     if k_ok > 1:
         contiguous = ((seqs[1:] - seqs[:-1]) & 0xFFFF == 1) & (
@@ -336,53 +303,17 @@ def _commit_run(
         breaks = np.zeros(0, dtype=np.int64)
     bounds = [0, *breaks.tolist(), k_ok]
     decoded = 0
-    # Index-based loop: the stale branch splits the current segment by
-    # inserting a bound, which must extend the iteration.
-    b = 0
-    while b < len(bounds) - 1:
-        i = bounds[b]
-        j = bounds[b + 1]
-        b += 1
-        seq0 = int(seqs[i])
-        # -- decoder bookkeeping (mirrors FrameDecoder._parse) ----------
-        if decoder._expected_seq is not None and seq0 != decoder._expected_seq:
-            distance = (seq0 - decoder._expected_seq) % 0x10000
-            if distance >= 0x8000:
-                # Stale: drop this one frame, keep the expectation, and
-                # re-enter the segment from the next frame.
-                decoder.stale_frames += 1
-                if j - i > 1:
-                    bounds.insert(b, i + 1)
-                continue
-            decoder.lost_frames += distance
-        n_frames = j - i
-        decoder._expected_seq = (int(seqs[j - 1]) + 1) % 0x10000
-        decoder.frames_decoded += n_frames
-        decoded += n_frames
-        # -- stream bookkeeping (mirrors SampleStream.ingest) -----------
-        element = int(elements[i])
-        if stream._expected_seq is not None and seq0 != stream._expected_seq:
-            lost = (seq0 - stream._expected_seq) % 0x10000
-            if lost >= 0x8000:  # pragma: no cover - decoder filters these
-                stream.stale_frames += 1
-                stream._expected_seq = (seq0 + 1) % 0x10000
-            else:
-                per_frame = stream.samples_per_frame or count
-                stream._gaps[element].append(
-                    StreamGap(
-                        sample_index=stream._counts[element],
-                        lost_frames=lost,
-                        lost_samples=lost * per_frame,
-                    )
-                )
-        stream._expected_seq = (int(seqs[j - 1]) + 1) % 0x10000
-        if count:
-            stream._chunks[element].append(samples[i:j].reshape(-1))
-        else:
-            stream._chunks[element]  # defaultdict: element becomes known
-        stream._counts[element] += n_frames * count
-        stream.frames_ingested += n_frames
-        stream.samples_ingested += n_frames * count
+    for i, j in zip(bounds, bounds[1:]):
+        lost = decoder._book(int(seqs[i]), j - i)
+        while lost < 0 and i + 1 < j:
+            i += 1
+            lost = decoder._book(int(seqs[i]), j - i)
+        if lost < 0:
+            continue
+        decoded += j - i
+        stream._append(
+            int(elements[i]), samples[i:j].reshape(-1), j - i, lost
+        )
         if frame_hook is not None:
             for seq in seqs[i:j].tolist():
                 frame_hook(seq, now)

@@ -2,11 +2,12 @@
 
 Collects decoded frames into per-element contiguous sample streams with
 gap accounting — what the PC software behind the paper's USB interface
-has to do before any waveform processing. Frame sequence numbers are
-tracked across ingest calls, so frames lost on the link (detected by
-:class:`~repro.daq.usb.FrameDecoder` as sequence jumps) show up here as
-explicit per-element gaps rather than silently shortened, mis-timestamped
-records.
+has to do before any waveform processing. The stream keeps no sequence
+books of its own: :class:`~repro.daq.usb.FrameDecoder` owns them, and
+each frame carries the loss its decoder found just before it
+(:attr:`~repro.daq.usb.Frame.lost_before`). Frames lost on the link
+show up here as explicit per-element gaps rather than silently
+shortened, mis-timestamped records.
 """
 
 from __future__ import annotations
@@ -76,65 +77,38 @@ class SampleStream:
         self._chunks: dict[int, list[np.ndarray]] = defaultdict(list)
         self._counts: dict[int, int] = defaultdict(int)
         self._gaps: dict[int, list[StreamGap]] = defaultdict(list)
-        self._expected_seq: int | None = None
         #: Lifetime ingest counters (telemetry).
         self.frames_ingested = 0
         self.samples_ingested = 0
-        #: Frames skipped because their sequence lies behind the
-        #: expectation (mod-2^16 half window) — late duplicates whose
-        #: slot was already recorded as a gap. Mirrors
-        #: :attr:`~repro.daq.usb.FrameDecoder.stale_frames` for callers
-        #: that ingest frames from other sources.
-        self.stale_frames = 0
-
-    def expect(self, sequence: int | None) -> None:
-        """Seed (or clear) the expected frame sequence number.
-
-        Mirrors :meth:`~repro.daq.usb.FrameDecoder.expect`: a receiver
-        that knows where a stream starts (e.g. a gateway after a fresh
-        HELLO) sets the expectation so a loss of the very first frames
-        is recorded as a gap instead of passing unnoticed.
-        """
-        if sequence is not None and not 0 <= sequence <= 0xFFFF:
-            raise ConfigurationError("expected sequence must fit u16")
-        self._expected_seq = sequence
 
     def ingest(self, frames: list[Frame]) -> None:
         """Append decoded frames to their element streams.
 
-        Frame sequence numbers are checked across calls; a jump of k
-        means k frames were lost on the link, recorded as a
-        :class:`StreamGap` against the element of the first frame that
-        arrived after the loss (the lost frames' own element tags are
-        gone with them).
+        A frame that follows ``k`` lost frames (its ``lost_before``)
+        opens a :class:`StreamGap` against its own element: the lost
+        frames' element tags are gone with them.
         """
         for frame in frames:
-            if (
-                self._expected_seq is not None
-                and frame.sequence != self._expected_seq
-            ):
-                # Modular distance: a sequence rollover past 0xFFFF is a
-                # small gap, not a ~65k-frame loss.
-                lost = (frame.sequence - self._expected_seq) % 0x10000
-                if lost >= 0x8000:
-                    # Late duplicate of a frame already counted lost:
-                    # its stream slot is gone, so ingesting it would
-                    # scramble sample order. Skip it, counted.
-                    self.stale_frames += 1
-                    continue
-                per_frame = self.samples_per_frame or frame.samples.size
-                self._gaps[frame.element].append(
-                    StreamGap(
-                        sample_index=self._counts[frame.element],
-                        lost_frames=lost,
-                        lost_samples=lost * per_frame,
-                    )
+            self._append(frame.element, frame.samples, 1, frame.lost_before)
+
+    def _append(
+        self, element: int, samples: np.ndarray, frames: int, lost_before: int
+    ) -> None:
+        """Book ``frames`` in-order frames of one element, whose flat
+        ``samples`` follow ``lost_before`` lost frames."""
+        if lost_before:
+            per_frame = self.samples_per_frame or samples.size // frames
+            self._gaps[element].append(
+                StreamGap(
+                    sample_index=self._counts[element],
+                    lost_frames=lost_before,
+                    lost_samples=lost_before * per_frame,
                 )
-            self._expected_seq = (frame.sequence + 1) % 0x10000
-            self._chunks[frame.element].append(frame.samples)
-            self._counts[frame.element] += frame.samples.size
-            self.frames_ingested += 1
-            self.samples_ingested += frame.samples.size
+            )
+        self._chunks[element].append(samples)
+        self._counts[element] += samples.size
+        self.frames_ingested += frames
+        self.samples_ingested += samples.size
 
     @property
     def elements(self) -> list[int]:

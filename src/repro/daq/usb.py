@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, FramingError
+from ..errors import ConfigurationError
 
 SYNC = b"\xa5\x5a"
 MAX_SAMPLES_PER_FRAME = 255
@@ -63,6 +63,9 @@ class Frame:
     sequence: int
     element: int
     samples: np.ndarray  # int16 codes
+    #: Frames the decoder's sequence check found missing just before
+    #: this one (0 on an in-order frame).
+    lost_before: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.sequence <= 0xFFFF:
@@ -85,22 +88,25 @@ class FrameEncoder:
             )
         self.samples_per_frame = int(samples_per_frame)
         self._sequence = 0
-        self._pending: list[tuple[int, int]] = []  # (element, code)
+        # The partial frame: its first ``_fill`` codes, of ``_element``.
+        self._pending = np.empty(self.samples_per_frame, dtype=np.int16)
+        self._fill = 0
+        self._element = 0
         #: Total frames emitted over the encoder's lifetime (telemetry).
         self.frames_emitted = 0
 
     @property
     def pending_samples(self) -> int:
         """Samples queued but not yet framed (what :meth:`flush` emits)."""
-        return len(self._pending)
+        return self._fill
 
     def push(self, codes: np.ndarray, element: int) -> bytes:
         """Queue codes from one element; returns any completed frames.
 
         An element change flushes the partial frame first, so one frame
         never mixes elements. Full frames are packed straight from the
-        array — the per-sample Python loop this replaces dominated the
-        framing cost on second-long records.
+        array; only the partial frame's codes are copied, into a
+        fixed int16 buffer.
         """
         codes = np.asarray(codes)
         if codes.dtype.kind not in "iu":
@@ -108,33 +114,32 @@ class FrameEncoder:
         if codes.size and (codes.max() > 32767 or codes.min() < -32768):
             raise ConfigurationError("codes must fit int16")
         out = bytearray()
-        if self._pending and self._pending[0][0] != element:
+        if self._fill and self._element != element:
             out += self.flush()
         codes16 = codes.astype(np.int16)
         spf = self.samples_per_frame
         pos = 0
-        if self._pending:  # top up the partial frame first
-            take = min(spf - len(self._pending), codes16.size)
-            self._pending.extend(
-                (int(element), int(c)) for c in codes16[:take]
-            )
-            pos = take
-            if len(self._pending) >= spf:
+        if self._fill:  # top up the partial frame first
+            pos = min(spf - self._fill, codes16.size)
+            self._pending[self._fill : self._fill + pos] = codes16[:pos]
+            self._fill += pos
+            if self._fill == spf:
                 out += self.flush()
         while codes16.size - pos >= spf:
             out += self._emit(element, codes16[pos : pos + spf])
             pos += spf
-        self._pending.extend((int(element), int(c)) for c in codes16[pos:])
+        if pos < codes16.size:
+            self._fill = codes16.size - pos
+            self._pending[: self._fill] = codes16[pos:]
+            self._element = int(element)
         return bytes(out)
 
     def flush(self) -> bytes:
         """Emit the partial frame, if any."""
-        if not self._pending:
+        if not self._fill:
             return b""
-        element = self._pending[0][0]
-        samples = np.array([c for _, c in self._pending], dtype=np.int16)
-        self._pending.clear()
-        return self._emit(element, samples)
+        fill, self._fill = self._fill, 0
+        return self._emit(self._element, self._pending[:fill])
 
     def _emit(self, element: int, samples: np.ndarray) -> bytes:
         body = _HEADER.pack(SYNC, self._sequence, element, samples.size)
@@ -149,8 +154,11 @@ class FrameDecoder:
     """Host-side: resynchronizing, validating frame parser.
 
     Feed arbitrary byte chunks; complete valid frames come out. Corrupted
-    regions are skipped by hunting for the next sync word; sequence gaps
-    are counted in :attr:`lost_frames`.
+    regions are skipped by one resync hunt (:meth:`_resync`). The
+    decoder alone keeps the frame-sequence books (:meth:`_book`):
+    sequence gaps are counted in :attr:`lost_frames` and carried on the
+    next frame as :attr:`Frame.lost_before`, late frames are dropped as
+    stale.
     """
 
     def __init__(self):
@@ -163,10 +171,7 @@ class FrameDecoder:
         #: Bytes discarded while re-hunting sync after corruption.
         self.resync_bytes = 0
         #: Valid frames dropped because their sequence number lies
-        #: *behind* the expected one (mod-2^16 half window): late
-        #: arrivals of frames already counted lost, e.g. link reordering
-        #: or a replay overlap. Their samples were already accounted as
-        #: a gap, so ingesting them would corrupt the stream order.
+        #: behind the expected one (see :meth:`_book`).
         self.stale_frames = 0
 
     @property
@@ -195,14 +200,11 @@ class FrameDecoder:
     def feed(self, data: bytes) -> list[Frame]:
         """Consume bytes, return all frames completed by them.
 
-        The scan walks a cursor through the buffer and trims the consumed
-        prefix once at the end — corrupt regions can contain a false sync
-        word every other byte, and per-candidate prefix deletion would
-        make decoding quadratic in the garbage length. After a CRC
-        failure the cursor advances past the failed sync word and
-        rescans byte-by-byte, so one corrupted frame never costs the
-        later frames in the same feed. An empty ``data`` is an exact
-        no-op: no rescan of retained bytes, no counter changes.
+        The consumed prefix is trimmed once, after the scan: corrupt
+        regions can hold a false sync word every other byte, and
+        trimming per candidate would make decoding quadratic in the
+        garbage length. An empty ``data`` is an exact no-op: no rescan
+        of retained bytes, no counter changes.
         """
         if not data:
             return []
@@ -227,66 +229,81 @@ class FrameDecoder:
 
     def _parse(self, final: bool) -> list[Frame]:
         buf = self._buffer
-        n = len(buf)
         frames: list[Frame] = []
         pos = 0
+        while True:
+            pos, total = self._resync(pos, final)
+            if not total:
+                break
+            _, seq, element, count = _HEADER.unpack_from(buf, pos)
+            samples = np.frombuffer(
+                buf, dtype="<i2", count=count, offset=pos + _HEADER.size
+            ).astype(np.int16)
+            pos += total
+            lost = self._book(seq, 1)
+            if lost >= 0:
+                frames.append(Frame(seq, element, samples, lost))
+        del buf[:pos]
+        return frames
+
+    def _resync(self, pos: int, final: bool) -> tuple[int, int]:
+        """Hunt the buffer from ``pos`` for the next CRC-valid frame.
+
+        Returns ``(start, total)`` of that frame, or ``(keep, 0)`` when
+        there is none yet: the bytes before ``keep`` are spent, the rest
+        waits for more data. A sync word whose header or claimed length
+        runs past the buffer waits too, unless ``final`` (end of stream,
+        so the claim is abandoned). Every abandoned sync word, a CRC
+        failure included, adds its two bytes to :attr:`resync_bytes`
+        and the hunt goes on right after it, so the scan never goes
+        back over the buffer: one corrupted frame never costs the valid
+        frames behind it, and false sync words every other byte cost
+        linear time.
+        """
+        buf = self._buffer
+        n = len(buf)
         while True:
             start = buf.find(SYNC, pos)
             if start < 0:
                 # Keep at most one trailing byte (a possible first sync
                 # byte split across feeds).
-                pos = max(n - 1, pos)
-                break
+                return max(n - 1, pos), 0
             pos = start
-            if n - pos < _HEADER.size:
-                if not final:
-                    break  # wait for the rest of the header
-                # End of stream inside a header: no complete frame can
-                # start here; skip the sync word and rescan.
-                self.resync_bytes += 2
-                pos += 2
-                continue
-            _, seq, element, count = _HEADER.unpack_from(buf, pos)
-            total = _HEADER.size + 2 * count + _CRC.size
-            if n - pos < total:
-                if not final:
-                    break  # wait for the rest of the (claimed) frame
-                # The claim outruns the stream — a corrupted count byte.
-                # Abandon this sync and rescan for frames behind it.
-                self.resync_bytes += 2
-                pos += 2
-                continue
-            body = bytes(buf[pos : pos + total - _CRC.size])
-            (crc_rx,) = _CRC.unpack_from(buf, pos + total - _CRC.size)
-            if crc16_ccitt(body) != crc_rx:
-                self.crc_errors += 1
-                self.resync_bytes += 2
-                pos += 2  # skip this false sync word, rescan
-                continue
-            samples = np.frombuffer(
-                body[_HEADER.size :], dtype="<i2"
-            ).astype(np.int16)
-            pos += total
-            if self._expected_seq is not None and seq != self._expected_seq:
-                # Modular distance, so a rollover past 0xFFFF is a small
-                # gap rather than a ~65k-frame loss.
-                distance = (seq - self._expected_seq) % 0x10000
-                if distance >= 0x8000:
-                    # Behind the expectation (mod-2^16 half window): a
-                    # late duplicate of a frame already counted lost
-                    # (link reordering, replay overlap). Its slot in the
-                    # stream is gone; drop it, counted, and keep the
-                    # expectation where it was.
-                    self.stale_frames += 1
-                    continue
-                self.lost_frames += distance
-            self._expected_seq = (seq + 1) % 0x10000
-            try:
-                frames.append(
-                    Frame(sequence=seq, element=element, samples=samples)
-                )
-            except ConfigurationError as exc:  # pragma: no cover
-                raise FramingError(str(exc)) from exc
-            self.frames_decoded += 1
-        del buf[:pos]
-        return frames
+            if n - pos >= _HEADER.size:
+                total = _HEADER.size + 2 * buf[pos + 6] + _CRC.size
+                if n - pos >= total:
+                    body = bytes(buf[pos : pos + total - _CRC.size])
+                    (crc_rx,) = _CRC.unpack_from(buf, pos + total - _CRC.size)
+                    if crc16_ccitt(body) == crc_rx:
+                        return pos, total
+                    self.crc_errors += 1
+                elif not final:
+                    return pos, 0  # wait for the rest of the claim
+            elif not final:
+                return pos, 0  # wait for the rest of the header
+            self.resync_bytes += 2
+            pos += 2
+
+    def _book(self, seq: int, n: int) -> int:
+        """Book ``n`` CRC-valid frames numbered ``seq``, ``seq + 1``, ...
+
+        The one sequence rule. The mod-2^16 distance from the expected
+        sequence is a gap of that many lost frames (so a rollover past
+        0xFFFF is a small gap), unless it lies in the half window
+        behind the expectation: then the first frame is a late
+        duplicate of one already counted lost (link reordering, a
+        replay overlap), whose slot in the stream is gone. It is
+        dropped, counted in :attr:`stale_frames`, and the expectation
+        stays. Returns the frames lost before the run, or -1 when its
+        first frame was stale (and nothing else was booked).
+        """
+        lost = 0
+        if self._expected_seq is not None:
+            lost = (seq - self._expected_seq) % 0x10000
+            if lost >= 0x8000:
+                self.stale_frames += 1
+                return -1
+            self.lost_frames += lost
+        self._expected_seq = (seq + n) % 0x10000
+        self.frames_decoded += n
+        return lost

@@ -16,8 +16,8 @@ from **one** scheduler task that runs a tick loop:
    library is built.
 3. **Commit per lane** — validated frames are booked segment-wise with
    reference-exact counters, gaps and sample bytes
-   (:func:`repro.daq.batchdecode.commit`); anything irregular falls
-   back to the per-session reference parser mid-chunk.
+   (:func:`repro.daq.batchdecode.commit`); anything irregular goes
+   through the decoder's own resync mid-chunk.
 
 Flush policy — the latency/throughput dial:
 

@@ -306,8 +306,6 @@ class DeviceClient:
             wire = faults.apply_payload(payload) if faults else payload
             wires.append(wire)
             wire_at.append(wire_at[-1] + len(wire))
-        if faults:
-            self.report.faults_injected = faults.events_applied
         seqs = list(map(frame_sequence, frames))
         return _WireStream(b"".join(wires), wire_at, frames, seqs, frame_at)
 
@@ -356,8 +354,16 @@ class DeviceClient:
                     await asyncio.sleep(self.pace_s)
             await self._send_bye()
         finally:
+            self.report.faults_injected = self._faults_applied
             await self._close()
         return self.report
+
+    @property
+    def _faults_applied(self) -> int:
+        """The injector's count of applied faults: what the bytes this
+        client sends carry, whoever flattened them (the BYE's and the
+        report's one source)."""
+        return self.faults.events_applied if self.faults else 0
 
     async def _connect(self, resume: bool) -> None:
         """Dial + HELLO + ACK, under the backoff schedule."""
@@ -497,10 +503,9 @@ class DeviceClient:
         writer = self._writer
         if writer is None:
             return
-        faults = self.faults.events_applied if self.faults else 0
         # ``frames_sent`` counts first transmissions only (replays are
         # tallied separately), so it is the device's lifetime framed count.
-        writer.write(pack_bye(self.report.frames_sent, faults))
+        writer.write(pack_bye(self.report.frames_sent, self._faults_applied))
         await writer.drain()
         self.report.bye_sent = True
 

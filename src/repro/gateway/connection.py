@@ -136,7 +136,6 @@ class DeviceSession:
     def fresh_start(self) -> None:
         """Non-resume HELLO: the device begins a new stream at seq 0."""
         self.decoder.expect(0)
-        self.stream.expect(0)
 
     # -- reader side ---------------------------------------------------------
 
@@ -251,13 +250,8 @@ class DeviceSession:
         self._sync_counters()
 
     def _sync_counters(self) -> None:
-        tm = self.telemetry
-        tm.frames_decoded = self.decoder.frames_decoded
-        tm.lost_frames = self.decoder.lost_frames + self.tail_lost_frames
-        tm.crc_errors = self.decoder.crc_errors
-        tm.stale_frames = self.decoder.stale_frames
-        tm.resync_bytes = self.decoder.resync_bytes
-        tm.words_delivered = self.stream.samples_ingested
+        self.telemetry.book_link(self.decoder, self.stream)
+        self.telemetry.lost_frames += self.tail_lost_frames
 
     # -- accounting ----------------------------------------------------------
 

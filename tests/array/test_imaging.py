@@ -67,6 +67,14 @@ class TestLogParabolaVertex:
         amp = np.exp(-((xs - 1.7) ** 2) / 0.5)
         assert log_parabola_vertex(xs, amp) == pytest.approx(1.7, abs=1e-6)
 
+    @pytest.mark.parametrize("level", [0.37, 5.3, 1.0])
+    def test_flat_profile_falls_back_to_the_strongest_sample(self, level):
+        """No curvature at any amplitude: ln(A) relative to the peak is
+        exactly zero, so no rounding noise can fake a vertex."""
+        xs = 0.6e-3 * (np.arange(8) - 3.5)
+        amp = np.full(8, level)
+        assert log_parabola_vertex(xs, amp) == xs[0]
+
     def test_two_points_fall_back_to_argmax(self):
         assert log_parabola_vertex(np.array([0.0, 1.0]), np.array([1.0, 2.0])) == 1.0
 

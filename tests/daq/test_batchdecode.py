@@ -1,8 +1,8 @@
 """Vectorized frame decode: bit-identity with the reference parser.
 
 :mod:`repro.daq.batchdecode` is the batch plane's hot path — a tiled
-NumPy scan plus the native batch CRC, with bounded windows of the
-reference :class:`~repro.daq.usb.FrameDecoder` around anything
+NumPy scan plus the native batch CRC, with the decoder's own resync
+(:meth:`~repro.daq.usb.FrameDecoder._resync`) over anything
 irregular. The only contract is *exactness*: same frames, counters,
 buffer residue, stream contents, gaps and hook order as feeding the
 reference decoder directly, for any byte stream and any chunk split.
@@ -15,6 +15,7 @@ from repro.daq import batchdecode
 from repro.daq.stream import SampleStream
 from repro.daq.usb import (
     MAX_SAMPLES_PER_FRAME,
+    SYNC,
     FrameDecoder,
     FrameEncoder,
     crc16_ccitt,
@@ -65,7 +66,6 @@ def _run_reference(wire, splits, seed_exp):
     stream = SampleStream(samples_per_frame=32)
     if seed_exp:
         dec.expect(0)
-        stream.expect(0)
     hooks = []
     for chunk in _chunks(wire, splits):
         frames = dec.feed(chunk)
@@ -79,7 +79,6 @@ def _run_batch(wire, splits, seed_exp):
     stream = SampleStream(samples_per_frame=32)
     if seed_exp:
         dec.expect(0)
-        stream.expect(0)
     hooks = []
     for chunk in _chunks(wire, splits):
         staged = batchdecode.stage(dec, chunk)
@@ -208,7 +207,6 @@ class TestBitIdentity:
         batchdecode.crc_check([staged])
         assert staged.runs[0].crc_ok.all()
         stream = SampleStream(samples_per_frame=32)
-        stream.expect(0)
         assert batchdecode.commit(dec, staged, stream, None, 0.0) == 20
         assert not dec._buffer
 
@@ -246,3 +244,118 @@ class TestBitIdentity:
         batchdecode.crc_check([staged])
         assert batchdecode.commit(dec, staged, stream, None, 0.0) == 1
         assert stream.samples_ingested == 8
+
+
+def _frames(n, spf=32, start=0):
+    """``n`` consecutive frames of one element, one ``bytes`` each."""
+    enc = FrameEncoder(samples_per_frame=spf)
+    enc._sequence = start
+    return [enc.push(np.arange(spf, dtype=np.int64) + k, 0) for k in range(n)]
+
+
+def _assert_same_after_finalize(wire, splits, seed_exp=True):
+    """Identical after every chunk and again once both are finalized."""
+    ref = _run_reference(wire, splits, seed_exp)
+    bat = _run_batch(wire, splits, seed_exp)
+    _assert_identical(ref, bat, "chunks")
+    for dec, stream, hooks in (ref, bat):
+        frames = dec.finalize()
+        stream.ingest(frames)
+        hooks.extend(f.sequence for f in frames)
+    _assert_identical(ref, bat, "finalized")
+    return bat
+
+
+class TestTiledResync:
+    """``commit`` hands every irregular region to the decoder's one
+    resync and goes back to the tiled scan after it."""
+
+    def test_crc_failure_mid_run(self):
+        wire = bytearray(b"".join(_frames(20)))
+        wire[10 * 73 + 30] ^= 0x04  # a sample byte of frame 10
+        dec, stream, _ = _assert_same_after_finalize(bytes(wire), [])
+        assert dec.crc_errors == 1 and dec.lost_frames == 1
+        assert dec.frames_decoded == 19
+
+    def test_count_byte_claiming_more_than_128_bytes(self):
+        frames = _frames(20)
+        wire = bytearray(b"".join(frames))
+        wire[6 * 73 + 6] = 255  # frame 6 claims 519 bytes
+        for splits in ([], [6 * 73 + 100], [7 * 73, 14 * 73 + 5]):
+            dec, _, _ = _assert_same_after_finalize(bytes(wire), splits)
+            assert dec.frames_decoded == 19
+        # With fewer bytes behind it than it claims, the claim stalls
+        # both decoders until the end of the stream.
+        short = bytes(wire[: 9 * 73])
+        dec, _, _ = _assert_same_after_finalize(short, [])
+        assert dec.frames_decoded == 8
+
+    def test_more_than_128_bytes_of_garbage_between_runs(self):
+        rng = np.random.default_rng(5)
+        garbage = bytearray(rng.integers(0, 256, 300, dtype=np.uint8))
+        garbage[40:42] = garbage[170:172] = SYNC  # false sync words
+        frames = _frames(16)
+        wire = b"".join(frames[:8]) + bytes(garbage) + b"".join(frames[8:])
+        for splits in ([], [8 * 73 + 150], [8 * 73 + 299, 2]):
+            dec, stream, hooks = _assert_same_after_finalize(wire, splits)
+            assert dec.frames_decoded == 16 and dec.lost_frames == 0
+            assert hooks == list(range(16))
+
+    def test_frame_split_across_a_tick_edge(self):
+        wire = b"".join(_frames(6, spf=8))
+        for edge in (1, 2, 8, 9, 25 + 12, 3 * 25 - 1):
+            dec, stream, _ = _assert_same_after_finalize(wire, [edge])
+            assert dec.frames_decoded == 6
+            assert stream.samples_ingested == 6 * 8
+
+    def test_sequence_wrap_and_reorder_in_one_run(self):
+        frames = _frames(8, spf=8, start=0xFFFC)
+        order = [0, 1, 3, 2, 4, 6, 7]  # 2 late, 5 lost
+        wire = b"".join(frames[k] for k in order)
+        dec, _, _ = _assert_same_after_finalize(wire, [], seed_exp=False)
+        assert dec.stale_frames == 1 and dec.lost_frames == 2
+
+
+class TestResyncVisits:
+    """The tiled path's resync goes over the garbage once, as the
+    reference parser does: its per-frame CRC work is the reference's
+    less the valid frames the batch CRC took, and grows linearly with
+    the garbage."""
+
+    def _crc_meter(self, monkeypatch):
+        import repro.daq.usb as usb_mod
+
+        meter = {"bytes": 0}
+        real = usb_mod.crc16_ccitt
+
+        def counting(data, seed=0xFFFF):
+            meter["bytes"] += len(data)
+            return real(data, seed)
+
+        monkeypatch.setattr(usb_mod, "crc16_ccitt", counting)
+        return meter
+
+    def test_crc_work_matches_the_reference_and_is_linear(self, monkeypatch):
+        frames = _frames(24)
+        meter = self._crc_meter(monkeypatch)
+        work = []
+        for n_pairs in (400, 800):
+            # False sync words at every even offset, each claiming a
+            # 339-byte frame: the densest garbage the wire can carry.
+            wire = (
+                b"".join(frames[:4])
+                + SYNC * n_pairs
+                + b"".join(frames[4:])
+            )
+            meter["bytes"] = 0
+            dec = FrameDecoder()
+            dec.feed(wire)
+            reference = meter["bytes"]
+            meter["bytes"] = 0
+            bat, _, _ = _run_batch(wire, [], False)
+            # The resync checks the first valid frame after the garbage;
+            # the tiled scan takes the other 23 to the batch CRC.
+            assert meter["bytes"] == reference - 23 * (73 - 2)
+            assert bat.frames_decoded == dec.frames_decoded == 24
+            work.append(reference)
+        assert work[1] <= 2.1 * work[0]

@@ -3,18 +3,33 @@
 import numpy as np
 import pytest
 
-from repro.daq.stream import SampleStream
-from repro.daq.usb import FrameDecoder, FrameEncoder
+from repro.daq.stream import SampleStream, StreamGap
+from repro.daq.usb import Frame, FrameDecoder, FrameEncoder
 from repro.errors import ConfigurationError
 
 
-def frames_for(codes_by_element, samples_per_frame=8):
+def wire_for(codes_by_element, samples_per_frame=8, first_sequence=0):
+    """The encoded frames, one ``bytes`` each, in sending order."""
     enc = FrameEncoder(samples_per_frame=samples_per_frame)
+    enc._sequence = first_sequence
     payload = b""
     for element, codes in codes_by_element:
         payload += enc.push(np.asarray(codes, dtype=np.int16), element)
     payload += enc.flush()
-    return FrameDecoder().feed(payload)
+    wire = []
+    while payload:
+        total = 9 + 2 * payload[6]
+        wire.append(payload[:total])
+        payload = payload[total:]
+    return wire
+
+
+def frames_for(codes_by_element, samples_per_frame=8, drop=()):
+    """Decoded frames; the frames at ``drop`` are lost on the wire, so
+    the decoder's sequence check reports them on the next frame."""
+    wire = wire_for(codes_by_element, samples_per_frame)
+    kept = b"".join(f for i, f in enumerate(wire) if i not in drop)
+    return FrameDecoder().feed(kept)
 
 
 class TestReassembly:
@@ -65,10 +80,8 @@ class TestReassembly:
 
 
 class TestGapAccounting:
-    """Dropped frames must show up as explicit per-element gaps."""
-
-    def drop(self, frames, *indices):
-        return [f for i, f in enumerate(frames) if i not in indices]
+    """Frames dropped on the link must show up as explicit per-element
+    gaps: the decoder finds the loss, the stream records it."""
 
     def test_no_gaps_on_clean_stream(self):
         stream = SampleStream()
@@ -78,8 +91,8 @@ class TestGapAccounting:
 
     def test_single_dropped_frame(self):
         stream = SampleStream()
-        frames = frames_for([(0, np.arange(32))], samples_per_frame=8)
-        stream.ingest(self.drop(frames, 1))  # lose samples 8..15
+        # Lose samples 8..15.
+        stream.ingest(frames_for([(0, np.arange(32))], 8, drop=(1,)))
         gaps = stream.gaps(0)
         assert len(gaps) == 1
         assert gaps[0].sample_index == 8
@@ -90,15 +103,15 @@ class TestGapAccounting:
 
     def test_gap_detected_across_ingest_calls(self):
         stream = SampleStream()
-        frames = frames_for([(0, np.arange(32))], samples_per_frame=8)
-        stream.ingest(frames[:1])
-        stream.ingest(frames[2:])  # frame 1 never arrives
+        wire = wire_for([(0, np.arange(32))], samples_per_frame=8)
+        decoder = FrameDecoder()
+        stream.ingest(decoder.feed(wire[0]))
+        stream.ingest(decoder.feed(b"".join(wire[2:])))  # frame 1 lost
         assert stream.lost_samples(0) == 8
 
     def test_consecutive_losses_coalesce(self):
         stream = SampleStream()
-        frames = frames_for([(0, np.arange(48))], samples_per_frame=8)
-        stream.ingest(self.drop(frames, 2, 3))
+        stream.ingest(frames_for([(0, np.arange(48))], 8, drop=(2, 3)))
         gaps = stream.gaps(0)
         assert len(gaps) == 1
         assert gaps[0].lost_frames == 2
@@ -108,18 +121,17 @@ class TestGapAccounting:
         """Lost frames' element tags are gone; the charge goes to the
         element of the first frame after the loss."""
         stream = SampleStream()
-        frames = frames_for(
-            [(0, np.arange(16)), (1, np.arange(16))], samples_per_frame=8
+        # The last element-0 frame is lost.
+        stream.ingest(
+            frames_for([(0, np.arange(16)), (1, np.arange(16))], 8, drop=(1,))
         )
-        stream.ingest(self.drop(frames, 1))  # last element-0 frame lost
         assert stream.gaps(0) == ()
         assert len(stream.gaps(1)) == 1
         assert stream.gaps(1)[0].sample_index == 0
 
     def test_timestamps_shift_after_gap(self):
         stream = SampleStream(sample_rate_hz=1000.0)
-        frames = frames_for([(0, np.arange(32))], samples_per_frame=8)
-        stream.ingest(self.drop(frames, 1))
+        stream.ingest(frames_for([(0, np.arange(32))], 8, drop=(1,)))
         t = stream.timestamps_s(0)
         assert t.size == 24
         assert t[7] == pytest.approx(7e-3)
@@ -129,8 +141,7 @@ class TestGapAccounting:
 
     def test_zero_filled_reconstruction(self):
         stream = SampleStream()
-        frames = frames_for([(0, np.arange(32))], samples_per_frame=8)
-        stream.ingest(self.drop(frames, 1))
+        stream.ingest(frames_for([(0, np.arange(32))], 8, drop=(1,)))
         filled, mask = stream.zero_filled(0)
         assert filled.size == 32
         assert mask.size == 32
@@ -148,14 +159,25 @@ class TestGapAccounting:
         assert np.all(mask)
 
     def test_sequence_wraparound_not_a_gap(self):
-        from repro.daq.usb import Frame
-
+        wire = wire_for([(0, np.arange(8))], 4, first_sequence=0xFFFF)
+        frames = FrameDecoder().feed(b"".join(wire))
+        assert [f.sequence for f in frames] == [0xFFFF, 0x0000]
         stream = SampleStream()
-        stream.ingest(
-            [
-                Frame(0xFFFF, 0, np.arange(4, dtype=np.int16)),
-                Frame(0x0000, 0, np.arange(4, 8, dtype=np.int16)),
-            ]
-        )
+        stream.ingest(frames)
         assert stream.gaps(0) == ()
         assert stream.sample_count(0) == 8
+
+    def test_stream_records_the_gap_its_frames_carry(self):
+        """The stream books what the decoder found and derives nothing
+        from sequence numbers itself."""
+        stream = SampleStream(samples_per_frame=8)
+        samples = np.arange(4, dtype=np.int16)
+        stream.ingest(
+            [
+                Frame(7, 0, samples),
+                Frame(9, 0, samples),  # no lost_before: no gap
+                Frame(3, 0, samples, lost_before=2),
+            ]
+        )
+        assert stream.gaps(0) == (StreamGap(8, 2, 16),)
+        assert stream.frames_ingested == 3

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.daq.stream import SampleStream
-from repro.daq.usb import Frame, FrameDecoder, FrameEncoder
+from repro.daq.usb import FrameDecoder, FrameEncoder
 
 
 def frames_from(encoder, n_frames, spf=8, element=0):
@@ -36,13 +36,15 @@ class TestSequenceWraparound:
 
     def test_stream_gap_accounting_across_the_wrap(self):
         spf = 8
-        make = lambda seq: Frame(
-            sequence=seq,
-            element=0,
-            samples=np.full(spf, seq % 100, dtype=np.int16),
-        )
+        enc = FrameEncoder(samples_per_frame=spf)
+        enc._sequence = 0xFFFF
+        payload = frames_from(enc, 3)
+        frame_len = 9 + 2 * spf
+        # Frame 0x0000 is lost; the decoder's gap reaches the stream.
         stream = SampleStream()
-        stream.ingest([make(0xFFFF), make(1)])  # frame 0x0000 lost
+        stream.ingest(
+            FrameDecoder().feed(payload[:frame_len] + payload[2 * frame_len :])
+        )
         assert stream.lost_samples(0) == spf
         [gap] = stream.gaps(0)
         assert gap.lost_frames == 1

@@ -149,26 +149,14 @@ class TestBatchedFitMatchesSpec:
     @pytest.mark.parametrize("level", [1.0, 0.37, 1e-3, 5.3])
     def test_flat_rows_fall_back_to_the_strongest_sample(self, level):
         """A flat row has no curvature: the vertex is the strongest
-        (first) sample, as the spec documents. ``np.polyfit`` fits such a
-        row a rounding-noise curvature of either sign, so the spec's
-        own flat-row vertex is compared only where that noise is exactly
-        zero (level 1, where ln(A) = 0)."""
+        (first) sample, in the batched fit and in the spec alike."""
         geo = geometry(5, 8)
         amps = ridge(geo, 0.3 * geo.pitch_m, 0.05, 1.5)
         amps[[1, 3]] = level
-        est = localize_artery(amps, geo)
+        est = assert_matches_spec(amps, geo)
         xs = geo.column_x_m()
         assert est.row_positions_m[1] == xs[0]
         assert est.row_positions_m[3] == xs[0]
-        if level == 1.0:
-            assert_matches_spec(amps, geo)
-        else:
-            curved = [0, 2, 4]
-            positions, _, _ = spec_localize(amps, geo)
-            np.testing.assert_allclose(
-                est.row_positions_m[curved], positions[curved],
-                rtol=RTOL, atol=RTOL * geo.pitch_m,
-            )
 
     def test_inverted_rows_fall_back_to_the_strongest_sample(self):
         geo = geometry(4, 7)

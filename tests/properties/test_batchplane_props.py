@@ -100,7 +100,6 @@ class TestPlaneEqualsFrameDecoder:
             decoder = FrameDecoder()
             decoder.expect(0)
             stream = SampleStream()
-            stream.expect(0)
             hooks: list[int] = []
             for chunk in chunks:
                 frames = decoder.feed(chunk)
