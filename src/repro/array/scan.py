@@ -126,9 +126,6 @@ class ScanController:
     ----------
     mux:
         The multiplexer to drive.
-    dwell_samples:
-        Samples recorded per element per visit, *after* discarding the
-        filter-flush words (see :class:`~repro.array.mux.MuxTimingAnalysis`).
     discard_samples:
         Words dropped after each switch while the decimation filter
         flushes.
@@ -137,15 +134,11 @@ class ScanController:
     def __init__(
         self,
         mux: AnalogMultiplexer,
-        dwell_samples: int = 1024,
         discard_samples: int = 16,
     ):
-        if dwell_samples < 2:
-            raise ConfigurationError("dwell must be >= 2 samples")
         if discard_samples < 0:
             raise ConfigurationError("discard must be >= 0")
         self.mux = mux
-        self.dwell_samples = int(dwell_samples)
         self.discard_samples = int(discard_samples)
         #: Word accounting of the most recent :meth:`scan_records` call.
         self.last_scan_truncation: ScanTruncation | None = None
@@ -523,41 +516,6 @@ class ScanController:
         x = float(np.dot(weights, centers[:, 0]))
         y = float(np.dot(weights, centers[:, 1]))
         return (x, y)
-
-    def scan_and_localize(
-        self,
-        chain,
-        element_pressures_pa: np.ndarray | None = None,
-        dwell_s: float = 1.5,
-        batched: bool = True,
-        settle_words: int | None = None,
-        health_screen: bool = True,
-        *,
-        segments: np.ndarray | None = None,
-        fused: bool = False,
-    ) -> tuple[float, float]:
-        """Scan the array through a chain and localize the vessel.
-
-        The localization sibling of :meth:`scan_and_select`: runs
-        :meth:`scan_records`, drops the filter-flush words, screens the
-        settled records with :meth:`element_health` (on by default —
-        a railed element skews a centroid far more than a selection)
-        and feeds the surviving elements to :meth:`localize_source`.
-        """
-        records = self.scan_records(
-            chain,
-            element_pressures_pa,
-            dwell_s=dwell_s,
-            batched=batched,
-            segments=segments,
-            fused=fused,
-        )
-        drop = self.discard_samples if settle_words is None else int(settle_words)
-        settled = records[drop:]
-        exclude = None
-        if health_screen:
-            exclude = ~self.element_health(settled).healthy
-        return self.localize_source(settled, exclude=exclude)
 
     def schedule(
         self,

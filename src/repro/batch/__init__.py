@@ -15,9 +15,10 @@ Layering:
   FIR, 12-bit quantizer over ``B`` lanes per sample, plus the
   capacitive front end).
 * :mod:`repro.batch.engine` — :class:`BatchChainEngine`, which adapts a
-  list of :class:`~repro.core.chain.ReadoutChain` objects to the kernel:
-  state lives *in the chains* between calls, so any chunk split, and any
-  mix of batched and single-session processing, is bit-identical.
+  list of :class:`~repro.core.chain.ReadoutChain` objects, fixed when
+  the engine is built, to the kernel: state lives *in the chains*
+  between calls, so any chunk split, and handing a chain back to
+  single-session processing, is bit-identical.
 * :mod:`repro.batch.session` — :class:`BatchAcquisitionSession`, the
   ``B``-lane :class:`~repro.core.session.LaneSession` (with counted
   links) whose one-lane, USB-linked case is

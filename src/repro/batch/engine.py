@@ -39,8 +39,8 @@ call. Lanes without a given stochastic term share one all-zero row
 instead of materializing ``(B, n)`` zeros. The kernel's state and
 output arrays, and the addresses of everything it reads, are held by a
 per-engine :class:`~repro.batch.kernel.ChainKernel` (and
-:class:`~repro.batch.kernel.FrontendKernel`), bound once per
-(re)configuration (the front end once per element selection) and run
+:class:`~repro.batch.kernel.FrontendKernel`), bound once when the
+engine is built (the front end once per element selection) and run
 through the module's one call form,
 :func:`~repro.batch.kernel.run_batch_chunk` (and
 :func:`~repro.batch.kernel.run_frontend_chunk`).
@@ -116,27 +116,15 @@ class BatchChainEngine:
     ----------
     chains:
         Distinct :class:`~repro.core.chain.ReadoutChain` objects, one
-        per lane. Lanes must share the decimation architecture (CIC
-        order/decimation/differential delay, FIR taps/decimation and
-        quantized coefficients, output width); per-lane analog
-        parameters (mismatch, noise, comparator imperfections) are free.
+        per lane, fixed for the engine's life. Lanes must share the
+        decimation architecture (CIC order/decimation/differential
+        delay, FIR taps/decimation and quantized coefficients, output
+        width); per-lane analog parameters (mismatch, noise, comparator
+        imperfections) are free.
     """
 
     def __init__(self, chains):
-        self._staging_threads = 0
-        self._configure(list(chains))
-
-    def _configure(self, chains) -> None:
-        """(Re)build every per-lane constant for ``chains``.
-
-        Called by ``__init__`` and by the dynamic lane operations
-        (:meth:`attach_lane` / :meth:`detach_lane`): all per-lane
-        coefficient vectors, masks and the padded batch geometry are
-        derived from the chain objects alone, so membership changes are
-        a pure rebuild. Staging buffers are dropped because lane
-        *indices* shift — a stale noise row from a previous occupant
-        must never be read by its new one.
-        """
+        chains = list(chains)
         if not chains:
             raise ConfigurationError("batch needs at least one chain")
         if len({id(c) for c in chains}) != len(chains):
@@ -193,6 +181,7 @@ class BatchChainEngine:
         self._dacn: np.ndarray | None = None
         self._zero_row: np.ndarray | None = None
         self._work: np.ndarray | None = None
+        self._staging_threads = 0
         self._det_lanes = np.flatnonzero(self._det).tolist()
         self._noisy_lanes = np.flatnonzero(~self._det).tolist()
         self._any_noise = any(
@@ -234,53 +223,6 @@ class BatchChainEngine:
         """Threads the last kernel slice staged its lanes on (0 before
         the first one): 1 inline, more when noisy lanes were sharded."""
         return self._staging_threads
-
-    # -- dynamic lane membership -------------------------------------------
-
-    def attach_lane(self, chain) -> int:
-        """Join ``chain`` as a new lane at a chunk boundary.
-
-        The chain's cascade state is whatever it is — a freshly built
-        chain or one that has been running solo — but its decimation
-        *phases* must match the batch's, because the fused kernel
-        advances all lanes in lockstep (a fresh chain therefore joins
-        when the batch sits at a decimation boundary). Returns the new
-        lane's index; subsequent chunks advance it bit-identically to
-        the solo path, exactly like the founding lanes.
-        """
-        if any(chain is c for c in self.chains):
-            raise ConfigurationError("chain is already a lane of this batch")
-        ref = self.chains[0].fpga.filter
-        filt = chain.fpga.filter
-        if (
-            filt.cic._phase != ref.cic._phase
-            or filt.fir._phase != ref.fir._phase
-        ):
-            raise ConfigurationError(
-                "joining lane must match the batch's decimation phase; "
-                "attach at a shared decimation boundary"
-            )
-        self._configure(self.chains + [chain])
-        return len(self.chains) - 1
-
-    def detach_lane(self, lane: int):
-        """Remove one lane at a chunk boundary; returns its chain.
-
-        The chain objects are the single source of truth for cascade
-        state, so the detached chain resumes single-session processing
-        bit-exactly — and may later :meth:`attach_lane` again.
-        """
-        if not 0 <= lane < len(self.chains):
-            raise ConfigurationError(f"no lane {lane} in this batch")
-        if len(self.chains) == 1:
-            raise ConfigurationError(
-                "cannot detach the last lane; a batch needs at least one"
-            )
-        chain = self.chains[lane]
-        self._configure(
-            [c for i, c in enumerate(self.chains) if i != lane]
-        )
-        return chain
 
     # -- staging buffers ---------------------------------------------------
 

@@ -64,8 +64,6 @@ class BatchAcquisitionSession(LaneSession):
                 "faulted acquisitions through AcquisitionSession"
             )
         super().__init__(chains, element, quality)
-        # Telemetry of detached lanes, kept for the fleet-wide view.
-        self._closed: list[PipelineTelemetry] = []
 
     def _open_link(self, chain) -> CountedLink:
         return CountedLink(chain, chain.chip.selected_element)
@@ -75,40 +73,24 @@ class BatchAcquisitionSession(LaneSession):
     def feed_pressure(self, element_pressure_fields) -> list[np.ndarray]:
         """Convert one membrane-pressure chunk per lane.
 
-        ``element_pressure_fields`` is either a sequence of ``B``
-        ``(n_samples, n_elements)`` arrays (one field per lane/subject)
-        or a single ``(n_samples, B, n_elements)`` array. Every lane
-        must receive the same number of samples. Returns the list of
-        words each lane's cascade completed this chunk.
+        ``element_pressure_fields`` is a sequence of ``B``
+        ``(n_samples, n_elements)`` arrays, one field per lane/subject.
+        Every lane must receive the same number of samples. Returns the
+        list of words each lane's cascade completed this chunk.
         """
-        if isinstance(element_pressure_fields, np.ndarray):
-            element_pressure_fields = np.asarray(
-                element_pressure_fields, dtype=float
-            )
-            if element_pressure_fields.ndim != 3:
-                raise ConfigurationError(
-                    "batched pressure input must be (n, B, n_elements) "
-                    "or a sequence of B (n, n_elements) fields"
-                )
-            fields = [
-                element_pressure_fields[:, l, :] for l in range(self.lanes)
-            ]
-        else:
-            fields = [np.asarray(f, dtype=float) for f in element_pressure_fields]
+        fields = [np.asarray(f, dtype=float) for f in element_pressure_fields]
         if len(fields) != self.lanes:
             raise ConfigurationError(
                 f"expected {self.lanes} pressure fields, got {len(fields)}"
             )
-        sizes = {f.shape[0] for f in fields}
-        if len(sizes) != 1:
+        if any(f.ndim != 2 for f in fields):
+            raise ConfigurationError(
+                "each lane's field must be (n_samples, n_elements)"
+            )
+        if len({f.shape[0] for f in fields}) != 1:
             raise ConfigurationError(
                 "all lanes must receive the same number of samples"
             )
-        for f in fields:
-            if f.ndim != 2:
-                raise ConfigurationError(
-                    "each lane's field must be (n_samples, n_elements)"
-                )
         return self._feed("pressure", fields)
 
     def feed_voltage(self, differential_voltages_v) -> list[np.ndarray]:
@@ -119,48 +101,6 @@ class BatchAcquisitionSession(LaneSession):
                 "batched voltage input must be (n_samples, n_lanes)"
             )
         return self._feed("voltage", [u[:, l] for l in range(self.lanes)])
-
-    # -- dynamic lane membership -------------------------------------------
-
-    def attach_lane(self, chain) -> int:
-        """Join a device's chain as a new lane mid-session.
-
-        The gateway-facing lifecycle: devices connect while the fleet
-        is already streaming. The chain joins at the current chunk
-        boundary (its decimation phases must match the batch's — a
-        fresh chain joins while the batch sits at a decimation
-        boundary, see :meth:`BatchChainEngine.attach_lane`) and gets
-        its own telemetry and link, exactly as a founding lane would.
-        Returns the new lane index.
-        """
-        self._check_open()
-        link = self._open_link(chain)
-        lane = self.engine.attach_lane(chain)
-        self.chains = self.engine.chains
-        self.links.append(link)
-        self.telemetries.append(PipelineTelemetry.for_chain(chain))
-        self._resets.append(chain.fpga.filter_resets)
-        return lane
-
-    def detach_lane(self, lane: int):
-        """Drop one lane mid-session; returns ``(chain, recording)``.
-
-        The device disconnected: its chain leaves the batch at the
-        current chunk boundary and can keep running solo (or rejoin
-        later) bit-exactly. The lane's books close here: its final
-        partial frame is counted exactly as :meth:`finish` would, its
-        telemetry is reconciled and stays in
-        :meth:`aggregate_telemetry`.
-        """
-        chain = self.engine.detach_lane(lane)
-        self.chains = self.engine.chains
-        link = self.links.pop(lane)
-        tm = self.telemetries.pop(lane)
-        self._resets.pop(lane)
-        link.finish(chain.fpga, tm)
-        self._closed.append(tm)
-        tm.reconcile()
-        return chain, link.recording(self._quality)
 
     # -- completion --------------------------------------------------------
 
@@ -192,6 +132,6 @@ class BatchAcquisitionSession(LaneSession):
         return [self.recording(l) for l in range(self.lanes)]
 
     def aggregate_telemetry(self) -> PipelineTelemetry:
-        """Fleet-wide counter view over every lane, detached ones
-        included (reconcile the lanes individually)."""
-        return PipelineTelemetry.aggregate(self.telemetries + self._closed)
+        """Fleet-wide counter view over every lane (reconcile the lanes
+        individually)."""
+        return PipelineTelemetry.aggregate(self.telemetries)

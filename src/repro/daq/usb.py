@@ -113,6 +113,8 @@ class FrameEncoder:
             raise ConfigurationError("codes must be integers")
         if codes.size and (codes.max() > 32767 or codes.min() < -32768):
             raise ConfigurationError("codes must fit int16")
+        if not 0 <= element <= 0xFFFF:
+            raise ConfigurationError("element must fit u16")
         out = bytearray()
         if self._fill and self._element != element:
             out += self.flush()

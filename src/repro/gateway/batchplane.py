@@ -131,7 +131,6 @@ class BatchPlane:
                 session.device_id, 0
             )
             session.take_queued()
-            session.queue_empty.set()
             self._settle()
 
     def notify(self, session: DeviceSession, n_bytes: int) -> None:

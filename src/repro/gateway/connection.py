@@ -89,12 +89,6 @@ class DeviceSession:
         self.queue: asyncio.Queue[bytes] = asyncio.Queue(
             maxsize=queue_chunks
         )
-        #: Set whenever the ingest queue is empty — the event-driven
-        #: drain signal (replaces the server's old polling sleep loop).
-        #: Cleared by :meth:`offer`, set by the batch plane when it
-        #: empties the queue.
-        self.queue_empty = asyncio.Event()
-        self.queue_empty.set()
         #: Optional per-frame hook ``(sequence, t_decoded_s)`` — the
         #: latency probe of the benchmark harness.
         self.frame_hook = None
@@ -159,7 +153,6 @@ class DeviceSession:
             self.chunks_shed += 1
             self.bytes_shed += len(chunk)
             return False
-        self.queue_empty.clear()
         self.queue_depth_peak = max(
             self.queue_depth_peak, self.queue.qsize()
         )
@@ -194,7 +187,6 @@ class DeviceSession:
         """
         chunks = self.take_queued()
         if not chunks:
-            self.queue_empty.set()
             return None
         tm = self.telemetry
         t0 = time.perf_counter()
@@ -217,8 +209,6 @@ class DeviceSession:
         )
         tm.add_stage_seconds("ingest", time.perf_counter() - t0)
         self._sync_counters()
-        if self.queue.qsize() == 0:
-            self.queue_empty.set()
         return frames
 
     def finalize(self) -> None:

@@ -173,26 +173,18 @@ class GatewayServer:
         """Wait until every ingest queue has been decoded empty (True)
         or time out.
 
-        Event-driven: each session's ``queue_empty`` event is set by the
-        batch plane the moment the last queued chunk is decoded, so
-        drain returns promptly instead of polling on a sleep loop.
+        Event-driven: the batch plane's ``idle`` event is set the moment
+        no lane has queued bytes left, so drain returns promptly instead
+        of polling on a sleep loop. With no plane (not started) nothing
+        can be queued.
         """
+        if self.plane is None:
+            return True
         try:
-            await asyncio.wait_for(self._drained(), timeout=timeout_s)
+            await asyncio.wait_for(self.plane.idle.wait(), timeout=timeout_s)
             return True
         except asyncio.TimeoutError:
             return False
-
-    async def _drained(self) -> None:
-        while True:
-            busy = [
-                s
-                for s in self.sessions.values()
-                if not s.queue_empty.is_set()
-            ]
-            if not busy:
-                return
-            await busy[0].queue_empty.wait()
 
     # -- connection handling -------------------------------------------------
 
@@ -357,7 +349,7 @@ class GatewayServer:
             # Clean close: nothing more can arrive for this lane, so
             # decode its queue now (one plane-wide tick) rather than at
             # the deadline, then close the books.
-            if not session.queue_empty.is_set():
+            if not session.queue.empty():
                 self.plane.flush(cause="close")
             session.finalize()
 

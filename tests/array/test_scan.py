@@ -92,12 +92,6 @@ class TestConfig:
     def test_scan_order_row_major(self, controller):
         assert controller.scan_order() == [0, 1, 2, 3]
 
-    def test_rejects_bad_dwell(self):
-        with pytest.raises(ConfigurationError):
-            ScanController(
-                AnalogMultiplexer(SensorArray()), dwell_samples=1
-            )
-
 
 class TestElementHealth:
     def test_all_healthy_on_clean_signals(self, controller):
@@ -294,13 +288,10 @@ class TestScanAndLocalize:
         tone = np.sin(2 * np.pi * 40.0 * t)
         amplitudes = np.array([500.0, 3000.0, 500.0, 3000.0])  # +x column
         segments = amplitudes[:, None] * tone[None, :]
-        x, y = controller.scan_and_localize(
-            chain,
-            segments=segments,
-            fused=True,
-            settle_words=9,
-            health_screen=False,
+        records = controller.scan_records(
+            chain, batched=True, segments=segments, fused=True
         )
+        x, y = controller.localize_source(records[9:])
         assert x > 0
         assert abs(y) < controller.array.geometry.pitch_m
 

@@ -213,6 +213,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="n_samples, n_lanes"):
             sess.feed_voltage(np.zeros(64))
 
+    @pytest.mark.parametrize("bad", [np.float64(1.0), np.zeros(64)])
+    def test_field_rank_checked_before_length(self, bad):
+        n_el = make_chain(0).chip.mux.array.n_elements
+        sess = BatchAcquisitionSession(
+            [make_chain(0), make_chain(1)], element=1
+        )
+        with pytest.raises(ConfigurationError, match="n_samples, n_elements"):
+            sess.feed_pressure([bad, pressure_field(64, n_el)])
+
     def test_out_of_range_pressure_raises_like_single(self):
         """The fused front end defers to the exact per-lane error."""
         from repro.errors import SimulationError

@@ -98,10 +98,9 @@ def chain_state(chain):
     )
 
 
-def run(monkeypatch, cpus, B, kind, splits=SPLITS, lanes_op=None):
+def run(monkeypatch, cpus, B, kind, splits=SPLITS):
     """Feed ``splits`` through one engine staging on ``cpus`` CPUs.
 
-    ``lanes_op(engine, i)`` runs before chunk ``i`` (attach/detach).
     Returns the per-chunk outputs, the per-chunk ``staging_threads``
     and the chains' final states.
     """
@@ -109,9 +108,7 @@ def run(monkeypatch, cpus, B, kind, splits=SPLITS, lanes_op=None):
     engine = BatchChainEngine(make_chains(B, kind))
     n_el = engine.chains[0].chip.mux.array.n_elements
     outs, threads, offset = [], [], 0
-    for i, n in enumerate(splits):
-        if lanes_op is not None:
-            lanes_op(engine, i)
+    for n in splits:
         fields = fields_for(engine.lanes, n, n_el, offset)
         codes, clipped = engine.feed_pressure(fields)
         outs.append((codes.copy(), clipped.copy()))
@@ -140,22 +137,6 @@ class TestShardedEqualsInline:
             sharded = run(monkeypatch, cpus, B, kind)
             assert set(sharded[1]) == {min(cpus, B)}
             assert_same(inline, sharded)
-
-    def test_attach_and_detach_mid_stream(self, monkeypatch):
-        D = make_chains(1, "ktc")[0].fpga.filter.params.total_decimation
-        splits = [D, 3 * D, 17, 2 * D - 17, 700, D]
-
-        def lanes_op(engine, i):
-            if i == 2:
-                # 4 * D samples in: a fresh noisy chain joins.
-                engine.attach_lane(make_chains(1, "flicker", seed=90)[0])
-            elif i == 4:
-                engine.detach_lane(1)
-
-        inline = run(monkeypatch, 1, 3, "ktc", splits, lanes_op)
-        sharded = run(monkeypatch, 3, 3, "ktc", splits, lanes_op)
-        assert sharded[1] == [3, 3, 3, 3, 3, 3]
-        assert_same(inline, sharded)
 
     def test_inline_when_fewer_than_two_lanes_are_noisy(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "staging_cpus", lambda: 4)

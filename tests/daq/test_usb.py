@@ -285,6 +285,20 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             enc.push(np.array([40000]), element=0)
 
+    def test_rejects_out_of_u16_element_before_queuing(self):
+        """A bad element leaves nothing behind to break the next flush."""
+        enc = FrameEncoder()
+        with pytest.raises(ConfigurationError, match="u16"):
+            enc.push(np.arange(2), 70000)
+        with pytest.raises(ConfigurationError, match="u16"):
+            enc.push(np.arange(2), -1)
+        assert enc.pending_samples == 0
+        enc.push(np.arange(3), 1)
+        frames = FrameDecoder().feed(enc.flush())
+        assert [(f.element, f.samples.tolist()) for f in frames] == [
+            (1, [0, 1, 2])
+        ]
+
     def test_rejects_bad_frame_size(self):
         with pytest.raises(ConfigurationError):
             FrameEncoder(samples_per_frame=0)

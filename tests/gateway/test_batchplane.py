@@ -9,6 +9,7 @@ from repro.daq.usb import FrameEncoder
 from repro.errors import ConfigurationError
 from repro.gateway.batchplane import BatchPlane
 from repro.gateway.connection import DeviceSession
+from repro.gateway.server import GatewayServer
 
 
 def _payload(n_frames=3, spf=8):
@@ -41,7 +42,7 @@ class TestFlushPolicy:
         assert session.decoder.frames_decoded == 3
         assert plane.size_flushes == 1
         assert plane.deadline_flushes == 0
-        assert session.queue_empty.is_set()
+        assert session.queue.empty()
 
     def test_deadline_flush_bounds_latency(self):
         async def scenario():
@@ -66,7 +67,7 @@ class TestFlushPolicy:
         plane.flush(cause="deadline")
         for session in sessions:
             assert session.decoder.frames_decoded == 3
-            assert session.queue_empty.is_set()
+            assert session.queue.empty()
         assert plane.ticks == 1
         assert plane.occupancy_max == 4
         assert plane.metrics()["occupancy_mean"] == 4.0
@@ -111,6 +112,23 @@ class TestFlushPolicy:
         assert plane.drain_flushes == 1
 
 
+class TestServerDrain:
+    def test_drain_waits_on_the_plane_idle_signal(self):
+        async def scenario():
+            server = GatewayServer()
+            assert await server.drain(timeout_s=0.01)  # no plane yet
+            server.plane = BatchPlane(flush_bytes=1 << 30, max_latency_s=30.0)
+            session = _armed_session(server.plane)
+            assert not await server.drain(timeout_s=0.01)
+            server.plane.flush(cause="drain")
+            assert await server.drain(timeout_s=0.01)
+            return session
+
+        session = asyncio.run(scenario())
+        assert session.decoder.frames_decoded == 3
+        assert session.queue.empty()
+
+
 class TestLaneLifecycle:
     def test_flush_lane_decodes_one_backlog(self):
         plane = BatchPlane()
@@ -144,7 +162,6 @@ class TestLaneLifecycle:
         session = _armed_session(plane)
         plane.detach(session)
         assert session.queue.qsize() == 0
-        assert session.queue_empty.is_set()
         assert session.decoder.frames_decoded == 0  # discarded, not decoded
         assert plane.pending_bytes == 0
         assert plane.idle.is_set()
