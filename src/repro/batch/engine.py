@@ -357,14 +357,22 @@ class BatchChainEngine:
         if start < n:
             rest = [f[start:] for f in fields]
             u = np.empty((n - start, self.lanes))
-            for l, c in enumerate(self.chains):
-                chip = c.chip
-                ul = chip.frontend.loop_input(
-                    chip.mux.routed_capacitance_f(rest[l])
-                )
-                if chip.loop_input_hook is not None:
-                    ul = chip.loop_input_hook(ul)
-                u[:, l] = ul
+            # Routing a lane consumes its charge-injection flag; a later
+            # lane's error must hand every lane its flag back.
+            switched = [c.chip.mux._just_switched for c in self.chains]
+            try:
+                for l, c in enumerate(self.chains):
+                    chip = c.chip
+                    ul = chip.frontend.loop_input(
+                        chip.mux.routed_capacitance_f(rest[l])
+                    )
+                    if chip.loop_input_hook is not None:
+                        ul = chip.loop_input_hook(ul)
+                    u[:, l] = ul
+            except Exception:
+                for c, flag in zip(self.chains, switched):
+                    c.chip.mux._just_switched = flag
+                raise
             parts.append(self.feed_loop_inputs(u))
         return self._join(parts)
 

@@ -9,7 +9,7 @@
     python -m repro run --batch 8         # fused batched acquisition demo
     python -m repro run population --jobs 4   # fan out over 4 workers
     python -m repro population --jobs 4   # population + executor telemetry
-    python -m repro ablation osr --jobs 4 # ablation sweeps + telemetry
+    python -m repro run osr chopper --jobs 4 --telemetry   # + executor footer
     python -m repro imaging --rows 8 --cols 8   # N x N pressure imaging
     python -m repro faults --jobs 4       # fault matrix, degradation contract
     python -m repro stream                # live chunked acquisition demo
@@ -21,8 +21,8 @@
 Every experiment prints the same paper-vs-measured rows the benchmark
 suite asserts on; the CLI is the no-pytest entry point for quick looks.
 ``stream`` drives the chunked :class:`~repro.core.session.AcquisitionSession`
-pipeline with live per-stage telemetry; ``population`` and ``ablation``
-are its multi-core counterparts, printing the
+pipeline with live per-stage telemetry; ``population`` and
+``run ... --telemetry`` are its multi-core counterparts, printing the
 :class:`~repro.parallel.ExecutorTelemetry` of the fan-out (``--jobs``
 never changes the numbers — see docs/THEORY.md §8).
 """
@@ -458,34 +458,6 @@ def cmd_imaging(
     return 0
 
 
-#: Ablation subcommand registry: name -> runner accepting ``jobs=``.
-ABLATIONS: dict[str, Callable] = {
-    "feedback": lambda jobs=1: experiments.run_feedback_ablation(jobs=jobs),
-    "osr": lambda jobs=1: experiments.run_osr_ablation(jobs=jobs),
-    "chopper": lambda jobs=1: experiments.run_chopper_ablation(jobs=jobs),
-}
-
-
-def cmd_ablation(names: list[str], jobs: int = 1) -> int:
-    """Run ablation sweeps with the executor telemetry footer."""
-    if not names or "all" in names:
-        names = list(ABLATIONS)
-    unknown = [n for n in names if n not in ABLATIONS]
-    if unknown:
-        print(f"unknown ablation(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"choose from: {', '.join(ABLATIONS)}", file=sys.stderr)
-        return 2
-    for name in names:
-        print(f"ablation {name}: jobs={jobs} ...", flush=True)
-        start = time.perf_counter()
-        result = ABLATIONS[name](jobs=jobs)
-        elapsed = time.perf_counter() - start
-        _print_rows(f"{name} ({elapsed:.1f} s)", result.rows())
-        _print_telemetry(result)
-        print()
-    return 0
-
-
 def cmd_stream(
     duration_s: float = 10.0,
     chunk_s: float = 0.25,
@@ -815,6 +787,19 @@ def cmd_describe() -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for ``--jobs``: a worker count of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}"
+        )
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -839,7 +824,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for experiments that fan out over the "
         "parallel executor (bit-identical for any value)",
@@ -887,7 +872,7 @@ def main(argv: list[str] | None = None) -> int:
         help="record length per subject [s]",
     )
     population_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes"
+        "--jobs", type=_positive_int, default=1, help="worker processes"
     )
     population_parser.add_argument(
         "--backend", choices=["fast", "reference"], default="fast",
@@ -916,17 +901,6 @@ def main(argv: list[str] | None = None) -> int:
         "--drift-um", type=float, default=300.0,
         help="inter-frame placement drift to register [um]",
     )
-    ablation_parser = sub.add_parser(
-        "ablation",
-        help="ablation sweeps over the parallel executor, with telemetry",
-    )
-    ablation_parser.add_argument(
-        "names", nargs="*",
-        help=f"ablations to run ({', '.join(ABLATIONS)}) or 'all'",
-    )
-    ablation_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes"
-    )
     faults_parser = sub.add_parser(
         "faults",
         help="fault-injection matrix: inject faults at every pipeline "
@@ -950,7 +924,7 @@ def main(argv: list[str] | None = None) -> int:
         help="master seed for the fault schedules",
     )
     faults_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes"
+        "--jobs", type=_positive_int, default=1, help="worker processes"
     )
     faults_parser.add_argument(
         "--backend", choices=["fast", "reference"], default="fast",
@@ -1074,8 +1048,6 @@ def main(argv: list[str] | None = None) -> int:
             rotation_mrad=args.rotation_mrad,
             drift_um=args.drift_um,
         )
-    if args.command == "ablation":
-        return cmd_ablation(args.names, jobs=args.jobs)
     if args.command == "faults":
         return cmd_faults(
             kinds=args.kinds,

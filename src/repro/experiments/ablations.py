@@ -129,7 +129,6 @@ def run_feedback_ablation(
     stimulus_fraction: float = 0.25,
     n_out: int = 2048,
     jobs: int = 1,
-    chunk_size: int | None = None,
 ) -> FeedbackAblationResult:
     """Sweep the feedback-capacitor ratio at a fixed small stimulus.
 
@@ -149,7 +148,7 @@ def run_feedback_ablation(
         (params, float(ratio), float(stimulus_fraction), int(n_out))
         for ratio in ratios
     ]
-    executor = ParallelExecutor(jobs=jobs, chunk_size=chunk_size)
+    executor = ParallelExecutor(jobs=jobs)
     arms = executor.map(_feedback_task, items)
     return FeedbackAblationResult(
         cfb_ratios=ratios,
@@ -261,7 +260,6 @@ def run_osr_ablation(
     amplitude: float = 0.5,
     n_out: int = 2048,
     jobs: int = 1,
-    chunk_size: int | None = None,
 ) -> OSRAblationResult:
     """Sweep OSR, measuring ENOB via sinc^(N+1) decimation (no 12-bit
     quantizer, so the modulator's own scaling is visible)."""
@@ -276,7 +274,7 @@ def run_osr_ablation(
     items = [
         (float(fs), int(osr), float(amplitude), int(n_out)) for osr in osrs
     ]
-    executor = ParallelExecutor(jobs=jobs, chunk_size=chunk_size)
+    executor = ParallelExecutor(jobs=jobs)
     cells = executor.map(_osr_task, items)
     enob2 = np.array([cell[0] for cell in cells])
     enob1 = np.array([cell[1] for cell in cells])
@@ -362,7 +360,6 @@ def run_chopper_ablation(
     n_out: int = 2048,
     flicker_corner_hz: float = 20e3,
     jobs: int = 1,
-    chunk_size: int | None = None,
 ) -> ChopperAblationResult:
     """Measure the SNR recovered by chopping on a flicker-heavy loop.
 
@@ -375,7 +372,7 @@ def run_chopper_ablation(
         (False, int(osr), int(n_out), float(flicker_corner_hz)),
         (True, int(osr), int(n_out), float(flicker_corner_hz)),
     ]
-    executor = ParallelExecutor(jobs=jobs, chunk_size=chunk_size)
+    executor = ParallelExecutor(jobs=jobs)
     off, on = executor.map(_chopper_task, items)
     return ChopperAblationResult(
         snr_off_db=off,

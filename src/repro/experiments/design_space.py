@@ -122,7 +122,6 @@ def run_design_space(
     osrs: np.ndarray | None = None,
     n_out: int = 1024,
     jobs: int = 1,
-    chunk_size: int | None = None,
 ) -> DesignSpaceResult:
     """Measure the ENOB grid (ideal loops, float sinc^(N+1) decimation).
 
@@ -145,7 +144,7 @@ def run_design_space(
         for order in orders
         for osr in osrs
     ]
-    executor = ParallelExecutor(jobs=jobs, chunk_size=chunk_size)
+    executor = ParallelExecutor(jobs=jobs)
     cells = executor.map(_cell_task, items)
     enob = np.asarray(cells, dtype=float).reshape(len(orders), osrs.size)
     return DesignSpaceResult(

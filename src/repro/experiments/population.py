@@ -143,7 +143,6 @@ def run_population(
     seed: int = 4040,
     backend: str = "fast",
     jobs: int = 1,
-    chunk_size: int | None = None,
 ) -> PopulationResult:
     """Run the full protocol over a diversified virtual population.
 
@@ -157,7 +156,7 @@ def run_population(
     if n_subjects < 3:
         raise ConfigurationError("need >= 3 subjects for statistics")
 
-    executor = ParallelExecutor(jobs=jobs, chunk_size=chunk_size)
+    executor = ParallelExecutor(jobs=jobs)
     items = [(params, float(duration_s), backend)] * n_subjects
     rows = executor.map(_subject_task, items, seed=seed)
 

@@ -295,7 +295,6 @@ def run_robustness_sweep(
     duration_s: float = 30.0,
     seed: int = 7007,
     jobs: int = 1,
-    chunk_size: int | None = None,
 ) -> RobustnessSweepResult:
     """Repeat :func:`run_robustness` over independently-seeded trials.
 
@@ -308,7 +307,7 @@ def run_robustness_sweep(
     params = params or SystemParams()
     if n_trials < 2:
         raise ConfigurationError("need >= 2 trials for a sweep")
-    executor = ParallelExecutor(jobs=jobs, chunk_size=chunk_size)
+    executor = ParallelExecutor(jobs=jobs)
     items = [(params, float(duration_s))] * n_trials
     trials = executor.map(_robustness_trial, items, seed=seed)
     columns = list(zip(*trials))

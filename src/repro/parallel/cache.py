@@ -26,7 +26,6 @@ which the executor folds into its telemetry.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
 from ..errors import ConfigurationError
@@ -35,29 +34,17 @@ from ..errors import ConfigurationError
 class PrecomputeCache:
     """Keyed memo for expensive per-task setup, with hit/miss counters.
 
-    Not thread-safe (the executor parallelizes across processes, where
-    each process sees its own instance); a racy double-compute would be
-    benign anyway because cached values are deterministic functions of
-    their keys.
-
-    Parameters
-    ----------
-    maxsize:
-        Optional entry bound. When set, the cache evicts its least
-        recently *used* entry after an insert overflows the bound, and
-        counts the eviction. ``None`` (default, and the process-global
-        instance's mode) never evicts: the built-in users cache a
-        handful of param-keyed designs whose lifetime is the process.
+    Never evicts: the built-in users cache a handful of param-keyed
+    designs whose lifetime is the process. Not thread-safe (the executor
+    parallelizes across processes, where each process sees its own
+    instance); a racy double-compute would be benign anyway because
+    cached values are deterministic functions of their keys.
     """
 
-    def __init__(self, maxsize: int | None = None) -> None:
-        if maxsize is not None and maxsize < 1:
-            raise ConfigurationError("cache maxsize must be >= 1")
-        self._store: OrderedDict[Hashable, Any] = OrderedDict()
-        self.maxsize = maxsize
+    def __init__(self) -> None:
+        self._store: dict[Hashable, Any] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def get(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, computing it on miss.
@@ -82,29 +69,15 @@ class PrecomputeCache:
             # nor poison the store.
             self.misses += 1
             self._store[key] = value
-            if self.maxsize is not None and len(self._store) > self.maxsize:
-                self._store.popitem(last=False)
-                self.evictions += 1
             return value
         self.hits += 1
-        if self.maxsize is not None:
-            self._store.move_to_end(key)
         return value
-
-    def stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` since construction or the last reset."""
-        return (self.hits, self.misses)
-
-    def reset_stats(self) -> None:
-        """Zero the counters without dropping cached entries."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def clear(self) -> None:
         """Drop every entry and zero the counters."""
         self._store.clear()
-        self.reset_stats()
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._store)

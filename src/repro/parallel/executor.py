@@ -35,16 +35,16 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from .cache import precompute_cache
 
-#: Target number of chunks dispatched per worker when auto-chunking.
-#: Several waves per worker keep the pool busy when task durations vary,
-#: without pickling every task separately.
+#: Target number of chunks dispatched per worker. Several waves per
+#: worker keep the pool busy when task durations vary, without pickling
+#: every task separately.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -235,132 +235,66 @@ def _run_chunk(
     )
 
 
-class _BatchTask:
-    """Picklable adapter: one scheduled task = one batch of items.
-
-    Module-level class (not a closure) so it pickles under every start
-    method. Seeds travel inside the payload, pre-spawned per *item*
-    index by :meth:`ParallelExecutor.map_batches`, so the grouping into
-    batches never touches any item's random stream.
-    """
-
-    def __init__(self, fn: Callable[..., Any], seeded: bool):
-        self.fn = fn
-        self.seeded = seeded
-
-    def __call__(self, payload: tuple[list[Any], list[Any]]) -> list[Any]:
-        batch_items, batch_seeds = payload
-        if self.seeded:
-            return self.fn(batch_items, batch_seeds)
-        return self.fn(batch_items)
-
-
 class ParallelExecutor:
     """Deterministic fan-out of independent tasks over a process pool.
 
-    Parameters
-    ----------
-    jobs:
-        Worker count. ``1`` (default) runs everything in-process through
-        the same chunked task loop — the exact serial path the
-        equivalence tests compare the pool against.
-    chunk_size:
-        Tasks per dispatched chunk. Defaults to
-        ``ceil(n_tasks / (jobs * 4))`` so each worker sees several
-        scheduling waves. Chunking never affects results, only
-        scheduling granularity.
-    start_method:
-        Multiprocessing start method. Defaults to ``"fork"`` where
-        available (workers inherit warm caches and the compiled
-        modulator kernel for free) and the platform default elsewhere.
-        Results do not depend on it.
-    force_jobs:
-        Escape hatch: run with exactly ``jobs`` workers even beyond the
-        machine's core count. By default the executor clamps the
-        effective pool to ``min(jobs, cpu_count)`` — oversubscribed
-        workers only time-slice the same cores at a net slowdown, and
-        results are bit-identical for any worker count anyway. The
-        clamp (or the forced oversubscription) is recorded in
-        :class:`ExecutorTelemetry`.
+    ``jobs`` is the worker count. ``1`` (default) runs everything
+    in-process through the same chunked task loop — the exact serial
+    path the equivalence tests compare the pool against. A wider pool
+    is clamped to ``min(jobs, cpu_count)``: oversubscribed workers only
+    time-slice the same cores at a net slowdown, and results are
+    bit-identical for any worker count anyway. The clamp is recorded in
+    :class:`ExecutorTelemetry`.
+
+    Each worker receives ``ceil(n_tasks / (jobs * 4))`` tasks per chunk,
+    so it sees several scheduling waves. Workers are forked where the
+    platform can (they inherit warm caches and the compiled modulator
+    kernel for free), else started the platform's default way.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-        force_jobs: bool = False,
-    ):
+    def __init__(self, jobs: int = 1):
         if jobs < 1:
             raise ConfigurationError("executor needs at least one job")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError("chunk size must be >= 1")
         self.jobs_requested = int(jobs)
         self.jobs = int(jobs)
-        self.force_jobs = bool(force_jobs)
-        self.chunk_size = chunk_size
-        # Oversubscription never changes results (seeds are fixed per
-        # task index) but the extra workers only time-slice the same
-        # cores at a net slowdown, so clamp to the core budget by
-        # default and flag it once, loudly, instead of letting "why is
-        # jobs=32 slower than jobs=8" go undiagnosed. force_jobs=True
-        # keeps the requested width for scheduling studies.
+        # Flag the clamp once, loudly, instead of letting "why is
+        # jobs=32 slower than jobs=8" go undiagnosed.
         cores = os.cpu_count() or 1
         self._oversubscribed: str | None = None
         if self.jobs > cores:
-            if self.force_jobs:
-                self._oversubscribed = (
-                    f"jobs={self.jobs} exceeds the {cores} available CPU "
-                    f"core(s); workers will time-slice and parallel "
-                    f"efficiency will degrade"
-                )
-            else:
-                self.jobs = cores
-                self._oversubscribed = (
-                    f"jobs={self.jobs_requested} exceeds the {cores} "
-                    f"available CPU core(s); clamped to {self.jobs} "
-                    f"worker(s) — pass force_jobs=True to oversubscribe"
-                )
+            self.jobs = cores
+            self._oversubscribed = (
+                f"jobs={self.jobs_requested} exceeds the {cores} "
+                f"available CPU core(s); clamped to {self.jobs} worker(s)"
+            )
             warnings.warn(self._oversubscribed, RuntimeWarning, stacklevel=2)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else None
-        self.start_method = start_method
         #: Telemetry of the most recent :meth:`map` call.
         self.telemetry = ExecutorTelemetry(
             jobs=self.jobs, jobs_requested=self.jobs_requested
         )
 
-    # -- scheduling --------------------------------------------------------
-
-    def _spawn_seeds(
-        self, seed: int | np.random.SeedSequence | None, n: int
-    ) -> Sequence[np.random.SeedSequence | None]:
-        """One child seed per task index, fixed before any scheduling."""
-        if seed is None:
-            return [None] * n
-        if isinstance(seed, np.random.SeedSequence):
-            return seed.spawn(n)
-        return np.random.SeedSequence(int(seed)).spawn(n)
-
     def map(
         self,
         fn: Callable[..., Any],
         items: Iterable[Any],
-        seed: int | np.random.SeedSequence | None = None,
+        seed: int | None = None,
     ) -> list[Any]:
         """Run ``fn`` over ``items``; return results in submission order.
 
         ``fn`` must be a module-level (picklable) callable. Without
-        ``seed`` it is called as ``fn(item)``; with a ``seed`` each call
-        receives ``fn(item, seed_sequence)`` where the sequences are the
-        ``SeedSequence.spawn`` children of the master seed, indexed by
-        task position — the discipline that makes results independent of
-        ``jobs``, chunking and completion order.
+        ``seed`` it is called as ``fn(item)``; with an integer ``seed``
+        each call receives ``fn(item, seed_sequence)`` where the
+        sequences are the ``SeedSequence(seed).spawn`` children, indexed
+        by task position — the discipline that makes results independent
+        of ``jobs``, chunking and completion order.
 
         The run's :class:`ExecutorTelemetry` lands in :attr:`telemetry`
         (already reconciled).
         """
+        if seed is not None and not isinstance(seed, (int, np.integer)):
+            raise ConfigurationError(
+                f"executor seed must be an int or None, got {type(seed)!r}"
+            )
         tasks = list(items)
         n = len(tasks)
         tm = ExecutorTelemetry(
@@ -373,10 +307,11 @@ class ParallelExecutor:
         if n == 0:
             return []
 
-        seeds = self._spawn_seeds(seed, n)
-        chunk = self.chunk_size or max(
-            1, math.ceil(n / (self.jobs * _CHUNKS_PER_WORKER))
+        seeds = (
+            [None] * n if seed is None
+            else np.random.SeedSequence(int(seed)).spawn(n)
         )
+        chunk = math.ceil(n / (self.jobs * _CHUNKS_PER_WORKER))
         tm.chunk_size = chunk
         payloads = [
             (
@@ -395,7 +330,9 @@ class ParallelExecutor:
         if self.jobs == 1:
             reports = [_run_chunk(p) for p in payloads]
         else:
-            ctx = multiprocessing.get_context(self.start_method)
+            ctx = multiprocessing.get_context(
+                "fork" if hasattr(os, "fork") else None
+            )
             processes = min(self.jobs, len(payloads))
             # close() + join(), not the context manager's terminate():
             # terminating while a task raised can deadlock the pool's
@@ -431,52 +368,3 @@ class ParallelExecutor:
                 tm.tasks_completed += 1
         tm.reconcile()
         return slots
-
-    def map_batches(
-        self,
-        fn: Callable[..., Any],
-        items: Iterable[Any],
-        seed: int | np.random.SeedSequence | None = None,
-        batch_size: int | None = None,
-    ) -> list[Any]:
-        """Run ``fn`` over *batches* of items; return per-item results.
-
-        The batched analogue of :meth:`map`, built for batch-capable
-        task functions (e.g. one :class:`~repro.batch.session.\
-        BatchAcquisitionSession` over a worker's whole slice of
-        subjects, instead of one chain per task). ``fn`` must be a
-        module-level callable invoked as ``fn(batch_items)`` — or
-        ``fn(batch_items, batch_seeds)`` when ``seed`` is given — and
-        must return one result per item, in batch order.
-
-        Child seeds are spawned per *item* index before any batching,
-        so results are independent of ``batch_size``, ``jobs`` and
-        completion order — the same discipline :meth:`map` enforces per
-        task. Telemetry (in :attr:`telemetry`) accounts at batch
-        granularity: one batch = one task.
-        """
-        tasks = list(items)
-        n = len(tasks)
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError("batch size must be >= 1")
-        if batch_size is None:
-            batch_size = max(
-                1, math.ceil(n / (self.jobs * _CHUNKS_PER_WORKER))
-            )
-        seeds = self._spawn_seeds(seed, n)
-        payloads = [
-            (tasks[lo : lo + batch_size], list(seeds[lo : lo + batch_size]))
-            for lo in range(0, n, batch_size)
-        ]
-        batch_results = self.map(_BatchTask(fn, seed is not None), payloads)
-        results: list[Any] = []
-        for (batch_items, _), out in zip(payloads, batch_results):
-            out = list(out)
-            if len(out) != len(batch_items):
-                raise ConfigurationError(
-                    f"batch task returned {len(out)} result(s) for "
-                    f"{len(batch_items)} item(s); map_batches requires "
-                    f"one result per item"
-                )
-            results.extend(out)
-        return results

@@ -251,6 +251,43 @@ class TestValidation:
             sess.feed_pressure(fields)
 
 
+class TestRejectedFeed:
+    def test_rejected_feed_leaves_every_lane_as_it_was(self):
+        """A feed that a later lane rejects changes no earlier lane.
+
+        Both lanes have just switched to element 1, so each owes its
+        first routed sample the charge-injection glitch. A wrong field
+        width and a NaN in lane 1 are rejected after lane 0 was routed;
+        the retried good feed must still equal two solo sessions.
+        """
+        from repro.errors import SimulationError
+
+        n = 1_920
+        n_el = make_chain(0).chip.mux.array.n_elements
+        fields = [pressure_field(n, n_el, seed=l) for l in range(2)]
+        chains = [make_chain(80 + l) for l in range(2)]
+        sess = BatchAcquisitionSession(chains, element=1)
+
+        def flags():
+            return [c.chip.mux._just_switched for c in chains]
+
+        assert flags() == [True, True]
+        with pytest.raises(ConfigurationError, match="n_samples, n_elements"):
+            sess.feed_pressure([fields[0][:64], fields[1][:64, :-1]])
+        assert flags() == [True, True]
+        bad = fields[1][:64].copy()
+        bad[10] = np.nan
+        with pytest.raises(SimulationError, match="outside transducer range"):
+            sess.feed_pressure([fields[0][:64], bad])
+        assert flags() == [True, True]
+
+        sess.feed_pressure(fields)
+        sess.finish()
+        for l in range(2):
+            ref = run_single(80 + l, fields[l], ())
+            assert np.array_equal(sess.codes(l), ref.recording().codes)
+
+
 def chip_codes(chain, field, element=1):
     """Delivered words of one chunk on the chip -> bitstream -> FPGA path."""
     chain.chip.select_element(element)

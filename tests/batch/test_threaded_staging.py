@@ -212,13 +212,16 @@ FORK_SCRIPT = textwrap.dedent(
     from repro.parallel import ParallelExecutor
     from repro.params import SystemParams
 
-    # Two usable CPUs whatever the host (or taskset) allows.
+    # Two usable CPUs whatever the host (or taskset) allows, for the
+    # staging pool and for the executor's core clamp alike.
     os.sched_getaffinity = lambda pid: {0, 1}
+    os.cpu_count = lambda: 2
 
-    def batch(items, seeds):
+    # One noisy 4-lane batch session per item; per lane (codes, threads).
+    def batch(item, seed):
         chains = [
             ReadoutChain(SystemParams(), rng=np.random.default_rng(s))
-            for s in seeds
+            for s in seed.spawn(4)
         ]
         session = BatchAcquisitionSession(chains, element=1)
         n_el = chains[0].chip.mux.array.n_elements
@@ -233,14 +236,13 @@ FORK_SCRIPT = textwrap.dedent(
         return [(session.codes(l).tolist(), threads) for l in range(len(chains))]
 
     # The parent stages on the pool first, so the pool exists at fork.
-    assert {t for _, t in batch(range(4), list(range(4)))} == {2}
+    first = batch(None, np.random.SeedSequence(0))
+    assert {t for _, t in first} == {2}
     assert engine_mod._pool is not None
-    serial = ParallelExecutor(jobs=1).map_batches(
-        batch, range(8), seed=3, batch_size=4
-    )
-    forked = ParallelExecutor(jobs=2).map_batches(
-        batch, range(8), seed=3, batch_size=4
-    )
+    serial = ParallelExecutor(jobs=1).map(batch, range(2), seed=3)
+    forked = ParallelExecutor(jobs=2).map(batch, range(2), seed=3)
+    serial = [lane for lanes in serial for lane in lanes]
+    forked = [lane for lanes in forked for lane in lanes]
     assert [c for c, _ in forked] == [c for c, _ in serial]
     assert {t for _, t in serial} == {2}
     # Forked children stage inline.

@@ -134,31 +134,21 @@ class TestParallelCommands:
         assert main(["population", "--subjects", "2"]) == 2
         assert ">= 3 subjects" in capsys.readouterr().err
 
-    def test_ablation_command_prints_telemetry(self, capsys, monkeypatch):
-        from repro.cli import ABLATIONS
-        from repro.parallel import ExecutorTelemetry
-
-        class Result:
-            telemetry = ExecutorTelemetry(jobs=2)
-
-            def rows(self):
-                return [("q", "paper", "measured")]
-
-        seen = {}
-
-        def runner(jobs=1):
-            seen["jobs"] = jobs
-            return Result()
-
-        monkeypatch.setitem(ABLATIONS, "osr", runner)
-        assert main(["ablation", "osr", "--jobs", "2"]) == 0
-        assert seen["jobs"] == 2
-        out = capsys.readouterr().out
-        assert "ExecutorTelemetry" in out
-
-    def test_ablation_unknown_name(self, capsys):
-        assert main(["ablation", "bogus"]) == 2
-        assert "unknown ablation" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "osr"],
+            ["population", "--subjects", "3"],
+            ["faults", "--duration", "2"],
+        ],
+    )
+    def test_jobs_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--jobs" in err
 
 
 class TestBatchCommand:

@@ -35,11 +35,6 @@ class TestPopulationEquivalence:
         )
         assert serial.subjects == pooled.subjects
 
-    def test_population_chunking_is_pure_scheduling(self):
-        a = run_population(n_subjects=4, duration_s=6.0, jobs=2, chunk_size=1)
-        b = run_population(n_subjects=4, duration_s=6.0, jobs=2, chunk_size=4)
-        assert np.array_equal(a.systolic_errors_mmhg, b.systolic_errors_mmhg)
-
     def test_population_telemetry_reconciles(self):
         result = run_population(n_subjects=4, duration_s=6.0, jobs=2)
         result.telemetry.reconcile()

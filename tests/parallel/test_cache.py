@@ -25,7 +25,7 @@ class TestPrecomputeCache:
         assert cache.get(("k",), factory) == 42
         assert cache.get(("k",), factory) == 42
         assert len(calls) == 1
-        assert cache.stats() == (1, 1)
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_distinct_keys_distinct_values(self):
         cache = PrecomputeCache()
@@ -38,13 +38,6 @@ class TestPrecomputeCache:
         cache = PrecomputeCache()
         with pytest.raises(ConfigurationError, match="hashable"):
             cache.get(["list", "key"], lambda: 0)
-
-    def test_reset_stats_keeps_entries(self):
-        cache = PrecomputeCache()
-        cache.get(("k",), lambda: 7)
-        cache.reset_stats()
-        assert cache.stats() == (0, 0)
-        assert cache.get(("k",), lambda: 8) == 7  # still cached
 
     def test_clear_drops_entries(self):
         cache = PrecomputeCache()
@@ -65,52 +58,11 @@ class TestPrecomputeCache:
         with pytest.raises(ValueError, match="transient"):
             cache.get(("k",), bad_factory)
         # No phantom miss, no poisoned entry: the retry is a clean slate.
-        assert cache.stats() == (0, 0)
+        assert (cache.hits, cache.misses) == (0, 0)
         assert len(cache) == 0
         assert ("k",) not in cache
         assert cache.get(("k",), lambda: 42) == 42
-        assert cache.stats() == (0, 1)
-
-
-class TestBoundedCache:
-    def test_maxsize_evicts_least_recently_used(self):
-        cache = PrecomputeCache(maxsize=2)
-        cache.get(("a",), lambda: 1)
-        cache.get(("b",), lambda: 2)
-        cache.get(("a",), lambda: 0)  # touch "a": "b" is now the LRU
-        cache.get(("c",), lambda: 3)  # evicts "b"
-        assert ("a",) in cache
-        assert ("b",) not in cache
-        assert ("c",) in cache
-        assert cache.evictions == 1
-        assert len(cache) == 2
-
-    def test_evicted_entry_recomputes(self):
-        cache = PrecomputeCache(maxsize=1)
-        cache.get(("a",), lambda: 1)
-        cache.get(("b",), lambda: 2)
-        assert cache.get(("a",), lambda: 11) == 11
-        assert cache.evictions == 2
-        assert cache.stats() == (0, 3)
-
-    def test_unbounded_never_evicts(self):
-        cache = PrecomputeCache()
-        for i in range(100):
-            cache.get(("k", i), lambda i=i: i)
-        assert len(cache) == 100
-        assert cache.evictions == 0
-
-    def test_invalid_maxsize_rejected(self):
-        with pytest.raises(ConfigurationError, match="maxsize"):
-            PrecomputeCache(maxsize=0)
-
-    def test_reset_stats_zeroes_evictions(self):
-        cache = PrecomputeCache(maxsize=1)
-        cache.get(("a",), lambda: 1)
-        cache.get(("b",), lambda: 2)
-        cache.reset_stats()
-        assert cache.evictions == 0
-        assert cache.stats() == (0, 0)
+        assert (cache.hits, cache.misses) == (0, 1)
 
 
 class TestFIRDesignSharing:
@@ -120,9 +72,9 @@ class TestFIRDesignSharing:
         and every later chain gets the same cached array."""
         cache = precompute_cache()
         c1 = ReadoutChain(SystemParams(), rng=np.random.default_rng(1))
-        hits0, _ = cache.stats()
+        hits0 = cache.hits
         c2 = ReadoutChain(SystemParams(), rng=np.random.default_rng(2))
-        hits1, _ = cache.stats()
+        hits1 = cache.hits
         taps1 = c1.fpga.filter.fir_coefficients
         taps2 = c2.fpga.filter.fir_coefficients
         # Same object — no recompute — and bit-identical values.

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,16 +19,18 @@ from repro.parallel import ExecutorTelemetry, ParallelExecutor
 # Many pools whose tasks raise, in a child process so a deadlocked pool
 # fails the test at its deadline instead of hanging the suite.
 RAISING_POOLS = """
-import warnings
+import os
 from repro.parallel import ParallelExecutor
+
+# Two cores for the clamp whatever the host has, so the pool is real.
+os.cpu_count = lambda: 2
 
 def boom(x):
     raise ValueError(x)
 
-warnings.simplefilter("ignore", RuntimeWarning)
 for _ in range(150):
     try:
-        ParallelExecutor(jobs=2, force_jobs=True).map(boom, range(3))
+        ParallelExecutor(jobs=2).map(boom, range(3))
     except ValueError:
         pass
 """
@@ -50,27 +53,15 @@ def _boom(x):
     raise ValueError(f"task {x} exploded")
 
 
-def _square_batch(items):
-    return [x * x for x in items]
-
-
-def _seeded_batch(items, seeds):
-    return [_seeded_draw(x, s) for x, s in zip(items, seeds)]
-
-
-def _short_batch(items):
-    return [x * x for x in items[:-1]]
-
-
-def _pool(jobs, **kwargs):
-    """A real pool of ``jobs`` workers, silencing the clamp warning.
+def _pool(jobs):
+    """A real pool of ``jobs`` workers on any host.
 
     Several tests need actual worker processes regardless of how many
-    cores the test box exposes; force_jobs is exactly that escape hatch.
+    cores the test box exposes, so the core count the clamp reads at
+    construction is patched to ``jobs``, as :class:`TestCoreClamp` does.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return ParallelExecutor(jobs=jobs, force_jobs=True, **kwargs)
+    with mock.patch("repro.parallel.executor.os.cpu_count", lambda: jobs):
+        return ParallelExecutor(jobs=jobs)
 
 
 class TestScheduling:
@@ -79,7 +70,7 @@ class TestScheduling:
         assert ex.map(_square, range(10)) == [x * x for x in range(10)]
 
     def test_order_preserved_with_pool(self):
-        ex = _pool(3, chunk_size=1)
+        ex = _pool(3)
         assert ex.map(_square, range(10)) == [x * x for x in range(10)]
 
     def test_empty_items(self):
@@ -94,15 +85,13 @@ class TestScheduling:
         assert set(pids) == {os.getpid()}
 
     def test_pool_uses_other_processes(self):
-        ex = _pool(2, chunk_size=1)
+        ex = _pool(2)
         pids = ex.map(_pid_of, range(4))
         assert os.getpid() not in pids
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             ParallelExecutor(jobs=0)
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(jobs=2, chunk_size=0)
 
     def test_task_error_propagates(self):
         ex = ParallelExecutor(jobs=1)
@@ -131,8 +120,8 @@ class TestSeedDiscipline:
         reference = ParallelExecutor(jobs=1).map(
             _seeded_draw, range(12), seed=99
         )
-        for jobs, chunk in ((2, None), (3, 1), (4, 5)):
-            ex = _pool(jobs, chunk_size=chunk)
+        for jobs in (2, 3, 4):
+            ex = _pool(jobs)
             assert ex.map(_seeded_draw, range(12), seed=99) == reference
 
     def test_seed_changes_results(self):
@@ -140,32 +129,45 @@ class TestSeedDiscipline:
         b = ParallelExecutor(jobs=1).map(_seeded_draw, range(4), seed=2)
         assert a != b
 
-    def test_seed_sequence_accepted(self):
+    def test_seed_sequence_rejected(self):
+        # Spawning advances a SeedSequence, so a reused one would not
+        # reproduce its results; only an int master seed is accepted.
+        ex = ParallelExecutor(jobs=1)
         master = np.random.SeedSequence(1234)
-        a = ParallelExecutor(jobs=1).map(_seeded_draw, range(4), seed=master)
-        b = ParallelExecutor(jobs=1).map(_seeded_draw, range(4), seed=1234)
+        with pytest.raises(ConfigurationError, match="int or None"):
+            ex.map(_seeded_draw, range(4), seed=master)
+        with pytest.raises(ConfigurationError, match="int or None"):
+            ex.map(_seeded_draw, range(4), seed=1.5)
+
+    def test_int_seed_reused_twice_is_equal(self):
+        ex = ParallelExecutor(jobs=1)
+        seed = 1234
+        a = ex.map(_seeded_draw, range(4), seed=seed)
+        b = ex.map(_seeded_draw, range(4), seed=seed)
         assert a == b
 
     def test_tasks_depend_on_index_not_chunking(self):
-        # Same master seed, radically different chunking: task k must
-        # draw the same values because its child seed is fixed by k.
-        coarse = ParallelExecutor(jobs=1, chunk_size=12).map(
-            _seeded_draw, range(12), seed=7
-        )
-        fine = ParallelExecutor(jobs=1, chunk_size=1).map(
-            _seeded_draw, range(12), seed=7
-        )
+        # Same master seed, different chunking (3 tasks per chunk in
+        # process, 1 per chunk on three workers): task k must draw the
+        # same values because its child seed is fixed by k.
+        coarse_ex = ParallelExecutor(jobs=1)
+        coarse = coarse_ex.map(_seeded_draw, range(12), seed=7)
+        fine_ex = _pool(3)
+        fine = fine_ex.map(_seeded_draw, range(12), seed=7)
+        assert coarse_ex.telemetry.chunk_size == 3
+        assert fine_ex.telemetry.chunk_size == 1
         assert coarse == fine
 
 
 class TestTelemetry:
     def test_counters_reconcile(self):
-        ex = _pool(2, chunk_size=3)
+        ex = _pool(2)
         ex.map(_square, range(10))
         tm = ex.telemetry
         tm.reconcile()
         assert tm.tasks_submitted == tm.tasks_completed == 10
-        assert tm.chunks_dispatched == tm.chunks_completed == 4
+        assert tm.chunk_size == 2  # ceil(10 / (2 workers * 4 waves))
+        assert tm.chunks_dispatched == tm.chunks_completed == 5
         assert tm.workers_used >= 1
         assert tm.wall_seconds > 0.0
 
@@ -211,12 +213,12 @@ class TestTelemetry:
 
 
 class TestCoreClamp:
-    """jobs > cores clamps to the core budget unless force_jobs=True."""
+    """jobs > cores clamps to the core budget."""
 
     def test_clamps_and_warns_once_at_construction(self, monkeypatch):
         monkeypatch.setattr("repro.parallel.executor.os.cpu_count", lambda: 1)
         with pytest.warns(RuntimeWarning, match="exceeds the 1 available"):
-            ex = ParallelExecutor(jobs=2, chunk_size=2)
+            ex = ParallelExecutor(jobs=2)
         assert ex.jobs == 1
         assert ex.jobs_requested == 2
         # map() itself stays quiet — the construction warning is the one
@@ -229,38 +231,24 @@ class TestCoreClamp:
     def test_clamp_lands_in_telemetry_and_describe(self, monkeypatch):
         monkeypatch.setattr("repro.parallel.executor.os.cpu_count", lambda: 1)
         with pytest.warns(RuntimeWarning):
-            ex = ParallelExecutor(jobs=2, chunk_size=2)
+            ex = ParallelExecutor(jobs=2)
         ex.map(_square, range(4))
         tm = ex.telemetry
         assert tm.jobs == 1
         assert tm.jobs_requested == 2
         assert len(tm.warnings) == 1
         assert "jobs=2 exceeds" in tm.warnings[0]
-        assert "force_jobs=True" in tm.warnings[0]
+        assert "clamped to 1 worker" in tm.warnings[0]
         text = tm.describe()
         assert "warning" in text
         assert "clamped from 2" in text
         tm.reconcile()  # the clamp never unbalances the books
 
-    def test_force_jobs_keeps_width_and_flags_timeslicing(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr("repro.parallel.executor.os.cpu_count", lambda: 1)
-        with pytest.warns(RuntimeWarning, match="time-slice"):
-            ex = ParallelExecutor(jobs=2, chunk_size=2, force_jobs=True)
-        assert ex.jobs == 2
-        assert ex.jobs_requested == 2
-        ex.map(_square, range(4))
-        tm = ex.telemetry
-        assert tm.jobs == 2
-        assert "time-slice" in tm.warnings[0]
-        tm.reconcile()
-
     def test_no_warning_within_budget(self, monkeypatch):
         monkeypatch.setattr("repro.parallel.executor.os.cpu_count", lambda: 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ex = ParallelExecutor(jobs=2, chunk_size=2)
+            ex = ParallelExecutor(jobs=2)
         assert ex.jobs == 2
         ex.map(_square, range(4))
         assert ex.telemetry.warnings == []
@@ -277,44 +265,3 @@ class TestCoreClamp:
         tm = ExecutorTelemetry(jobs=4, jobs_requested=2)
         with pytest.raises(ConfigurationError, match="lower the worker"):
             tm.reconcile()
-
-
-class TestBatchDispatch:
-    """map_batches: batched tasks, per-item seeds, per-item results."""
-
-    def test_matches_map_results(self):
-        ex = ParallelExecutor(jobs=1)
-        want = ex.map(_square, range(11))
-        assert ex.map_batches(_square_batch, range(11), batch_size=3) == want
-
-    def test_seeds_are_per_item_not_per_batch(self):
-        reference = ParallelExecutor(jobs=1).map(
-            _seeded_draw, range(10), seed=42
-        )
-        for jobs, batch in ((1, 1), (1, 4), (2, 3), (3, 10)):
-            ex = _pool(jobs) if jobs > 1 else ParallelExecutor(jobs=1)
-            got = ex.map_batches(
-                _seeded_batch, range(10), seed=42, batch_size=batch
-            )
-            assert got == reference
-
-    def test_auto_batch_size(self):
-        ex = ParallelExecutor(jobs=1)
-        assert ex.map_batches(_square_batch, range(7)) == [
-            x * x for x in range(7)
-        ]
-        ex.telemetry.reconcile()
-
-    def test_empty_items(self):
-        ex = ParallelExecutor(jobs=1)
-        assert ex.map_batches(_square_batch, []) == []
-
-    def test_result_count_mismatch_rejected(self):
-        ex = ParallelExecutor(jobs=1)
-        with pytest.raises(ConfigurationError, match="one result per item"):
-            ex.map_batches(_short_batch, range(6), batch_size=3)
-
-    def test_invalid_batch_size(self):
-        ex = ParallelExecutor(jobs=1)
-        with pytest.raises(ConfigurationError, match="batch size"):
-            ex.map_batches(_square_batch, range(4), batch_size=0)
