@@ -19,7 +19,6 @@ from .imaging import (
     fuse_elements,
     localize_artery,
     log_parabola_vertex,
-    register_shift,
 )
 from .mux import (
     AnalogMultiplexer,
@@ -48,6 +47,5 @@ __all__ = [
     "localize_artery",
     "log_parabola_vertex",
     "plan_scan",
-    "register_shift",
     "run_fused_scan",
 ]

@@ -58,9 +58,3 @@ class ArrayElement:
             self.sensor.rest_capacitance_f * self.capacitance_scale
             + self.offset_cap_f
         )
-
-    def distance_to_m(self, point_m: tuple[float, float]) -> float:
-        """Euclidean distance from the element center to a surface point."""
-        dx = self.center_m[0] - point_m[0]
-        dy = self.center_m[1] - point_m[1]
-        return float(np.hypot(dx, dy))

@@ -200,7 +200,7 @@ def run_fused_scan(
     chain:
         The :class:`~repro.core.chain.ReadoutChain` to scan through.
     dwell_pressures_pa:
-        (n_elements, dwell_mod_samples) membrane pressure each element
+        (n_elements, n_dwell) membrane pressure each element
         sees during its own visit.
 
     Returns

@@ -11,9 +11,6 @@ that image into quantitative estimates:
   plus tilt), each row's Gaussian coupling profile located to sub-pixel
   accuracy by a log-parabola vertex fit and the row estimates fused by a
   weighted straight-line fit;
-* :func:`register_shift` — sub-pixel registration of two maps
-  (cross-correlation peak with quadratic refinement), the drift-tracking
-  primitive between imaging frames;
 * :func:`fuse_elements` — amplitude-weighted (matched-filter) fusion of
   many element records into one waveform, which beats strongest-element
   selection whenever more than one element couples to the artery.
@@ -101,10 +98,6 @@ class ArteryEstimate:
     angle_rad: float
     row_positions_m: np.ndarray
     n_rows_used: int
-
-    def line_x_m(self, y_m: float) -> float:
-        """Transverse artery position at axial coordinate ``y_m``."""
-        return self.transverse_m + math.tan(self.angle_rad) * y_m
 
 
 def _log_parabola_vertices(xs: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -230,62 +223,6 @@ def localize_artery(
         row_positions_m=row_positions,
         n_rows_used=n_used,
     )
-
-
-def _parabolic_offset(cm1: float, c0: float, cp1: float) -> float:
-    """Sub-sample peak offset from three correlation samples."""
-    denom = cm1 - 2.0 * c0 + cp1
-    if denom >= 0.0:
-        return 0.0
-    delta = 0.5 * (cm1 - cp1) / denom
-    return float(np.clip(delta, -0.5, 0.5))
-
-
-def register_shift(
-    reference_map: np.ndarray,
-    shifted_map: np.ndarray,
-    pitch_m: float,
-) -> tuple[float, float]:
-    """Sub-pixel (dx, dy) displacement of one map relative to another.
-
-    Zero-padded cross-correlation of the mean-removed maps, peak
-    localized to sub-pixel by a 1-D quadratic fit along each axis —
-    standard image registration, here tracking how the artery's coupling
-    bump walks across the array as the cuff drifts between frames.
-    Returns meters (positive dx: the pattern moved toward +x).
-    """
-    a = np.asarray(reference_map, dtype=float)
-    b = np.asarray(shifted_map, dtype=float)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ConfigurationError("maps must share one 2-D shape")
-    if pitch_m <= 0:
-        raise ConfigurationError("pitch must be positive")
-    rows, cols = a.shape
-    a = a - a.mean()
-    b = b - b.mean()
-    if not (np.any(a) and np.any(b)):
-        raise SignalQualityError("flat map; nothing to register")
-    # corr[dy, dx] = sum_rc b[r, c] * a[r - dy, c - dx], all shifts distinct
-    # thanks to the zero padding.
-    pr, pc = 2 * rows - 1, 2 * cols - 1
-    fa = np.fft.rfft2(a, s=(pr, pc))
-    fb = np.fft.rfft2(b, s=(pr, pc))
-    corr = np.fft.irfft2(fb * np.conj(fa), s=(pr, pc))
-    peak = np.unravel_index(int(np.argmax(corr)), corr.shape)
-    dy = peak[0] if peak[0] < rows else peak[0] - pr
-    dx = peak[1] if peak[1] < cols else peak[1] - pc
-    # Quadratic refinement on the wrapped neighbors along each axis.
-    dy += _parabolic_offset(
-        corr[(peak[0] - 1) % pr, peak[1]],
-        corr[peak],
-        corr[(peak[0] + 1) % pr, peak[1]],
-    )
-    dx += _parabolic_offset(
-        corr[peak[0], (peak[1] - 1) % pc],
-        corr[peak],
-        corr[peak[0], (peak[1] + 1) % pc],
-    )
-    return (float(dx * pitch_m), float(dy * pitch_m))
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,6 @@ class AnalogMultiplexer:
     def selected(self) -> int:
         return self._selected
 
-    @property
-    def selected_rowcol(self) -> tuple[int, int]:
-        return self.array.geometry.element_rowcol(self._selected)
-
     def select(self, row: int, col: int) -> None:
         """Drive the row/column select lines."""
         index = self.array.geometry.element_index(row, col)
@@ -165,11 +161,6 @@ class ScanSchedule:
     def words_per_visit(self) -> int:
         """Output words spent per element visit (settle + valid)."""
         return self.settle_words + self.valid_words
-
-    @property
-    def dwell_mod_samples(self) -> int:
-        """Modulator clocks per element visit."""
-        return self.words_per_visit * self.total_decimation
 
     @property
     def element_dwell_s(self) -> float:

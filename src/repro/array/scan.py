@@ -36,10 +36,6 @@ class ElementHealthReport:
     #: Elements fit to carry the measurement.
     healthy: np.ndarray
 
-    @property
-    def n_healthy(self) -> int:
-        return int(np.count_nonzero(self.healthy))
-
     def describe(self) -> str:
         lines = ["element health:"]
         for k in range(self.healthy.size):
@@ -149,10 +145,6 @@ class ScanController:
     def array(self) -> SensorArray:
         return self.mux.array
 
-    def scan_order(self) -> list[int]:
-        """Row-major visiting order of all elements."""
-        return list(range(self.array.n_elements))
-
     def scan_records(
         self,
         chain,
@@ -195,7 +187,7 @@ class ScanController:
             post-switch words the FPGA suppresses.
         segments:
             Alternative to ``element_pressures_pa`` for large arrays:
-            shape (n_elements, dwell_mod_samples), row k the pressure
+            shape (n_elements, n_dwell), row k the pressure
             element k sees during its own visit, fed as a zero-copy
             broadcast window. O(elements x dwell) memory instead of
             O(samples x elements); requires the bank or fused scan.
@@ -471,51 +463,6 @@ class ScanController:
         if health_screen:
             exclude = ~self.element_health(settled).healthy
         return self.select_strongest(settled, metric=metric, exclude=exclude)
-
-    def localize_source(
-        self,
-        element_signals: np.ndarray,
-        exclude: np.ndarray | None = None,
-    ) -> tuple[float, float]:
-        """Amplitude-weighted centroid: the vessel-localization estimate.
-
-        Returns the (x, y) position [m] in array coordinates where the
-        pulsatile source appears to lie. With only 2x2 elements this is a
-        coarse interpolation, but it demonstrates the paper's claim that
-        the array "can also be used for localizing blood vessels".
-
-        ``exclude`` (``True`` = excluded, typically ``~health.healthy``
-        from :meth:`element_health`) zeroes an element's centroid weight:
-        a railed element looks *strong* to peak-to-peak and would
-        otherwise drag the vessel estimate toward a dead pixel. Raises
-        :class:`SignalQualityError` when every element is excluded.
-        """
-        signals = np.asarray(element_signals, dtype=float)
-        if signals.ndim != 2 or signals.shape[1] != self.array.n_elements:
-            raise ConfigurationError(
-                f"expected (n_samples, {self.array.n_elements}) signals"
-            )
-        amplitudes = signals.max(axis=0) - signals.min(axis=0)
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=bool)
-            if exclude.shape != (self.array.n_elements,):
-                raise ConfigurationError(
-                    "exclude mask must have one entry per element"
-                )
-            if exclude.all():
-                raise SignalQualityError(
-                    "every element is excluded as unhealthy; cannot "
-                    "localize the source"
-                )
-            amplitudes = np.where(exclude, 0.0, amplitudes)
-        total = float(amplitudes.sum())
-        if total <= 0.0:
-            raise SignalQualityError("no pulsatile signal to localize")
-        centers = self.array.geometry.element_centers_m()
-        weights = amplitudes / total
-        x = float(np.dot(weights, centers[:, 0]))
-        y = float(np.dot(weights, centers[:, 1]))
-        return (x, y)
 
     def schedule(
         self,

@@ -202,11 +202,6 @@ class BatchChainEngine:
         return self._kernel_ok and batch_kernel.batch_kernel_available()
 
     @property
-    def deterministic_lanes(self) -> np.ndarray:
-        """Mask of lanes with no stochastic terms (read-only view)."""
-        return self._det
-
-    @property
     def staging_nbytes(self) -> int:
         """Bytes held by the input staging buffers (bounded by
         :data:`STAGE_SAMPLES` per padded lane and buffer)."""

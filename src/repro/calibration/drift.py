@@ -31,10 +31,6 @@ class DriftEstimate:
     gain_drift_fraction: float  # change of the pulse amplitude, relative
     estimated_bp_error_mmhg: float
 
-    @property
-    def significant(self) -> bool:
-        return self.estimated_bp_error_mmhg > 4.0
-
 
 class DriftMonitor:
     """Tracks per-beat raw features against the calibration anchor."""
@@ -54,10 +50,6 @@ class DriftMonitor:
         self._times.append(float(time_s))
         self._sys_raw.append(float(systolic_raw))
         self._dia_raw.append(float(diastolic_raw))
-
-    @property
-    def n_updates(self) -> int:
-        return len(self._times)
 
     def estimate(self, window: int = 10) -> DriftEstimate:
         """Compare recent feature levels to the calibration anchors.

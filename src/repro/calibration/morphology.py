@@ -35,9 +35,6 @@ class MorphologyReport:
     upstroke_time_s: float
     dpdt_max: float  # per second, input units
 
-    def has_notch(self) -> bool:
-        return np.isfinite(self.notch_phase)
-
 
 def ensemble_average_beat(
     waveform: np.ndarray,

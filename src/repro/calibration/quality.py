@@ -101,23 +101,3 @@ def assess_quality(
         beat_regularity=regularity,
         n_beats=int(features.n_beats),
     )
-
-
-def detrended_pulse_band_power(
-    samples: np.ndarray, sample_rate_hz: float
-) -> float:
-    """Power in the 0.5-10 Hz pulse band — a cheap scan metric.
-
-    Used by hold-down/placement sweeps where full beat detection on every
-    candidate would be wasteful.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 32:
-        raise ConfigurationError("need at least 32 samples")
-    from scipy import signal
-
-    sos = signal.butter(
-        4, [0.5, 10.0], btype="bandpass", fs=sample_rate_hz, output="sos"
-    )
-    banded = signal.sosfiltfilt(sos, x)
-    return float(np.mean(banded**2))

@@ -5,11 +5,6 @@ diastolic in mmHg), match it to the raw waveform's mean systolic and
 diastolic feature levels, and fit the two-parameter line
 
     mmHg = gain * raw + offset.
-
-The calibration also exposes its sensitivity to cuff error — since cuff
-devices are only accurate to a few mmHg, that error propagates linearly
-into every calibrated sample, and the baseline-comparison experiment
-quantifies it.
 """
 
 from __future__ import annotations
@@ -66,10 +61,6 @@ class TwoPointCalibration:
             cuff_diastolic_mmhg=float(cuff_diastolic_mmhg),
         )
 
-    #: |gain| below this is degenerate: inverting it would blow raw noise
-    #: up by >= 1e12, so it cannot come from a real pulsatile record.
-    _GAIN_TOLERANCE = 1e-12
-
     def apply(self, raw: np.ndarray | float) -> np.ndarray | float:
         """Map raw waveform values to calibrated mmHg.
 
@@ -80,48 +71,6 @@ class TwoPointCalibration:
         out = self.gain_mmhg_per_raw * arr + self.offset_mmhg
         return float(out) if arr.ndim == 0 else out
 
-    def invert(self, mmhg: np.ndarray | float) -> np.ndarray | float:
-        """mmHg back to raw units (for injecting synthetic references)."""
-        if abs(self.gain_mmhg_per_raw) < self._GAIN_TOLERANCE:
-            raise CalibrationError("degenerate calibration (zero gain)")
-        arr = np.asarray(mmhg, dtype=float)
-        out = (arr - self.offset_mmhg) / self.gain_mmhg_per_raw
-        return float(out) if arr.ndim == 0 else out
-
-    def apply_masked(
-        self, raw: np.ndarray, quality: np.ndarray
-    ) -> np.ma.MaskedArray:
-        """Calibrate a record under its per-sample quality mask.
-
-        Samples the mask flags bad (``False``) come back masked — they
-        carry no trustworthy pressure, and masking keeps them out of any
-        downstream statistic instead of silently calibrating them. The
-        mask is the ``quality`` array a
-        :class:`~repro.core.chain.ChainRecording` carries.
-        """
-        values = np.asarray(raw, dtype=float)
-        quality = np.asarray(quality, dtype=bool)
-        if quality.shape != values.shape:
-            raise ConfigurationError(
-                "quality mask must match the raw record's shape"
-            )
-        return np.ma.MaskedArray(self.apply(values), mask=~quality)
-
-    def error_from_cuff_bias(
-        self, systolic_bias_mmhg: float, diastolic_bias_mmhg: float
-    ) -> "TwoPointCalibration":
-        """The calibration that a biased cuff reading would have produced.
-
-        Used to propagate cuff inaccuracy through the whole calibrated
-        record: compare ``apply`` outputs of the nominal and biased
-        calibrations.
-        """
-        return TwoPointCalibration.from_features(
-            _FeatureAnchor(self.raw_systolic, self.raw_diastolic),
-            self.cuff_systolic_mmhg + systolic_bias_mmhg,
-            self.cuff_diastolic_mmhg + diastolic_bias_mmhg,
-        )
-
     def describe(self) -> str:
         return (
             f"calibration: mmHg = {self.gain_mmhg_per_raw:.4g} * raw "
@@ -129,12 +78,3 @@ class TwoPointCalibration:
             f"(anchored at cuff {self.cuff_systolic_mmhg:.0f}/"
             f"{self.cuff_diastolic_mmhg:.0f} mmHg)"
         )
-
-
-class _FeatureAnchor:
-    """Minimal stand-in exposing the two feature levels
-    :meth:`TwoPointCalibration.from_features` needs."""
-
-    def __init__(self, raw_systolic: float, raw_diastolic: float):
-        self.mean_systolic_raw = raw_systolic
-        self.mean_diastolic_raw = raw_diastolic

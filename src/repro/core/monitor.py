@@ -49,10 +49,10 @@ class MonitorResult:
     calibration: TwoPointCalibration
     calibrated_mmhg: np.ndarray
     ground_truth: PatientRecording
+    #: Pipeline telemetry of the record step.
+    telemetry: PipelineTelemetry
     #: Artifact flags over the record (None when rejection is disabled).
     artifact_report: ArtifactReport | None = None
-    #: Pipeline telemetry of the record step (streaming sessions only).
-    telemetry: PipelineTelemetry | None = None
 
     # -- derived accuracy metrics -------------------------------------------
 
@@ -179,8 +179,6 @@ class BloodPressureMonitor:
         one global index grid and the coupling operating point is frozen
         once — while only ever holding one chunk of 128 kHz data.
         """
-        if chunk_s <= 0:
-            raise ConfigurationError("chunk duration must be positive")
         fs = self.chain.params.modulator.sampling_rate_hz
         n = int(round((stop_s - start_s) * fs))
         step = max(int(round(chunk_s * fs)), 2)
@@ -227,6 +225,10 @@ class BloodPressureMonitor:
             this record; the returned recording's ``quality`` mask flags
             the degraded stretches.
         """
+        # Checked before the session opens: opening it switches the
+        # element, resets the filter and binds the injector.
+        if not (np.isfinite(chunk_s) and chunk_s > 0):
+            raise ConfigurationError("chunk duration must be positive")
         session = AcquisitionSession(self.chain, element=element, faults=faults)
         chunks = self._pressure_field_chunks(recording, start_s, stop_s, chunk_s)
         while True:
@@ -268,14 +270,11 @@ class BloodPressureMonitor:
         duration_s: float = 16.0,
         scan_dwell_s: float = 1.5,
         rng: np.random.Generator | None = None,
-        streaming: bool = False,
-        chunk_s: float = 0.25,
     ) -> MonitorResult:
         """Run the full protocol and return the session result.
 
-        With ``streaming=True`` the record step runs through
-        :meth:`record_streaming` in ``chunk_s`` chunks — bit-identical
-        output, O(chunk) memory at the modulator rate, and the result
+        The record step runs through :meth:`record_streaming`, so it
+        holds O(chunk) memory at the modulator rate and the result
         carries :class:`~repro.core.session.PipelineTelemetry`.
         """
         if duration_s < 5.0:
@@ -293,17 +292,9 @@ class BloodPressureMonitor:
 
         selection = self.scan(truth, dwell_s=scan_dwell_s)
 
-        telemetry: PipelineTelemetry | None = None
-        if streaming:
-            recording, telemetry = self.record_streaming(
-                truth, scan_total, total,
-                element=selection.best_index, chunk_s=chunk_s,
-            )
-        else:
-            field = self._pressure_field(truth, scan_total, total)
-            recording = self.chain.record_pressure(
-                field, element=selection.best_index
-            )
+        recording, telemetry = self.record_streaming(
+            truth, scan_total, total, element=selection.best_index
+        )
 
         raw = lowpass_cardiac(
             recording.values, recording.sample_rate_hz

@@ -31,11 +31,6 @@ class PowerReport:
     supply_v: float
     sampling_rate_hz: float
 
-    @property
-    def energy_per_conversion_j(self) -> float:
-        """Energy per *modulator* cycle."""
-        return self.total_w / self.sampling_rate_hz
-
     def describe(self) -> str:
         return (
             f"{self.total_w * 1e3:.2f} mW at {self.supply_v:.1f} V / "
@@ -97,24 +92,3 @@ class PowerModel:
             supply_v=vdd,
             sampling_rate_hz=fs,
         )
-
-    def anchor_error_w(self) -> float:
-        """Deviation of the model from the paper's anchor (exactly 0 by
-        construction; kept as a regression guard)."""
-        return abs(self.report().total_w - self.chip.power_w)
-
-    def rate_for_power_budget_w(
-        self, budget_w: float, supply_v: float | None = None
-    ) -> float:
-        """Highest sampling rate fitting a power budget."""
-        vdd = float(supply_v) if supply_v is not None else self.chip.supply_v
-        if budget_w <= 0:
-            raise ConfigurationError("budget must be positive")
-        static = self._static_w * (vdd / self.chip.supply_v)
-        headroom = budget_w - static
-        if headroom <= 0:
-            raise ConfigurationError(
-                f"budget {budget_w * 1e3:.1f} mW below the static floor "
-                f"{static * 1e3:.1f} mW"
-            )
-        return headroom / (self._k_dynamic * vdd**2)

@@ -706,11 +706,6 @@ class AcquisitionSession(LaneSession):
     # -- introspection -----------------------------------------------------
 
     @property
-    def words_available(self) -> int:
-        """Words delivered for the selected element so far."""
-        return self.stream.sample_count(self.element)
-
-    @property
     def stream(self) -> SampleStream:
         """The session's host-side sample stream (gap accounting etc.)."""
         return self.links[0].stream

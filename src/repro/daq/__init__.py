@@ -11,15 +11,9 @@ checks, and a host-side stream reassembler.
 from .usb import Frame, FrameDecoder, FrameEncoder
 from .stream import SampleStream
 from .fpga import FPGAFilterBank
-from .recording import SessionRecording
-from .timestamps import ClockFit, SampleClockModel, TimestampReconstructor
 
 __all__ = [
-    "ClockFit",
     "FPGAFilterBank",
-    "SampleClockModel",
-    "SessionRecording",
-    "TimestampReconstructor",
     "Frame",
     "FrameDecoder",
     "FrameEncoder",

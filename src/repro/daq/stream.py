@@ -134,12 +134,6 @@ class SampleStream:
         """Estimated samples lost to dropped frames for one element."""
         return sum(g.lost_samples for g in self._gaps.get(element, ()))
 
-    def total_lost_samples(self) -> int:
-        """Estimated samples lost to dropped frames across all elements."""
-        return sum(
-            g.lost_samples for gaps in self._gaps.values() for g in gaps
-        )
-
     def zero_filled(self, element: int) -> tuple[np.ndarray, np.ndarray]:
         """Gap-repaired record: ``(samples, valid_mask)``.
 
@@ -165,31 +159,6 @@ class SampleStream:
         out[dst:] = received[src:]
         mask[dst:] = True
         return out, mask
-
-    def timestamps_s(self, element: int) -> np.ndarray:
-        """Sample times of the received samples, honouring gaps.
-
-        Samples that arrived after a detected frame loss are shifted
-        late by the estimated lost-sample count, so timestamps stay
-        aligned with acquisition time instead of pretending delivery was
-        gap-free.
-        """
-        t = np.arange(self.sample_count(element), dtype=float)
-        for gap in self._gaps.get(element, ()):
-            t[gap.sample_index :] += gap.lost_samples
-        return t / self.sample_rate_hz
-
-    def as_matrix(self) -> np.ndarray:
-        """(n_samples, n_elements) matrix over the common sample count.
-
-        Streams are truncated to the shortest element record — scanned
-        acquisition delivers near-equal counts per element.
-        """
-        if not self._chunks:
-            return np.zeros((0, 0), dtype=np.int16)
-        elements = self.elements
-        n = min(self.sample_count(e) for e in elements)
-        return np.column_stack([self.samples(e)[:n] for e in elements])
 
     def duration_s(self, element: int) -> float:
         """Wall-clock span of one element's record, including gap time."""

@@ -13,12 +13,9 @@ from .fir import FIRDecimator, design_compensation_fir
 from .decimator import DecimationFilter, DecimationResult
 from .spectrum import (
     SpectrumAnalysis,
-    TwoToneAnalysis,
     analyze_tone,
-    analyze_two_tone,
     coherent_tone_frequency,
     enob_from_sndr,
-    periodogram_db,
 )
 from .windows import WindowSpec, get_window
 
@@ -29,15 +26,12 @@ __all__ = [
     "FIRDecimator",
     "QFormat",
     "SpectrumAnalysis",
-    "TwoToneAnalysis",
     "WindowSpec",
     "analyze_tone",
-    "analyze_two_tone",
     "coherent_tone_frequency",
     "design_compensation_fir",
     "enob_from_sndr",
     "get_window",
-    "periodogram_db",
     "saturate",
     "wrap_twos_complement",
 ]

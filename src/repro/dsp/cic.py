@@ -76,10 +76,6 @@ class CICDecimator:
         """(R * M)^N — divide outputs by this for unity DC gain."""
         return (self.decimation * self.diff_delay) ** self.order
 
-    @property
-    def output_rate_divider(self) -> int:
-        return self.decimation
-
     # -- processing -------------------------------------------------------
 
     def process(self, samples: np.ndarray) -> np.ndarray:

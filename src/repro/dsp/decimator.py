@@ -46,10 +46,6 @@ class DecimationResult:
         """Codes mapped back to modulator-input units (FS = 1)."""
         return self.codes.astype(float) / (1 << (self.bits - 1)) * self.full_scale
 
-    @property
-    def lsb(self) -> float:
-        return self.full_scale / (1 << (self.bits - 1))
-
 
 class DecimationFilter:
     """Streaming two-stage decimator (CIC -> FIR -> 12-bit quantizer).
@@ -100,21 +96,6 @@ class DecimationFilter:
     def output_rate_hz(self) -> float:
         """Decimated conversion rate (paper: 1 kS/s)."""
         return self.input_rate_hz / self.params.total_decimation
-
-    @property
-    def group_delay_s(self) -> float:
-        """Approximate end-to-end group delay of the cascade.
-
-        CIC: N*(R-1)/2 input samples; FIR: (taps-1)/2 samples at its rate.
-        """
-        cic_delay = (
-            self.params.cic_order
-            * (self.params.cic_decimation - 1)
-            / 2.0
-            / self.input_rate_hz
-        )
-        fir_delay = (self.params.fir_taps - 1) / 2.0 / self._fir_rate_hz
-        return cic_delay + fir_delay
 
     @property
     def phase(self) -> int:

@@ -150,13 +150,6 @@ class QFormat:
         return self.scale**2 / 12.0
 
 
-def required_bits_for_magnitude(max_magnitude: int) -> int:
-    """Smallest signed width holding integers of the given magnitude."""
-    if max_magnitude < 0:
-        raise ConfigurationError("magnitude must be non-negative")
-    return int(max_magnitude).bit_length() + 1
-
-
 def cic_register_width(input_bits: int, order: int, decimation: int, diff_delay: int = 1) -> int:
     """Hogenauer's register-width bound for a CIC decimator.
 

@@ -44,28 +44,6 @@ def coherent_tone_frequency(
     return bin_index * sample_rate_hz / n_samples
 
 
-def periodogram_db(
-    samples: np.ndarray,
-    sample_rate_hz: float,
-    window: str = "hann",
-    reference_power: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided power spectrum in dB (relative to ``reference_power``).
-
-    Returns ``(freqs_hz, power_db)``. With ``reference_power=None`` the
-    spectrum is referenced to its own peak (the Fig. 7 convention, where
-    the tone sits at 0 dB).
-    """
-    freqs, power = _one_sided_power(samples, sample_rate_hz, get_window(window, len(samples)))
-    if reference_power is None:
-        reference_power = float(power.max())
-    if reference_power <= 0:
-        raise ConfigurationError("reference power must be positive")
-    with np.errstate(divide="ignore"):
-        power_db = 10.0 * np.log10(power / reference_power)
-    return freqs, power_db
-
-
 @dataclass(frozen=True)
 class SpectrumAnalysis:
     """Full tone-test result."""
@@ -221,82 +199,6 @@ def analyze_tone(
         sfdr_db=float(sfdr_db),
         enob_bits=enob_from_sndr(float(sndr_db)),
         window=spec.name,
-    )
-
-
-@dataclass(frozen=True)
-class TwoToneAnalysis:
-    """Intermodulation test result."""
-
-    f1_hz: float
-    f2_hz: float
-    tone_power: float  # combined power of the two tones
-    imd3_db: float  # strongest 3rd-order product re one tone
-    imd2_db: float  # strongest 2nd-order product re one tone
-    freqs_hz: np.ndarray
-    power: np.ndarray
-
-    def summary(self) -> str:
-        return (
-            f"two-tone {self.f1_hz:.4g}/{self.f2_hz:.4g} Hz: "
-            f"IMD2 {self.imd2_db:.1f} dBc, IMD3 {self.imd3_db:.1f} dBc"
-        )
-
-
-def analyze_two_tone(
-    samples: np.ndarray,
-    sample_rate_hz: float,
-    f1_hz: float,
-    f2_hz: float,
-    window: str = "hann",
-) -> TwoToneAnalysis:
-    """Two-tone intermodulation measurement.
-
-    Drives of equal amplitude at f1 and f2 produce, in a weakly nonlinear
-    converter, 2nd-order products at f2±f1 and 3rd-order products at
-    2f1-f2 and 2f2-f1 (the in-band ones that filtering cannot remove).
-    Their levels relative to one tone are the IMD figures.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 64:
-        raise ConfigurationError("need a 1-D record of at least 64 samples")
-    if not 0 < f1_hz < f2_hz < sample_rate_hz / 2:
-        raise ConfigurationError("need 0 < f1 < f2 < Nyquist")
-    spec = get_window(window, samples.size)
-    freqs, power = _one_sided_power(samples, sample_rate_hz, spec)
-    bin_hz = freqs[1] - freqs[0]
-    n_bins = freqs.size
-    guard = spec.half_leakage_bins
-
-    def bin_of(f: float) -> int:
-        return int(round(f / bin_hz))
-
-    def band_power(f: float) -> float:
-        bins = _skirt(bin_of(f), guard, n_bins)
-        return float(power[bins].sum())
-
-    p1 = band_power(f1_hz)
-    p2 = band_power(f2_hz)
-    one_tone = max((p1 + p2) / 2.0, 1e-300)
-
-    imd3_products = [2 * f1_hz - f2_hz, 2 * f2_hz - f1_hz]
-    imd2_products = [f2_hz - f1_hz, f2_hz + f1_hz]
-    imd3_power = max(
-        (band_power(f) for f in imd3_products if 0 < f < sample_rate_hz / 2),
-        default=0.0,
-    )
-    imd2_power = max(
-        (band_power(f) for f in imd2_products if 0 < f < sample_rate_hz / 2),
-        default=0.0,
-    )
-    return TwoToneAnalysis(
-        f1_hz=f1_hz,
-        f2_hz=f2_hz,
-        tone_power=p1 + p2,
-        imd3_db=10.0 * np.log10(max(imd3_power, 1e-300) / one_tone),
-        imd2_db=10.0 * np.log10(max(imd2_power, 1e-300) / one_tone),
-        freqs_hz=freqs,
-        power=power,
     )
 
 

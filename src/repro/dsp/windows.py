@@ -44,11 +44,6 @@ class WindowSpec:
         w = self.values
         return float(w.size * np.sum(w**2) / np.sum(w) ** 2)
 
-    @property
-    def processing_gain_db(self) -> float:
-        """10*log10(ENBW): SNR penalty of the window vs. rectangular."""
-        return 10.0 * np.log10(self.noise_equivalent_bandwidth_bins)
-
 
 # Cosine-sum coefficients, as in ``scipy.signal.windows``.
 _COSINE_SUMS = {

@@ -151,12 +151,6 @@ class FaultCellResult:
     survived: bool
 
     @property
-    def detection_fraction(self) -> float:
-        if self.events_injected == 0:
-            return 1.0
-        return self.events_detected / self.events_injected
-
-    @property
     def silent(self) -> bool:
         return self.silent_corruption_samples > 0
 

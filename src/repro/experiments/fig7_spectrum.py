@@ -42,10 +42,6 @@ class Fig7Result:
     def snr_db(self) -> float:
         return self.analysis.snr_db
 
-    @property
-    def meets_paper_spec(self) -> bool:
-        return self.snr_db > PAPER_SNR_DB
-
     def rows(self) -> list[tuple[str, str, str]]:
         """(quantity, paper, measured) comparison rows."""
         a = self.analysis

@@ -75,10 +75,6 @@ class ImagingResult:
     def angle_error_rad(self) -> float:
         return abs(self.est_angle_rad - self.true_angle_rad)
 
-    @property
-    def registration_error_m(self) -> float:
-        return abs(self.registered_drift_m - (-self.drift_m))
-
     def rows(self) -> list[tuple[str, str, str]]:
         rows_, cols_ = self.array_shape
         return [

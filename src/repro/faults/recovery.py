@@ -27,10 +27,6 @@ class SaturationEpisode:
     #: One past the last railed sample.
     end_index: int
 
-    @property
-    def duration_samples(self) -> int:
-        return self.end_index - self.start_index
-
 
 class SaturationEpisodeDetector:
     """Streaming run-length detector for railed output words.
@@ -70,10 +66,6 @@ class SaturationEpisodeDetector:
         self._clean = 0
         self._open_start: int | None = None
         self._open_end = 0
-
-    @property
-    def episode_open(self) -> bool:
-        return self._open_start is not None
 
     def feed(self, codes: np.ndarray) -> list[SaturationEpisode]:
         """Consume one chunk; return episodes that closed inside it."""

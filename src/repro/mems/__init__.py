@@ -8,12 +8,8 @@ poly-silicon bottom electrode.
 
 from .materials import (
     ALUMINUM,
-    CMOS_PASSIVATION_NITRIDE,
-    FIELD_OXIDE,
     Layer,
     Material,
-    POLYSILICON,
-    SILICON,
     SILICON_NITRIDE,
     SILICON_OXIDE,
     paper_membrane_stack,
@@ -22,30 +18,23 @@ from .laminate import Laminate
 from .plate import ClampedSquarePlate, PlateSolution
 from .capacitor import DeflectedPlateCapacitor
 from .membrane import MembraneSensor
-from .backpressure import BackpressureActuator
-from .geometry import ArrayGeometry, koh_opening_side
+from .geometry import ArrayGeometry
 from .thermal import ThermalMembraneModel, ThermalState, drift_induced_bp_error_mmhg
 
 __all__ = [
     "ALUMINUM",
     "ArrayGeometry",
-    "BackpressureActuator",
-    "CMOS_PASSIVATION_NITRIDE",
     "ClampedSquarePlate",
     "DeflectedPlateCapacitor",
-    "FIELD_OXIDE",
     "Laminate",
     "Layer",
     "Material",
     "MembraneSensor",
-    "POLYSILICON",
     "PlateSolution",
-    "SILICON",
     "SILICON_NITRIDE",
     "SILICON_OXIDE",
     "ThermalMembraneModel",
     "ThermalState",
     "drift_induced_bp_error_mmhg",
-    "koh_opening_side",
     "paper_membrane_stack",
 ]

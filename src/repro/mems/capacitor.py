@@ -93,10 +93,6 @@ class DeflectedPlateCapacitor:
     # -- geometry helpers -------------------------------------------------
 
     @property
-    def electrode_side_m(self) -> float:
-        return self.side_m * math.sqrt(self.electrode_coverage)
-
-    @property
     def electrode_area_m2(self) -> float:
         return self.electrode_coverage * self.side_m**2
 

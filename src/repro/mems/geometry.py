@@ -1,40 +1,18 @@
 """Array and post-processing geometry (paper Secs. 2.1, 3; Figs. 2, 5).
 
-Provides element-center coordinates for the N x M membrane array (needed
+Provides element-center coordinates for the N x M membrane array, needed
 by the tonometric coupling model to weight each element by its distance
-from the artery) and the KOH backside-etch geometry that releases the
-membranes.
+from the artery.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..params import ArrayParams
-
-#: <111> sidewall angle of anisotropic KOH etching in <100> silicon.
-KOH_SIDEWALL_ANGLE_DEG = 54.74
-
-
-def koh_opening_side(
-    membrane_side_m: float, wafer_thickness_m: float = 525e-6
-) -> float:
-    """Backside mask opening needed to release a membrane of given side.
-
-    KOH etches <100> silicon with sidewalls sloped at 54.74 deg, so the
-    backside opening must be larger than the membrane by
-    ``2 * t_wafer / tan(54.74 deg)`` (Sec. 2.1: "a potassium hydroxide
-    etch is applied from the back of the chip").
-    """
-    if membrane_side_m <= 0 or wafer_thickness_m <= 0:
-        raise ConfigurationError("membrane side and wafer thickness must be positive")
-    undercut = wafer_thickness_m / math.tan(math.radians(KOH_SIDEWALL_ANGLE_DEG))
-    return membrane_side_m + 2.0 * undercut
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:

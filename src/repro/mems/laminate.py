@@ -104,15 +104,6 @@ class Laminate:
         return self.membrane_force_n_per_m / self.thickness_m
 
     @property
-    def effective_plate_modulus_pa(self) -> float:
-        """Thickness-weighted average of E/(1-nu^2) over the layers."""
-        total = sum(
-            layer.material.plate_modulus_pa * layer.thickness_m
-            for layer in self.layers
-        )
-        return total / self.thickness_m
-
-    @property
     def effective_youngs_modulus_pa(self) -> float:
         """Thickness-weighted average Young's modulus."""
         total = sum(
@@ -138,23 +129,6 @@ class Laminate:
         return sum(layer.areal_mass_kg_m2 for layer in self.layers)
 
     # -- convenience ---------------------------------------------------
-
-    def with_residual_stress(self, stress_pa: float) -> "Laminate":
-        """Return a laminate whose every layer carries the given stress.
-
-        Useful when the net post-release stress is known experimentally and
-        should override the per-film deposition values.
-        """
-        from dataclasses import replace
-
-        new_layers = tuple(
-            Layer(
-                replace(layer.material, residual_stress_pa=stress_pa),
-                layer.thickness_m,
-            )
-            for layer in self.layers
-        )
-        return Laminate(new_layers)
 
     def describe(self) -> str:
         """Multi-line human-readable summary (used by examples)."""

@@ -52,11 +52,6 @@ class Material:
             raise ConfigurationError(f"{self.name}: permittivity must be >= 1")
 
     @property
-    def biaxial_modulus_pa(self) -> float:
-        """E / (1 - nu), the modulus governing equi-biaxial plate bending."""
-        return self.youngs_modulus_pa / (1.0 - self.poisson_ratio)
-
-    @property
     def plate_modulus_pa(self) -> float:
         """E / (1 - nu^2), the modulus in the flexural rigidity integral."""
         return self.youngs_modulus_pa / (1.0 - self.poisson_ratio**2)
@@ -82,39 +77,12 @@ SILICON_NITRIDE = Material(
     relative_permittivity=7.5,
 )
 
-# Alias matching the paper's language ("passivation nitride").
-CMOS_PASSIVATION_NITRIDE = SILICON_NITRIDE
-
 ALUMINUM = Material(
     name="Al (CMOS metallization)",
     youngs_modulus_pa=70e9,
     poisson_ratio=0.35,
     density_kg_m3=2700.0,
     residual_stress_pa=50e6,
-)
-
-POLYSILICON = Material(
-    name="poly-Si (gate poly, bottom electrode)",
-    youngs_modulus_pa=160e9,
-    poisson_ratio=0.22,
-    density_kg_m3=2330.0,
-    residual_stress_pa=-10e6,
-)
-
-SILICON = Material(
-    name="Si (bulk substrate, <100>)",
-    youngs_modulus_pa=130e9,
-    poisson_ratio=0.28,
-    density_kg_m3=2330.0,
-)
-
-FIELD_OXIDE = Material(
-    name="SiO2 (field oxide)",
-    youngs_modulus_pa=70e9,
-    poisson_ratio=0.17,
-    density_kg_m3=2200.0,
-    residual_stress_pa=-300e6,
-    relative_permittivity=3.9,
 )
 
 

@@ -124,18 +124,9 @@ class ClampedSquarePlate:
     # -- small-signal properties ----------------------------------------
 
     @property
-    def linear_stiffness_n_per_m(self) -> float:
-        """Modal stiffness k1: restoring force per unit w0 at small load."""
-        return self._k1
-
-    @property
     def linear_compliance_m_per_pa(self) -> float:
         """Small-signal center deflection per unit pressure, dw0/dP at 0."""
         return self._load_coeff / self._k1
-
-    @property
-    def residual_force_n_per_m(self) -> float:
-        return self._n0
 
     def resonance_frequency_hz(self) -> float:
         """Fundamental resonance from modal stiffness and modal mass.

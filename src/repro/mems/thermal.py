@@ -91,13 +91,6 @@ class ThermalMembraneModel:
         now = self.sensor_at(temperature_c).pressure_sensitivity_f_per_pa(0.0)
         return (now - ref) / ref
 
-    def offset_drift_f(self, temperature_c: float) -> float:
-        """Rest-capacitance change vs the reference temperature [F]."""
-        return (
-            self.sensor_at(temperature_c).rest_capacitance_f
-            - self.reference.rest_capacitance_f
-        )
-
     def gain_drift_over_warmup(
         self, state: ThermalState, times_s: np.ndarray
     ) -> np.ndarray:

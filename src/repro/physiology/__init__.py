@@ -3,8 +3,8 @@
 The paper's Fig. 9 records a living subject's radial pulse. Our
 substitution is a controllable hemodynamics simulator: a beat scheduler
 with heart-rate variability, a radial-artery pulse-shape template (or a
-Windkessel alternative), respiratory modulation, vessel-wall mechanics and
-the tissue transfer to the skin surface the sensor touches. Because the
+Windkessel alternative), respiratory modulation and the tissue's lateral
+coupling profile at the skin surface the sensor touches. Because the
 ground-truth pressure is known exactly, calibration accuracy (the Fig. 9
 experiment) can be quantified rather than eyeballed.
 """
@@ -13,7 +13,6 @@ from .heart import BeatSchedule, BeatScheduler
 from .pulse import RadialPulseTemplate, ventricular_template
 from .windkessel import WindkesselModel
 from .respiration import RespirationModel
-from .artery import VesselWall
 from .tissue import TissueTransfer
 from .patient import PatientRecording, VirtualPatient
 from .artifacts import ArtifactEvent, ArtifactRecord, MotionArtifactGenerator
@@ -28,7 +27,6 @@ __all__ = [
     "RadialPulseTemplate",
     "RespirationModel",
     "TissueTransfer",
-    "VesselWall",
     "VirtualPatient",
     "WindkesselModel",
     "ventricular_template",

@@ -30,12 +30,6 @@ class BeatSchedule:
     def rr_intervals_s(self) -> np.ndarray:
         return np.diff(self.onset_times_s)
 
-    def mean_rate_bpm(self) -> float:
-        rr = self.rr_intervals_s()
-        if rr.size == 0:
-            raise ConfigurationError("schedule holds no complete beat")
-        return 60.0 / float(rr.mean())
-
     def beat_phase(self, times_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(beat index, phase in [0,1)) for each query time.
 

@@ -56,10 +56,6 @@ class PatientRecording:
         """Record-average diastolic value."""
         return float(self.beat_truth[:, 2].mean())
 
-    @property
-    def mean_mmhg(self) -> float:
-        return float(self.pressure_mmhg.mean())
-
 
 class VirtualPatient:
     """Ground-truth hemodynamics generator.

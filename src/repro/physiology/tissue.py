@@ -2,14 +2,10 @@
 
 Between the artery and the sensor lies a few millimeters of soft tissue.
 It acts as a spatial low-pass: the wall's radial motion appears at the
-surface as a broadened, attenuated bump centered above the vessel. The
-model is a buried line source under an elastic layer:
-
-* amplitude attenuation ``depth_attenuation`` derived from the
-  depth-to-spread ratio, and
-* a Gaussian lateral profile transverse to the vessel axis with spread
-  ``surface_spread_m`` (the artery is treated as running along y, so the
-  profile varies with the transverse offset x only).
+surface as a broadened bump centered above the vessel, a Gaussian lateral
+profile transverse to the vessel axis with spread ``surface_spread_m``
+(the artery is treated as running along y, so the profile varies with
+the transverse offset x only).
 
 This spatial profile is what makes the 2x2 array useful: elements at
 different transverse offsets see measurably different pulse amplitudes,
@@ -24,52 +20,13 @@ from ..params import TissueParams
 
 
 class TissueTransfer:
-    """Elastic-layer transfer from wall displacement to surface motion."""
+    """Lateral spread of the artery's pulse through the overlying tissue."""
 
     def __init__(self, params: TissueParams | None = None):
         self.params = params or TissueParams()
-
-    @property
-    def depth_attenuation(self) -> float:
-        """Amplitude surviving the trip from artery depth to the surface.
-
-        For a buried line source under an elastic half-space the surface
-        amplitude falls roughly as 1 / (1 + (depth / radius)) — deeper or
-        thinner vessels couple less motion to the skin.
-        """
-        p = self.params
-        return 1.0 / (1.0 + p.artery_depth_m / p.artery_radius_m)
 
     def lateral_profile(self, offset_m: np.ndarray | float) -> np.ndarray:
         """Normalized bump profile vs. transverse offset from the artery."""
         x = np.asarray(offset_m, dtype=float)
         s = self.params.surface_spread_m
         return np.exp(-(x**2) / (2.0 * s**2))
-
-    def surface_displacement_m(
-        self,
-        wall_displacement_m: np.ndarray | float,
-        offset_m: np.ndarray | float = 0.0,
-    ) -> np.ndarray:
-        """Skin-surface displacement above the artery.
-
-        A time series of wall displacement combined with a vector of
-        sensor offsets yields the (time, offset) surface field via an
-        outer product; scalar arguments collapse the respective axis.
-        """
-        wall = np.asarray(wall_displacement_m, dtype=float)
-        profile = self.lateral_profile(offset_m)
-        if wall.ndim >= 1 and np.ndim(profile) >= 1:
-            return self.depth_attenuation * np.multiply.outer(wall, profile)
-        return self.depth_attenuation * wall * profile
-
-    def surface_stiffness_pa_per_m(self) -> float:
-        """Effective stiffness the sensor feels pressing the skin.
-
-        A flat punch of the artery-scale contact on an elastic layer has
-        stiffness ~ E / depth per unit area; used by the contact model to
-        split sensor pressure between tissue compression and artery
-        loading.
-        """
-        p = self.params
-        return p.tissue_modulus_pa / p.artery_depth_m

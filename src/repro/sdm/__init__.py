@@ -17,7 +17,6 @@ from .integrator import SCIntegrator
 from .nonidealities import (
     FlickerNoiseGenerator,
     integrator_noise_sigma_v,
-    jitter_error_sigma,
     kt_over_c_sigma_v,
 )
 from .frontend import CapacitiveFrontEnd, VoltageFrontEnd
@@ -45,7 +44,6 @@ __all__ = [
     "ThermometerDAC",
     "VoltageFrontEnd",
     "integrator_noise_sigma_v",
-    "jitter_error_sigma",
     "kernel_available",
     "kt_over_c_sigma_v",
 ]

@@ -10,8 +10,6 @@ models that knob plus the DAC's reference-voltage error sources.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from .topology import LoopCoefficients
 
@@ -55,26 +53,6 @@ class FeedbackDAC:
         self.cfb_ratio = float(cfb_ratio)
         self.reference_error = float(reference_error)
         self.reference_noise_sigma = float(reference_noise_sigma)
-
-    def feedback_levels(self) -> tuple[float, float]:
-        """(negative, positive) static feedback values in Vref units."""
-        hi = 1.0 + self.reference_error
-        return (-hi, hi)
-
-    def feedback_value(
-        self, decision: int, rng: np.random.Generator | None = None
-    ) -> float:
-        """The analog feedback quantity for a comparator decision."""
-        if decision not in (-1, 1):
-            raise ConfigurationError("decision must be +/-1")
-        value = float(decision) * (1.0 + self.reference_error)
-        if self.reference_noise_sigma > 0.0:
-            if rng is None:
-                raise ConfigurationError(
-                    "reference noise requires a random generator"
-                )
-            value += self.reference_noise_sigma * rng.standard_normal()
-        return value
 
     @property
     def conversion_gain_boost(self) -> float:

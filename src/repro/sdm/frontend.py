@@ -63,24 +63,10 @@ class CapacitiveFrontEnd:
             * self.excitation_fraction
         )
 
-    def capacitance_for_input(self, u: np.ndarray | float) -> np.ndarray:
-        """Inverse transfer: sensor capacitance producing loop input u."""
-        u = np.asarray(u, dtype=float)
-        return (
-            self.reference_cap_f
-            + u * self.feedback_cap_f / self.excitation_fraction
-        )
-
     @property
     def gain_per_farad(self) -> float:
         """du/dCsense [1/F]."""
         return self.excitation_fraction / self.feedback_cap_f
-
-    def full_scale_capacitance_delta_f(self, input_full_scale: float = 1.0) -> float:
-        """|Csense - Cref| mapping to the loop's input full scale."""
-        if input_full_scale <= 0:
-            raise ConfigurationError("full scale must be positive")
-        return input_full_scale * self.feedback_cap_f / self.excitation_fraction
 
 
 class VoltageFrontEnd:
@@ -94,6 +80,3 @@ class VoltageFrontEnd:
     def loop_input(self, differential_voltage_v: np.ndarray | float) -> np.ndarray:
         """Normalize a differential input voltage to Vref units."""
         return np.asarray(differential_voltage_v, dtype=float) / self.vref_v
-
-    def voltage_for_input(self, u: np.ndarray | float) -> np.ndarray:
-        return np.asarray(u, dtype=float) * self.vref_v

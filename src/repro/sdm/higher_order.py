@@ -111,7 +111,3 @@ class HigherOrderSDM:
                 state[k] = min(max(newk, -swing), swing)
         self._state = state
         return HigherOrderOutput(bitstream=bits, clipped_samples=int(clipped))
-
-    def theoretical_sqnr_slope_db_per_octave(self) -> float:
-        """(2N + 1) * 3.01 dB per OSR octave."""
-        return (2 * self.order + 1) * 10.0 * np.log10(2.0)

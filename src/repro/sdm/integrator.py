@@ -72,7 +72,3 @@ class SCIntegrator:
         )
         self.state = float(np.clip(new_state, -self.swing_limit, self.swing_limit))
         return output
-
-    @property
-    def is_saturated(self) -> bool:
-        return abs(self.state) >= self.swing_limit

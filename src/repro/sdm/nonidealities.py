@@ -8,9 +8,6 @@ behavioural simulation:
 * **kT/C noise** of the switched input branch: each SC sample-and-transfer
   contributes ``2kT/C`` of charge-noise power (sampling + integration
   phases), referred to the input as a voltage.
-* **clock jitter**: for a sampled-data (SC) system jitter only modulates
-  the *continuous-time* input, with error power (A*2*pi*f*sigma_t)^2/2 for
-  a sine input.
 * **flicker (1/f) noise**: generated by summing first-order low-pass
   shaped white sources spaced logarithmically — an accurate and cheap
   approximation of a 1/f PSD over several decades.
@@ -59,18 +56,6 @@ def integrator_noise_sigma_v(
         raise ConfigurationError("excess factor must be >= 1")
     base = kt_over_c_sigma_v(sampling_cap_f, temperature_k)
     return base * math.sqrt(opamp_excess_factor)
-
-
-def jitter_error_sigma(
-    amplitude: float, frequency_hz: float, jitter_rms_s: float
-) -> float:
-    """RMS error from sampling a sine with clock jitter.
-
-    error(t) = A * 2*pi*f * sigma_t * cos(...), RMS = A*2*pi*f*sigma_t/sqrt(2).
-    """
-    if amplitude < 0 or frequency_hz < 0 or jitter_rms_s < 0:
-        raise ConfigurationError("jitter arguments must be non-negative")
-    return amplitude * 2.0 * math.pi * frequency_hz * jitter_rms_s / math.sqrt(2.0)
 
 
 def leak_factor_from_gain(opamp_gain: float, charge_gain: float) -> float:

@@ -1,4 +1,4 @@
-"""Loop-filter coefficients and stability screening.
+"""Loop-filter coefficients of the second-order modulator.
 
 The modulator follows the Boser-Wooley arrangement (two delaying SC
 integrators, single-bit feedback to both stages), which Fig. 6 of the
@@ -20,8 +20,6 @@ the feedback reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ConfigurationError
 
@@ -78,27 +76,3 @@ class LoopCoefficients:
         amplitude is ~0.75 of it.
         """
         return self.b1 / self.a1
-
-    def stability_margin(self, amplitude: float, n_samples: int = 20000,
-                         seed: int = 1234) -> bool:
-        """Empirical stability screen: simulate an ideal loop at the given
-        input amplitude and report whether the states stay bounded.
-
-        Uses a sine input at a non-bin frequency plus a tiny dither; the
-        state bound (10x reference) is far above the stable orbit of a
-        healthy second-order loop.
-        """
-        if amplitude < 0:
-            raise ConfigurationError("amplitude must be non-negative")
-        rng = np.random.default_rng(seed)
-        u = amplitude * np.sin(
-            2.0 * np.pi * 0.013 * np.arange(n_samples)
-        ) + 1e-6 * rng.standard_normal(n_samples)
-        x1 = x2 = 0.0
-        for un in u:
-            v = 1.0 if x2 >= 0.0 else -1.0
-            x1 = x1 + self.a1 * un - self.b1 * v
-            x2 = x2 + self.a2 * x1 - self.b2 * v
-            if abs(x1) > 10.0 or abs(x2) > 10.0:
-                return False
-        return True

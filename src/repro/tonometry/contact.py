@@ -34,10 +34,6 @@ class ContactState:
     static_membrane_pressure_pa: float  # net DC pressure on the membranes
     optimal_hold_down_pa: float
 
-    @property
-    def is_over_pressed(self) -> bool:
-        return self.hold_down_pa > 1.5 * self.optimal_hold_down_pa
-
 
 class ContactModel:
     """Hold-down-dependent pulse transmission.
@@ -122,10 +118,3 @@ class ContactModel:
             static_membrane_pressure_pa=static,
             optimal_hold_down_pa=self.optimal_hold_down_pa,
         )
-
-    def hold_down_sweep(
-        self, pressures_pa: np.ndarray
-    ) -> np.ndarray:
-        """Transmission over a hold-down sweep (the clinician's ritual of
-        adjusting wrist-strap tension maps to this curve)."""
-        return self.transmission(pressures_pa)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..mems.geometry import ArrayGeometry
 from ..physiology.tissue import TissueTransfer
 
@@ -69,25 +68,3 @@ class ArrayPlacement:
             axial_offset_m=self.axial_offset_m,
             rotation_rad=self.rotation_rad + delta_rotation_rad,
         )
-
-
-def placement_sweep(
-    geometry: ArrayGeometry,
-    tissue: TissueTransfer,
-    lateral_offsets_m: np.ndarray,
-) -> np.ndarray:
-    """Coupling weights over a lateral-offset sweep.
-
-    Returns shape (n_offsets, n_elements): the data behind the paper's
-    claim that the array relaxes placement accuracy — as the offset grows,
-    the *best* element changes but its coupling degrades slowly compared
-    to a single centered sensor.
-    """
-    offsets = np.asarray(lateral_offsets_m, dtype=float)
-    if offsets.ndim != 1:
-        raise ConfigurationError("offsets must be a 1-D sweep")
-    out = np.empty((offsets.size, geometry.rows * geometry.cols))
-    for i, off in enumerate(offsets):
-        placement = ArrayPlacement(lateral_offset_m=float(off))
-        out[i] = placement.coupling_weights(geometry, tissue)
-    return out

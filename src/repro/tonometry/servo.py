@@ -3,14 +3,10 @@
 Clinically, a tonometer is useless until the hold-down pressure sits
 near the top of the inverted-U transmission curve — the paper's authors
 did this by hand ("attached to a test person's wrist"); a wearable must
-do it automatically. The servo implements the standard two-phase
-procedure:
-
-1. **Sweep** — coarse ramp of hold-down pressures, recording the
-   pulsatile amplitude at each (via any callable measurement oracle), to
-   find the hill.
-2. **Track** — hill-climbing around the optimum with a shrinking step,
-   so slow drift (strap loosening, wrist movement) is followed.
+do it automatically. The servo sweeps a coarse ramp of hold-down
+pressures, recording the pulsatile amplitude at each (via any callable
+measurement oracle), to find the hill, then refines the peak by a
+golden-section search between the neighbours of the best ramp point.
 
 The measurement oracle abstracts the full chain: production code passes
 a closure that runs the real readout; tests pass the contact model's
@@ -123,24 +119,3 @@ class HoldDownServo:
             sweep_amplitudes=amplitudes,
             refinement_steps=steps,
         )
-
-    def track(
-        self,
-        oracle: AmplitudeOracle,
-        current_pa: float,
-        step_pa: float = 500.0,
-    ) -> float:
-        """One hill-climbing update for drift tracking.
-
-        Samples one step up and one down from the current pressure and
-        moves toward the larger amplitude (or stays). Cheap enough to run
-        between heartbeats.
-        """
-        if current_pa < 0 or step_pa <= 0:
-            raise ConfigurationError("pressures must be non-negative")
-        candidates = np.array(
-            [max(current_pa - step_pa, self.min_pa), current_pa,
-             min(current_pa + step_pa, self.max_pa)]
-        )
-        amplitudes = [float(oracle(p)) for p in candidates]
-        return float(candidates[int(np.argmax(amplitudes))])

@@ -36,10 +36,6 @@ class TestTransfer:
 
 
 class TestGeometry:
-    def test_distance(self, element):
-        assert element.distance_to_m((-75e-6, -75e-6)) == pytest.approx(0.0)
-        assert element.distance_to_m((75e-6, -75e-6)) == pytest.approx(150e-6)
-
     def test_rejects_bad_scale(self, sensor):
         with pytest.raises(ConfigurationError):
             ArrayElement(

@@ -197,7 +197,7 @@ class TestFallback:
 
 
 class TestNonSquareOrientation:
-    """Row-major orientation pinned through scan -> select -> localize."""
+    """Row-major orientation pinned through scan -> select -> image."""
 
     @pytest.mark.parametrize("rows,cols", [(2, 3), (8, 4)])
     def test_hot_element_lands_at_rowcol(self, rows, cols):
@@ -222,7 +222,7 @@ class TestNonSquareOrientation:
             hot_col,
         )
 
-    def test_centroid_pulls_toward_hot_quadrant(self):
+    def test_peak_to_peak_picks_hot_quadrant(self):
         rows, cols = 2, 3
         n_el = rows * cols
         amplitudes = np.full(n_el, 200.0)
@@ -231,9 +231,13 @@ class TestNonSquareOrientation:
             n_el, ORIENT_DWELL_WORDS * DECIMATION, amplitudes
         )
         records, controller = fused_records(rows, cols, segments)
-        x, y = controller.localize_source(records[SETTLE_EXTRA:])
-        assert x > 0  # +x column
-        assert y > 0  # row index grows toward +y in array coordinates
+        selection = controller.select_strongest(records[SETTLE_EXTRA:])
+        assert (selection.best_row, selection.best_col) == (1, 2)
+        # Row index grows toward +y in array coordinates.
+        x, y = controller.array.geometry.element_centers_m()[
+            selection.best_index
+        ]
+        assert x > 0 and y > 0
 
 
 def scan(chain, segments, fused):

@@ -11,7 +11,6 @@ from repro.array.imaging import (
     fuse_elements,
     localize_artery,
     log_parabola_vertex,
-    register_shift,
 )
 from repro.errors import ConfigurationError, SignalQualityError
 from repro.mems.geometry import ArrayGeometry
@@ -98,7 +97,6 @@ class TestLocalizeArtery:
         assert est.transverse_m == pytest.approx(x0, abs=1e-8)
         assert est.angle_rad == pytest.approx(theta, abs=1e-6)
         assert est.n_rows_used == geo.rows
-        assert est.line_x_m(0.0) == pytest.approx(est.transverse_m)
 
     def test_excluded_pixel_cannot_bend_the_line(self):
         geo = geometry()
@@ -149,40 +147,6 @@ class TestLocalizeArtery:
         est = localize_artery(amps, geo)
         assert est.n_rows_used == 0
         assert est.angle_rad == 0.0
-
-
-class TestRegisterShift:
-    def blob(self, geo, cx, cy, sigma=2.0):
-        r = np.arange(geo.rows)[:, None]
-        c = np.arange(geo.cols)[None, :]
-        return np.exp(-((c - cx) ** 2 + (r - cy) ** 2) / (2 * sigma**2))
-
-    def test_subpixel_shift_recovered(self):
-        geo = geometry(16, 16)
-        pitch = geo.pitch_m
-        ref = self.blob(geo, 7.0, 8.0)
-        moved = self.blob(geo, 7.0 + 1.3, 8.0 - 0.7)
-        dx, dy = register_shift(ref, moved, pitch)
-        # Parabolic peak refinement on a Gaussian correlation surface has
-        # a small pull-to-integer bias, so allow a ~0.15 px band.
-        assert dx / pitch == pytest.approx(1.3, abs=0.15)
-        assert dy / pitch == pytest.approx(-0.7, abs=0.15)
-
-    def test_zero_shift(self):
-        geo = geometry(8, 8)
-        ref = self.blob(geo, 3.5, 3.5)
-        dx, dy = register_shift(ref, ref, geo.pitch_m)
-        assert abs(dx) < 1e-12 and abs(dy) < 1e-12
-
-    def test_flat_map_raises(self):
-        with pytest.raises(SignalQualityError):
-            register_shift(np.ones((4, 4)), np.ones((4, 4)), 1e-4)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            register_shift(np.ones((4, 4)), np.ones((4, 5)), 1e-4)
-        with pytest.raises(ConfigurationError):
-            register_shift(np.ones((4, 4)), np.ones((4, 4)), 0.0)
 
 
 class TestFuseElements:

@@ -21,11 +21,10 @@ class TestSelection:
     def test_select_rowcol(self, mux):
         mux.select(1, 0)
         assert mux.selected == 2
-        assert mux.selected_rowcol == (1, 0)
 
     def test_select_index(self, mux):
         mux.select_index(3)
-        assert mux.selected_rowcol == (1, 1)
+        assert mux.selected == 3
 
     def test_out_of_range(self, mux):
         with pytest.raises(ConfigurationError):
@@ -211,7 +210,6 @@ class TestScanSchedule:
         schedule = self._schedule()
         assert schedule.n_elements == 64
         assert schedule.words_per_visit == 100
-        assert schedule.dwell_mod_samples == 100 * 128
         assert schedule.element_dwell_s == pytest.approx(0.1)
         assert schedule.visits_per_bank == 64
         assert schedule.frame_time_s == pytest.approx(6.4)

@@ -1,4 +1,4 @@
-"""Scan controller: strongest-element selection, localization."""
+"""Scan controller: strongest-element selection and element health."""
 
 import numpy as np
 import pytest
@@ -72,32 +72,10 @@ class TestSelection:
         assert "selected element" in selection.describe()
 
 
-class TestLocalization:
-    def test_centroid_weighted_toward_strong(self, controller):
-        # Elements 1 and 3 are the +x column.
-        xy = controller.localize_source(synth_signals([0.1, 1.0, 0.1, 1.0]))
-        assert xy[0] > 0
-        assert xy[1] == pytest.approx(0.0, abs=1e-5)
-
-    def test_uniform_signal_centers(self, controller):
-        xy = controller.localize_source(synth_signals([1, 1, 1, 1]))
-        assert xy == pytest.approx((0.0, 0.0), abs=1e-5)
-
-    def test_flat_raises(self, controller):
-        with pytest.raises(SignalQualityError):
-            controller.localize_source(np.zeros((50, 4)))
-
-
-class TestConfig:
-    def test_scan_order_row_major(self, controller):
-        assert controller.scan_order() == [0, 1, 2, 3]
-
-
 class TestElementHealth:
     def test_all_healthy_on_clean_signals(self, controller):
         health = controller.element_health(synth_signals([0.2, 0.8, 0.4, 0.6]))
         assert health.healthy.all()
-        assert health.n_healthy == 4
 
     def test_saturated_element_marked_degraded(self, controller):
         signals = synth_signals([0.2, 0.8, 0.4, 0.6])
@@ -173,45 +151,6 @@ class TestSelectionWithExclusion:
             signals, exclude=~health.healthy
         )
         assert screened.best_index == 1
-
-
-class TestLocalizationWithExclusion:
-    def _railed(self, n):
-        railed = np.zeros(n)
-        railed[::2] = 0.999
-        railed[1::2] = -0.999
-        return railed
-
-    def test_railed_element_drags_centroid_without_mask(self, controller):
-        """Regression: a railed element looks strongest to peak-to-peak
-        and used to drag the vessel centroid into its own corner."""
-        signals = synth_signals([0.5, 0.5, 0.5, 0.5])
-        signals[:, 0] = self._railed(signals.shape[0])  # element (0, 0)
-        naive = controller.localize_source(signals)
-        assert naive[0] < 0 and naive[1] < 0  # dragged toward (-x, -y)
-
-    def test_exclude_restores_centroid(self, controller):
-        signals = synth_signals([0.5, 0.5, 0.5, 0.5])
-        signals[:, 0] = self._railed(signals.shape[0])
-        health = controller.element_health(signals)
-        assert not health.healthy[0]
-        x, y = controller.localize_source(signals, exclude=~health.healthy)
-        # Equal-amplitude centroid of the three surviving elements.
-        pitch = controller.array.geometry.pitch_m
-        assert x == pytest.approx(pitch / 6, rel=1e-3)
-        assert y == pytest.approx(pitch / 6, rel=1e-3)
-
-    def test_all_excluded_raises(self, controller):
-        with pytest.raises(SignalQualityError, match="excluded"):
-            controller.localize_source(
-                synth_signals([1, 1, 1, 1]), exclude=np.ones(4, dtype=bool)
-            )
-
-    def test_exclude_shape_validated(self, controller):
-        with pytest.raises(ConfigurationError):
-            controller.localize_source(
-                synth_signals([1, 1, 1, 1]), exclude=np.zeros(3, dtype=bool)
-            )
 
 
 class TestContrastEligibility:
@@ -291,9 +230,9 @@ class TestScanAndLocalize:
         records = controller.scan_records(
             chain, batched=True, segments=segments, fused=True
         )
-        x, y = controller.localize_source(records[9:])
-        assert x > 0
-        assert abs(y) < controller.array.geometry.pitch_m
+        amplitudes = np.ptp(records[9:], axis=0)  # +x column is 1 and 3
+        assert amplitudes[[1, 3]].min() > 2.0 * amplitudes[[0, 2]].max()
+        assert controller.select_strongest(records[9:]).best_col == 1
 
 
 class TestSchedule:

@@ -29,7 +29,6 @@ class TestDriftMonitor:
         est = monitor.estimate()
         assert est.gain_drift_fraction == pytest.approx(0.0, abs=1e-12)
         assert est.estimated_bp_error_mmhg == pytest.approx(0.0, abs=1e-9)
-        assert not est.significant
 
     def test_gain_drift_detected(self, calibration):
         monitor = DriftMonitor(calibration)
@@ -39,7 +38,6 @@ class TestDriftMonitor:
         assert est.gain_drift_fraction == pytest.approx(0.2, abs=0.01)
         # 20 % of the 40 mmHg cuff pulse pressure = 8 mmHg.
         assert est.estimated_bp_error_mmhg == pytest.approx(8.0, abs=0.5)
-        assert est.significant
 
     def test_pure_offset_drift_not_instrument_error(self, calibration):
         """A uniform shift of both levels (true BP change) must not be

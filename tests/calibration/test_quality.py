@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.calibration.quality import assess_quality, detrended_pulse_band_power
+from repro.calibration.quality import assess_quality
 from repro.errors import ConfigurationError
 from repro.physiology.patient import VirtualPatient
 
@@ -44,22 +44,3 @@ class TestQuality:
     def test_rejects_short(self):
         with pytest.raises(ConfigurationError):
             assess_quality(np.zeros(10), 1000.0)
-
-
-class TestBandPower:
-    def test_pulse_band_power_detects_signal(self, clean):
-        assert detrended_pulse_band_power(clean, 1000.0) > 10.0
-
-    def test_dc_has_no_band_power(self):
-        assert detrended_pulse_band_power(
-            np.full(4000, 100.0), 1000.0
-        ) == pytest.approx(0.0, abs=1e-9)
-
-    def test_scales_quadratically(self, clean):
-        p1 = detrended_pulse_band_power(clean, 1000.0)
-        p2 = detrended_pulse_band_power(2.0 * clean, 1000.0)
-        assert p2 == pytest.approx(4.0 * p1, rel=1e-6)
-
-    def test_rejects_short(self):
-        with pytest.raises(ConfigurationError):
-            detrended_pulse_band_power(np.zeros(10), 1000.0)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.chain import ReadoutChain
 from repro.core.monitor import BloodPressureMonitor
 from repro.errors import ConfigurationError
+from repro.faults import FaultInjector
 from repro.params import PASCAL_PER_MMHG, SystemParams
 from repro.physiology.patient import VirtualPatient
 from repro.tonometry.contact import ContactModel
@@ -97,47 +98,69 @@ def build_monitor(seed=70):
 
 
 class TestStreamingMeasure:
-    """measure(streaming=True) == the batch protocol, bit for bit."""
+    """measure() records through record_streaming, bit-identical to the
+    monolithic ``chain.record_pressure`` of the whole field."""
+
+    DWELL_S = 0.5
+    DURATION_S = 5.0
 
     @pytest.fixture(scope="class")
     def pair(self):
-        batch = build_monitor().measure(
-            VirtualPatient(rng=np.random.default_rng(71)),
-            duration_s=5.0, scan_dwell_s=0.5,
-            rng=np.random.default_rng(72),
-        )
         streamed = build_monitor().measure(
             VirtualPatient(rng=np.random.default_rng(71)),
-            duration_s=5.0, scan_dwell_s=0.5,
+            duration_s=self.DURATION_S, scan_dwell_s=self.DWELL_S,
             rng=np.random.default_rng(72),
-            streaming=True, chunk_s=0.3,
         )
-        return batch, streamed
+        monitor = build_monitor()
+        scan_total = self.DWELL_S * monitor.chain.chip.array.n_elements
+        total = scan_total + self.DURATION_S
+        truth = VirtualPatient(rng=np.random.default_rng(71)).record(
+            duration_s=total, sample_rate_hz=monitor.physiology_rate_hz
+        )
+        selection = monitor.scan(truth, dwell_s=self.DWELL_S)
+        reference = monitor.chain.record_pressure(
+            monitor._pressure_field(truth, scan_total, total),
+            element=selection.best_index,
+        )
+        return reference, streamed
 
     def test_bit_identical_recording(self, pair):
-        batch, streamed = pair
-        assert np.array_equal(batch.recording.codes, streamed.recording.codes)
-        assert np.array_equal(batch.calibrated_mmhg, streamed.calibrated_mmhg)
+        reference, streamed = pair
+        assert np.array_equal(reference.codes, streamed.recording.codes)
+        assert np.array_equal(reference.values, streamed.recording.values)
+        assert np.array_equal(reference.quality, streamed.recording.quality)
 
     def test_streaming_carries_telemetry(self, pair):
-        batch, streamed = pair
-        assert batch.telemetry is None
+        _, streamed = pair
         streamed.telemetry.reconcile()
-        assert streamed.telemetry.chunks == 17  # ceil(5.0 / 0.3)
+        assert streamed.telemetry.chunks == 20  # 5.0 s / 0.25 s
         assert streamed.telemetry.stage_seconds["synthesis"] > 0.0
 
     def test_chunk_memory_bounded(self, pair):
         _, streamed = pair
         n_elements = 4
-        chunk_bytes = int(0.3 * 128000) * n_elements * 8
+        chunk_bytes = int(0.25 * 128000) * n_elements * 8
         assert streamed.telemetry.peak_chunk_bytes <= chunk_bytes
 
     def test_record_streaming_rejects_bad_chunk(self):
+        """A rejected call leaves the chain untouched: the element, the
+        filter and the injector are all as they were."""
         monitor = build_monitor()
         patient = VirtualPatient(rng=np.random.default_rng(71))
         truth = patient.record(duration_s=6.0, sample_rate_hz=2000.0)
-        with pytest.raises(ConfigurationError):
-            monitor.record_streaming(truth, 0.0, 5.0, chunk_s=0.0)
+        chain = monitor.chain
+        element, resets = chain.chip.selected_element, chain.fpga.filter_resets
+        for chunk_s in (0.0, -0.1, float("nan"), float("inf")):
+            injector = FaultInjector([], seed=0)
+            with pytest.raises(ConfigurationError, match="chunk duration"):
+                monitor.record_streaming(
+                    truth, 0.0, 5.0, element=3, chunk_s=chunk_s,
+                    faults=injector,
+                )
+            assert chain.chip.selected_element == element != 3
+            assert chain.fpga.filter_resets == resets
+            with pytest.raises(ConfigurationError, match="must be bound"):
+                injector.apply_array(np.zeros((1, 4)))
 
 
 class TestValidation:

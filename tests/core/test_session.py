@@ -77,13 +77,6 @@ class TestAcquisitionSession:
         assert session.finish().size == 0
         assert first.size >= 0
 
-    def test_words_available_tracks_stream(self):
-        chain = ReadoutChain(rng=np.random.default_rng(3))
-        session = chain.session(element=0)
-        session.feed_pressure(pressure_field(128 * 60))
-        session.finish()
-        assert session.words_available == session.recording().codes.size
-
     def test_recording_reports_no_loss_on_clean_link(self):
         chain = ReadoutChain(rng=np.random.default_rng(3))
         session = chain.session(element=2)

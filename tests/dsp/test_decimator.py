@@ -37,10 +37,6 @@ class TestRates:
         out = filt.process(bits)
         assert out.codes.size == 50
 
-    def test_group_delay_order_of_magnitude(self, filt):
-        # ~ (3*31/2)/128k + (31/2)/4k ~ 4.2 ms
-        assert 2e-3 < filt.group_delay_s < 8e-3
-
 
 class TestDCAccuracy:
     @pytest.mark.parametrize("level", [0.0, 0.25, -0.5, 0.8])
@@ -138,7 +134,6 @@ class TestCascadeResponse:
     def test_result_metadata(self, filt):
         out = filt.process(np.ones(256, dtype=np.int64))
         assert out.bits == 12
-        assert out.lsb == pytest.approx(1.0 / 2048)
 
 
 class TestAlternativeArchitectures:

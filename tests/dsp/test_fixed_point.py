@@ -7,7 +7,6 @@ from repro.dsp.fixed_point import (
     QFormat,
     check_overflow,
     cic_register_width,
-    required_bits_for_magnitude,
     saturate,
     wrap_twos_complement,
 )
@@ -157,12 +156,6 @@ class TestQFormat:
 
 
 class TestWidths:
-    def test_required_bits(self):
-        assert required_bits_for_magnitude(0) == 1
-        assert required_bits_for_magnitude(1) == 2
-        assert required_bits_for_magnitude(127) == 8
-        assert required_bits_for_magnitude(128) == 9
-
     def test_cic_register_width_paper_config(self):
         # order 3, R 32, 2-bit input: 3*5 + 2 = 17 bits.
         assert cic_register_width(2, 3, 32) == 17
@@ -174,8 +167,6 @@ class TestWidths:
     def test_rejects_bad_args(self):
         with pytest.raises(ConfigurationError):
             cic_register_width(0, 3, 32)
-        with pytest.raises(ConfigurationError):
-            required_bits_for_magnitude(-1)
 
 
 class TestInt16Rails:

@@ -7,7 +7,6 @@ from repro.dsp.spectrum import (
     analyze_tone,
     coherent_tone_frequency,
     enob_from_sndr,
-    periodogram_db,
 )
 from repro.errors import ConfigurationError
 
@@ -134,20 +133,6 @@ class TestENOB:
         xq = np.round(x / lsb) * lsb
         a = analyze_tone(xq, FS, tone_hz=f)
         assert a.enob_bits == pytest.approx(10.0, abs=0.35)
-
-
-class TestPeriodogram:
-    def test_peak_at_zero_db(self):
-        x, f = make_tone(amplitude=0.3, noise=1e-4)
-        freqs, db = periodogram_db(x, FS)
-        assert db.max() == pytest.approx(0.0, abs=1e-9)
-        assert freqs[np.argmax(db)] == pytest.approx(f, abs=FS / N)
-
-    def test_reference_power(self):
-        x, f = make_tone(amplitude=1.0, noise=1e-4)
-        _, db = periodogram_db(x, FS, reference_power=0.5)
-        # Tone bin should be near 0 dB re the known signal power.
-        assert db.max() == pytest.approx(0.0, abs=0.2)
 
 
 class TestValidation:

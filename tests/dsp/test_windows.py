@@ -53,10 +53,10 @@ class TestMetadata:
         bh = get_window("blackmanharris", 1024)
         ft = get_window("flattop", 1024)
         assert (
-            rect.processing_gain_db
-            < hann.processing_gain_db
-            < bh.processing_gain_db
-            < ft.processing_gain_db
+            rect.noise_equivalent_bandwidth_bins
+            < hann.noise_equivalent_bandwidth_bins
+            < bh.noise_equivalent_bandwidth_bins
+            < ft.noise_equivalent_bandwidth_bins
         )
 
     def test_leakage_containment(self):

@@ -45,7 +45,6 @@ class TestEpisodeDetector:
         detector = SaturationEpisodeDetector(min_run=4, clear_run=8)
         [episode] = detector.feed(record((50, 70)))
         assert episode == SaturationEpisode(start_index=50, end_index=70)
-        assert episode.duration_samples == 20
 
     def test_brief_dip_does_not_close(self):
         # A 3-sample dip inside a railing episode (clear_run=8) merges.
@@ -67,10 +66,9 @@ class TestEpisodeDetector:
     def test_flush_closes_open_episode(self):
         detector = SaturationEpisodeDetector(min_run=4)
         assert detector.feed(record((190, 200))) == []
-        assert detector.episode_open
         episode = detector.flush()
         assert episode == SaturationEpisode(start_index=190, end_index=200)
-        assert not detector.episode_open
+        assert detector.flush() is None
 
     def test_negative_rail_counts(self):
         detector = SaturationEpisodeDetector()

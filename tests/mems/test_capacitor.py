@@ -39,11 +39,6 @@ class TestRestCapacitance:
             full.rest_capacitance_f / 2.0
         )
 
-    def test_electrode_side(self, cap):
-        assert cap.electrode_side_m == pytest.approx(
-            100e-6 * np.sqrt(0.8)
-        )
-
 
 class TestDeflectionResponse:
     def test_positive_deflection_increases_c(self, cap):

@@ -1,41 +1,16 @@
-"""Array geometry and KOH etch opening."""
-
-import math
+"""Array geometry."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mems.geometry import ArrayGeometry, KOH_SIDEWALL_ANGLE_DEG, koh_opening_side
+from repro.mems.geometry import ArrayGeometry
 from repro.params import ArrayParams
 
 
 @pytest.fixture(scope="module")
 def geometry() -> ArrayGeometry:
     return ArrayGeometry(ArrayParams())
-
-
-class TestKOH:
-    def test_opening_larger_than_membrane(self):
-        assert koh_opening_side(100e-6) > 100e-6
-
-    def test_undercut_formula(self):
-        t = 525e-6
-        expected = 100e-6 + 2 * t / math.tan(
-            math.radians(KOH_SIDEWALL_ANGLE_DEG)
-        )
-        assert koh_opening_side(100e-6, t) == pytest.approx(expected)
-
-    def test_thinner_wafer_smaller_opening(self):
-        assert koh_opening_side(100e-6, 300e-6) < koh_opening_side(
-            100e-6, 525e-6
-        )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            koh_opening_side(0.0)
-        with pytest.raises(ConfigurationError):
-            koh_opening_side(100e-6, -1.0)
 
 
 class TestElementLayout:

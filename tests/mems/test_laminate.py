@@ -116,16 +116,6 @@ class TestComposite:
 
 
 class TestStressOverride:
-    def test_with_residual_stress_sets_uniform_stress(self, paper_laminate):
-        stressed = paper_laminate.with_residual_stress(50e6)
-        assert stressed.mean_residual_stress_pa == pytest.approx(50e6)
-
-    def test_with_residual_stress_preserves_rigidity(self, paper_laminate):
-        stressed = paper_laminate.with_residual_stress(50e6)
-        assert stressed.flexural_rigidity_nm == pytest.approx(
-            paper_laminate.flexural_rigidity_nm
-        )
-
     def test_describe_mentions_layers(self, paper_laminate):
         text = paper_laminate.describe()
         assert "neutral axis" in text

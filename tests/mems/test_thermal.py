@@ -50,12 +50,6 @@ class TestDrift:
         ]
         assert drifts == sorted(drifts)
 
-    def test_offset_drift_sign(self, model):
-        # Softer membrane at rest: rest capacitance barely changes (no
-        # load), so the offset drift is tiny compared to C0.
-        offset = model.offset_drift_f(33.0)
-        assert abs(offset) < 1e-3 * model.reference.rest_capacitance_f
-
     def test_cache_reuses_sensors(self, model):
         a = model.sensor_at(30.0)
         b = model.sensor_at(30.0)

@@ -25,7 +25,9 @@ class TestRecord:
 
     def test_map_rule(self, recording):
         expected_map = 80.0 + 40.0 / 3.0
-        assert recording.mean_mmhg == pytest.approx(expected_map, abs=6.0)
+        assert recording.pressure_mmhg.mean() == pytest.approx(
+            expected_map, abs=6.0
+        )
 
     def test_beat_truth_ordered(self, recording):
         onsets = recording.beat_truth[:, 0]
@@ -56,7 +58,9 @@ class TestTrend:
         shifted = patient2.record(
             10.0, 500.0, pressure_trend_mmhg=lambda t: 20.0 * np.ones_like(t)
         )
-        assert shifted.mean_mmhg == pytest.approx(flat.mean_mmhg + 20.0, abs=1.0)
+        assert shifted.pressure_mmhg.mean() == pytest.approx(
+            flat.pressure_mmhg.mean() + 20.0, abs=1.0
+        )
 
 
 class TestCustomPatients:

@@ -3,28 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.params import TissueParams
 from repro.physiology.tissue import TissueTransfer
 
 
 @pytest.fixture(scope="module")
 def tissue() -> TissueTransfer:
     return TissueTransfer()
-
-
-class TestAttenuation:
-    def test_attenuation_below_one(self, tissue):
-        assert 0.0 < tissue.depth_attenuation < 1.0
-
-    def test_deeper_artery_attenuates_more(self):
-        shallow = TissueTransfer(TissueParams(artery_depth_m=1e-3))
-        deep = TissueTransfer(TissueParams(artery_depth_m=4e-3))
-        assert deep.depth_attenuation < shallow.depth_attenuation
-
-    def test_larger_artery_couples_better(self):
-        small = TissueTransfer(TissueParams(artery_radius_m=1e-3))
-        large = TissueTransfer(TissueParams(artery_radius_m=2e-3))
-        assert large.depth_attenuation > small.depth_attenuation
 
 
 class TestLateralProfile:
@@ -45,24 +29,3 @@ class TestLateralProfile:
         x = np.linspace(0, 10e-3, 30)
         prof = tissue.lateral_profile(x)
         assert np.all(np.diff(prof) < 0)
-
-
-class TestSurfaceDisplacement:
-    def test_scalar_scalar(self, tissue):
-        d = tissue.surface_displacement_m(1e-6, 0.0)
-        assert d == pytest.approx(tissue.depth_attenuation * 1e-6)
-
-    def test_time_series_by_offsets(self, tissue):
-        wall = np.linspace(0, 1e-6, 5)
-        offsets = np.array([0.0, 2.5e-3])
-        field = tissue.surface_displacement_m(wall, offsets)
-        assert field.shape == (5, 2)
-        assert np.all(field[:, 0] >= field[:, 1])
-
-    def test_time_series_scalar_offset(self, tissue):
-        wall = np.linspace(0, 1e-6, 5)
-        out = tissue.surface_displacement_m(wall, 1e-3)
-        assert out.shape == (5,)
-
-    def test_stiffness_positive(self, tissue):
-        assert tissue.surface_stiffness_pa_per_m() > 0

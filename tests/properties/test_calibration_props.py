@@ -35,17 +35,6 @@ class TestCalibrationProperties:
         np.testing.assert_allclose(cal.apply(sys_raw), cuff[0], rtol=1e-9)
         np.testing.assert_allclose(cal.apply(dia_raw), cuff[1], rtol=1e-9)
 
-    @given(raw_pairs, cuff_pairs, st.floats(min_value=-2.0, max_value=2.0))
-    @settings(max_examples=100, deadline=None)
-    def test_invert_is_inverse(self, raw, cuff, probe):
-        sys_raw, dia_raw = max(raw), min(raw)
-        cal = TwoPointCalibration.from_features(
-            _Anchor(sys_raw, dia_raw), cuff[0], cuff[1]
-        )
-        np.testing.assert_allclose(
-            cal.invert(cal.apply(probe)), probe, rtol=1e-7, atol=1e-9
-        )
-
     @given(raw_pairs, cuff_pairs)
     @settings(max_examples=100, deadline=None)
     def test_monotone_when_sys_above_dia(self, raw, cuff):

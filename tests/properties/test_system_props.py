@@ -60,21 +60,6 @@ class TestServoProperties:
         grid_step = (30e3 - 3e3) / 13
         assert abs(result.optimal_hold_down_pa - center) < grid_step
 
-    @given(
-        st.floats(min_value=6e3, max_value=25e3),
-        st.floats(min_value=3e3, max_value=28e3),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_track_never_leaves_bounds(self, center, start):
-        def oracle(p: float) -> float:
-            return float(np.exp(-((p - center) ** 2) / (2 * 3e3**2)))
-
-        servo = HoldDownServo(min_pa=3e3, max_pa=30e3)
-        current = start
-        for _ in range(10):
-            current = servo.track(oracle, current, step_pa=2e3)
-            assert 3e3 <= current <= 30e3
-
 
 class TestCuffProperties:
     @given(

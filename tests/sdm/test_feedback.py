@@ -1,27 +1,9 @@
 """Feedback DAC with adjustable first-stage capacitor."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sdm.feedback import FeedbackDAC
-
-
-class TestNominal:
-    def test_levels_symmetric(self):
-        dac = FeedbackDAC()
-        lo, hi = dac.feedback_levels()
-        assert lo == -hi == -1.0
-
-    def test_feedback_value_signs(self):
-        dac = FeedbackDAC()
-        assert dac.feedback_value(1) == 1.0
-        assert dac.feedback_value(-1) == -1.0
-
-    def test_rejects_bad_decision(self):
-        dac = FeedbackDAC()
-        with pytest.raises(ConfigurationError):
-            dac.feedback_value(0)
 
 
 class TestCfbRatio:
@@ -40,22 +22,6 @@ class TestCfbRatio:
 
 
 class TestReferenceErrors:
-    def test_static_error_scales_levels(self):
-        dac = FeedbackDAC(reference_error=0.01)
-        assert dac.feedback_value(1) == pytest.approx(1.01)
-
-    def test_reference_noise_needs_rng(self):
-        dac = FeedbackDAC(reference_noise_sigma=1e-4)
-        with pytest.raises(ConfigurationError, match="random"):
-            dac.feedback_value(1)
-
-    def test_reference_noise_applied(self):
-        rng = np.random.default_rng(3)
-        dac = FeedbackDAC(reference_noise_sigma=0.1)
-        values = [dac.feedback_value(1, rng=rng) for _ in range(200)]
-        assert np.std(values) == pytest.approx(0.1, rel=0.25)
-        assert np.mean(values) == pytest.approx(1.0, abs=0.03)
-
     def test_rejects_large_static_error(self):
         with pytest.raises(ConfigurationError):
             FeedbackDAC(reference_error=0.6)

@@ -53,14 +53,6 @@ class TestOrders:
         ).simulate(u).bitstream
         assert np.array_equal(generic, dedicated)
 
-    def test_theoretical_slopes(self):
-        assert HigherOrderSDM(order=2).theoretical_sqnr_slope_db_per_octave() == (
-            pytest.approx(15.05, abs=0.1)
-        )
-        assert HigherOrderSDM(order=3).theoretical_sqnr_slope_db_per_octave() == (
-            pytest.approx(21.07, abs=0.1)
-        )
-
 
 class TestStreaming:
     def test_chunked_equals_monolithic(self):

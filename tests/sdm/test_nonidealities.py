@@ -10,7 +10,6 @@ from repro.sdm.nonidealities import (
     BOLTZMANN_J_PER_K,
     FlickerNoiseGenerator,
     integrator_noise_sigma_v,
-    jitter_error_sigma,
     kt_over_c_sigma_v,
     leak_factor_from_gain,
 )
@@ -43,22 +42,6 @@ class TestKTC:
         base = kt_over_c_sigma_v(1e-12)
         total = integrator_noise_sigma_v(1e-12, opamp_excess_factor=1.5)
         assert total == pytest.approx(base * math.sqrt(1.5))
-
-
-class TestJitter:
-    def test_scaling(self):
-        # Error scales with amplitude, frequency and jitter.
-        base = jitter_error_sigma(1.0, 1000.0, 1e-9)
-        assert jitter_error_sigma(2.0, 1000.0, 1e-9) == pytest.approx(2 * base)
-        assert jitter_error_sigma(1.0, 2000.0, 1e-9) == pytest.approx(2 * base)
-
-    def test_formula(self):
-        assert jitter_error_sigma(1.0, 1000.0, 1e-9) == pytest.approx(
-            2 * math.pi * 1000 * 1e-9 / math.sqrt(2)
-        )
-
-    def test_zero_jitter_zero_error(self):
-        assert jitter_error_sigma(1.0, 1e6, 0.0) == 0.0
 
 
 class TestLeak:

@@ -26,25 +26,3 @@ class TestCoefficients:
             LoopCoefficients(a1=0.0)
         with pytest.raises(ConfigurationError):
             LoopCoefficients.boser_wooley().with_feedback_ratio(0.0)
-
-
-class TestStabilityScreen:
-    def test_nominal_loop_stable_at_half_scale(self):
-        assert LoopCoefficients.boser_wooley().stability_margin(0.5)
-
-    def test_nominal_loop_stable_at_point8(self):
-        assert LoopCoefficients.boser_wooley().stability_margin(0.8)
-
-    def test_overdriven_loop_flagged(self):
-        """Input beyond the feedback strength must destabilize."""
-        assert not LoopCoefficients.boser_wooley().stability_margin(1.3)
-
-    def test_weak_feedback_unstable_sooner(self):
-        weak = LoopCoefficients.boser_wooley().with_feedback_ratio(0.3)
-        # Full scale shrinks to 0.3; 0.5 amplitude overdrives it.
-        assert not weak.stability_margin(0.5)
-        assert weak.stability_margin(0.15)
-
-    def test_rejects_negative_amplitude(self):
-        with pytest.raises(ConfigurationError):
-            LoopCoefficients.boser_wooley().stability_margin(-0.1)

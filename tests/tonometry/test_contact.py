@@ -67,10 +67,6 @@ class TestState:
             10e3 - contact.contact.backpressure_pa
         )
 
-    def test_over_pressed_flag(self, contact):
-        assert contact.state(2.0 * contact.optimal_hold_down_pa).is_over_pressed
-        assert not contact.state(contact.optimal_hold_down_pa).is_over_pressed
-
     def test_optimum_is_map(self):
         map_pa = 95.0 * PASCAL_PER_MMHG
         model = ContactModel(mean_arterial_pressure_pa=map_pa)

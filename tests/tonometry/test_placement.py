@@ -6,7 +6,7 @@ import pytest
 from repro.mems.geometry import ArrayGeometry
 from repro.params import ArrayParams
 from repro.physiology.tissue import TissueTransfer
-from repro.tonometry.placement import ArrayPlacement, placement_sweep
+from repro.tonometry.placement import ArrayPlacement
 
 
 @pytest.fixture(scope="module")
@@ -67,29 +67,3 @@ class TestWeights:
         # Elements 0, 2 are the -x column (offset 1e-3 - 75e-6).
         assert w[0] > w[1]
         assert w[2] > w[3]
-
-
-class TestSweep:
-    def test_sweep_shape(self, geometry, tissue):
-        offsets = np.linspace(-2e-3, 2e-3, 11)
-        out = placement_sweep(geometry, tissue, offsets)
-        assert out.shape == (11, 4)
-
-    def test_sweep_symmetric(self, geometry, tissue):
-        offsets = np.linspace(-2e-3, 2e-3, 11)
-        out = placement_sweep(geometry, tissue, offsets)
-        best = out.max(axis=1)
-        assert best == pytest.approx(best[::-1], rel=1e-9)
-
-    def test_best_weight_degrades_slowly(self, geometry, tissue):
-        """The array's selling point: at 1 mm misplacement, the best
-        element still couples > 90 %."""
-        out = placement_sweep(geometry, tissue, np.array([0.0, 1e-3]))
-        assert out[1].max() > 0.9
-
-    def test_rejects_2d_offsets(self, geometry, tissue):
-        import pytest as _pytest
-        from repro.errors import ConfigurationError
-
-        with _pytest.raises(ConfigurationError):
-            placement_sweep(geometry, tissue, np.zeros((3, 2)))

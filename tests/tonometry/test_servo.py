@@ -67,35 +67,6 @@ class TestSearch:
             servo.search(lambda _: float("nan"))
 
 
-class TestTracking:
-    def test_climbs_toward_optimum(self, contact):
-        servo = HoldDownServo()
-        oracle = noisy_oracle(contact, sigma=0.0)
-        current = contact.optimal_hold_down_pa * 0.6
-        for _ in range(20):
-            current = servo.track(oracle, current, step_pa=500.0)
-        assert current == pytest.approx(
-            contact.optimal_hold_down_pa, rel=0.1
-        )
-
-    def test_stays_at_optimum(self, contact):
-        servo = HoldDownServo()
-        oracle = noisy_oracle(contact, sigma=0.0)
-        at_top = contact.optimal_hold_down_pa
-        moved = servo.track(oracle, at_top, step_pa=300.0)
-        assert abs(moved - at_top) <= 300.0
-
-    def test_respects_bounds(self, contact):
-        servo = HoldDownServo(min_pa=5e3, max_pa=10e3)
-        oracle = noisy_oracle(contact, sigma=0.0)
-        assert servo.track(oracle, 5e3, step_pa=1e4) <= 10e3
-
-    def test_rejects_bad_args(self, contact):
-        servo = HoldDownServo()
-        with pytest.raises(ConfigurationError):
-            servo.track(noisy_oracle(contact), -1.0)
-
-
 class TestValidation:
     def test_rejects_bad_range(self):
         with pytest.raises(ConfigurationError):
