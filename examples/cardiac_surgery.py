@@ -43,7 +43,6 @@ def main() -> None:
     # tissue depth and a broad contact mean transmission ~unity and no
     # placement sensitivity.
     epicardial_tissue = TissueParams(
-        artery_radius_m=10e-3,  # the ventricle, not a 1 mm vessel
         artery_depth_m=0.5e-3,  # a film of epicardial fat at most
         surface_spread_m=10e-3,
     )

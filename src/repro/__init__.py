@@ -36,7 +36,6 @@ from .errors import (
     ConfigurationError,
     FixedPointOverflowError,
     FramingError,
-    ModulatorOverloadError,
     ReproError,
     SignalQualityError,
     SimulationError,
@@ -72,7 +71,6 @@ __all__ = [
     "FramingError",
     "FrontEndParams",
     "MembraneParams",
-    "ModulatorOverloadError",
     "ModulatorParams",
     "MonitorResult",
     "NonidealityParams",

@@ -17,12 +17,12 @@ the bound pair and the kernel's staging rows across scans and rebinds
 only when what they were bound to changes (see :func:`run_fused_scan`),
 so a repeated frame binds once. The scan reproduces the bank scan
 bit-for-bit for every configuration it supports (deterministic
-modulator, stock decimation architecture, stock chip composition
-without hooks, in-range pressures): the same per-lane initial state,
-the same post-switch word suppression, the same FPGA counter and
-filter-state bookkeeping afterwards. Anything outside that envelope
-returns ``None`` — with no side effects on the scan state — and the
-caller runs the bank scan, which raises the exact error for bad input.
+modulator, stock chip composition without hooks, in-range pressures):
+the same per-lane initial state, the same post-switch word suppression,
+the same FPGA counter and filter-state bookkeeping afterwards. Anything
+outside that envelope returns ``None`` — with no side effects on the
+scan state — and the caller runs the bank scan, which raises the exact
+error for bad input.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ def fused_scan_supported(chain) -> bool:
 
     The envelope is the batch kernel's: a modulator the compiled loop may
     run (:meth:`~repro.sdm.modulator.SecondOrderSDM.compiled_loop_ok`:
-    library loaded, not pinned to the reference loop, no in-loop
-    metastability draws) that is fully deterministic
+    library loaded, not pinned to the reference loop) that is fully
+    deterministic
     (:meth:`~repro.sdm.modulator.SecondOrderSDM.is_deterministic`: the
-    kernel cannot replay the bank scan's visit-by-visit draw order), the
-    stock third-order/unit-delay CIC, no chip loop-input or bitstream
-    hook (the kernel stages neither) and no word hook (the hook must see
-    each element's words in sequential order). When the FPGA still
+    kernel cannot replay the bank scan's visit-by-visit draw order), no
+    chip loop-input or bitstream hook (the kernel stages neither) and no
+    word hook (the hook must see each element's words in sequential
+    order). When the FPGA still
     points at element 0 the scan's first visit does not reset the
     filter, so any carried filter state must sit at a decimation
     boundary (phase 0) for the lanes to run in lockstep.
@@ -62,7 +62,6 @@ def fused_scan_supported(chain) -> bool:
     return (
         m.compiled_loop_ok()
         and m.is_deterministic()
-        and _kernel().ChainKernel.supports(filt)
         and chip.loop_input_hook is None
         and chip.bitstream_hook is None
         and chain.fpga.word_hook is None
@@ -268,7 +267,7 @@ def run_fused_scan(
     k.comp_previous[:B] = m.comparator.previous_decision
     if start_element == 0:
         k.integ[:, 0] = filt.cic._integrators
-        k.comb[:, 0] = filt.cic._combs[:, 0]
+        k.comb[:, 0] = filt.cic._combs
         k.hist[0] = filt.fir._history
     n_words = batch_kernel.run_batch_chunk(k, n, *bound.stage)
 
@@ -296,7 +295,7 @@ def run_fused_scan(
     filt.cic._integrators = wrap_twos_complement(
         k.integ[:, B - 1], k.register_bits
     )
-    filt.cic._combs[:, 0] = k.comb[:, B - 1]
+    filt.cic._combs[:] = k.comb[:, B - 1]
     filt.cic._phase = k.cic_phase
     filt.fir._history = k.ordered_history()[B - 1].copy()
     filt.fir._phase = k.fir_phase

@@ -271,11 +271,7 @@ def analyze_mux_timing(
     electrical = mux.electrical_settling_samples(fs) / fs
     # Full impulse-response length, not just group delay: the filter's
     # memory of the previous element must drain completely.
-    cic_memory = (
-        decimator.params.cic_order
-        * decimator.params.cic_decimation
-        / fs
-    )
+    cic_memory = decimator.cic.order * decimator.params.cic_decimation / fs
     fir_rate = fs / decimator.params.cic_decimation
     fir_memory = decimator.params.fir_taps / fir_rate
     flush = cic_memory + fir_memory

@@ -15,8 +15,8 @@ afterwards, so the chains remain the single source of truth:
   boundary and resumes bit-exactly,
 * the per-lane fallback (the modulator's own loop dispatch plus the
   NumPy decimation filter, used when the native library is unavailable,
-  a lane needs the reference loop or a chip taps its bitstream) and the
-  kernel are interchangeable mid-stream.
+  a lane is pinned to the reference loop or a chip taps its bitstream)
+  and the kernel are interchangeable mid-stream.
 
 Stochastic terms are drawn per lane through each modulator's own
 :meth:`~repro.sdm.modulator.SecondOrderSDM._prepare_inputs`, straight
@@ -117,10 +117,9 @@ class BatchChainEngine:
     chains:
         Distinct :class:`~repro.core.chain.ReadoutChain` objects, one
         per lane, fixed for the engine's life. Lanes must share the
-        decimation architecture (CIC order/decimation/differential
-        delay, FIR taps/decimation and quantized coefficients, output
-        width); per-lane analog parameters (mismatch, noise, comparator
-        imperfections) are free.
+        decimation architecture (CIC decimation, FIR taps/decimation and
+        quantized coefficients, output width); per-lane analog parameters
+        (mismatch, noise, comparator imperfections) are free.
     """
 
     def __init__(self, chains):
@@ -137,9 +136,7 @@ class BatchChainEngine:
         for c in chains[1:]:
             filt = c.fpga.filter
             if (
-                filt.cic.order != ref.cic.order
-                or filt.cic.decimation != ref.cic.decimation
-                or filt.cic.diff_delay != ref.cic.diff_delay
+                filt.cic.decimation != ref.cic.decimation
                 or filt.fir.decimation != ref.fir.decimation
                 or filt.fir.taps != ref.fir.taps
                 or filt.params.output_bits != ref.params.output_bits
@@ -159,14 +156,11 @@ class BatchChainEngine:
         )
         self._ideal_comp = [m.comparator.is_ideal() for m in mods]
         self._det = np.array([m.is_deterministic() for m in mods])
-        # A modulator pinned to the reference loop, with in-loop random
-        # draws or without the native library keeps its own choice.
-        self._kernel_ok = ChainKernel.supports(ref) and all(
-            m.compiled_loop_ok() for m in mods
-        )
+        # A modulator pinned to the reference loop or without the native
+        # library keeps its own choice.
         self._kernel = (
             ChainKernel([m.kernel_coefficients() for m in mods], ref)
-            if self._kernel_ok
+            if all(m.compiled_loop_ok() for m in mods)
             else None
         )
 
@@ -199,7 +193,9 @@ class BatchChainEngine:
     @property
     def uses_kernel(self) -> bool:
         """True when chunks run through the fused compiled kernel."""
-        return self._kernel_ok and batch_kernel.batch_kernel_available()
+        return (
+            self._kernel is not None and batch_kernel.batch_kernel_available()
+        )
 
     @property
     def staging_nbytes(self) -> int:
@@ -530,7 +526,7 @@ class BatchChainEngine:
                     "lane must be fed the same number of samples"
                 )
             k.integ[:, l] = filt.cic._integrators
-            k.comb[:, l] = filt.cic._combs[:, 0]
+            k.comb[:, l] = filt.cic._combs
             k.hist[l] = filt.fir._history
 
     def _store_state(self, k: ChainKernel) -> None:
@@ -547,7 +543,7 @@ class BatchChainEngine:
                 m.comparator._previous = int(k.comp_previous[l])
             filt = c.fpga.filter
             filt.cic._integrators = integ[:, l].copy()
-            filt.cic._combs[:, 0] = k.comb[:, l]
+            filt.cic._combs[:] = k.comb[:, l]
             filt.cic._phase = k.cic_phase
             filt.fir._history = hist[l].copy()
             filt.fir._phase = k.fir_phase
@@ -571,7 +567,7 @@ class BatchChainEngine:
         lane_codes = []
         for l, c in enumerate(self.chains):
             m = c.chip.modulator
-            out = m._run_prepared(*m._prepare_inputs(u[:, l]), m.backend)
+            out = m._run_prepared(*m._prepare_inputs(u[:, l]))
             clipped[l] = out.clipped_samples
             bits = out.bitstream
             if c.chip.bitstream_hook is not None:

@@ -32,10 +32,10 @@ and the contract extends across the cascade):
 
 * The modulator recurrence performs the identical IEEE-754 double
   operations in the identical order as the reference loop, compiled with
-  FP contraction disabled. The deterministic comparator is evaluated
-  branchlessly through the offset/hysteresis form, which reduces *bit-
-  exactly* to the ideal ``x2 >= 0`` comparator when offset and
-  hysteresis are zero (including the ``-0.0`` input case).
+  FP contraction disabled. The comparator is evaluated branchlessly
+  through the offset/hysteresis form, which reduces *bit-exactly* to
+  the ideal ``x2 >= 0`` comparator when offset and hysteresis are zero
+  (including the ``-0.0`` input case).
 * The front-end kernel replays ``numpy.polynomial.chebyshev.chebval``'s
   Clenshaw recurrence and domain map term for term (scalar coefficient
   minus element, then multiply-add with contraction off), so it returns
@@ -129,7 +129,8 @@ class ChainKernel:
     and the :class:`~repro.dsp.decimator.DecimationFilter` the lanes
     share. The rows are padded to :func:`pad_lanes` with inert lanes
     (zero gains, unit swing); the CIC decimation and register width, the
-    flipped FIR and the quantizer scale come from the filter. Every
+    flipped FIR and the quantizer scale come from the filter, whose CIC
+    is always third order like the kernel's cascade. Every
     array the kernel reads or writes is held here in the kernel's layout
     and its address computed once, so :func:`run_batch_chunk` passes
     ``n``, the staging rows and the two decimation phases and
@@ -200,13 +201,6 @@ class ChainKernel:
             a.fill(0)
         self.comp_previous.fill(1)
         self.cic_phase = self.fir_phase = self.head = 0
-
-    @staticmethod
-    def supports(decimation_filter) -> bool:
-        """Whether the kernel's cascade is the filter's: the stock
-        third-order, unit-delay CIC."""
-        cic = decimation_filter.cic
-        return cic.order == 3 and cic.diff_delay == 1
 
     def wrapped_integrators(self) -> np.ndarray:
         """The integrators wrapped to the Hogenauer register width."""

@@ -14,8 +14,7 @@ The one difference from the solo session is the link. Every lane has a
 post-filter tail (counters, post-switch suppression, ``word_hook``, i16
 saturation) straight to the lane's buffer, and the frame counters are
 synthesized from the encoder's grouping. A counted link has no wire, so
-fault injection is not supported (``faults=`` must stay ``None``);
-degraded-link studies run on the solo session.
+fault injection and degraded-link studies run on the solo session.
 
 Everything else matches bit-for-bit: any chunk split, any batch size,
 and the per-lane fallback (no native library) all produce the same codes a
@@ -47,8 +46,6 @@ class BatchAcquisitionSession(LaneSession):
         (default: keep each chain's current selection).
     quality:
         Detector thresholds for the recordings' quality masks.
-    faults:
-        Unsupported in batched mode; must be ``None``.
     """
 
     def __init__(
@@ -56,13 +53,7 @@ class BatchAcquisitionSession(LaneSession):
         chains,
         element: int | None = None,
         quality: QualityConfig | None = None,
-        faults=None,
     ):
-        if faults is not None:
-            raise ConfigurationError(
-                "fault injection is not supported in batched mode; run "
-                "faulted acquisitions through AcquisitionSession"
-            )
         super().__init__(chains, element, quality)
 
     def _open_link(self, chain) -> CountedLink:

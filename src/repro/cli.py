@@ -30,6 +30,7 @@ never changes the numbers — see docs/THEORY.md §8).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from typing import Callable
@@ -37,131 +38,96 @@ from typing import Callable
 from . import experiments
 from .params import paper_defaults
 
-#: Experiment registry: CLI name -> (description, runner, supports_backend).
-#: Runners with ``supports_backend`` accept a ``backend=`` keyword and are
-#: the ones whose wall-time is dominated by the modulator loop; both
-#: backends are bit-identical, so ``--backend`` only trades speed for the
-#: pure-Python reference path.
-EXPERIMENTS: dict[str, tuple[str, Callable, bool]] = {
+#: Experiment registry: CLI name -> (description, runner). A runner
+#: whose signature has a ``backend`` keyword is one whose wall-time is
+#: dominated by the modulator loop; both backends are bit-identical, so
+#: ``--backend`` only trades speed for the pure-Python reference path.
+#: One with a ``jobs`` keyword fans out over the ParallelExecutor
+#: (``repro run --jobs``).
+EXPERIMENTS: dict[str, tuple[str, Callable]] = {
     "fig7": (
         "Fig. 7 — sigma-delta ADC tone test (SNR > 72 dB)",
-        lambda backend="fast": experiments.run_fig7(backend=backend),
-        True,
+        experiments.run_fig7,
     ),
     "fig9": (
         "Fig. 9 — continuous BP waveform with cuff calibration",
-        lambda backend="fast": experiments.run_fig9(backend=backend),
-        True,
+        experiments.run_fig9,
     ),
-    "specs": (
-        "Secs. 2-3 — specification table",
-        lambda: experiments.run_table_specs(),
-        False,
-    ),
+    "specs": ("Secs. 2-3 — specification table", experiments.run_table_specs),
     "membrane": (
         "Sec. 2.1 — membrane transducer characterization",
-        lambda: experiments.run_membrane_transfer(),
-        False,
+        experiments.run_membrane_transfer,
     ),
     "mux": (
         "Sec. 2.2 — mux settling vs converter bandwidth",
-        lambda: experiments.run_mux_settling(),
-        False,
+        experiments.run_mux_settling,
     ),
     "localization": (
         "Secs. 1-2 — placement tolerance and vessel localization",
-        lambda: experiments.run_localization(),
-        False,
+        experiments.run_localization,
     ),
     "imaging": (
         "Sec. 2 scaled — N x N pressure imaging (fused scan, artery line)",
-        lambda: experiments.run_imaging(),
-        False,
+        experiments.run_imaging,
     ),
     "baselines": (
         "Sec. 1 — cuff vs tonometer vs catheter",
-        lambda: experiments.run_baseline_comparison(),
-        False,
+        experiments.run_baseline_comparison,
     ),
     "feedback": (
         "Sec. 4 — feedback-capacitor resolution knob",
-        lambda jobs=1: experiments.run_feedback_ablation(jobs=jobs),
-        False,
+        experiments.run_feedback_ablation,
     ),
     "osr": (
         "Sec. 4 — resolution vs conversion rate (OSR sweep)",
-        lambda jobs=1: experiments.run_osr_ablation(jobs=jobs),
-        False,
+        experiments.run_osr_ablation,
     ),
     "dynamic-range": (
         "Fig. 7 companion — SNR vs input amplitude",
-        lambda backend="fast": experiments.run_dynamic_range(backend=backend),
-        True,
+        experiments.run_dynamic_range,
     ),
     "noise-budget": (
         "analog noise budget behind the 72 dB",
-        lambda: experiments.run_noise_budget(),
-        False,
+        experiments.run_noise_budget,
     ),
     "architectures": (
         "Sec. 4 — higher-order / multi-bit modulator routes",
-        lambda: experiments.run_architecture_comparison(),
-        False,
+        experiments.run_architecture_comparison,
     ),
     "robustness": (
         "Sec. 4 — artifacts, thermal drift, hold-down servo",
-        lambda: experiments.run_robustness(),
-        False,
+        experiments.run_robustness,
     ),
     "robustness-sweep": (
         "Sec. 4 — field stressors over many seeded trials",
-        lambda jobs=1: experiments.run_robustness_sweep(jobs=jobs),
-        False,
+        experiments.run_robustness_sweep,
     ),
     "design-space": (
         "(order x OSR) ENOB grid and Pareto front",
-        lambda jobs=1: experiments.run_design_space(jobs=jobs),
-        False,
+        experiments.run_design_space,
     ),
     "pressure-linearity": (
         "transducer linearity vs converter noise",
-        lambda: experiments.run_pressure_linearity(),
-        False,
+        experiments.run_pressure_linearity,
     ),
     "population": (
         "Fig. 9 protocol over a virtual population (AAMI stats)",
-        lambda backend="fast", jobs=1: experiments.run_population(
-            backend=backend, jobs=jobs
-        ),
-        True,
+        experiments.run_population,
     ),
     "chopper": (
         "chopper stabilization vs flicker noise (ABL-CHOP)",
-        lambda jobs=1: experiments.run_chopper_ablation(jobs=jobs),
-        False,
+        experiments.run_chopper_ablation,
     ),
     "faults": (
         "Sec. 4 reliability — fault-injection matrix, degradation contract",
-        lambda backend="fast", jobs=1: experiments.run_fault_matrix(
-            backend=backend, jobs=jobs
-        ),
-        True,
+        experiments.run_fault_matrix,
     ),
 }
 
-#: Experiments whose runner fans out over the ParallelExecutor and
-#: accepts a ``jobs=`` keyword (surfaced as ``repro run --jobs``).
-#: Tracked separately from the registry tuples so tests that monkeypatch
-#: plain (description, runner, supports_backend) entries keep working.
-JOBS_AWARE = {
-    "faults",
-    "feedback",
-    "osr",
-    "chopper",
-    "design-space",
-    "population",
-    "robustness-sweep",
-}
+
+def _accepts(runner: Callable, keyword: str) -> bool:
+    """Whether ``runner`` takes ``keyword`` (``backend`` or ``jobs``)."""
+    return keyword in inspect.signature(runner).parameters
 
 
 def _print_rows(title: str, rows: list[tuple[str, str, str]]) -> None:
@@ -176,10 +142,10 @@ def _print_rows(title: str, rows: list[tuple[str, str, str]]) -> None:
 
 def cmd_list() -> int:
     print("available experiments:")
-    for name, (description, _, supports_backend) in EXPERIMENTS.items():
-        flags = " [--backend]" if supports_backend else ""
-        if name in JOBS_AWARE:
-            flags += " [--jobs]"
+    for name, (description, runner) in EXPERIMENTS.items():
+        flags = "".join(
+            f" [--{kw}]" for kw in ("backend", "jobs") if _accepts(runner, kw)
+        )
         print(f"  {name:<17} {description}{flags}")
     print("  all               run everything")
     return 0
@@ -212,16 +178,14 @@ def cmd_run(
         print("use `python -m repro list`", file=sys.stderr)
         return 2
     for name in names:
-        description, runner, supports_backend = EXPERIMENTS[name]
-        if backend != "fast" and not supports_backend:
-            print(f"note: {name} ignores --backend", file=sys.stderr)
-        if jobs != 1 and name not in JOBS_AWARE:
-            print(f"note: {name} ignores --jobs", file=sys.stderr)
+        description, runner = EXPERIMENTS[name]
         kwargs = {}
-        if supports_backend:
-            kwargs["backend"] = backend
-        if name in JOBS_AWARE:
-            kwargs["jobs"] = jobs
+        for kw, value, default in (("backend", backend, "fast"),
+                                   ("jobs", jobs, 1)):
+            if _accepts(runner, kw):
+                kwargs[kw] = value
+            elif value != default:
+                print(f"note: {name} ignores --{kw}", file=sys.stderr)
         print(f"running {name}: {description} ...", flush=True)
         start = time.perf_counter()
         result = runner(**kwargs)
@@ -778,7 +742,7 @@ def cmd_describe() -> int:
     print(chain.chip.describe())
     print(f"  power           : {PowerModel(params.chip).report().describe()}")
     print(
-        f"  decimation      : sinc^{params.decimation.cic_order}"
+        f"  decimation      : sinc^{chain.fpga.filter.cic.order}"
         f"(R={params.decimation.cic_decimation}) + "
         f"{params.decimation.fir_taps}-tap FIR"
         f"(R={params.decimation.fir_decimation}), "

@@ -37,7 +37,7 @@ import numpy as np
 
 from .. import native
 from .stream import SampleStream
-from .usb import _CRC_TABLE, SYNC, FrameDecoder, crc16_ccitt
+from .usb import _CRC_TABLE, FRAME_OVERHEAD, SYNC, FrameDecoder, crc16_ccitt
 
 _SYNC0, _SYNC1 = SYNC[0], SYNC[1]
 
@@ -88,7 +88,7 @@ class Run:
     """One tiled run of same-length frame candidates (not yet validated)."""
 
     pos: int  # offset of the first candidate in the decoder buffer
-    total: int  # frame length in bytes (9 + 2 * count)
+    total: int  # frame length in bytes (FRAME_OVERHEAD + 2 * count)
     count: int  # samples per frame
     k: int  # candidates in the run
     mat: np.ndarray  # (k, total) uint8 copy of the candidate bytes
@@ -135,14 +135,18 @@ def stage(decoder: FrameDecoder, data: bytes) -> Staged:
     staged = Staged(decoder=decoder)
     buf = decoder._buffer
     n = len(buf)
-    if n < 9:
+    if n < FRAME_OVERHEAD:
         return staged
     view = np.frombuffer(buf, dtype=np.uint8)
     pos = 0
     runs: list[tuple[int, int, int, int]] = []
-    while n - pos >= 9 and buf[pos] == _SYNC0 and buf[pos + 1] == _SYNC1:
+    while (
+        n - pos >= FRAME_OVERHEAD
+        and buf[pos] == _SYNC0
+        and buf[pos + 1] == _SYNC1
+    ):
         count = buf[pos + 6]
-        total = 9 + 2 * count
+        total = FRAME_OVERHEAD + 2 * count
         k_cap = (n - pos) // total
         if k_cap == 0:
             break  # split frame: the tail stays buffered

@@ -23,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, FramingError
 
 SYNC = b"\xa5\x5a"
 MAX_SAMPLES_PER_FRAME = 255
 _HEADER = struct.Struct("<2sHHB")
 _CRC = struct.Struct("<H")
+#: Bytes a frame adds around its ``2 * count`` sample bytes (header + CRC).
+FRAME_OVERHEAD = _HEADER.size + _CRC.size
 
 
 def _build_crc_table() -> tuple[int, ...]:
@@ -272,7 +274,7 @@ class FrameDecoder:
                 return max(n - 1, pos), 0
             pos = start
             if n - pos >= _HEADER.size:
-                total = _HEADER.size + 2 * buf[pos + 6] + _CRC.size
+                total = FRAME_OVERHEAD + 2 * buf[pos + 6]
                 if n - pos >= total:
                     body = bytes(buf[pos : pos + total - _CRC.size])
                     (crc_rx,) = _CRC.unpack_from(buf, pos + total - _CRC.size)
@@ -309,3 +311,30 @@ class FrameDecoder:
         self._expected_seq = (seq + n) % 0x10000
         self.frames_decoded += n
         return lost
+
+
+def split_frames(payload: bytes) -> list[bytes]:
+    """Split a well-formed encoder payload into individual data frames.
+
+    The payload must be a concatenation of intact frames (what
+    :class:`FrameEncoder` emits); raises
+    :class:`~repro.errors.FramingError` on trailing or misaligned bytes.
+    """
+    frames: list[bytes] = []
+    pos, n = 0, len(payload)
+    while pos < n:
+        if n - pos < FRAME_OVERHEAD or payload[pos : pos + 2] != SYNC:
+            raise FramingError("payload is not a clean frame concatenation")
+        total = FRAME_OVERHEAD + 2 * payload[pos + 6]
+        if n - pos < total:
+            raise FramingError("payload ends inside a frame")
+        frames.append(payload[pos : pos + total])
+        pos += total
+    return frames
+
+
+def frame_sequence(frame: bytes) -> int:
+    """Sequence number of one intact data frame."""
+    if len(frame) < FRAME_OVERHEAD or frame[:2] != SYNC:
+        raise FramingError("not a data frame")
+    return frame[2] | (frame[3] << 8)

@@ -35,8 +35,6 @@ class CICDecimator:
         Rate-change factor R (paper's first stage: 32 of the total 128).
     input_bits:
         Width of the input samples (2 for the +/-1 modulator bitstream).
-    diff_delay:
-        Comb differential delay M (almost always 1).
     """
 
     def __init__(
@@ -44,7 +42,6 @@ class CICDecimator:
         order: int = 3,
         decimation: int = 32,
         input_bits: int = 2,
-        diff_delay: int = 1,
     ):
         if order < 1:
             raise ConfigurationError("CIC order must be >= 1")
@@ -52,15 +49,10 @@ class CICDecimator:
             raise ConfigurationError("CIC decimation must be >= 2")
         if input_bits < 1:
             raise ConfigurationError("input width must be >= 1 bit")
-        if diff_delay < 1:
-            raise ConfigurationError("differential delay must be >= 1")
         self.order = int(order)
         self.decimation = int(decimation)
-        self.diff_delay = int(diff_delay)
         self.input_bits = int(input_bits)
-        self.register_bits = cic_register_width(
-            input_bits, order, decimation, diff_delay
-        )
+        self.register_bits = cic_register_width(input_bits, order, decimation)
         self.reset()
 
     # -- state ----------------------------------------------------------
@@ -68,13 +60,13 @@ class CICDecimator:
     def reset(self) -> None:
         """Clear all integrator and comb registers and phase."""
         self._integrators = np.zeros(self.order, dtype=np.int64)
-        self._combs = np.zeros((self.order, self.diff_delay), dtype=np.int64)
+        self._combs = np.zeros(self.order, dtype=np.int64)
         self._phase = 0  # position within the current decimation frame
 
     @property
     def dc_gain(self) -> int:
-        """(R * M)^N — divide outputs by this for unity DC gain."""
-        return (self.decimation * self.diff_delay) ** self.order
+        """R^N — divide outputs by this for unity DC gain."""
+        return self.decimation**self.order
 
     # -- processing -------------------------------------------------------
 
@@ -127,15 +119,12 @@ class CICDecimator:
         if decimated.size == 0:
             return np.zeros(0, dtype=np.int64)
 
-        # Comb cascade at the low rate with differential delay M.
+        # Comb cascade at the low rate, one register per stage.
         out = decimated
         for k in range(self.order):
-            delayed = np.concatenate([self._combs[k], out])
-            diff = wrap_twos_complement(
-                out - delayed[: out.size], bits
-            )
-            self._combs[k] = delayed[out.size :][-self.diff_delay :]
-            out = diff
+            delayed = np.concatenate([self._combs[k : k + 1], out[:-1]])
+            self._combs[k] = out[-1]
+            out = wrap_twos_complement(out - delayed, bits)
         return out
 
     # -- analysis ----------------------------------------------------------
@@ -143,13 +132,13 @@ class CICDecimator:
     def frequency_response(self, freqs_hz: np.ndarray, input_rate_hz: float) -> np.ndarray:
         """Magnitude response |H(f)| normalized to unity at DC.
 
-        |H(f)| = \\| sin(pi f R M / fs) / (R M sin(pi f / fs)) \\|^N.
+        |H(f)| = \\| sin(pi f R / fs) / (R sin(pi f / fs)) \\|^N.
         """
         f = np.asarray(freqs_hz, dtype=float)
-        rm = self.decimation * self.diff_delay
+        r = self.decimation
         x = np.pi * f / input_rate_hz
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.sin(rm * x) / (rm * np.sin(x))
+            ratio = np.sin(r * x) / (r * np.sin(x))
         ratio = np.where(np.isclose(np.sin(x), 0.0), 1.0 - 0.0 * f, ratio)
         return np.abs(ratio) ** self.order
 

@@ -70,9 +70,7 @@ class DecimationFilter:
         self.input_rate_hz = float(input_rate_hz)
 
         self.cic = CICDecimator(
-            order=self.params.cic_order,
-            decimation=self.params.cic_decimation,
-            input_bits=2,
+            order=3, decimation=self.params.cic_decimation, input_bits=2
         )
         fir_rate = self.input_rate_hz / self.params.cic_decimation
         self.fir_coefficients = design_compensation_fir(
@@ -152,8 +150,8 @@ class DecimationFilter:
     # -- float reference path ------------------------------------------------
 
     def reset_float(self) -> None:
-        self._f_integrators = np.zeros(self.params.cic_order)
-        self._f_combs = np.zeros((self.params.cic_order, 1))
+        self._f_integrators = np.zeros(self.cic.order)
+        self._f_combs = np.zeros(self.cic.order)
         self._f_phase_cic = 0
         self._f_fir_hist = np.zeros(self.params.fir_taps - 1)
         self._f_phase_fir = 0
@@ -168,7 +166,7 @@ class DecimationFilter:
         if x.size == 0:
             return np.zeros(0)
         stage = x
-        for k in range(self.params.cic_order):
+        for k in range(self.cic.order):
             acc = np.cumsum(stage) + self._f_integrators[k]
             self._f_integrators[k] = acc[-1]
             stage = acc
@@ -177,11 +175,11 @@ class DecimationFilter:
         self._f_phase_cic = (self._f_phase_cic + stage.size) % r
         dec = stage[first::r]
         out = dec
-        for k in range(self.params.cic_order):
-            delayed = np.concatenate([self._f_combs[k], out])
+        for k in range(self.cic.order):
+            delayed = np.concatenate([self._f_combs[k : k + 1], out])
             diff = out - delayed[: out.size]
             if out.size:
-                self._f_combs[k] = delayed[out.size :][-1:]
+                self._f_combs[k] = out[-1]
             out = diff
         out = out / self.cic.dc_gain
 

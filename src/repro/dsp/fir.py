@@ -39,8 +39,8 @@ def design_compensation_fir(
     """Design the droop-compensating low-pass FIR (float coefficients).
 
     The design depends only on the scalar arguments and the CIC's
-    (order, decimation, differential delay), so the result is memoized
-    in the process-local :func:`~repro.parallel.cache.precompute_cache`:
+    (order, decimation), so the result is memoized in the process-local
+    :func:`~repro.parallel.cache.precompute_cache`:
     building many :class:`~repro.core.chain.ReadoutChain`\\ s (one per
     virtual subject, one per pool worker task) runs the design once per
     process. The returned array is shared and marked read-only; copy it
@@ -78,7 +78,7 @@ def design_compensation_fir(
         float(input_rate_hz),
         float(cutoff_hz),
         float(transition),
-        None if cic is None else (cic.order, cic.decimation, cic.diff_delay),
+        None if cic is None else (cic.order, cic.decimation),
     )
     return precompute_cache().get(
         key,

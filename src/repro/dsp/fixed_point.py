@@ -150,14 +150,14 @@ class QFormat:
         return self.scale**2 / 12.0
 
 
-def cic_register_width(input_bits: int, order: int, decimation: int, diff_delay: int = 1) -> int:
+def cic_register_width(input_bits: int, order: int, decimation: int) -> int:
     """Hogenauer's register-width bound for a CIC decimator.
 
-    ``B_max = ceil(order * log2(decimation * diff_delay)) + input_bits``.
+    ``B_max = ceil(order * log2(decimation)) + input_bits``.
     All integrator and comb registers of this width cannot produce an
     erroneous output despite internal wrap-around.
     """
-    if input_bits < 1 or order < 1 or decimation < 1 or diff_delay < 1:
+    if input_bits < 1 or order < 1 or decimation < 1:
         raise ConfigurationError("CIC width arguments must be >= 1")
-    growth = order * np.log2(decimation * diff_delay)
+    growth = order * np.log2(decimation)
     return int(np.ceil(growth)) + input_bits

@@ -24,23 +24,6 @@ class SimulationError(ReproError, RuntimeError):
     """A simulation failed while running (e.g. integrator state diverged)."""
 
 
-class ModulatorOverloadError(SimulationError):
-    """The sigma-delta modulator's integrator states exceeded stable bounds.
-
-    Second-order single-bit modulators overload when the input approaches
-    the feedback reference; this exception reports the sample index at which
-    the overload was detected so harnesses can back off the input amplitude.
-    """
-
-    def __init__(self, sample_index: int, state: tuple[float, float]):
-        self.sample_index = int(sample_index)
-        self.state = (float(state[0]), float(state[1]))
-        super().__init__(
-            f"modulator overload at sample {self.sample_index}: "
-            f"integrator states {self.state}"
-        )
-
-
 class CalibrationError(ReproError, RuntimeError):
     """Calibration could not be established or applied.
 

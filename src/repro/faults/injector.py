@@ -25,6 +25,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ..daq.usb import split_frames
 from ..errors import ConfigurationError
 from .spec import FaultEvent, FaultSpec
 
@@ -349,18 +350,12 @@ class FaultInjector:
         """USB-layer faults: drop, truncate or bit-flip whole frames.
 
         The payload is the encoder's output — a concatenation of
-        well-formed frames — so frames are walked by their length field
-        (sync 2 + seq 2 + element 2 + count 1 + 2·count + crc 2 bytes).
+        well-formed frames — so :func:`~repro.daq.usb.split_frames` walks
+        it frame by frame.
         """
         self._require_bound()
-        if not payload:
-            return payload
         out = bytearray()
-        pos, n = 0, len(payload)
-        while pos < n:
-            count = payload[pos + 6]
-            total = 9 + 2 * count
-            frame = payload[pos : pos + total]
+        for frame in split_frames(payload):
             hold = False
             for event in self._frame_events.get(self._frame_pos, ()):
                 if event.kind == "frame_reorder":
@@ -383,7 +378,6 @@ class FaultInjector:
                     out += self._reorder_pending
                     self._reorder_pending = b""
             self._frame_pos += 1
-            pos += total
         return bytes(out)
 
     @staticmethod

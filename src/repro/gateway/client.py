@@ -38,17 +38,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ..daq.usb import FrameEncoder
+from ..daq.usb import FrameEncoder, frame_sequence, split_frames
 from ..errors import ConfigurationError, GatewayError
 from .backoff import ExponentialBackoff
-from .protocol import (
-    ControlDemux,
-    frame_sequence,
-    heartbeat,
-    pack_bye,
-    pack_hello,
-    split_frames,
-)
+from .protocol import ControlDemux, heartbeat, pack_bye, pack_hello
 
 #: Forward-window test: is ``seq`` strictly after ``acked`` (mod 2^16)?
 def _after(seq: int, acked: int) -> bool:

@@ -2,10 +2,9 @@
 
 A device connection carries two interleaved planes on one TCP stream:
 
-* **Data plane** — the existing USB frame format
-  (:mod:`repro.daq.usb`): ``A5 5A | seq u16 | element u16 | count u8 |
-  count * i16 | crc16``. The gateway passes these bytes verbatim to a
-  per-connection :class:`~repro.daq.usb.FrameDecoder`.
+* **Data plane** — the existing USB frame format, whose layout
+  :mod:`repro.daq.usb` owns. The gateway passes these bytes verbatim to
+  a per-connection :class:`~repro.daq.usb.FrameDecoder`.
 * **Control plane** — small ESC-led frames plus a bare DLE heartbeat
   byte, modelled on serial device links (the D-PPG Vasoquant reader's
   printer-emulation mode): the device polls with DLE, the host answers
@@ -49,8 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..daq.usb import SYNC, crc16_ccitt
-from ..errors import ConfigurationError, FramingError
+from ..daq.usb import (
+    FRAME_OVERHEAD,
+    MAX_SAMPLES_PER_FRAME,
+    SYNC,
+    crc16_ccitt,
+)
+from ..errors import ConfigurationError
 
 #: Heartbeat byte (Data Link Escape), sent bare at ~1 Hz by devices.
 DLE = 0x10
@@ -78,10 +82,8 @@ FLAG_RESUME = 0x01
 #: ACK flag: the ``last_acked`` field is valid.
 FLAG_ACKED = 0x01
 
-#: Data-plane frame overhead (header + CRC) around ``2 * count`` bytes.
-DATA_HEADER = 9
-#: Largest possible data frame (count = 255).
-MAX_DATA_FRAME = DATA_HEADER + 2 * 255
+#: Largest possible data frame.
+MAX_DATA_FRAME = FRAME_OVERHEAD + 2 * MAX_SAMPLES_PER_FRAME
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,7 @@ class ControlDemux:
                     continue
                 if n - pos < 7:
                     break  # wait for the count byte
-                total = DATA_HEADER + 2 * buf[pos + 6]
+                total = FRAME_OVERHEAD + 2 * buf[pos + 6]
                 if n - pos < total:
                     break  # wait for the claimed frame
                 end = _data_run_end(buf, pos, n, total)
@@ -299,30 +301,3 @@ class ControlDemux:
         rest = bytes(self._buffer)
         self._buffer.clear()
         return rest
-
-
-def split_frames(payload: bytes) -> list[bytes]:
-    """Split a well-formed encoder payload into individual data frames.
-
-    The payload must be a concatenation of intact frames (what
-    :class:`~repro.daq.usb.FrameEncoder` emits); raises
-    :class:`~repro.errors.FramingError` on trailing or misaligned bytes.
-    """
-    frames: list[bytes] = []
-    pos, n = 0, len(payload)
-    while pos < n:
-        if n - pos < DATA_HEADER or payload[pos : pos + 2] != SYNC:
-            raise FramingError("payload is not a clean frame concatenation")
-        total = DATA_HEADER + 2 * payload[pos + 6]
-        if n - pos < total:
-            raise FramingError("payload ends inside a frame")
-        frames.append(payload[pos : pos + total])
-        pos += total
-    return frames
-
-
-def frame_sequence(frame: bytes) -> int:
-    """Sequence number of one intact data frame."""
-    if len(frame) < DATA_HEADER or frame[:2] != SYNC:
-        raise FramingError("not a data frame")
-    return frame[2] | (frame[3] << 8)

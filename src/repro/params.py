@@ -105,9 +105,6 @@ class ModulatorParams:
     #: First-stage feedback capacitor ratio Cfb/Cint. The paper's future
     #: work proposes adjusting this to improve resolution.
     feedback_ratio: float = 0.5
-    #: Integrator state magnitude beyond which the loop is declared
-    #: overloaded (in units of vref).
-    overload_limit: float = 8.0
 
     def __post_init__(self) -> None:
         _require(self.sampling_rate_hz > 0, "sampling rate must be positive")
@@ -201,17 +198,13 @@ class DecimationParams:
     and the CIC droop correction.
     """
 
-    cic_order: int = 3
     cic_decimation: int = 32
     fir_taps: int = 32
     fir_decimation: int = 4
     cutoff_hz: float = 500.0
     output_bits: int = 12
-    #: Input word width of the FIR stage (CIC output is truncated to this).
-    fir_input_bits: int = 18
 
     def __post_init__(self) -> None:
-        _require(self.cic_order >= 1, "CIC order must be >= 1")
         _require(self.cic_decimation >= 2, "CIC decimation must be >= 2")
         _require(self.fir_taps >= 2, "FIR must have >= 2 taps")
         _require(self.fir_decimation >= 1, "FIR decimation must be >= 1")
@@ -227,7 +220,6 @@ class DecimationParams:
 class ChipParams:
     """Whole-chip figures (Sec. 3): 0.8 um CMOS, 2.6 x 1.9 mm^2, 11.5 mW."""
 
-    technology_um: float = 0.8
     die_width_m: float = 2.6e-3
     die_height_m: float = 1.9e-3
     power_w: float = 11.5e-3
@@ -288,11 +280,6 @@ class TissueParams:
     literature the paper cites ([1], [2]).
     """
 
-    #: Radial artery inner radius [m].
-    artery_radius_m: float = 1.25e-3
-    #: Artery wall compliance: wall radial displacement per unit
-    #: transmural pressure [m/Pa].
-    wall_compliance_m_per_pa: float = 2.0e-9
     #: Depth of the artery below the skin surface [m].
     artery_depth_m: float = 2.0e-3
     #: Young's modulus of overlying tissue [Pa].
@@ -301,8 +288,6 @@ class TissueParams:
     surface_spread_m: float = 2.5e-3
 
     def __post_init__(self) -> None:
-        _require(self.artery_radius_m > 0, "artery radius must be positive")
-        _require(self.wall_compliance_m_per_pa > 0, "compliance must be positive")
         _require(self.artery_depth_m > 0, "artery depth must be positive")
         _require(self.tissue_modulus_pa > 0, "tissue modulus must be positive")
         _require(self.surface_spread_m > 0, "surface spread must be positive")

@@ -5,20 +5,16 @@ sigma-delta its imperfections are strongly noise-shaped, but they are
 modelled anyway so ablation studies can show *why* they barely matter:
 
 * input-referred offset — shifts the decision threshold (shaped away),
-* hysteresis — the previous decision biases the threshold,
-* metastability — decisions within a tiny band of the threshold resolve
-  randomly, modelling regeneration time running out.
+* hysteresis — the previous decision biases the threshold.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..errors import ConfigurationError
 
 
 class Comparator:
-    """Latched single-bit comparator with offset, hysteresis, metastability.
+    """Latched single-bit comparator with offset and hysteresis.
 
     Parameters
     ----------
@@ -28,29 +24,13 @@ class Comparator:
         The threshold moves by ``-hysteresis_v/2 * previous_decision``:
         a comparator that last output +1 needs the input to fall below
         ``offset - hyst/2`` to flip.
-    metastable_band_v:
-        Half-width of the band around the threshold where the decision is
-        a coin flip.
-    rng:
-        Random generator for metastable resolutions (only used when
-        ``metastable_band_v > 0``).
     """
 
-    def __init__(
-        self,
-        offset_v: float = 0.0,
-        hysteresis_v: float = 0.0,
-        metastable_band_v: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, offset_v: float = 0.0, hysteresis_v: float = 0.0):
         if hysteresis_v < 0:
             raise ConfigurationError("hysteresis must be non-negative")
-        if metastable_band_v < 0:
-            raise ConfigurationError("metastable band must be non-negative")
         self.offset_v = float(offset_v)
         self.hysteresis_v = float(hysteresis_v)
-        self.metastable_band_v = float(metastable_band_v)
-        self._rng = rng or np.random.default_rng(0)
         self._previous = 1
 
     def reset(self) -> None:
@@ -63,18 +43,10 @@ class Comparator:
     def decide(self, value: float) -> int:
         """Quantize one loop-state sample to +/-1."""
         threshold = self.offset_v - 0.5 * self.hysteresis_v * self._previous
-        margin = value - threshold
-        if self.metastable_band_v > 0.0 and abs(margin) < self.metastable_band_v:
-            decision = 1 if self._rng.random() < 0.5 else -1
-        else:
-            decision = 1 if margin >= 0.0 else -1
+        decision = 1 if value - threshold >= 0.0 else -1
         self._previous = decision
         return decision
 
     def is_ideal(self) -> bool:
         """True when every non-ideality is disabled (fast-path check)."""
-        return (
-            self.offset_v == 0.0
-            and self.hysteresis_v == 0.0
-            and self.metastable_band_v == 0.0
-        )
+        return self.offset_v == 0.0 and self.hysteresis_v == 0.0

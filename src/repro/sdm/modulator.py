@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import native
-from ..errors import ConfigurationError, ModulatorOverloadError
+from ..errors import ConfigurationError
 from ..params import ModulatorParams, NonidealityParams
 from .comparator import Comparator
 from .feedback import FeedbackDAC
@@ -35,7 +35,6 @@ class ModulatorOutput:
 
     bitstream: np.ndarray  # int8 array of +/-1
     clipped_samples: int  # cycles in which an integrator hit its swing
-    states: np.ndarray | None = None  # (n, 2) trajectory when recorded
 
     @property
     def mean(self) -> float:
@@ -84,8 +83,8 @@ class SecondOrderSDM:
         output, :func:`repro.batch.kernel.run_bits`) whenever
         :meth:`compiled_loop_ok`, and through the reference loop
         otherwise. ``"reference"`` pins the original cycle-accurate
-        Python loop. Both produce bit-identical bitstreams for any
-        deterministic comparator, so the switch trades only wall-time.
+        Python loop. Both produce bit-identical bitstreams, so the
+        switch trades only wall-time.
     """
 
     def __init__(
@@ -147,7 +146,6 @@ class SecondOrderSDM:
         self.comparator = Comparator(
             offset_v=ni.comparator_offset_v / self.params.vref_v,
             hysteresis_v=ni.comparator_hysteresis_v / self.params.vref_v,
-            rng=self.rng,
         )
         self.stage1 = SCIntegrator(
             signal_gain=self.coefficients.a1,
@@ -204,22 +202,14 @@ class SecondOrderSDM:
         self.comparator._previous = state.comparator_previous
         self._last_input = state.last_input
 
-    def compiled_loop_ok(self, backend: str | None = None) -> bool:
+    def compiled_loop_ok(self) -> bool:
         """Whether the compiled loop may run this modulator.
 
-        True when the backend (the constructor's unless ``backend``
-        overrides it) is ``"fast"``, the comparator has no metastable
-        band (its in-loop random draws exist only in the reference loop)
-        and the native library is loaded. Each caller adds its own
-        conditions: :meth:`simulate` a recorded trajectory or an
-        overload abort, the batch engine and the fused scan their
-        decimation architecture.
+        True when the backend is ``"fast"`` and the native library is
+        loaded. :meth:`simulate`, the batch engine and the fused scan
+        all ask this one predicate.
         """
-        return (
-            (self.backend if backend is None else backend) == "fast"
-            and self.comparator.metastable_band_v == 0.0
-            and native.available()
-        )
+        return self.backend == "fast" and native.available()
 
     def is_deterministic(self) -> bool:
         """Whether :meth:`_prepare_inputs` draws nothing.
@@ -270,55 +260,23 @@ class SecondOrderSDM:
         """Practical stable sine amplitude (~75 % of the hard full scale)."""
         return 0.75 * self.input_full_scale
 
-    def simulate(
-        self,
-        loop_input: np.ndarray,
-        record_states: bool = False,
-        overload_policy: str = "ignore",
-        backend: str | None = None,
-    ) -> ModulatorOutput:
+    def simulate(self, loop_input: np.ndarray) -> ModulatorOutput:
         """Run the loop over a normalized input sequence.
 
-        Parameters
-        ----------
-        loop_input:
-            Input u[n] in Vref units, one entry per modulator clock.
-        record_states:
-            Store the (x1, x2) trajectory (memory-heavy on long runs).
-        overload_policy:
-            ``"ignore"`` lets the swing limiter act (clipped cycles are
-            counted); ``"raise"`` raises
-            :class:`~repro.errors.ModulatorOverloadError` on the first
-            clipped cycle.
-        backend:
-            Per-call override of the constructor's ``backend``. The fast
-            backend routes metastable comparators (in-loop random draws),
-            ``record_states`` and ``overload_policy="raise"`` to the
-            reference loop automatically, so results match the reference
-            for every configuration.
-
-        State persists across calls: consecutive ``simulate`` calls
-        continue the same analog history, as a streaming chip would.
+        ``loop_input`` is u[n] in Vref units, one entry per modulator
+        clock. The swing limiter acts on overload and the clipped cycles
+        are counted. State persists across calls: consecutive
+        ``simulate`` calls continue the same analog history, as a
+        streaming chip would.
         """
         u = np.asarray(loop_input, dtype=float)
         if u.ndim != 1:
             raise ConfigurationError("loop input must be a 1-D sequence")
-        if overload_policy not in ("ignore", "raise"):
-            raise ConfigurationError("overload_policy must be ignore|raise")
-        backend = backend if backend is not None else self.backend
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        n = u.size
-        if n == 0:
+        if u.size == 0:
             return ModulatorOutput(
                 bitstream=np.zeros(0, dtype=np.int8), clipped_samples=0
             )
-
-        return self._run_prepared(
-            *self._prepare_inputs(u), backend, record_states, overload_policy
-        )
+        return self._run_prepared(*self._prepare_inputs(u))
 
     def _prepare_inputs(
         self, u: np.ndarray, out=None
@@ -393,25 +351,14 @@ class SecondOrderSDM:
         noise: np.ndarray,
         dac_noise: np.ndarray | None,
         dac_gain: float,
-        backend: str = "fast",
-        record_states: bool = False,
-        overload_policy: str = "ignore",
     ) -> ModulatorOutput:
         """Run a prepared block through the one loop dispatch.
 
-        The compiled loop takes the block when :meth:`compiled_loop_ok`
-        and the run needs nothing only the reference loop provides (a
-        recorded trajectory, an abort on overload). Everything else runs
-        :meth:`_simulate_reference`.
+        The compiled loop takes the block when :meth:`compiled_loop_ok`;
+        otherwise :meth:`_simulate_reference` does.
         """
-        if (
-            record_states
-            or overload_policy != "ignore"
-            or not self.compiled_loop_ok(backend)
-        ):
-            return self._simulate_reference(
-                u, noise, dac_noise, dac_gain, record_states, overload_policy
-            )
+        if not self.compiled_loop_ok():
+            return self._simulate_reference(u, noise, dac_noise, dac_gain)
         # Imported lazily: repro.batch imports this package.
         from ..batch.kernel import run_bits
 
@@ -438,13 +385,10 @@ class SecondOrderSDM:
         noise: np.ndarray,
         dac_noise: np.ndarray | None,
         dac_gain: float,
-        record_states: bool,
-        overload_policy: str,
     ) -> ModulatorOutput:
         """The original cycle-accurate Python loop (the ground truth)."""
         n = u.size
         bits = np.empty(n, dtype=np.int8)
-        states = np.empty((n, 2)) if record_states else None
         clipped = 0
 
         # Local bindings for the hot loop.
@@ -469,20 +413,13 @@ class SecondOrderSDM:
             x2_new = p2 * x2 + a2 * x1 - b2 * fb
             if x1_new > swing or x1_new < -swing or x2_new > swing or x2_new < -swing:
                 clipped += 1
-                if overload_policy == "raise":
-                    raise ModulatorOverloadError(i, (x1_new, x2_new))
                 x1_new = min(max(x1_new, -swing), swing)
                 x2_new = min(max(x2_new, -swing), swing)
             x1, x2 = x1_new, x2_new
             bits[i] = 1 if v > 0 else -1
-            if states is not None:
-                states[i, 0] = x1
-                states[i, 1] = x2
 
         s1.state, s2.state = x1, x2
-        return ModulatorOutput(
-            bitstream=bits, clipped_samples=clipped, states=states
-        )
+        return ModulatorOutput(bitstream=bits, clipped_samples=clipped)
 
     def describe(self) -> str:
         """Human-readable configuration summary."""

@@ -182,10 +182,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="decimation arch"):
             BatchChainEngine([a, b])
 
-    def test_faults_rejected(self):
-        with pytest.raises(ConfigurationError, match="fault injection"):
-            BatchAcquisitionSession([make_chain(0)], faults=object())
-
     def test_mixed_feed_kinds_rejected(self):
         n_el = make_chain(0).chip.mux.array.n_elements
         sess = BatchAcquisitionSession([make_chain(0)], element=1)

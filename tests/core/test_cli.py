@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, JOBS_AWARE, main
+from repro.cli import EXPERIMENTS, _accepts, main
 
 
 class TestCLI:
@@ -45,7 +45,18 @@ class TestCLI:
         assert expected == set(EXPERIMENTS)
 
     def test_jobs_aware_subset_of_registry(self):
-        assert JOBS_AWARE <= set(EXPERIMENTS)
+        """The runners' signatures give the flags each experiment takes."""
+        jobs = {n for n, (_, r) in EXPERIMENTS.items() if _accepts(r, "jobs")}
+        backend = {
+            n for n, (_, r) in EXPERIMENTS.items() if _accepts(r, "backend")
+        }
+        assert jobs == {
+            "faults", "feedback", "osr", "chopper", "design-space",
+            "population", "robustness-sweep",
+        }
+        assert backend == {
+            "fig7", "fig9", "dynamic-range", "population", "faults",
+        }
 
     def test_list_marks_backend_support(self, capsys):
         main(["list"])
@@ -67,7 +78,7 @@ class TestBackendFlag:
             seen["backend"] = backend
             return Result()
 
-        monkeypatch.setitem(EXPERIMENTS, "fig7", ("stub", runner, True))
+        monkeypatch.setitem(EXPERIMENTS, "fig7", ("stub", runner))
         assert main(["run", "fig7", "--backend", "reference"]) == 0
         assert seen["backend"] == "reference"
 
@@ -76,9 +87,10 @@ class TestBackendFlag:
             def rows(self):
                 return [("q", "paper", "measured")]
 
-        monkeypatch.setitem(
-            EXPERIMENTS, "specs", ("stub", lambda: Result(), False)
-        )
+        def runner():
+            return Result()
+
+        monkeypatch.setitem(EXPERIMENTS, "specs", ("stub", runner))
         assert main(["run", "specs", "--backend", "reference"]) == 0
         assert "ignores --backend" in capsys.readouterr().err
 
@@ -99,7 +111,7 @@ class TestParallelCommands:
             seen["jobs"] = jobs
             return Result()
 
-        monkeypatch.setitem(EXPERIMENTS, "osr", ("stub", runner, False))
+        monkeypatch.setitem(EXPERIMENTS, "osr", ("stub", runner))
         assert main(["run", "osr", "--jobs", "3"]) == 0
         assert seen["jobs"] == 3
 
@@ -108,9 +120,10 @@ class TestParallelCommands:
             def rows(self):
                 return [("q", "paper", "measured")]
 
-        monkeypatch.setitem(
-            EXPERIMENTS, "specs", ("stub", lambda: Result(), False)
-        )
+        def runner():
+            return Result()
+
+        monkeypatch.setitem(EXPERIMENTS, "specs", ("stub", runner))
         assert main(["run", "specs", "--jobs", "2"]) == 0
         assert "ignores --jobs" in capsys.readouterr().err
 

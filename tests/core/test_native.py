@@ -414,8 +414,7 @@ def reference_bits_case(case) -> list[bytes]:
     out = []
     for lo, hi in calls(n):
         res = m._simulate_reference(
-            *lane0_rows(inputs, lo, hi), float(c["dac_gain"][0]), False,
-            "ignore",
+            *lane0_rows(inputs, lo, hi), float(c["dac_gain"][0])
         )
         out += [bits(res.bitstream), bits(np.int64(res.clipped_samples))]
     # The ideal comparator keeps no memory: its last decision stands in.

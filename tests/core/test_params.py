@@ -1,9 +1,14 @@
 """Parameter dataclasses: paper defaults and validation rules."""
 
+import ast
 import dataclasses
+import inspect
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import params as params_module
 from repro.errors import ConfigurationError
 from repro.params import (
     ArrayParams,
@@ -33,7 +38,6 @@ class TestPaperDefaults:
         assert params.modulator.sampling_rate_hz == pytest.approx(128e3)
         assert params.modulator.osr == 128
         assert params.modulator.output_rate_hz == pytest.approx(1000.0)
-        assert params.decimation.cic_order == 3
         assert params.decimation.fir_taps == 32
         assert params.decimation.cutoff_hz == 500.0
         assert params.decimation.output_bits == 12
@@ -87,7 +91,7 @@ class TestValidationRules:
 
     def test_decimation(self):
         with pytest.raises(ConfigurationError):
-            DecimationParams(cic_order=0)
+            DecimationParams(cic_decimation=1)
         with pytest.raises(ConfigurationError):
             DecimationParams(output_bits=1)
         assert DecimationParams().total_decimation == 128
@@ -109,7 +113,7 @@ class TestValidationRules:
 
     def test_tissue(self):
         with pytest.raises(ConfigurationError):
-            TissueParams(artery_radius_m=0.0)
+            TissueParams(artery_depth_m=0.0)
 
     def test_contact(self):
         with pytest.raises(ConfigurationError):
@@ -132,3 +136,41 @@ class TestValidationRules:
         params = paper_defaults()
         with pytest.raises(dataclasses.FrozenInstanceError):
             params.modulator.osr = 64  # type: ignore[misc]
+
+
+def _attribute_reads(package: Path) -> set[str]:
+    """Every attribute name loaded anywhere under ``package``, except in
+    the ``__post_init__`` validation of ``params.py``'s dataclasses."""
+    reads = set()
+    for path in package.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        skip = set()
+        if path == package / "params.py":
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and node.name == "__post_init__"
+                ):
+                    skip.update(map(id, ast.walk(node)))
+        reads.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in skip
+        )
+    return reads
+
+
+def test_every_parameter_is_read():
+    """A field no program code reads is a setting that changes nothing."""
+    reads = _attribute_reads(Path(repro.__file__).parent)
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for _, cls in inspect.getmembers(params_module, inspect.isclass)
+        if dataclasses.is_dataclass(cls)
+        and cls.__module__ == params_module.__name__
+        for field in dataclasses.fields(cls)
+        if field.name not in reads
+    ]
+    assert unread == []

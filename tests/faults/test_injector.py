@@ -273,7 +273,7 @@ class TestLinkBinding:
     def wire_sequences(payload):
         """Frame sequence numbers in wire order (reorder-visible —
         FrameDecoder would drop a late frame as stale)."""
-        from repro.gateway.protocol import frame_sequence, split_frames
+        from repro.daq.usb import frame_sequence, split_frames
 
         return [frame_sequence(f) for f in split_frames(payload)]
 

@@ -15,17 +15,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.daq.usb import FrameEncoder
+from repro.daq.usb import FrameEncoder, frame_sequence, split_frames
 from repro.faults import FaultInjector, FaultSpec
 from repro.gateway.chaos import CHAOS_KINDS
 from repro.gateway.client import DeviceClient, DeviceReport
-from repro.gateway.protocol import (
-    frame_sequence,
-    pack_ack,
-    pack_bye,
-    pack_hello,
-    split_frames,
-)
+from repro.gateway.protocol import pack_ack, pack_bye, pack_hello
 from repro.gateway.server import GatewayServer
 
 DEVICE = 12

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.daq.usb import FrameEncoder
+from repro.daq.usb import FrameEncoder, frame_sequence, split_frames
 from repro.errors import ConfigurationError, FramingError
 from repro.gateway.protocol import (
     ControlDemux,
-    frame_sequence,
     heartbeat,
     pack_ack,
     pack_bye,
     pack_hello,
-    split_frames,
 )
 
 

@@ -320,12 +320,14 @@ class TestSoloEnginePath:
 
     N = 128 * 400
 
-    def chains(self, nonideality=None, seed=21):
+    def chains(self, nonideality=None, seed=21, backend="fast"):
         params = SystemParams()
         if nonideality is not None:
             params = params.replace(nonideality=nonideality)
         return [
-            ReadoutChain(params, rng=np.random.default_rng(seed))
+            ReadoutChain(
+                params, rng=np.random.default_rng(seed), backend=backend
+            )
             for _ in range(2)
         ]
 
@@ -390,10 +392,8 @@ class TestSoloEnginePath:
         v = 0.3 * np.sin(2 * np.pi * 15.625 * t)
         self.check(a, b, split(v, [1, 4095, 20_000]), "voltage")
 
-    def test_metastable_comparator_runs_engine_fallback(self):
-        a, b = self.chains()
-        for c in (a, b):
-            c.chip.modulator.comparator.metastable_band_v = 1e-4
+    def test_reference_backend_fallback(self):
+        a, b = self.chains(backend="reference")
         chunks = split(sine_field(128 * 60), [1000, 3000])
         session = self.check(a, b, chunks, "pressure")
         assert not session.engine.uses_kernel

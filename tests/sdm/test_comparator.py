@@ -1,6 +1,5 @@
 """Single-bit comparator behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -53,20 +52,3 @@ class TestHysteresis:
         with pytest.raises(ConfigurationError):
             Comparator(hysteresis_v=-0.1)
 
-
-class TestMetastability:
-    def test_decisions_random_in_band(self):
-        comp = Comparator(
-            metastable_band_v=0.1, rng=np.random.default_rng(1)
-        )
-        decisions = [comp.decide(0.01) for _ in range(400)]
-        ones = sum(1 for d in decisions if d == 1)
-        assert 120 < ones < 280  # roughly balanced coin
-
-    def test_deterministic_outside_band(self):
-        comp = Comparator(metastable_band_v=0.1)
-        assert all(comp.decide(0.5) == 1 for _ in range(10))
-
-    def test_rejects_negative_band(self):
-        with pytest.raises(ConfigurationError):
-            Comparator(metastable_band_v=-0.1)

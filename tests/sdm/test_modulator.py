@@ -5,7 +5,7 @@ import pytest
 
 from repro.dsp.cic import CICDecimator
 from repro.dsp.spectrum import analyze_tone, coherent_tone_frequency
-from repro.errors import ConfigurationError, ModulatorOverloadError
+from repro.errors import ConfigurationError
 from repro.params import ModulatorParams, NonidealityParams
 from repro.sdm.feedback import FeedbackDAC
 from repro.sdm.modulator import SecondOrderSDM
@@ -85,21 +85,11 @@ class TestOverload:
         out = sdm.simulate(np.full(5000, 1.5))
         assert out.clipped_samples > 0
 
-    def test_raise_policy(self):
-        sdm = ideal_sdm()
-        with pytest.raises(ModulatorOverloadError) as err:
-            sdm.simulate(np.full(5000, 1.5), overload_policy="raise")
-        assert err.value.sample_index >= 0
-
     def test_stable_amplitude_does_not_clip(self):
         sdm = ideal_sdm()
         t = np.arange(30000)
         out = sdm.simulate(0.75 * np.sin(2 * np.pi * 0.003 * t))
         assert out.clipped_samples == 0
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ideal_sdm().simulate(np.zeros(10), overload_policy="explode")
 
     def test_recommended_amplitude_below_full_scale(self):
         sdm = ideal_sdm()
@@ -135,18 +125,6 @@ class TestStreaming:
     def test_rejects_2d_input(self):
         with pytest.raises(ConfigurationError):
             ideal_sdm().simulate(np.zeros((10, 2)))
-
-
-class TestStateRecording:
-    def test_states_recorded(self):
-        sdm = ideal_sdm()
-        out = sdm.simulate(np.zeros(100), record_states=True)
-        assert out.states.shape == (100, 2)
-        assert np.all(np.abs(out.states) <= 3.0)
-
-    def test_states_none_by_default(self):
-        out = ideal_sdm().simulate(np.zeros(10))
-        assert out.states is None
 
 
 class TestNonidealities:
