@@ -24,9 +24,6 @@ class SensorArray:
     ----------
     params:
         Array layout and mismatch level (paper default: 2x2, 150 um pitch).
-    sensor:
-        Shared membrane transfer; constructed from ``params.membrane``
-        when omitted.
     rng:
         Source for the per-element mismatch draw; fixed default for
         reproducibility.
@@ -35,11 +32,11 @@ class SensorArray:
     def __init__(
         self,
         params: ArrayParams | None = None,
-        sensor: MembraneSensor | None = None,
         rng: np.random.Generator | None = None,
     ):
         self.params = params or ArrayParams()
-        self.sensor = sensor or MembraneSensor(self.params.membrane)
+        #: Shared membrane transfer of every element.
+        self.sensor = MembraneSensor(self.params.membrane)
         self.geometry = ArrayGeometry(self.params)
         rng = rng or np.random.default_rng(51)
 

@@ -146,7 +146,6 @@ def localize_artery(
     amplitude_map: np.ndarray,
     geometry: ArrayGeometry,
     exclude: np.ndarray | None = None,
-    min_rows: int = 2,
 ) -> ArteryEstimate:
     """Sub-pixel artery-line estimate from a pulsatile amplitude map.
 
@@ -154,19 +153,15 @@ def localize_artery(
     x; a log-parabola vertex fit (:func:`log_parabola_vertex`, solved for
     all rows at once) locates the per-row peak, and a weighted
     least-squares line through the row peaks (weights: each row's peak
-    amplitude) gives transverse position and tilt. With fewer than
-    ``min_rows`` usable rows (at least 2: a line needs two rows) the
-    estimate degrades gracefully to the column-collapsed vertex at zero
-    tilt (the 1-D estimate ``experiments/localization.py`` uses).
+    amplitude) gives transverse position and tilt. With fewer than two
+    usable rows (a line needs two rows) the estimate degrades gracefully
+    to the column-collapsed vertex at zero tilt (the 1-D estimate
+    ``experiments/localization.py`` uses).
 
     ``exclude`` is an optional (rows*cols,) or (rows, cols) boolean mask
     of unhealthy elements (``True`` = excluded); their amplitudes are
     zeroed before fitting so a railed pixel cannot bend the line.
     """
-    if min_rows < 2:
-        raise ConfigurationError(
-            "min_rows must be >= 2: a line fit needs two usable rows"
-        )
     amps = np.asarray(amplitude_map, dtype=float)
     rows, cols = geometry.rows, geometry.cols
     if amps.shape != (rows, cols):
@@ -190,7 +185,7 @@ def localize_artery(
     usable = np.isfinite(row_positions)
     n_used = int(np.count_nonzero(usable))
 
-    if n_used >= min_rows:
+    if n_used >= 2:
         # Weighted line x = slope * y + intercept (weights: row peak
         # amplitudes), as the 2x2 normal equations in y centred on its
         # weighted mean.
@@ -245,22 +240,18 @@ class FusionResult:
 def fuse_elements(
     element_signals: np.ndarray,
     exclude: np.ndarray | None = None,
-    top_k: int | None = None,
-    metric: str = "peak_to_peak",
 ) -> FusionResult:
     """Amplitude-weighted fusion of element records into one waveform.
 
     With element k seeing the pulse at coupling gain ``a_k`` plus
     independent noise, the matched combiner weights each record by its
-    own amplitude: ``w_k = a_k / sum(a)``. The fused SNR is then
+    own peak-to-peak amplitude: ``w_k = a_k / sum(a)``. The fused SNR is then
     ``||a||_2`` vs ``max(a)`` for the paper's pick-the-strongest strategy
     — a guaranteed (Cauchy-Schwarz) gain whenever the artery couples
     into more than one element, which is exactly the placement-drift
     regime where the strongest element is about to walk off its pixel.
 
-    ``exclude`` bars unhealthy elements; ``top_k`` restricts the fusion
-    to the k strongest eligible elements (small-k fusion captures most
-    of the gain while bounding the noise bandwidth of dead channels).
+    ``exclude`` bars unhealthy elements.
     """
     signals = np.asarray(element_signals, dtype=float)
     if signals.ndim != 2 or signals.shape[0] < 2:
@@ -268,12 +259,7 @@ def fuse_elements(
             "expected (n_samples >= 2, n_elements) records"
         )
     n_elements = signals.shape[1]
-    if metric == "peak_to_peak":
-        amplitudes = signals.max(axis=0) - signals.min(axis=0)
-    elif metric == "std":
-        amplitudes = signals.std(axis=0)
-    else:
-        raise ConfigurationError("metric must be peak_to_peak|std")
+    amplitudes = signals.max(axis=0) - signals.min(axis=0)
     eligible = amplitudes > 0.0
     if exclude is not None:
         mask = np.asarray(exclude, dtype=bool)
@@ -284,14 +270,6 @@ def fuse_elements(
         eligible &= ~mask
     if not np.any(eligible):
         raise SignalQualityError("no eligible element to fuse")
-    if top_k is not None:
-        if top_k < 1:
-            raise ConfigurationError("top_k must be >= 1")
-        ranked = np.argsort(np.where(eligible, amplitudes, -np.inf))[::-1]
-        keep = ranked[: min(top_k, int(np.count_nonzero(eligible)))]
-        restricted = np.zeros(n_elements, dtype=bool)
-        restricted[keep] = True
-        eligible &= restricted
     a_used = np.where(eligible, amplitudes, 0.0)
     weights = a_used / a_used.sum()
     waveform = signals @ weights

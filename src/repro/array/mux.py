@@ -21,7 +21,6 @@ from ..errors import ConfigurationError
 from ..dsp.decimator import DecimationFilter
 from .array2d import SensorArray
 
-
 class AnalogMultiplexer:
     """Row/column element selection with a switching-transient model.
 
@@ -80,14 +79,13 @@ class AnalogMultiplexer:
         c = self.array.sensor.rest_capacitance_f
         return self.switch_resistance_ohm * c
 
-    def electrical_settling_samples(
-        self, sampling_rate_hz: float, n_time_constants: float = 10.0
-    ) -> float:
-        """Modulator clocks needed for the *electrical* transient."""
+    def electrical_settling_samples(self, sampling_rate_hz: float) -> float:
+        """Modulator clocks needed for the *electrical* transient (ten
+        time constants)."""
         if sampling_rate_hz <= 0:
             raise ConfigurationError("sampling rate must be positive")
         return (
-            n_time_constants
+            10.0
             * self.electrical_time_constant_s
             * sampling_rate_hz
         )

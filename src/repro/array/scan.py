@@ -9,6 +9,7 @@ runs beneath the sensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +18,24 @@ from ..errors import ConfigurationError, SignalQualityError
 from .array2d import SensorArray
 from .mux import AnalogMultiplexer, ScanSchedule, analyze_mux_timing, plan_scan
 
+# Element-health thresholds in the scan records' units (modulator FS),
+# translating the quality mask's code-LSB thresholds: the rail level, the
+# flat test's window length and standard deviation, and the largest
+# railed-sample and flat-window fractions a healthy element may show.
+_RAIL_LEVEL = 2007.0 / 2048.0
+_FLAT_WINDOW = 64
+_FLAT_THRESHOLD = 0.25 / 2048.0
+_MAX_SATURATED_FRACTION = 0.02
+_MAX_FLAT_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class ElementHealthReport:
     """Per-element health of one scan (graceful-degradation input).
 
     All fractions are over the scanned record; ``healthy`` combines them
-    against the thresholds :meth:`ScanController.element_health` was
-    given. Signals are in the scan records' units (modulator FS).
+    against this module's health thresholds. Signals are in the scan
+    records' units (modulator FS).
     """
 
     #: Fraction of each element's samples at the converter rails.
@@ -116,26 +127,10 @@ class ElementSelection:
 
 
 class ScanController:
-    """Sequences the multiplexer through the array and picks the winner.
+    """Sequences the multiplexer through the array and picks the winner."""
 
-    Parameters
-    ----------
-    mux:
-        The multiplexer to drive.
-    discard_samples:
-        Words dropped after each switch while the decimation filter
-        flushes.
-    """
-
-    def __init__(
-        self,
-        mux: AnalogMultiplexer,
-        discard_samples: int = 16,
-    ):
-        if discard_samples < 0:
-            raise ConfigurationError("discard must be >= 0")
+    def __init__(self, mux: AnalogMultiplexer):
         self.mux = mux
-        self.discard_samples = int(discard_samples)
         #: Word accounting of the most recent :meth:`scan_records` call.
         self.last_scan_truncation: ScanTruncation | None = None
         #: Whether the most recent scan ran through the fused batch kernel.
@@ -225,6 +220,8 @@ class ScanController:
                 raise ConfigurationError(
                     "need a pressure field or per-element segments"
                 )
+            if not math.isfinite(dwell_s):
+                raise ConfigurationError("dwell must be finite")
             pressures = np.asarray(element_pressures_pa, dtype=float)
             fs = chain.params.modulator.sampling_rate_hz
             dwell_mod = int(dwell_s * fs)
@@ -278,26 +275,18 @@ class ScanController:
         )
         return records
 
-    def element_health(
-        self,
-        element_signals: np.ndarray,
-        rail_level: float = 2007.0 / 2048.0,
-        flat_window: int = 64,
-        flat_threshold: float = 0.25 / 2048.0,
-        max_saturated_fraction: float = 0.02,
-        max_flat_fraction: float = 0.5,
-    ) -> ElementHealthReport:
+    def element_health(self, element_signals: np.ndarray) -> ElementHealthReport:
         """Score every element's record for saturation and flatline.
 
-        The graceful-degradation screen behind ``scan_and_select(...,
-        health_screen=True)``: an element whose record spends more than
-        ``max_saturated_fraction`` at the converter rails (railed
-        modulator, stuck comparator) or more than ``max_flat_fraction``
-        of its rolling windows below ``flat_threshold`` standard
-        deviation (stiction, dropout) is marked unhealthy and excluded
-        from selection. Thresholds are in the scan records' units
-        (modulator FS; the defaults translate the quality mask's
-        code-LSB thresholds).
+        The graceful-degradation screen: an element whose record spends
+        more than ``_MAX_SATURATED_FRACTION`` at the converter rails
+        (railed modulator, stuck comparator) or more than
+        ``_MAX_FLAT_FRACTION`` of its rolling windows below
+        ``_FLAT_THRESHOLD`` standard deviation (stiction, dropout) is
+        marked unhealthy. Pass ``~report.healthy`` as
+        :meth:`select_strongest`'s ``exclude`` mask to bar it from
+        selection — a railed modulator looks *strong* to a peak-to-peak
+        metric.
         """
         signals = np.asarray(element_signals, dtype=float)
         if signals.ndim != 2 or signals.shape[1] != self.array.n_elements:
@@ -305,21 +294,20 @@ class ScanController:
                 f"expected (n_samples, {self.array.n_elements}) signals"
             )
         n = signals.shape[0]
-        saturated = np.mean(np.abs(signals) >= rail_level, axis=0)
-        if n >= flat_window:
-            window = flat_window
-            shape = (n - window + 1, window, signals.shape[1])
+        saturated = np.mean(np.abs(signals) >= _RAIL_LEVEL, axis=0)
+        if n >= _FLAT_WINDOW:
+            shape = (n - _FLAT_WINDOW + 1, _FLAT_WINDOW, signals.shape[1])
             strides = (signals.strides[0],) + signals.strides
             windows = np.lib.stride_tricks.as_strided(
                 signals, shape=shape, strides=strides
             )
-            flat = np.mean(windows.std(axis=1) < flat_threshold, axis=0)
+            flat = np.mean(windows.std(axis=1) < _FLAT_THRESHOLD, axis=0)
         else:
-            flat = (signals.std(axis=0) < flat_threshold).astype(float)
+            flat = (signals.std(axis=0) < _FLAT_THRESHOLD).astype(float)
         amplitudes = signals.max(axis=0) - signals.min(axis=0)
         healthy = (
-            (saturated <= max_saturated_fraction)
-            & (flat <= max_flat_fraction)
+            (saturated <= _MAX_SATURATED_FRACTION)
+            & (flat <= _MAX_FLAT_FRACTION)
             & (amplitudes > 0.0)
         )
         return ElementHealthReport(
@@ -408,61 +396,21 @@ class ScanController:
         )
 
     def scan_and_select(
-        self,
-        chain,
-        element_pressures_pa: np.ndarray | None = None,
-        dwell_s: float = 1.5,
-        metric: str = "peak_to_peak",
-        batched: bool = True,
-        settle_words: int | None = None,
-        health_screen: bool = False,
-        *,
-        segments: np.ndarray | None = None,
-        fused: bool = False,
+        self, chain, element_pressures_pa: np.ndarray, dwell_s: float,
+        settle_words: int,
     ) -> ElementSelection:
         """Drive a full scan through a readout chain and pick the winner.
 
-        Sequences the chain through every element (:meth:`scan_records`,
-        as a bank of matched modulators by default), drops the
-        filter-flush words at the start of the common record, and feeds
-        the settled signals to :meth:`select_strongest`. With
-        ``health_screen=True`` the settled records are first scored by
-        :meth:`element_health` and unhealthy elements (saturated or
-        flatlined — a railed modulator looks *strong* to a peak-to-peak
-        metric) are excluded from the selection.
-
-        Parameters
-        ----------
-        chain:
-            A :class:`~repro.core.chain.ReadoutChain` built on the same
-            array this controller's multiplexer drives.
-        element_pressures_pa:
-            (n_mod_samples, n_elements) membrane-pressure field covering
-            at least ``n_elements * dwell_s`` of modulator clocks.
-        dwell_s:
-            Seconds spent on each element.
-        batched:
-            Scan as a bank of matched modulators (see :meth:`scan_records`).
-        settle_words:
-            Output words discarded before the amplitude metric; defaults
-            to this controller's ``discard_samples``.
-        health_screen:
-            Exclude elements :meth:`element_health` marks degraded.
+        Sequences ``chain`` through every element in turn for ``dwell_s``
+        each (:meth:`scan_records`: each visit starts from the previous
+        element's final modulator state, as on the chip), drops the
+        first ``settle_words`` filter-flush words of the common record,
+        and feeds the settled signals to :meth:`select_strongest`.
         """
-        records = self.scan_records(
-            chain,
-            element_pressures_pa,
-            dwell_s=dwell_s,
-            batched=batched,
-            segments=segments,
-            fused=fused,
-        )
-        drop = self.discard_samples if settle_words is None else int(settle_words)
-        settled = records[drop:]
-        exclude = None
-        if health_screen:
-            exclude = ~self.element_health(settled).healthy
-        return self.select_strongest(settled, metric=metric, exclude=exclude)
+        if not 0 <= settle_words < math.inf:
+            raise ConfigurationError("settle_words must be a finite count >= 0")
+        records = self.scan_records(chain, element_pressures_pa, dwell_s=dwell_s)
+        return self.select_strongest(records[int(settle_words):])
 
     def schedule(
         self,

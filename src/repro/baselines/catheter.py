@@ -14,6 +14,9 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
+#: Sampling rate of the arterial-line record.
+_LINE_SAMPLE_RATE_HZ = 500.0
+
 
 class CatheterReference:
     """Fluid-filled catheter + external transducer.
@@ -93,16 +96,10 @@ class ArterialLineReference:
     :class:`~repro.core.monitor.BloodPressureMonitor` unchanged.
     """
 
-    def __init__(
-        self,
-        catheter: CatheterReference | None = None,
-        sample_rate_hz: float = 500.0,
-        duration_s: float = 10.0,
-    ):
-        if sample_rate_hz <= 0 or duration_s <= 0:
-            raise ConfigurationError("rate and duration must be positive")
-        self.catheter = catheter or CatheterReference()
-        self.sample_rate_hz = float(sample_rate_hz)
+    def __init__(self, duration_s: float = 10.0):
+        if duration_s <= 0:
+            raise ConfigurationError("duration must be positive")
+        self.catheter = CatheterReference()
         self.duration_s = float(duration_s)
 
     def measure(
@@ -116,21 +113,21 @@ class ArterialLineReference:
         from ..calibration.features import detect_beats
 
         recording = patient.record(
-            duration_s=self.duration_s, sample_rate_hz=self.sample_rate_hz
+            duration_s=self.duration_s, sample_rate_hz=_LINE_SAMPLE_RATE_HZ
         )
         measured = self.catheter.measure(
-            recording.pressure_mmhg, self.sample_rate_hz, rng=rng
+            recording.pressure_mmhg, _LINE_SAMPLE_RATE_HZ, rng=rng
         )
         # Skip the line's settling transient.
-        settled = measured[int(1.0 * self.sample_rate_hz) :]
+        settled = measured[int(1.0 * _LINE_SAMPLE_RATE_HZ) :]
         features = detect_beats(
             settled,
-            self.sample_rate_hz,
+            _LINE_SAMPLE_RATE_HZ,
             expected_rate_bpm=patient.params.heart_rate_bpm,
         )
         systolic = features.mean_systolic_raw
         diastolic = features.mean_diastolic_raw
-        times = np.arange(settled.size) / self.sample_rate_hz
+        times = np.arange(settled.size) / _LINE_SAMPLE_RATE_HZ
         return CuffReading(
             systolic_mmhg=float(systolic),
             diastolic_mmhg=float(diastolic),

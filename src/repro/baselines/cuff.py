@@ -24,6 +24,12 @@ from ..physiology.patient import VirtualPatient
 SYSTOLIC_RATIO = 0.55
 DIASTOLIC_RATIO = 0.60
 
+# How far above (expected) systole the cuff inflates, the RMS noise of
+# its own pressure transducer and the sampling rate of its record.
+_INFLATE_MARGIN_MMHG = 30.0
+_SENSOR_NOISE_MMHG = 0.15
+_SAMPLE_RATE_HZ = 100.0
+
 
 @dataclass(frozen=True)
 class CuffReading:
@@ -46,8 +52,6 @@ class OscillometricCuff:
     ----------
     deflation_rate_mmhg_per_s:
         Linear bleed rate (clinical practice: 2-3 mmHg/s).
-    inflate_margin_mmhg:
-        How far above (expected) systole the cuff inflates.
     width_above_map_mmhg, width_below_map_mmhg:
         Widths of the (asymmetric) bell curve relating oscillation
         amplitude to transmural pressure. Clinical envelopes fall off
@@ -55,37 +59,21 @@ class OscillometricCuff:
         the defaults make the fixed-ratio estimates land near the true
         values for a normotensive subject, as commercial devices are
         tuned to do.
-    sensor_noise_mmhg:
-        RMS noise of the cuff's own pressure transducer.
     """
 
     def __init__(
         self,
         deflation_rate_mmhg_per_s: float = 3.0,
-        inflate_margin_mmhg: float = 30.0,
         width_above_map_mmhg: float = 10.0,
         width_below_map_mmhg: float = 6.0,
-        sensor_noise_mmhg: float = 0.15,
-        sample_rate_hz: float = 100.0,
     ):
         if deflation_rate_mmhg_per_s <= 0:
             raise ConfigurationError("deflation rate must be positive")
-        if (
-            inflate_margin_mmhg <= 0
-            or width_above_map_mmhg <= 0
-            or width_below_map_mmhg <= 0
-        ):
-            raise ConfigurationError("margins/widths must be positive")
-        if sensor_noise_mmhg < 0:
-            raise ConfigurationError("sensor noise must be >= 0")
-        if sample_rate_hz <= 10:
-            raise ConfigurationError("cuff sampling must exceed 10 Hz")
+        if width_above_map_mmhg <= 0 or width_below_map_mmhg <= 0:
+            raise ConfigurationError("widths must be positive")
         self.deflation_rate = float(deflation_rate_mmhg_per_s)
-        self.inflate_margin = float(inflate_margin_mmhg)
         self.width_above_map = float(width_above_map_mmhg)
         self.width_below_map = float(width_below_map_mmhg)
-        self.sensor_noise = float(sensor_noise_mmhg)
-        self.sample_rate_hz = float(sample_rate_hz)
 
     def measure(
         self,
@@ -100,12 +88,12 @@ class OscillometricCuff:
         # Plan the deflation ramp from above systole to below diastole.
         expected_sys = patient.params.systolic_mmhg
         expected_dia = patient.params.diastolic_mmhg
-        start_pressure = expected_sys + self.inflate_margin
+        start_pressure = expected_sys + _INFLATE_MARGIN_MMHG
         stop_pressure = max(expected_dia - 25.0, 20.0)
         duration = (start_pressure - stop_pressure) / self.deflation_rate
 
         recording = patient.record(
-            duration_s=duration + 2.0, sample_rate_hz=self.sample_rate_hz
+            duration_s=duration + 2.0, sample_rate_hz=_SAMPLE_RATE_HZ
         )
         t = recording.times_s
         arterial = recording.pressure_mmhg
@@ -130,7 +118,7 @@ class OscillometricCuff:
         # Full volume swing imprints ~1.5 mmHg on the cuff (clinical
         # oscillation amplitudes are 1-3 mmHg).
         oscillation = 1.5 * volume_state
-        measured = cuff + oscillation + self.sensor_noise * rng.standard_normal(
+        measured = cuff + oscillation + _SENSOR_NOISE_MMHG * rng.standard_normal(
             t.size
         )
 
@@ -145,7 +133,7 @@ class OscillometricCuff:
     ) -> np.ndarray:
         """Per-beat peak-to-peak amplitude, interpolated to the grid."""
         rr = 60.0 / patient.params.heart_rate_bpm
-        window = max(int(rr * self.sample_rate_hz), 4)
+        window = max(int(rr * _SAMPLE_RATE_HZ), 4)
         n_windows = oscillation.size // window
         if n_windows < 5:
             raise SignalQualityError("deflation too fast: too few beats")
@@ -206,5 +194,5 @@ class OscillometricCuff:
         tonometer produces 1000 samples/s, the cuff one reading per
         minute-ish.
         """
-        typical_cycle = (120.0 + self.inflate_margin - 55.0) / self.deflation_rate
+        typical_cycle = (120.0 + _INFLATE_MARGIN_MMHG - 55.0) / self.deflation_rate
         return typical_cycle + rest_s

@@ -29,11 +29,12 @@ import numpy as np
 from ..core.chain import ChainRecording
 from ..core.session import CountedLink, LaneSession, PipelineTelemetry
 from ..errors import ConfigurationError
-from ..faults.detection import QualityConfig
 
 
 class BatchAcquisitionSession(LaneSession):
     """Lockstep streaming acquisition across ``B`` readout chains.
+
+    Recordings carry quality masks under the default detector thresholds.
 
     Parameters
     ----------
@@ -44,17 +45,10 @@ class BatchAcquisitionSession(LaneSession):
     element:
         Element to select on every lane before the first chunk
         (default: keep each chain's current selection).
-    quality:
-        Detector thresholds for the recordings' quality masks.
     """
 
-    def __init__(
-        self,
-        chains,
-        element: int | None = None,
-        quality: QualityConfig | None = None,
-    ):
-        super().__init__(chains, element, quality)
+    def __init__(self, chains, element: int | None = None):
+        super().__init__(chains, element, None)
 
     def _open_link(self, chain) -> CountedLink:
         return CountedLink(chain, chain.chip.selected_element)
@@ -116,7 +110,7 @@ class BatchAcquisitionSession(LaneSession):
         the same lane input, regardless of batch size or chunk split.
         """
         self.finish()
-        return self.links[lane].recording(self._quality)
+        return self.links[lane].recording()
 
     def recordings(self) -> list[ChainRecording]:
         """Recordings for every lane, in lane order."""

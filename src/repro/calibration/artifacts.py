@@ -54,27 +54,16 @@ class ArtifactDetector:
 
     #: Fastest plausible full-height systolic upstroke [s].
     MIN_UPSTROKE_S = 0.06
+    #: Baseline-excursion and local peak-to-peak limits, in pulse scales,
+    #: and the guard band added around every flagged span [s].
+    BASELINE_FACTOR = 0.4
+    AMPLITUDE_FACTOR = 1.5
+    DILATE_S = 0.3
 
-    def __init__(
-        self,
-        slew_factor: float = 1.4,
-        baseline_factor: float = 0.4,
-        amplitude_factor: float = 1.5,
-        dilate_s: float = 0.3,
-    ):
-        for name, value in [
-            ("slew factor", slew_factor),
-            ("baseline factor", baseline_factor),
-            ("amplitude factor", amplitude_factor),
-        ]:
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if dilate_s < 0:
-            raise ConfigurationError("dilation must be >= 0")
+    def __init__(self, slew_factor: float = 1.4):
+        if slew_factor <= 0:
+            raise ConfigurationError("slew factor must be positive")
         self.slew_factor = float(slew_factor)
-        self.baseline_factor = float(baseline_factor)
-        self.amplitude_factor = float(amplitude_factor)
-        self.dilate_s = float(dilate_s)
 
     def detect(
         self, samples: np.ndarray, sample_rate_hz: float
@@ -115,7 +104,7 @@ class ArtifactDetector:
         )
         baseline = sp_signal.sosfiltfilt(sos, x)
         excursion = np.abs(baseline - np.median(baseline))
-        mask |= excursion > self.baseline_factor * pulse_scale
+        mask |= excursion > self.BASELINE_FACTOR * pulse_scale
 
         # 3. Amplitude detector: rolling fast-band peak-to-peak over ~1
         # beat (fast band keeps tap amplitude, drops converter noise).
@@ -123,7 +112,7 @@ class ArtifactDetector:
         local_max = _rolling_extreme(fast, window, np.maximum)
         local_min = _rolling_extreme(fast, window, np.minimum)
         p2p = local_max - local_min
-        mask |= p2p > self.amplitude_factor * pulse_scale
+        mask |= p2p > self.AMPLITUDE_FACTOR * pulse_scale
 
         # 4. Rhythm detector: a tap landing mid-diastole fakes an extra
         # systolic peak — invisible to slew/amplitude (it looks like a
@@ -144,7 +133,7 @@ class ArtifactDetector:
                 mask[max(peak - half, 0) : peak + half] = True
 
         # Dilate flags so event edges are covered.
-        n_dilate = int(self.dilate_s * sample_rate_hz)
+        n_dilate = int(self.DILATE_S * sample_rate_hz)
         if n_dilate > 0 and mask.any():
             kernel = np.ones(2 * n_dilate + 1)
             mask = np.convolve(mask.astype(float), kernel, mode="same") > 0

@@ -73,10 +73,12 @@ def detect_beats(
     samples: np.ndarray,
     sample_rate_hz: float,
     expected_rate_bpm: float = 70.0,
-    filter_cutoff_hz: float = 25.0,
-    min_pulse_fraction: float = 0.25,
 ) -> BeatFeatures:
     """Find beats and extract systolic/diastolic features.
+
+    Beats are the peaks of the cardiac-band (:func:`lowpass_cardiac`)
+    record whose prominence is at least a quarter of the record's
+    peak-to-peak span, which rejects flatlines and pure noise.
 
     Parameters
     ----------
@@ -87,11 +89,6 @@ def detect_beats(
     expected_rate_bpm:
         Prior on the pulse rate; only sets the refractory window
         (0.5 * expected interval), so +/-40 % errors are harmless.
-    filter_cutoff_hz:
-        Pre-detection low-pass cutoff.
-    min_pulse_fraction:
-        Peaks must have prominence of at least this fraction of the
-        record's peak-to-peak span; rejects flatlines and pure noise.
 
     Raises
     ------
@@ -103,7 +100,7 @@ def detect_beats(
         raise ConfigurationError("need a 1-D record of at least 16 samples")
     if expected_rate_bpm <= 0:
         raise ConfigurationError("expected rate must be positive")
-    filtered = lowpass_cardiac(x, sample_rate_hz, filter_cutoff_hz)
+    filtered = lowpass_cardiac(x, sample_rate_hz)
 
     span = float(filtered.max() - filtered.min())
     if span <= 0.0:
@@ -114,7 +111,7 @@ def detect_beats(
     peaks, _ = signal.find_peaks(
         filtered,
         distance=max(min_distance, 1),
-        prominence=min_pulse_fraction * span,
+        prominence=0.25 * span,
     )
     if peaks.size < 2:
         raise SignalQualityError(

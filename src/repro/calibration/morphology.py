@@ -40,12 +40,11 @@ def ensemble_average_beat(
     waveform: np.ndarray,
     sample_rate_hz: float,
     features: BeatFeatures,
-    n_phase: int = 200,
     exclude_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average all complete beats onto a common phase grid.
 
-    Beats are delimited foot-to-foot; each is resampled to ``n_phase``
+    Beats are delimited foot-to-foot; each is resampled to 200 phase
     points and the pointwise median taken (robust to the odd corrupted
     beat). With ``exclude_mask`` (e.g. from
     :class:`~repro.calibration.artifacts.ArtifactDetector`), beats that
@@ -63,7 +62,7 @@ def ensemble_average_beat(
     else:
         exclude = None
     feet = (features.foot_times_s * sample_rate_hz).astype(int)
-    phase = np.linspace(0.0, 1.0, n_phase, endpoint=False)
+    phase = np.linspace(0.0, 1.0, 200, endpoint=False)
     beats = []
     for start, stop in zip(feet[:-1], feet[1:]):
         if stop - start < 8 or stop > x.size:

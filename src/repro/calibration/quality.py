@@ -53,7 +53,6 @@ def assess_quality(
     samples: np.ndarray,
     sample_rate_hz: float,
     expected_rate_bpm: float = 70.0,
-    cardiac_cutoff_hz: float = 25.0,
 ) -> SignalQualityReport:
     """Score a raw record; raises only on malformed input.
 
@@ -65,7 +64,7 @@ def assess_quality(
     if x.ndim != 1 or x.size < 32:
         raise ConfigurationError("need a 1-D record of at least 32 samples")
 
-    cardiac = lowpass_cardiac(x, sample_rate_hz, cardiac_cutoff_hz)
+    cardiac = lowpass_cardiac(x, sample_rate_hz)
     residual = x - cardiac
     noise_rms = float(np.sqrt(np.mean(residual**2)))
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 import time
 from typing import Callable
@@ -197,9 +198,12 @@ def cmd_run(
     return 0
 
 
-def cmd_batch(
-    lanes: int, duration_s: float = 1.0, chunk_s: float = 0.25
-) -> int:
+#: Record length and chunk length of each ``run --batch`` lane [s].
+_BATCH_DURATION_S = 1.0
+_BATCH_CHUNK_S = 0.25
+
+
+def cmd_batch(lanes: int) -> int:
     """Batched lockstep acquisition: many concurrent sessions, one pass.
 
     Streams ``lanes`` concurrent 1 kS/s sessions through the fused
@@ -219,17 +223,14 @@ def cmd_batch(
     if lanes < 1:
         print("--batch needs >= 1 lane", file=sys.stderr)
         return 2
-    if duration_s <= 0 or chunk_s <= 0:
-        print("duration and chunk must be positive", file=sys.stderr)
-        return 2
     params = SystemParams().replace(nonideality=NonidealityParams.ideal())
     chains = [
         ReadoutChain(params, rng=np.random.default_rng(lane))
         for lane in range(lanes)
     ]
     fs = params.modulator.sampling_rate_hz
-    n = int(duration_s * fs)
-    step = max(1, int(chunk_s * fs))
+    n = int(_BATCH_DURATION_S * fs)
+    step = max(1, int(_BATCH_CHUNK_S * fs))
     n_el = chains[0].chip.mux.array.n_elements
     t = np.arange(n) / fs
     pulse = 2500.0 * np.sin(2 * np.pi * 1.2 * t) + 1500.0 * np.sin(
@@ -238,8 +239,8 @@ def cmd_batch(
     field = np.repeat(pulse[:, None], n_el, axis=1)
 
     print(
-        f"batch: {lanes} lane(s), {duration_s:.2f} s each, "
-        f"chunk {chunk_s:.2f} s ...",
+        f"batch: {lanes} lane(s), {_BATCH_DURATION_S:.2f} s each, "
+        f"chunk {_BATCH_CHUNK_S:.2f} s ...",
         flush=True,
     )
     session = BatchAcquisitionSession(chains, element=1)
@@ -341,12 +342,6 @@ def cmd_faults(
     nonzero if the degradation contract is violated — any silent
     corruption, an undetected event, or a record that did not survive.
     """
-    if duration_s <= 0:
-        print("duration must be positive", file=sys.stderr)
-        return 2
-    if rate < 0:
-        print("rate must be >= 0", file=sys.stderr)
-        return 2
     print(
         f"fault matrix: kinds={'all' if not kinds else ','.join(kinds)}, "
         f"rate={rate:g} Hz, {duration_s:g} s records, jobs={jobs} ...",
@@ -472,9 +467,6 @@ def _cmd_stream(
     from .tonometry.coupling import TonometricCoupling
     from .tonometry.placement import ArrayPlacement
 
-    if duration_s <= 0 or chunk_s <= 0:
-        print("duration and chunk must be positive", file=sys.stderr)
-        return 2
     params = paper_defaults()
     patient_params = PatientParams()
     rng = np.random.default_rng(99)
@@ -751,17 +743,33 @@ def cmd_describe() -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: a worker count of at least one."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}"
-        )
-    return value
+def _argument_type(convert: Callable, accept: Callable, expected: str):
+    """argparse type: ``convert(text)``, refused unless ``accept`` holds."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _argument_type(int, lambda v: v >= 1, "an integer >= 1")
+_positive_seconds = _argument_type(
+    float, lambda v: 0 < v < math.inf, "a positive finite number"
+)
+_finite_rate = _argument_type(
+    float, lambda v: 0 <= v < math.inf, "a finite number >= 0"
+)
+_device_id = _argument_type(
+    int, lambda v: 0 <= v <= 0xFFFFFFFF, "an integer in [0, 2**32)"
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -811,10 +819,12 @@ def main(argv: list[str] | None = None) -> int:
         "stream", help="live chunked acquisition with per-stage telemetry"
     )
     stream_parser.add_argument(
-        "--duration", type=float, default=10.0, help="record length [s]"
+        "--duration", type=_positive_seconds, default=10.0,
+        help="record length [s]",
     )
     stream_parser.add_argument(
-        "--chunk", type=float, default=0.25, help="chunk duration [s]"
+        "--chunk", type=_positive_seconds, default=0.25,
+        help="chunk duration [s]",
     )
     stream_parser.add_argument(
         "--element", type=int, default=None,
@@ -832,7 +842,7 @@ def main(argv: list[str] | None = None) -> int:
         "--subjects", type=int, default=10, help="virtual subject count"
     )
     population_parser.add_argument(
-        "--duration", type=float, default=10.0,
+        "--duration", type=_positive_seconds, default=10.0,
         help="record length per subject [s]",
     )
     population_parser.add_argument(
@@ -876,11 +886,11 @@ def main(argv: list[str] | None = None) -> int:
         help="fault kinds to inject (default: all)",
     )
     faults_parser.add_argument(
-        "--rate", type=float, default=1.0,
+        "--rate", type=_finite_rate, default=1.0,
         help="Poisson event rate per kind [Hz]",
     )
     faults_parser.add_argument(
-        "--duration", type=float, default=4.0,
+        "--duration", type=_positive_seconds, default=4.0,
         help="record length per matrix cell [s]",
     )
     faults_parser.add_argument(
@@ -951,7 +961,8 @@ def main(argv: list[str] | None = None) -> int:
         "--port", type=int, default=9750, help="gateway data port"
     )
     device_parser.add_argument(
-        "--id", type=int, default=0, dest="device_id", help="device id"
+        "--id", type=_device_id, default=0, dest="device_id",
+        help="device id",
     )
     device_parser.add_argument(
         "--frames", type=int, default=200, help="frames to stream"

@@ -66,22 +66,19 @@ class ReadoutChain:
     params:
         System parameters; the FPGA filter and modulator rates are wired
         consistently from them.
-    chip:
-        Optional pre-built chip (to share one chip across experiments).
     backend:
         Modulator simulation backend, ``"fast"`` (default) or
-        ``"reference"``; ignored when a pre-built ``chip`` is passed.
+        ``"reference"``.
     """
 
     def __init__(
         self,
         params: SystemParams | None = None,
-        chip: SensorChip | None = None,
         rng: np.random.Generator | None = None,
         backend: str = "fast",
     ):
         self.params = params or SystemParams()
-        self.chip = chip or SensorChip(self.params, rng=rng, backend=backend)
+        self.chip = SensorChip(self.params, rng=rng, backend=backend)
         self.fpga = FPGAFilterBank(
             params=self.params.decimation,
             input_rate_hz=self.params.modulator.sampling_rate_hz,

@@ -171,11 +171,10 @@ class SensorChip:
 
     # -- derived figures --------------------------------------------------------
 
-    def pressure_to_loop_gain(self, operating_pressure_pa: float = 0.0) -> float:
-        """End-to-end small-signal gain d(u)/d(P_membrane) [1/Pa]."""
-        sens = self.array.sensor.pressure_sensitivity_f_per_pa(
-            operating_pressure_pa
-        )
+    def pressure_to_loop_gain(self) -> float:
+        """End-to-end small-signal gain d(u)/d(P_membrane) [1/Pa] at
+        zero membrane pressure."""
+        sens = self.array.sensor.pressure_sensitivity_f_per_pa(0.0)
         return sens * self.frontend.gain_per_farad
 
     def full_scale_pressure_pa(self) -> float:

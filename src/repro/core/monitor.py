@@ -17,6 +17,7 @@ errors — the numbers Fig. 9 could only show qualitatively.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -260,8 +261,7 @@ class BloodPressureMonitor:
         controller = ScanController(self.chain.chip.mux)
         # Drop the filter-flush words at the start of the record.
         return controller.scan_and_select(
-            self.chain, field, dwell_s=dwell_s, batched=False,
-            settle_words=8,
+            self.chain, field, dwell_s=dwell_s, settle_words=8
         )
 
     def measure(
@@ -277,6 +277,10 @@ class BloodPressureMonitor:
         holds O(chunk) memory at the modulator rate and the result
         carries :class:`~repro.core.session.PipelineTelemetry`.
         """
+        if not math.isfinite(duration_s) or not 0 < scan_dwell_s < math.inf:
+            raise ConfigurationError(
+                "duration and scan dwell must be positive and finite"
+            )
         if duration_s < 5.0:
             raise ConfigurationError(
                 "need >= 5 s of recording for stable beat features"

@@ -37,7 +37,8 @@ import numpy as np
 
 from .. import native
 from .stream import SampleStream
-from .usb import _CRC_TABLE, FRAME_OVERHEAD, SYNC, FrameDecoder, crc16_ccitt
+from .usb import _CRC_TABLE, COUNT_OFFSET, ELEMENT_OFFSET, FRAME_OVERHEAD
+from .usb import SEQ_OFFSET, SYNC, FrameDecoder, crc16_ccitt
 
 _SYNC0, _SYNC1 = SYNC[0], SYNC[1]
 
@@ -97,15 +98,15 @@ class Run:
     @property
     def sequences(self) -> np.ndarray:
         return (
-            self.mat[:, 2].astype(np.int64)
-            | (self.mat[:, 3].astype(np.int64) << 8)
+            self.mat[:, SEQ_OFFSET].astype(np.int64)
+            | (self.mat[:, SEQ_OFFSET + 1].astype(np.int64) << 8)
         )
 
     @property
     def elements(self) -> np.ndarray:
         return (
-            self.mat[:, 4].astype(np.int64)
-            | (self.mat[:, 5].astype(np.int64) << 8)
+            self.mat[:, ELEMENT_OFFSET].astype(np.int64)
+            | (self.mat[:, ELEMENT_OFFSET + 1].astype(np.int64) << 8)
         )
 
 
@@ -145,7 +146,7 @@ def stage(decoder: FrameDecoder, data: bytes) -> Staged:
         and buf[pos] == _SYNC0
         and buf[pos + 1] == _SYNC1
     ):
-        count = buf[pos + 6]
+        count = buf[pos + COUNT_OFFSET]
         total = FRAME_OVERHEAD + 2 * count
         k_cap = (n - pos) // total
         if k_cap == 0:
@@ -157,7 +158,7 @@ def stage(decoder: FrameDecoder, data: bytes) -> Staged:
             good = (
                 (block[:, 0] == _SYNC0)
                 & (block[:, 1] == _SYNC1)
-                & (block[:, 6] == count)
+                & (block[:, COUNT_OFFSET] == count)
             )
             k = k_cap if good.all() else max(int(np.argmin(good)), 1)
         runs.append((pos, total, count, k))

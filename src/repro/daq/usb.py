@@ -28,6 +28,12 @@ from ..errors import ConfigurationError, FramingError
 SYNC = b"\xa5\x5a"
 MAX_SAMPLES_PER_FRAME = 255
 _HEADER = struct.Struct("<2sHHB")
+#: Byte offsets of the header fields after the two sync bytes: the
+#: sequence number (u16, low byte first), the element tag (u16, low byte
+#: first) and the sample count (u8, the header's last byte).
+SEQ_OFFSET = 2
+ELEMENT_OFFSET = 4
+COUNT_OFFSET = 6
 _CRC = struct.Struct("<H")
 #: Bytes a frame adds around its ``2 * count`` sample bytes (header + CRC).
 FRAME_OVERHEAD = _HEADER.size + _CRC.size
@@ -274,7 +280,7 @@ class FrameDecoder:
                 return max(n - 1, pos), 0
             pos = start
             if n - pos >= _HEADER.size:
-                total = FRAME_OVERHEAD + 2 * buf[pos + 6]
+                total = FRAME_OVERHEAD + 2 * buf[pos + COUNT_OFFSET]
                 if n - pos >= total:
                     body = bytes(buf[pos : pos + total - _CRC.size])
                     (crc_rx,) = _CRC.unpack_from(buf, pos + total - _CRC.size)
@@ -325,7 +331,7 @@ def split_frames(payload: bytes) -> list[bytes]:
     while pos < n:
         if n - pos < FRAME_OVERHEAD or payload[pos : pos + 2] != SYNC:
             raise FramingError("payload is not a clean frame concatenation")
-        total = FRAME_OVERHEAD + 2 * payload[pos + 6]
+        total = FRAME_OVERHEAD + 2 * payload[pos + COUNT_OFFSET]
         if n - pos < total:
             raise FramingError("payload ends inside a frame")
         frames.append(payload[pos : pos + total])
@@ -337,4 +343,4 @@ def frame_sequence(frame: bytes) -> int:
     """Sequence number of one intact data frame."""
     if len(frame) < FRAME_OVERHEAD or frame[:2] != SYNC:
         raise FramingError("not a data frame")
-    return frame[2] | (frame[3] << 8)
+    return frame[SEQ_OFFSET] | (frame[SEQ_OFFSET + 1] << 8)

@@ -17,7 +17,6 @@ from .spectrum import (
     coherent_tone_frequency,
     enob_from_sndr,
 )
-from .windows import WindowSpec, get_window
 
 __all__ = [
     "CICDecimator",
@@ -26,12 +25,10 @@ __all__ = [
     "FIRDecimator",
     "QFormat",
     "SpectrumAnalysis",
-    "WindowSpec",
     "analyze_tone",
     "coherent_tone_frequency",
     "design_compensation_fir",
     "enob_from_sndr",
-    "get_window",
     "saturate",
     "wrap_twos_complement",
 ]

@@ -199,23 +199,21 @@ class DecimationFilter:
 
     # -- analysis -------------------------------------------------------------
 
-    def cascade_frequency_response(
-        self, freqs_hz: np.ndarray, quantized: bool = True
-    ) -> np.ndarray:
-        """|H(f)| of CIC x FIR, normalized CIC to unity DC gain."""
+    def cascade_frequency_response(self, freqs_hz: np.ndarray) -> np.ndarray:
+        """|H(f)| of CIC x quantized FIR, normalized CIC to unity DC gain."""
         freqs = np.asarray(freqs_hz, dtype=float)
         cic_mag = self.cic.frequency_response(freqs, self.input_rate_hz)
         fir_mag = self.fir.frequency_response(
-            freqs, self._fir_rate_hz, quantized=quantized
+            freqs, self._fir_rate_hz, quantized=True
         )
         return cic_mag * fir_mag
 
-    def measured_cutoff_hz(self, tolerance_db: float = 3.0) -> float:
-        """Frequency where the cascade response first drops by tolerance_db."""
+    def measured_cutoff_hz(self) -> float:
+        """Frequency where the cascade response first drops by 3 dB."""
         freqs = np.linspace(1.0, self.output_rate_hz, 4001)
         mag = self.cascade_frequency_response(freqs)
         mag_db = 20.0 * np.log10(np.maximum(mag, 1e-12))
-        below = np.nonzero(mag_db <= -tolerance_db)[0]
+        below = np.nonzero(mag_db <= -3.0)[0]
         if below.size == 0:
             return float(freqs[-1])
         return float(freqs[below[0]])

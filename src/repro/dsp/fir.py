@@ -34,7 +34,6 @@ def design_compensation_fir(
     input_rate_hz: float,
     cutoff_hz: float,
     cic: CICDecimator | None = None,
-    transition_hz: float | None = None,
 ) -> np.ndarray:
     """Design the droop-compensating low-pass FIR (float coefficients).
 
@@ -57,9 +56,8 @@ def design_compensation_fir(
     cic:
         If given, the passband target is 1/|H_cic(f)| so the cascade is
         flat; otherwise the passband target is unity.
-    transition_hz:
-        Width of the raised-cosine transition band; defaults to 20 % of
-        the cutoff.
+
+    The raised-cosine transition band is 20 % of the cutoff wide.
     """
     if taps < 8:
         raise ConfigurationError("FIR needs at least 8 taps")
@@ -68,7 +66,7 @@ def design_compensation_fir(
         raise ConfigurationError(
             f"cutoff {cutoff_hz} Hz must lie inside (0, {nyquist}) Hz"
         )
-    transition = transition_hz if transition_hz is not None else 0.2 * cutoff_hz
+    transition = 0.2 * cutoff_hz
     if cutoff_hz + transition / 2.0 >= nyquist:
         raise ConfigurationError("transition band extends past Nyquist")
 

@@ -18,26 +18,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .windows import WindowSpec, get_window
+from .windows import HANN_HALF_LEAKAGE_BINS, hann
 
 
 def coherent_tone_frequency(
-    target_hz: float, sample_rate_hz: float, n_samples: int, odd_bin: bool = True
+    target_hz: float, sample_rate_hz: float, n_samples: int
 ) -> float:
     """Snap a tone frequency onto an exact DFT bin (coherent sampling).
 
     Coherent sampling removes spectral leakage entirely, which is how ADC
     test setups (and Fig. 7's 15.625 Hz = bin 16 of a 1024-point, 1 kS/s
-    record... exactly 1 kHz/64) choose their tone. With ``odd_bin`` the
-    bin count is forced odd so the tone period and record length share no
-    common factor — every quantizer code is exercised.
+    record... exactly 1 kHz/64) choose their tone. The bin count is forced
+    odd so the tone period and record length share no common factor —
+    every quantizer code is exercised.
     """
     if not 0 < target_hz < sample_rate_hz / 2:
         raise ConfigurationError("target tone must lie in (0, Nyquist)")
     if n_samples < 16:
         raise ConfigurationError("need at least 16 samples")
     bin_index = max(1, round(target_hz * n_samples / sample_rate_hz))
-    if odd_bin and bin_index % 2 == 0:
+    if bin_index % 2 == 0:
         bin_index += 1
     if bin_index >= n_samples // 2:
         raise ConfigurationError("coherent bin would exceed Nyquist")
@@ -60,16 +60,10 @@ class SpectrumAnalysis:
     thd_db: float
     sfdr_db: float
     enob_bits: float
-    window: str
 
-    def power_db(self, reference: str = "signal") -> np.ndarray:
-        """Spectrum in dB re the tone ('signal') or re the peak bin."""
-        if reference == "signal":
-            ref = self.signal_power
-        elif reference == "peak":
-            ref = float(self.power.max())
-        else:
-            raise ConfigurationError("reference must be 'signal' or 'peak'")
+    def power_db(self) -> np.ndarray:
+        """Spectrum in dB re the peak bin."""
+        ref = float(self.power.max())
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(self.power / ref)
 
@@ -91,11 +85,11 @@ def analyze_tone(
     samples: np.ndarray,
     sample_rate_hz: float,
     tone_hz: float | None = None,
-    window: str = "hann",
-    n_harmonics: int = 5,
     max_band_hz: float | None = None,
 ) -> SpectrumAnalysis:
     """Measure SNR/SNDR/THD/SFDR/ENOB of a digitized sine.
+
+    The record is Hann-windowed; harmonics 2..6 are booked as distortion.
 
     Parameters
     ----------
@@ -105,10 +99,6 @@ def analyze_tone(
         Output sample rate (1 kS/s in the paper).
     tone_hz:
         Nominal tone frequency; found from the peak bin when omitted.
-    window:
-        Analysis window (see :mod:`repro.dsp.windows`).
-    n_harmonics:
-        Harmonics 2..n_harmonics+1 are booked as distortion.
     max_band_hz:
         Restrict the analysis band (e.g. to the 500 Hz filter cutoff);
         defaults to Nyquist.
@@ -116,15 +106,14 @@ def analyze_tone(
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 64:
         raise ConfigurationError("need a 1-D record of at least 64 samples")
-    spec = get_window(window, samples.size)
-    freqs, power = _one_sided_power(samples, sample_rate_hz, spec)
+    freqs, power = _one_sided_power(samples, sample_rate_hz, hann(samples.size))
     bin_hz = freqs[1] - freqs[0]
     n_bins = freqs.size
 
     band_limit = max_band_hz if max_band_hz is not None else sample_rate_hz / 2.0
     band = freqs <= band_limit + 0.5 * bin_hz
 
-    guard = spec.half_leakage_bins
+    guard = HANN_HALF_LEAKAGE_BINS
     # DC region: bin 0 plus the window's leakage skirt.
     dc_bins = np.arange(0, min(guard + 1, n_bins))
 
@@ -149,7 +138,7 @@ def analyze_tone(
 
     # Harmonic bins (with aliasing back into the first Nyquist zone).
     harmonic_bins: list[np.ndarray] = []
-    for k in range(2, 2 + n_harmonics):
+    for k in range(2, 7):
         alias = _alias_bin(k * tone_bin, samples.size)
         if alias in (0, tone_bin):
             continue
@@ -198,22 +187,21 @@ def analyze_tone(
         thd_db=float(thd_db),
         sfdr_db=float(sfdr_db),
         enob_bits=enob_from_sndr(float(sndr_db)),
-        window=spec.name,
     )
 
 
 def _one_sided_power(
-    samples: np.ndarray, sample_rate_hz: float, spec: WindowSpec
+    samples: np.ndarray, sample_rate_hz: float, window: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-sided windowed power spectrum, coherent-gain corrected."""
     if sample_rate_hz <= 0:
         raise ConfigurationError("sample rate must be positive")
     n = samples.size
-    windowed = samples * spec.values
+    windowed = samples * window
     fft = np.fft.rfft(windowed)
     # Amplitude-correct normalization: a unit-amplitude coherent tone
     # produces signal power 0.5 summed over its leakage skirt.
-    scale = 1.0 / (spec.coherent_gain * n)
+    scale = 1.0 / (float(np.mean(window)) * n)
     power = np.abs(fft * scale) ** 2
     power[1:] *= 2.0  # fold negative frequencies
     if n % 2 == 0:

@@ -61,7 +61,7 @@ class Fig7Result:
     def spectrum_db(self) -> tuple[np.ndarray, np.ndarray]:
         """(freqs, dB-re-peak-bin) series matching the Fig. 7 axes (the
         paper plots the tone bin at 0 dB)."""
-        return self.analysis.freqs_hz, self.analysis.power_db("peak")
+        return self.analysis.freqs_hz, self.analysis.power_db()
 
 
 def run_fig7(

@@ -46,6 +46,9 @@ from .server import GatewayServer
 #: How long a BYE may take to close its server-side session.
 CLOSE_TIMEOUT_S = 5.0
 
+#: Nominal frame rate a sick device's fault schedule is timed against.
+_FAULT_FRAME_RATE_HZ = 50.0
+
 #: Fault kinds every sick device draws from (one seeded process each).
 CHAOS_KINDS = (
     "frame_drop",
@@ -230,11 +233,9 @@ async def run_chaos(
     samples_per_frame: int = 32,
     faulty_fraction: float = 0.5,
     fault_rate_hz: float = 2.0,
-    fault_frame_rate_hz: float = 50.0,
     reconnect_every: int | None = 40,
     seed: int = 0,
     queue_chunks: int = 64,
-    heartbeat_s: float = 0.05,
 ) -> ChaosReport:
     """Run the fleet, then audit every connection. Returns the report.
 
@@ -262,7 +263,7 @@ async def run_chaos(
         faults = (
             _chaos_injector(
                 seed + did, frames_per_device, fault_rate_hz,
-                fault_frame_rate_hz,
+                _FAULT_FRAME_RATE_HZ,
             )
             if did in faulty_ids
             else None
@@ -276,9 +277,9 @@ async def run_chaos(
                     frames_per_device, samples_per_frame
                 ),
                 faults=faults,
-                fault_frame_rate_hz=fault_frame_rate_hz,
+                fault_frame_rate_hz=_FAULT_FRAME_RATE_HZ,
                 drop_every=reconnect_every,
-                heartbeat_s=heartbeat_s,
+                heartbeat_s=0.05,
                 replay_limit=frames_per_device + 1,
             )
         )

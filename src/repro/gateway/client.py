@@ -51,6 +51,9 @@ def _after(seq: int, acked: int) -> bool:
 #: Runs an iterator to exhaustion at C speed, keeping nothing.
 _consume = deque(maxlen=0).extend
 
+#: Modulator samples per batch-session call of the chain payload sources.
+_PAYLOAD_CHUNK = 4096
+
 
 # -- payload sources ---------------------------------------------------------
 
@@ -68,9 +71,10 @@ def expected_codes(n_frames: int, samples_per_frame: int = 64) -> np.ndarray:
 
 
 def synthetic_payloads(
-    n_frames: int, samples_per_frame: int = 64, element: int = 0
+    n_frames: int, samples_per_frame: int = 64
 ) -> Iterator[bytes]:
-    """Framed payloads (one frame each) with index-derived sample values.
+    """Framed payloads (one frame each, element 0) with index-derived
+    sample values.
 
     A fresh :class:`~repro.daq.usb.FrameEncoder` numbers the frames from
     sequence 0, matching the gateway's fresh-HELLO expectation.
@@ -80,25 +84,25 @@ def synthetic_payloads(
     encoder = FrameEncoder(samples_per_frame=samples_per_frame)
     codes = expected_codes(n_frames, samples_per_frame)
     for chunk in codes.reshape(n_frames, samples_per_frame):
-        yield encoder.push(chunk, element)
+        yield encoder.push(chunk, 0)
 
 
 def chain_payloads(
-    chain, field: np.ndarray, element: int = 0, chunk: int = 4096
+    chain, field: np.ndarray, element: int = 0
 ) -> Iterator[bytes]:
     """Framed payloads from a full physics chain run over a pressure field.
 
     The one-lane case of :func:`batch_chain_payloads`: streams ``field``
-    (n_samples, n_elements) through the chain in ``chunk``-row slices,
-    yielding each slice's framed output; the final flush payload closes
-    the stream. The chain's encoder keeps numbering across sessions
+    (n_samples, n_elements) through the chain in ``_PAYLOAD_CHUNK``-row
+    slices, yielding each slice's framed output; the final flush payload
+    closes the stream. The chain's encoder keeps numbering across sessions
     exactly as on hardware.
     """
-    yield from batch_chain_payloads([chain], [field], element, chunk)[0]
+    yield from batch_chain_payloads([chain], [field], element)[0]
 
 
 def batch_chain_payloads(
-    chains, fields, element: int = 0, chunk: int = 4096
+    chains, fields, element: int = 0
 ) -> list[list[bytes]]:
     """Per-device framed payload lists for a whole fleet, in one pass.
 
@@ -123,9 +127,9 @@ def batch_chain_payloads(
     session = BatchAcquisitionSession(chains, element=element)
     payload_lists: list[list[bytes]] = [[] for _ in chains]
     n = fields[0].shape[0]
-    for start in range(0, n, chunk):
+    for start in range(0, n, _PAYLOAD_CHUNK):
         delivered = session.feed_pressure(
-            [f[start : start + chunk] for f in fields]
+            [f[start : start + _PAYLOAD_CHUNK] for f in fields]
         )
         for lane, c in enumerate(chains):
             payload = c.fpga.encoder.push(delivered[lane], element)

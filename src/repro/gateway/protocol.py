@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..daq.usb import (
+    COUNT_OFFSET,
     FRAME_OVERHEAD,
     MAX_SAMPLES_PER_FRAME,
     SYNC,
@@ -178,7 +179,7 @@ def _data_run_end(buf: bytearray, pos: int, n: int, total: int) -> int:
     ok = (
         (arr[:, 0] == SYNC[0])
         & (arr[:, 1] == SYNC[1])
-        & (arr[:, 6] == buf[pos + 6])
+        & (arr[:, COUNT_OFFSET] == buf[pos + COUNT_OFFSET])
     )
     bad = np.flatnonzero(~ok)
     run = k if bad.size == 0 else int(bad[0])
@@ -278,9 +279,9 @@ class ControlDemux:
                     out.append(byte)
                     pos += 1
                     continue
-                if n - pos < 7:
+                if n - pos <= COUNT_OFFSET:
                     break  # wait for the count byte
-                total = FRAME_OVERHEAD + 2 * buf[pos + 6]
+                total = FRAME_OVERHEAD + 2 * buf[pos + COUNT_OFFSET]
                 if n - pos < total:
                     break  # wait for the claimed frame
                 end = _data_run_end(buf, pos, n, total)

@@ -167,19 +167,17 @@ class MembraneSensor:
         """dC/dP at an operating point [F/Pa]."""
         return float(self._fit.deriv()(float(pressure_pa)))
 
-    def linearity_error(
-        self, pressure_pa: np.ndarray | float, reference_point_pa: float = 0.0
-    ) -> np.ndarray:
-        """Deviation of C(P) from its tangent at the reference point.
+    def linearity_error(self, pressure_pa: np.ndarray | float) -> np.ndarray:
+        """Deviation of C(P) from its tangent at zero pressure.
 
         Expressed as a fraction of the rest capacitance; the benchmark for
         the membrane transfer (FIG2/MEM in DESIGN.md) reports this.
         """
         pressure = np.atleast_1d(np.asarray(pressure_pa, dtype=float))
         c = self.capacitance_f(pressure)
-        c_ref = float(self._fit(reference_point_pa))
-        slope = self.pressure_sensitivity_f_per_pa(reference_point_pa)
-        tangent = c_ref + slope * (pressure - reference_point_pa)
+        c_ref = float(self._fit(0.0))
+        slope = self.pressure_sensitivity_f_per_pa(0.0)
+        tangent = c_ref + slope * pressure
         return (c - tangent) / self.rest_capacitance_f
 
     def describe(self) -> str:

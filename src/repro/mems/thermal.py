@@ -52,31 +52,30 @@ class ThermalState:
 class ThermalMembraneModel:
     """Temperature-dependent membrane transfer.
 
-    Builds a reference :class:`MembraneSensor` at the calibration
-    temperature and evaluates sensitivity/offset drift at other
-    temperatures by re-solving the plate with the shifted residual
-    stress (exact, not linearized — construction is cached per queried
-    temperature).
+    Builds a reference :class:`MembraneSensor` for the paper-default
+    membrane at the calibration temperature and evaluates
+    sensitivity/offset drift at other temperatures by re-solving the
+    plate with the shifted residual stress (exact, not linearized —
+    construction is cached per queried temperature).
     """
 
-    def __init__(
-        self,
-        params: MembraneParams | None = None,
-        reference_temperature_c: float = 23.0,
-        stress_tc_pa_per_k: float = STRESS_TEMPERATURE_COEFF_PA_PER_K,
-    ):
-        self.params = params or MembraneParams()
-        self.reference_temperature_c = float(reference_temperature_c)
-        self.stress_tc = float(stress_tc_pa_per_k)
+    #: Calibration temperature [degC].
+    REFERENCE_TEMPERATURE_C = 23.0
+
+    def __init__(self):
+        self.params = MembraneParams()
         self._cache: dict[float, MembraneSensor] = {}
-        self.reference = self.sensor_at(reference_temperature_c)
+        self.reference = self.sensor_at(self.REFERENCE_TEMPERATURE_C)
 
     def sensor_at(self, temperature_c: float) -> MembraneSensor:
         """Membrane model at a given die temperature."""
         key = round(float(temperature_c), 3)
         if key not in self._cache:
-            delta_t = key - self.reference_temperature_c
-            stress = self.params.residual_stress_pa + self.stress_tc * delta_t
+            delta_t = key - self.REFERENCE_TEMPERATURE_C
+            stress = (
+                self.params.residual_stress_pa
+                + STRESS_TEMPERATURE_COEFF_PA_PER_K * delta_t
+            )
             import dataclasses
 
             shifted = dataclasses.replace(

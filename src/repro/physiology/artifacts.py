@@ -59,32 +59,28 @@ class MotionArtifactGenerator:
         Mean Poisson rate of short, sharp knock transients.
     flexion_rate_per_min:
         Mean rate of slower wrist-flexion baseline excursions.
-    tap_peak_mmhg / flexion_peak_mmhg:
-        Typical peak magnitudes (randomized ±50 %).
     creep_mmhg_per_min:
         Deterministic slow strap-creep drift rate.
     """
+
+    #: Typical peak magnitudes of taps and flexions (randomized ±50 %).
+    TAP_PEAK_MMHG = 30.0
+    FLEXION_PEAK_MMHG = 15.0
 
     def __init__(
         self,
         tap_rate_per_min: float = 2.0,
         flexion_rate_per_min: float = 1.0,
-        tap_peak_mmhg: float = 30.0,
-        flexion_peak_mmhg: float = 15.0,
         creep_mmhg_per_min: float = 1.0,
     ):
         for name, value in [
             ("tap rate", tap_rate_per_min),
             ("flexion rate", flexion_rate_per_min),
-            ("tap peak", tap_peak_mmhg),
-            ("flexion peak", flexion_peak_mmhg),
         ]:
             if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
         self.tap_rate = float(tap_rate_per_min)
         self.flexion_rate = float(flexion_rate_per_min)
-        self.tap_peak = float(tap_peak_mmhg)
-        self.flexion_peak = float(flexion_peak_mmhg)
         self.creep_rate = float(creep_mmhg_per_min)
 
     def generate(
@@ -114,9 +110,9 @@ class MotionArtifactGenerator:
                     ArtifactEvent(kind, start, duration, sign * magnitude)
                 )
 
-        add_events(self.tap_rate, "tap", self.tap_peak, (0.05, 0.2))
+        add_events(self.tap_rate, "tap", self.TAP_PEAK_MMHG, (0.05, 0.2))
         add_events(
-            self.flexion_rate, "flexion", self.flexion_peak, (1.0, 4.0)
+            self.flexion_rate, "flexion", self.FLEXION_PEAK_MMHG, (1.0, 4.0)
         )
 
         for event in events:

@@ -1,8 +1,8 @@
 """The virtual patient: ground-truth arterial pressure on demand.
 
-Composes the beat scheduler, the pulse template (or Windkessel), and the
-respiration model into a single façade producing the intra-arterial
-pressure waveform at any sampling rate — with the per-beat ground-truth
+Composes the beat scheduler, the pulse template and the respiration
+model into a single façade producing the intra-arterial pressure
+waveform at any sampling rate — with the per-beat ground-truth
 systolic/diastolic values that the fabricated sensor of the paper could
 only approximate with a cuff.
 """
@@ -65,13 +65,8 @@ class VirtualPatient:
     params:
         Target systole/diastole, heart rate, variability, respiration.
     template:
-        Pulse-shape override (default: radial template).
-    engine:
-        Waveform engine: ``"template"`` (default — phase-locked radial
-        template, exact sys/dia targets) or ``"windkessel"`` (2-element
-        Windkessel ODE; the mechanistic shape, affinely rescaled to the
-        target sys/dia so downstream code sees the requested operating
-        point either way).
+        Pulse-shape override (default: radial template), phase-locked to
+        the beat schedule so the record hits the sys/dia targets exactly.
     rng:
         Randomness source for HRV; fixed default for reproducibility.
     """
@@ -80,14 +75,10 @@ class VirtualPatient:
         self,
         params: PatientParams | None = None,
         template: RadialPulseTemplate | None = None,
-        engine: str = "template",
         rng: np.random.Generator | None = None,
     ):
-        if engine not in ("template", "windkessel"):
-            raise ConfigurationError("engine must be template|windkessel")
         self.params = params or PatientParams()
         self.template = template or RadialPulseTemplate()
-        self.engine = engine
         self.rng = rng or np.random.default_rng(113)
         self.scheduler = BeatScheduler(
             heart_rate_bpm=self.params.heart_rate_bpm,
@@ -134,13 +125,9 @@ class VirtualPatient:
             else np.zeros_like(times)
         )
 
-        if self.engine == "windkessel":
-            pressure = self._windkessel_pressure(times, schedule, dia, pp)
-        else:
-            _, phase = schedule.beat_phase(times)
-            wave = self.template.evaluate(phase)
-            pressure = dia + pp * wave
-        pressure = pressure + resp + trend
+        _, phase = schedule.beat_phase(times)
+        wave = self.template.evaluate(phase)
+        pressure = dia + pp * wave + resp + trend
 
         # Ground truth per beat: evaluate the synthesized curve's extrema
         # within each complete beat falling inside the record.
@@ -165,26 +152,3 @@ class VirtualPatient:
             schedule=schedule,
             beat_truth=np.array(rows),
         )
-
-    def _windkessel_pressure(
-        self, times: np.ndarray, schedule, dia: float, pp: float
-    ) -> np.ndarray:
-        """Windkessel waveform, affinely rescaled to the sys/dia targets.
-
-        The ODE shape (fast systolic charge, exponential diastolic
-        discharge) comes from the physics; the affine map pins the
-        settled record's per-beat extrema to the requested operating
-        point, discarding the initial-condition transient first.
-        """
-        from .windkessel import WindkesselModel
-
-        model = WindkesselModel()
-        raw = model.pressure_mmhg(
-            times, schedule, initial_pressure_mmhg=dia
-        )
-        settled = raw[times > min(5.0, times[-1] / 2.0)]
-        raw_lo = float(np.percentile(settled, 2))
-        raw_hi = float(np.percentile(settled, 98))
-        if raw_hi - raw_lo <= 0:
-            raise ConfigurationError("degenerate Windkessel waveform")
-        return dia + (raw - raw_lo) * pp / (raw_hi - raw_lo)

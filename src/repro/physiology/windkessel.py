@@ -31,29 +31,26 @@ class WindkesselModel:
         Total peripheral resistance R (clinical units). ~1.0 for an adult.
     compliance_ml_per_mmhg:
         Arterial compliance C. ~1.3 ml/mmHg typical.
-    stroke_volume_ml:
-        Volume ejected per beat.
     ejection_fraction_of_beat:
         Fraction of the RR interval during which the heart ejects
         (systole), ~0.3.
     """
 
+    #: Volume ejected per beat [ml].
+    STROKE_VOLUME_ML = 85.0
+
     def __init__(
         self,
         resistance_mmhg_s_per_ml: float = 1.05,
         compliance_ml_per_mmhg: float = 1.3,
-        stroke_volume_ml: float = 85.0,
         ejection_fraction_of_beat: float = 0.3,
     ):
         if resistance_mmhg_s_per_ml <= 0 or compliance_ml_per_mmhg <= 0:
             raise ConfigurationError("R and C must be positive")
-        if stroke_volume_ml <= 0:
-            raise ConfigurationError("stroke volume must be positive")
         if not 0.05 < ejection_fraction_of_beat < 0.9:
             raise ConfigurationError("ejection fraction must be in (0.05, 0.9)")
         self.resistance = float(resistance_mmhg_s_per_ml)
         self.compliance = float(compliance_ml_per_mmhg)
-        self.stroke_volume_ml = float(stroke_volume_ml)
         self.ejection_fraction = float(ejection_fraction_of_beat)
 
     @property
@@ -73,7 +70,7 @@ class WindkesselModel:
         # Half sine over [0, ejection); integral of sin over the lobe is
         # 2/pi * duration, so scale for the stroke volume.
         active = phase < ejection
-        peak_flow = self.stroke_volume_ml * np.pi / (2.0 * ejection * rr)
+        peak_flow = self.STROKE_VOLUME_ML * np.pi / (2.0 * ejection * rr)
         flow = np.where(
             active,
             peak_flow * np.sin(np.pi * phase / ejection),
@@ -127,5 +124,5 @@ class WindkesselModel:
         """Mean pressure at steady state: R * (SV * HR) (Ohm's law)."""
         if heart_rate_bpm <= 0:
             raise ConfigurationError("heart rate must be positive")
-        cardiac_output_ml_per_s = self.stroke_volume_ml * heart_rate_bpm / 60.0
+        cardiac_output_ml_per_s = self.STROKE_VOLUME_ML * heart_rate_bpm / 60.0
         return self.resistance * cardiac_output_ml_per_s

@@ -46,15 +46,12 @@ class HigherOrderSDM:
     gains:
         Per-stage gains a_k (= feedback b_k); defaults to the
         conservative :data:`STANDARD_GAINS` entry.
-    swing_limit:
-        Integrator saturation (Vref-normalized units).
     """
 
     def __init__(
         self,
         order: int = 3,
         gains: tuple[float, ...] | None = None,
-        swing_limit: float = 3.0,
     ):
         if order not in STANDARD_GAINS:
             raise ConfigurationError(
@@ -66,9 +63,6 @@ class HigherOrderSDM:
             raise ConfigurationError("need one gain per stage")
         if any(g <= 0 for g in self.gains):
             raise ConfigurationError("gains must be positive")
-        if swing_limit <= 0:
-            raise ConfigurationError("swing limit must be positive")
-        self.swing_limit = float(swing_limit)
         self.reset()
 
     def reset(self) -> None:
@@ -95,7 +89,7 @@ class HigherOrderSDM:
         state = self._state.copy()
         gains = self.gains
         order = self.order
-        swing = self.swing_limit
+        swing = 3.0  # integrator saturation (Vref-normalized units)
         clipped = 0
         for i in range(n):
             v = 1.0 if state[-1] >= 0.0 else -1.0

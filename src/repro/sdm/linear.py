@@ -92,9 +92,7 @@ class LinearLoopModel:
 
     # -- noise prediction ----------------------------------------------------------
 
-    def inband_quantization_noise_power(
-        self, osr: int, n_points: int = 8192
-    ) -> float:
+    def inband_quantization_noise_power(self, osr: int) -> float:
         """Quantization noise power inside f < fs/(2*OSR).
 
         The single-bit quantizer error is modelled as white with total
@@ -104,7 +102,7 @@ class LinearLoopModel:
         if osr < 2:
             raise ConfigurationError("OSR must be >= 2")
         # Normalized band [0, 0.5/osr] in cycles/sample.
-        f = np.linspace(0.0, 0.5 / osr, n_points)
+        f = np.linspace(0.0, 0.5 / osr, 8192)
         w = 2.0 * np.pi * f
         h = _freqz(self._ntf_num, self._den, w)
         e_psd = (2.0**2 / 12.0) * 2.0  # one-sided PSD over f in [0, 0.5]

@@ -146,11 +146,10 @@ class MultibitSDM:
         quantizer_bits: int = 3,
         dac_mismatch_sigma: float = 0.0,
         dac_selection: str = "dwa",
-        coefficients: LoopCoefficients | None = None,
         rng: np.random.Generator | None = None,
     ):
         self.params = params or ModulatorParams()
-        self.coefficients = coefficients or LoopCoefficients.boser_wooley()
+        self.coefficients = LoopCoefficients.boser_wooley()
         self.quantizer = MultibitQuantizer(quantizer_bits)
         self.dac = ThermometerDAC(
             n_elements=self.quantizer.n_levels - 1,

@@ -91,8 +91,8 @@ class FlickerNoiseGenerator:
         RMS of the white component per sample.
     sample_rate_hz:
         Simulation rate.
-    decades:
-        How many decades below the corner the 1/f shaping extends.
+
+    The 1/f shaping extends five decades below the corner.
     """
 
     def __init__(
@@ -102,7 +102,6 @@ class FlickerNoiseGenerator:
         sample_rate_hz: float,
         rng: np.random.Generator,
         n_sources: int = 12,
-        decades: float = 5.0,
     ):
         if corner_hz <= 0 or white_sigma < 0 or sample_rate_hz <= 0:
             raise ConfigurationError(
@@ -114,7 +113,7 @@ class FlickerNoiseGenerator:
         self.white_sigma = float(white_sigma)
         self.sample_rate_hz = float(sample_rate_hz)
         self._rng = rng
-        f_low = corner_hz / 10.0**decades
+        f_low = corner_hz / 10.0**5.0
         poles_hz = np.logspace(
             math.log10(f_low), math.log10(corner_hz), n_sources
         )

@@ -174,9 +174,10 @@ class TonometricCoupling:
         out += state.static_membrane_pressure_pa
         return out
 
-    def effective_gain(self, hold_down_pa: float | None = None) -> np.ndarray:
-        """Per-element d(P_membrane)/d(P_arterial) at the operating point."""
-        state = self.contact.state(hold_down_pa)
+    def effective_gain(self) -> np.ndarray:
+        """Per-element d(P_membrane)/d(P_arterial) at the configured
+        hold-down pressure."""
+        state = self.contact.state()
         return state.transmission * self.element_weights()
 
     def with_placement(self, placement: ArrayPlacement) -> "TonometricCoupling":

@@ -252,3 +252,35 @@ class TestSchedule:
             schedule.total_decimation
             == decimator.params.total_decimation
         )
+
+
+class TestScanArgumentChecks:
+    """Bad scan arguments raise ConfigurationError before any visit."""
+
+    @staticmethod
+    def untouched_chain(monkeypatch):
+        chain = ideal_chain()
+
+        def touched(*args, **kw):
+            raise AssertionError("the chain was driven")
+
+        monkeypatch.setattr(chain, "record_pressure", touched)
+        return chain
+
+    @pytest.mark.parametrize("dwell_s", [float("nan"), float("inf")])
+    def test_non_finite_dwell_rejected(self, dwell_s, monkeypatch):
+        chain = self.untouched_chain(monkeypatch)
+        field = np.zeros((4 * 128 * 16, 4))
+        with pytest.raises(ConfigurationError, match="finite"):
+            ScanController(chain.chip.mux).scan_records(
+                chain, field, dwell_s=dwell_s
+            )
+
+    @pytest.mark.parametrize("settle_words", [-1, float("nan")])
+    def test_bad_settle_words_rejected(self, settle_words, monkeypatch):
+        chain = self.untouched_chain(monkeypatch)
+        field = np.zeros((4 * 128 * 16, 4))
+        with pytest.raises(ConfigurationError, match="settle_words"):
+            ScanController(chain.chip.mux).scan_and_select(
+                chain, field, dwell_s=0.004, settle_words=settle_words
+            )

@@ -195,5 +195,37 @@ class TestStreamCommand:
         assert "scan: element" in out
 
     def test_stream_rejects_bad_duration(self, capsys):
-        assert main(["stream", "--duration", "-1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", "--duration", "-1"])
+        assert exc.value.code == 2
         assert "positive" in capsys.readouterr().err
+
+
+class TestNumericArguments:
+    """Numeric options are checked at parse time: a bad value exits 2
+    with a usage message instead of a traceback or a bogus run."""
+
+    @pytest.mark.parametrize(
+        "cmdline",
+        [
+            "stream --duration nan",
+            "stream --duration inf",
+            "stream --chunk nan",
+            "stream --chunk 0",
+            "population --duration nan",
+            "faults --duration nan",
+            "faults --rate inf",
+            "faults --rate nan",
+            "faults --rate -1",
+            "device --id -1",
+            f"device --id {2**32}",
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, capsys, cmdline):
+        argv = cmdline.split()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert argv[1] in err

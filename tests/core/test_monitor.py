@@ -182,3 +182,30 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError):
             BloodPressureMonitor(chain, coupling, physiology_rate_hz=50.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"duration_s": float("nan")},
+            {"duration_s": float("inf")},
+            {"scan_dwell_s": float("nan")},
+            {"scan_dwell_s": float("inf")},
+            {"scan_dwell_s": 0.0},
+        ],
+    )
+    def test_non_finite_durations_rejected_before_the_chain(
+        self, kwargs, monkeypatch
+    ):
+        chain = ReadoutChain(SystemParams())
+        coupling = TonometricCoupling(
+            chain.chip.array.geometry, ContactModel()
+        )
+        monitor = BloodPressureMonitor(chain, coupling)
+
+        def touched(*args, **kw):
+            raise AssertionError("the chain was driven")
+
+        monkeypatch.setattr(chain, "record_pressure", touched)
+        monkeypatch.setattr(monitor, "record_streaming", touched)
+        with pytest.raises(ConfigurationError):
+            monitor.measure(VirtualPatient(), **kwargs)

@@ -28,7 +28,7 @@ class TestInflow:
         beats = int(np.floor(30.0 / (60.0 / 70.0)))
         volume = np.trapezoid(q, t)
         assert volume / beats == pytest.approx(
-            model.stroke_volume_ml, rel=0.05
+            model.STROKE_VOLUME_ML, rel=0.05
         )
 
     def test_zero_in_diastole(self, model, schedule):
