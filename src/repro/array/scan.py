@@ -181,11 +181,11 @@ class ScanController:
             element's final state; the difference is confined to the
             post-switch words the FPGA suppresses.
         segments:
-            Alternative to ``element_pressures_pa`` for large arrays:
-            shape (n_elements, n_dwell), row k the pressure
-            element k sees during its own visit, fed as a zero-copy
-            broadcast window. O(elements x dwell) memory instead of
-            O(samples x elements); requires the bank or fused scan.
+            Alternative to ``element_pressures_pa``: shape
+            (n_elements, n_dwell), row k the pressure element k sees
+            during its own visit, fed as a zero-copy broadcast window
+            (a visit reads only its routed column). O(elements x dwell)
+            memory instead of O(samples x elements); any scan mode.
             ``dwell_s`` is ignored — the dwell is the row length.
         fused:
             Run the whole scan as one fused batch-kernel pass, every
@@ -207,11 +207,6 @@ class ScanController:
             if segments.ndim != 2 or segments.shape[0] != n_elements:
                 raise ConfigurationError(
                     "segments must have shape (n_elements, dwell_samples)"
-                )
-            if not (batched or fused):
-                raise ConfigurationError(
-                    "segments are supported by the bank (batched) and fused "
-                    "scans only; pass the full field for a sequential scan"
                 )
             dwell_mod = segments.shape[1]
             pressures = None
@@ -396,20 +391,20 @@ class ScanController:
         )
 
     def scan_and_select(
-        self, chain, element_pressures_pa: np.ndarray, dwell_s: float,
-        settle_words: int,
+        self, chain, segments: np.ndarray, settle_words: int
     ) -> ElementSelection:
         """Drive a full scan through a readout chain and pick the winner.
 
-        Sequences ``chain`` through every element in turn for ``dwell_s``
-        each (:meth:`scan_records`: each visit starts from the previous
-        element's final modulator state, as on the chip), drops the
-        first ``settle_words`` filter-flush words of the common record,
-        and feeds the settled signals to :meth:`select_strongest`.
+        Sequences ``chain`` through every element in turn, element k
+        for row k of ``segments`` (:meth:`scan_records`: each visit
+        starts from the previous element's final modulator state, as on
+        the chip), drops the first ``settle_words`` filter-flush words
+        of the common record, and feeds the settled signals to
+        :meth:`select_strongest`.
         """
         if not 0 <= settle_words < math.inf:
             raise ConfigurationError("settle_words must be a finite count >= 0")
-        records = self.scan_records(chain, element_pressures_pa, dwell_s=dwell_s)
+        records = self.scan_records(chain, segments=segments)
         return self.select_strongest(records[int(settle_words):])
 
     def schedule(

@@ -13,6 +13,7 @@ calibration anchored to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,66 @@ DIASTOLIC_RATIO = 0.60
 _INFLATE_MARGIN_MMHG = 30.0
 _SENSOR_NOISE_MMHG = 0.15
 _SAMPLE_RATE_HZ = 100.0
+
+# Cephes ``ndtr.c`` coefficients: x*T(x^2)/U(x^2) for |x| <= 1 and
+# exp(-x^2)*P(x)/Q(x) = erfc(x) for 1 < |x| < 8; U and Q have an implied
+# leading 1.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1,
+    2.23200534594684319226e3, 7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2,
+    4.59432382970980127987e3, 2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1,
+    7.46321056442269912687e0, 4.86371970985681366614e1,
+    1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1,
+    3.54937778887819891062e2, 9.75708501743205489753e2,
+    1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+
+
+def _horner(x: np.ndarray, coeffs: tuple, monic: bool) -> np.ndarray:
+    """Cephes ``polevl`` (``monic=False``) or ``p1evl`` (``True``)."""
+    acc = x + coeffs[0] if monic else coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, ``scipy.special.erf`` bit for bit on float64.
+
+    Cephes' rational approximations in Cephes' operation order; the
+    exponential is the C library's (:func:`math.exp`), which is what
+    Cephes calls, because NumPy's vectorized ``exp`` can differ in the
+    last bit. ``|x| >= 8`` gives exactly +-1, NaN gives NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.full_like(x, np.nan)
+    a = np.abs(x)
+    small = a <= 1.0
+    xs = x[small]
+    z = xs * xs
+    out[small] = xs * _horner(z, _ERF_T, False) / _horner(z, _ERF_U, True)
+    mid = (a > 1.0) & (a < 8.0)
+    am = a[mid]
+    decay = np.array([math.exp(v) for v in (-(am * am)).tolist()])
+    erfc = (decay * _horner(am, _ERFC_P, False)) / _horner(am, _ERFC_Q, True)
+    out[mid] = np.copysign(1.0 - erfc, x[mid])
+    big = a >= 8.0
+    out[big] = np.copysign(1.0, x[big])
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,8 +143,6 @@ class OscillometricCuff:
         rng: np.random.Generator | None = None,
     ) -> CuffReading:
         """Run one inflate-deflate cycle against the virtual patient."""
-        from scipy.special import erf
-
         rng = rng or np.random.default_rng(401)
         # Plan the deflation ramp from above systole to below diastole.
         expected_sys = patient.params.systolic_mmhg

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dsp.extrema import find_peaks
+from ..dsp.iir import butter, sosfiltfilt
 from ..errors import ConfigurationError
 from .features import lowpass_cardiac
 
@@ -72,8 +74,6 @@ class ArtifactDetector:
         x = np.asarray(samples, dtype=float)
         if x.ndim != 1 or x.size < 64:
             raise ConfigurationError("need a 1-D record of >= 64 samples")
-        from scipy import signal as sp_signal
-
         cardiac = lowpass_cardiac(x, sample_rate_hz)
 
         # Reference scale from the (hopefully mostly clean) record.
@@ -90,19 +90,13 @@ class ArtifactDetector:
         # LSB toggling would otherwise dominate the raw derivative at
         # kS/s record rates.
         fast_cutoff = min(45.0, 0.4 * sample_rate_hz / 2.0)
-        sos_fast = sp_signal.butter(
-            4, fast_cutoff, btype="low", fs=sample_rate_hz, output="sos"
-        )
-        fast = sp_signal.sosfiltfilt(sos_fast, x)
+        fast = sosfiltfilt(butter(4, fast_cutoff, fs=sample_rate_hz), x)
         slew = np.abs(np.gradient(fast)) * sample_rate_hz
         slew_limit = self.slew_factor * pulse_scale / self.MIN_UPSTROKE_S
         mask = slew > slew_limit
 
         # 2. Baseline-excursion detector (< 0.5 Hz band, flexion).
-        sos = sp_signal.butter(
-            2, 0.5, btype="low", fs=sample_rate_hz, output="sos"
-        )
-        baseline = sp_signal.sosfiltfilt(sos, x)
+        baseline = sosfiltfilt(butter(2, 0.5, fs=sample_rate_hz), x)
         excursion = np.abs(baseline - np.median(baseline))
         mask |= excursion > self.BASELINE_FACTOR * pulse_scale
 
@@ -119,9 +113,7 @@ class ArtifactDetector:
         # beat) but it breaks the RR rhythm. Find all prominent peaks
         # WITHOUT a refractory window and flag any that crowd their
         # neighbours closer than 60 % of the median interval.
-        peaks, _ = sp_signal.find_peaks(
-            cardiac, prominence=0.4 * pulse_scale
-        )
+        peaks = find_peaks(cardiac, prominence=0.4 * pulse_scale)
         if peaks.size >= 4:
             intervals = np.diff(peaks)
             median_rr = float(np.median(intervals))

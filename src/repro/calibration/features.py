@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dsp.extrema import find_peaks
+from ..dsp.iir import butter, sosfiltfilt
 from ..errors import ConfigurationError, SignalQualityError
 
 
@@ -61,12 +63,8 @@ def lowpass_cardiac(
         raise ConfigurationError("sample rate must be positive")
     if not 0 < cutoff_hz < sample_rate_hz / 2:
         raise ConfigurationError("cutoff must be in (0, Nyquist)")
-    from scipy import signal
-
-    sos = signal.butter(
-        4, cutoff_hz, btype="low", fs=sample_rate_hz, output="sos"
-    )
-    return signal.sosfiltfilt(sos, np.asarray(samples, dtype=float))
+    sos = butter(4, cutoff_hz, fs=sample_rate_hz)
+    return sosfiltfilt(sos, np.asarray(samples, dtype=float))
 
 
 def detect_beats(
@@ -106,9 +104,7 @@ def detect_beats(
     if span <= 0.0:
         raise SignalQualityError("flat record: no pulsatile signal")
     min_distance = int(0.5 * 60.0 / expected_rate_bpm * sample_rate_hz)
-    from scipy import signal
-
-    peaks, _ = signal.find_peaks(
+    peaks = find_peaks(
         filtered,
         distance=max(min_distance, 1),
         prominence=0.25 * span,

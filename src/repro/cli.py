@@ -761,12 +761,14 @@ def _argument_type(convert: Callable, accept: Callable, expected: str):
 
 
 _positive_int = _argument_type(int, lambda v: v >= 1, "an integer >= 1")
-_positive_seconds = _argument_type(
+_positive_float = _argument_type(
     float, lambda v: 0 < v < math.inf, "a positive finite number"
 )
-_finite_rate = _argument_type(
+_nonnegative_float = _argument_type(
     float, lambda v: 0 <= v < math.inf, "a finite number >= 0"
 )
+_finite_float = _argument_type(float, math.isfinite, "a finite number")
+_fraction = _argument_type(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _device_id = _argument_type(
     int, lambda v: 0 <= v <= 0xFFFFFFFF, "an integer in [0, 2**32)"
 )
@@ -819,11 +821,11 @@ def main(argv: list[str] | None = None) -> int:
         "stream", help="live chunked acquisition with per-stage telemetry"
     )
     stream_parser.add_argument(
-        "--duration", type=_positive_seconds, default=10.0,
+        "--duration", type=_positive_float, default=10.0,
         help="record length [s]",
     )
     stream_parser.add_argument(
-        "--chunk", type=_positive_seconds, default=0.25,
+        "--chunk", type=_positive_float, default=0.25,
         help="chunk duration [s]",
     )
     stream_parser.add_argument(
@@ -842,7 +844,7 @@ def main(argv: list[str] | None = None) -> int:
         "--subjects", type=int, default=10, help="virtual subject count"
     )
     population_parser.add_argument(
-        "--duration", type=_positive_seconds, default=10.0,
+        "--duration", type=_positive_float, default=10.0,
         help="record length per subject [s]",
     )
     population_parser.add_argument(
@@ -864,15 +866,15 @@ def main(argv: list[str] | None = None) -> int:
         "--cols", type=int, default=8, help="array cols"
     )
     imaging_parser.add_argument(
-        "--offset-um", type=float, default=200.0,
+        "--offset-um", type=_finite_float, default=200.0,
         help="artery lateral offset [um]",
     )
     imaging_parser.add_argument(
-        "--rotation-mrad", type=float, default=60.0,
+        "--rotation-mrad", type=_finite_float, default=60.0,
         help="array rotation vs artery axis [mrad]",
     )
     imaging_parser.add_argument(
-        "--drift-um", type=float, default=300.0,
+        "--drift-um", type=_finite_float, default=300.0,
         help="inter-frame placement drift to register [um]",
     )
     faults_parser = sub.add_parser(
@@ -886,11 +888,11 @@ def main(argv: list[str] | None = None) -> int:
         help="fault kinds to inject (default: all)",
     )
     faults_parser.add_argument(
-        "--rate", type=_finite_rate, default=1.0,
+        "--rate", type=_nonnegative_float, default=1.0,
         help="Poisson event rate per kind [Hz]",
     )
     faults_parser.add_argument(
-        "--duration", type=_positive_seconds, default=4.0,
+        "--duration", type=_positive_float, default=4.0,
         help="record length per matrix cell [s]",
     )
     faults_parser.add_argument(
@@ -929,7 +931,7 @@ def main(argv: list[str] | None = None) -> int:
         help="frames per chaos device",
     )
     gateway_parser.add_argument(
-        "--faulty-fraction", type=float, default=0.5,
+        "--faulty-fraction", type=_fraction, default=0.5,
         help="fraction of chaos devices carrying link faults",
     )
     gateway_parser.add_argument(
@@ -944,7 +946,7 @@ def main(argv: list[str] | None = None) -> int:
         help="batch-plane occupancy target [bytes] before a tick fires",
     )
     gateway_parser.add_argument(
-        "--max-latency-ms", type=float, default=2.0,
+        "--max-latency-ms", type=_positive_float, default=2.0,
         help="batch-plane deadline: max decode delay under light load",
     )
     gateway_parser.add_argument(
@@ -978,7 +980,7 @@ def main(argv: list[str] | None = None) -> int:
         "frame_drop, frame_truncation, frame_bitflip, frame_reorder",
     )
     device_parser.add_argument(
-        "--fault-rate", type=float, default=1.0,
+        "--fault-rate", type=_nonnegative_float, default=1.0,
         help="Poisson rate per fault process [Hz]",
     )
     device_parser.add_argument(
@@ -989,7 +991,7 @@ def main(argv: list[str] | None = None) -> int:
         help="hard-drop and resume the connection every N payloads",
     )
     device_parser.add_argument(
-        "--pace", type=float, default=0.0,
+        "--pace", type=_nonnegative_float, default=0.0,
         help="sleep between payloads [s]",
     )
     sub.add_parser("describe", help="print the paper-default configuration")

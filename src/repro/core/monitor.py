@@ -253,16 +253,22 @@ class BloodPressureMonitor:
         recording: PatientRecording,
         dwell_s: float = 1.5,
     ) -> ElementSelection:
-        """Visit every element in turn and select the strongest one."""
+        """Visit every element in turn and select the strongest one.
+
+        Synthesizes only what the multiplexer routes: element k's
+        pressure during its own dwell (``scan_pressure_segments``),
+        not the whole field.
+        """
+        if not 0 < dwell_s < math.inf:
+            raise ConfigurationError("scan dwell must be positive and finite")
         n_elements = self.chain.chip.array.n_elements
-        field = self._pressure_field(
-            recording, 0.0, dwell_s * n_elements
-        )
+        fs = self.chain.params.modulator.sampling_rate_hz
+        dwell = int(dwell_s * fs)
+        arterial = recording.interp_pressure_pa(np.arange(dwell * n_elements) / fs)
+        segments = self.coupling.scan_pressure_segments(arterial, dwell)
         controller = ScanController(self.chain.chip.mux)
         # Drop the filter-flush words at the start of the record.
-        return controller.scan_and_select(
-            self.chain, field, dwell_s=dwell_s, settle_words=8
-        )
+        return controller.scan_and_select(self.chain, segments, settle_words=8)
 
     def measure(
         self,

@@ -43,6 +43,10 @@ Kernels:
   gateway batch plane's frame check (marshalled by
   :mod:`repro.daq.batchdecode`). Integer table steps, exact by
   construction.
+* ``sos_cascade`` — one pass of the biquad cascade behind
+  :func:`repro.dsp.iir.sosfiltfilt`, the host's cardiac-band and
+  artifact low-passes. Single variant, like ``crc16_rows``: one record
+  is a serial recurrence with nothing to vectorize.
 
 Every floating-point kernel performs the reference path's IEEE-754
 double operations in the same order; ``-ffp-contract=off
@@ -575,6 +579,29 @@ void crc16_rows(const uint8_t *restrict mat, long long k,
         out[r] = (uint16_t)c;
     }
 }
+
+/* Direct-form-II-transposed biquad cascade, in place: x[0..n) runs
+ * through n_sections rows [b0 b1 b2 1 a1 a2] of sos from the state zi
+ * (n_sections x 2, updated). Per section y = b0*x + z0, z0 = b1*x -
+ * a1*y + z1, z1 = b2*x - a2*y: repro.dsp.iir._cascade_reference's
+ * operations in its order. */
+void sos_cascade(const double *restrict sos, long long n_sections,
+                 double *restrict x, long long n, double *restrict zi)
+{
+    long long i, s;
+    for (i = 0; i < n; i++) {
+        double cur = x[i];
+        for (s = 0; s < n_sections; s++) {
+            const double *c = sos + 6 * s;
+            double *z = zi + 2 * s;
+            double y = c[0] * cur + z[0];
+            z[0] = c[1] * cur - c[4] * y + z[1];
+            z[1] = c[2] * cur - c[5] * y;
+            cur = y;
+        }
+        x[i] = cur;
+    }
+}
 """
 
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared")
@@ -615,6 +642,7 @@ _SIGNATURES = {
         U8_P, _LL, _LL, _LL,  # mat, k, row_stride, body_len
         U16_P, U16_P,  # table, out
     ]),
+    "sos_cascade": (None, [_P, _LL, _P, _LL, _P]),  # sos, sections, x, n, zi
 }
 
 # Module-level library cache: None = not tried yet, False = unavailable,

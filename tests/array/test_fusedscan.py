@@ -184,17 +184,6 @@ class TestFallback:
         )
         assert np.array_equal(fused, batched)
 
-    def test_segments_require_batched_or_fused(self):
-        from repro.errors import ConfigurationError
-
-        chain = make_chain(2, 2)
-        controller = ScanController(chain.chip.mux)
-        segments = tone_segments(4, 256)
-        with pytest.raises(ConfigurationError):
-            controller.scan_records(
-                chain, segments=segments, batched=False, fused=False
-            )
-
 
 class TestNonSquareOrientation:
     """Row-major orientation pinned through scan -> select -> image."""

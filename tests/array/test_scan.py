@@ -279,8 +279,8 @@ class TestScanArgumentChecks:
     @pytest.mark.parametrize("settle_words", [-1, float("nan")])
     def test_bad_settle_words_rejected(self, settle_words, monkeypatch):
         chain = self.untouched_chain(monkeypatch)
-        field = np.zeros((4 * 128 * 16, 4))
+        segments = np.zeros((4, 128 * 16))
         with pytest.raises(ConfigurationError, match="settle_words"):
             ScanController(chain.chip.mux).scan_and_select(
-                chain, field, dwell_s=0.004, settle_words=settle_words
+                chain, segments, settle_words=settle_words
             )

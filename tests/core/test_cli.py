@@ -219,6 +219,18 @@ class TestNumericArguments:
             "faults --rate -1",
             "device --id -1",
             f"device --id {2**32}",
+            "gateway --faulty-fraction nan --chaos 2 --frames 5",
+            "gateway --faulty-fraction 1.5",
+            "gateway --faulty-fraction -0.1",
+            "gateway --max-latency-ms 0",
+            "gateway --max-latency-ms inf",
+            "imaging --offset-um nan",
+            "imaging --rotation-mrad inf",
+            "imaging --drift-um nan",
+            "device --fault-rate nan",
+            "device --fault-rate -1",
+            "device --pace nan",
+            "device --pace -0.5",
         ],
     )
     def test_bad_value_is_a_usage_error(self, capsys, cmdline):

@@ -183,6 +183,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             BloodPressureMonitor(chain, coupling, physiology_rate_hz=50.0)
 
+    @pytest.mark.parametrize("dwell_s", [float("nan"), float("inf"), 0.0])
+    def test_scan_rejects_bad_dwell(self, dwell_s):
+        chain = ReadoutChain(SystemParams())
+        coupling = TonometricCoupling(
+            chain.chip.array.geometry, ContactModel()
+        )
+        truth = VirtualPatient().record(duration_s=1.0, sample_rate_hz=2000.0)
+        with pytest.raises(ConfigurationError, match="scan dwell"):
+            BloodPressureMonitor(chain, coupling).scan(truth, dwell_s=dwell_s)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
