@@ -145,7 +145,6 @@ def _log_parabola_vertices(xs: np.ndarray, amps: np.ndarray) -> np.ndarray:
 def localize_artery(
     amplitude_map: np.ndarray,
     geometry: ArrayGeometry,
-    exclude: np.ndarray | None = None,
 ) -> ArteryEstimate:
     """Sub-pixel artery-line estimate from a pulsatile amplitude map.
 
@@ -157,10 +156,6 @@ def localize_artery(
     usable rows (a line needs two rows) the estimate degrades gracefully
     to the column-collapsed vertex at zero tilt (the 1-D estimate
     ``experiments/localization.py`` uses).
-
-    ``exclude`` is an optional (rows*cols,) or (rows, cols) boolean mask
-    of unhealthy elements (``True`` = excluded); their amplitudes are
-    zeroed before fitting so a railed pixel cannot bend the line.
     """
     amps = np.asarray(amplitude_map, dtype=float)
     rows, cols = geometry.rows, geometry.cols
@@ -168,13 +163,6 @@ def localize_artery(
         raise ConfigurationError(
             f"amplitude map must have shape ({rows}, {cols})"
         )
-    if exclude is not None:
-        mask = np.asarray(exclude, dtype=bool).reshape(rows, cols)
-        if mask.all():
-            raise SignalQualityError(
-                "every element is excluded; cannot localize the artery"
-            )
-        amps = np.where(mask, 0.0, amps)
     if not np.any(amps > 0.0):
         raise SignalQualityError("no pulsatile amplitude to localize")
 
@@ -237,10 +225,7 @@ class FusionResult:
     predicted_snr_gain: float
 
 
-def fuse_elements(
-    element_signals: np.ndarray,
-    exclude: np.ndarray | None = None,
-) -> FusionResult:
+def fuse_elements(element_signals: np.ndarray) -> FusionResult:
     """Amplitude-weighted fusion of element records into one waveform.
 
     With element k seeing the pulse at coupling gain ``a_k`` plus
@@ -250,24 +235,14 @@ def fuse_elements(
     — a guaranteed (Cauchy-Schwarz) gain whenever the artery couples
     into more than one element, which is exactly the placement-drift
     regime where the strongest element is about to walk off its pixel.
-
-    ``exclude`` bars unhealthy elements.
     """
     signals = np.asarray(element_signals, dtype=float)
     if signals.ndim != 2 or signals.shape[0] < 2:
         raise ConfigurationError(
             "expected (n_samples >= 2, n_elements) records"
         )
-    n_elements = signals.shape[1]
     amplitudes = signals.max(axis=0) - signals.min(axis=0)
     eligible = amplitudes > 0.0
-    if exclude is not None:
-        mask = np.asarray(exclude, dtype=bool)
-        if mask.shape != (n_elements,):
-            raise ConfigurationError(
-                "exclude mask must have one entry per element"
-            )
-        eligible &= ~mask
     if not np.any(eligible):
         raise SignalQualityError("no eligible element to fuse")
     a_used = np.where(eligible, amplitudes, 0.0)

@@ -18,48 +18,6 @@ from ..errors import ConfigurationError, SignalQualityError
 from .array2d import SensorArray
 from .mux import AnalogMultiplexer, ScanSchedule, analyze_mux_timing, plan_scan
 
-# Element-health thresholds in the scan records' units (modulator FS),
-# translating the quality mask's code-LSB thresholds: the rail level, the
-# flat test's window length and standard deviation, and the largest
-# railed-sample and flat-window fractions a healthy element may show.
-_RAIL_LEVEL = 2007.0 / 2048.0
-_FLAT_WINDOW = 64
-_FLAT_THRESHOLD = 0.25 / 2048.0
-_MAX_SATURATED_FRACTION = 0.02
-_MAX_FLAT_FRACTION = 0.5
-
-
-@dataclass(frozen=True)
-class ElementHealthReport:
-    """Per-element health of one scan (graceful-degradation input).
-
-    All fractions are over the scanned record; ``healthy`` combines them
-    against this module's health thresholds. Signals are in the scan
-    records' units (modulator FS).
-    """
-
-    #: Fraction of each element's samples at the converter rails.
-    saturated_fraction: np.ndarray
-    #: Fraction of each element's rolling windows that are flat.
-    flat_fraction: np.ndarray
-    #: Peak-to-peak amplitude per element.
-    amplitudes: np.ndarray
-    #: Elements fit to carry the measurement.
-    healthy: np.ndarray
-
-    def describe(self) -> str:
-        lines = ["element health:"]
-        for k in range(self.healthy.size):
-            verdict = "ok" if self.healthy[k] else "DEGRADED"
-            lines.append(
-                f"  element {k}: {verdict} "
-                f"(sat {self.saturated_fraction[k]:.1%}, "
-                f"flat {self.flat_fraction[k]:.1%}, "
-                f"amp {self.amplitudes[k]:.3e})"
-            )
-        return "\n".join(lines)
-
-
 @dataclass(frozen=True)
 class ScanTruncation:
     """Word accounting for one scan's records (no more silent drops).
@@ -108,8 +66,7 @@ class ElementSelection:
     #: Per-element pulsatile amplitude metric (same units as the input).
     amplitude_map: np.ndarray  # shape (rows, cols)
     #: Placement-quality figure: the winner's amplitude over the median
-    #: amplitude of the *eligible* (non-excluded) elements. Unhealthy
-    #: elements still show in the map but never bias this statistic.
+    #: amplitude of all elements.
     contrast: float
 
     def describe(self) -> str:
@@ -143,20 +100,17 @@ class ScanController:
     def scan_records(
         self,
         chain,
-        element_pressures_pa: np.ndarray | None = None,
-        dwell_s: float = 2.0,
+        segments: np.ndarray,
         batched: bool = False,
         *,
-        segments: np.ndarray | None = None,
         fused: bool = False,
     ) -> np.ndarray:
         """Sequence a chain through every element; return their records.
 
         The single owner of element-scan sequencing. Every visit is one
         ordinary acquisition, as on the chip, where the multiplexer
-        routes one element at a time into the shared ΣΔ readout:
-        element k's window (rows ``[k*dwell, (k+1)*dwell)`` of the
-        field, or row k of ``segments``) goes through
+        routes one element at a time into the shared ΣΔ readout: row k
+        of ``segments`` goes through
         :meth:`~repro.core.chain.ReadoutChain.record_pressure` with
         ``element=k``. Returns (n_words, n_elements) decimated values
         over the common word count; per-element word counts can
@@ -169,24 +123,18 @@ class ScanController:
         chain:
             A :class:`~repro.core.chain.ReadoutChain` built on the same
             array this controller's multiplexer drives.
-        element_pressures_pa:
-            (n_mod_samples, n_elements) membrane-pressure field covering
-            at least ``n_elements * dwell_s`` of modulator clocks.
-        dwell_s:
-            Seconds spent on each element.
+        segments:
+            Shape (n_elements, n_dwell): row k is the pressure element k
+            sees during its own visit (the data the multiplexer routes,
+            e.g. from ``TonometricCoupling.scan_pressure_segments``),
+            fed as a zero-copy broadcast window, since a visit reads
+            only its routed column. The dwell is the row length.
         batched:
             Scan as a bank of matched modulators: every visit starts
             from the modulator's pre-scan analog state (restored before
             each visit and once more at the end) instead of the previous
             element's final state; the difference is confined to the
             post-switch words the FPGA suppresses.
-        segments:
-            Alternative to ``element_pressures_pa``: shape
-            (n_elements, n_dwell), row k the pressure element k sees
-            during its own visit, fed as a zero-copy broadcast window
-            (a visit reads only its routed column). O(elements x dwell)
-            memory instead of O(samples x elements); any scan mode.
-            ``dwell_s`` is ignored — the dwell is the row length.
         fused:
             Run the whole scan as one fused batch-kernel pass, every
             element a lane — the 64x64-scan-in-one-call path. The
@@ -202,40 +150,18 @@ class ScanController:
             :attr:`last_scan_fused` records which path ran.
         """
         n_elements = self.array.n_elements
-        if segments is not None:
-            segments = np.asarray(segments, dtype=float)
-            if segments.ndim != 2 or segments.shape[0] != n_elements:
-                raise ConfigurationError(
-                    "segments must have shape (n_elements, dwell_samples)"
-                )
-            dwell_mod = segments.shape[1]
-            pressures = None
-        else:
-            if element_pressures_pa is None:
-                raise ConfigurationError(
-                    "need a pressure field or per-element segments"
-                )
-            if not math.isfinite(dwell_s):
-                raise ConfigurationError("dwell must be finite")
-            pressures = np.asarray(element_pressures_pa, dtype=float)
-            fs = chain.params.modulator.sampling_rate_hz
-            dwell_mod = int(dwell_s * fs)
-            if pressures.shape[0] < dwell_mod * n_elements:
-                raise ConfigurationError(
-                    "pressure field too short for the requested scan"
-                )
+        segments = np.asarray(segments, dtype=float)
+        if segments.ndim != 2 or segments.shape[0] != n_elements:
+            raise ConfigurationError(
+                "segments must have shape (n_elements, dwell_samples)"
+            )
+        dwell_mod = segments.shape[1]
         if dwell_mod < 1:
             raise ConfigurationError("dwell must be >= 1 sample")
         records = None
         if fused:
             from .fusedscan import run_fused_scan
 
-            if segments is None:
-                idx = np.arange(n_elements)
-                windows = pressures[: dwell_mod * n_elements].reshape(
-                    n_elements, dwell_mod, n_elements
-                )
-                segments = windows[idx, :, idx]
             scanned = run_fused_scan(chain, segments)
             if scanned is not None:
                 records, sizes = scanned
@@ -246,12 +172,9 @@ class ScanController:
             visits = []
             try:
                 for k in range(n_elements):
-                    if segments is not None:
-                        window = np.broadcast_to(
-                            segments[k][:, None], (dwell_mod, n_elements)
-                        )
-                    else:
-                        window = pressures[k * dwell_mod : (k + 1) * dwell_mod]
+                    window = np.broadcast_to(
+                        segments[k][:, None], (dwell_mod, n_elements)
+                    )
                     if bank:
                         chain.chip.restore_state(saved)
                     rec = chain.record_pressure(window, element=k)
@@ -270,55 +193,17 @@ class ScanController:
         )
         return records
 
-    def element_health(self, element_signals: np.ndarray) -> ElementHealthReport:
-        """Score every element's record for saturation and flatline.
-
-        The graceful-degradation screen: an element whose record spends
-        more than ``_MAX_SATURATED_FRACTION`` at the converter rails
-        (railed modulator, stuck comparator) or more than
-        ``_MAX_FLAT_FRACTION`` of its rolling windows below
-        ``_FLAT_THRESHOLD`` standard deviation (stiction, dropout) is
-        marked unhealthy. Pass ``~report.healthy`` as
-        :meth:`select_strongest`'s ``exclude`` mask to bar it from
-        selection — a railed modulator looks *strong* to a peak-to-peak
-        metric.
-        """
-        signals = np.asarray(element_signals, dtype=float)
-        if signals.ndim != 2 or signals.shape[1] != self.array.n_elements:
-            raise ConfigurationError(
-                f"expected (n_samples, {self.array.n_elements}) signals"
-            )
-        n = signals.shape[0]
-        saturated = np.mean(np.abs(signals) >= _RAIL_LEVEL, axis=0)
-        if n >= _FLAT_WINDOW:
-            shape = (n - _FLAT_WINDOW + 1, _FLAT_WINDOW, signals.shape[1])
-            strides = (signals.strides[0],) + signals.strides
-            windows = np.lib.stride_tricks.as_strided(
-                signals, shape=shape, strides=strides
-            )
-            flat = np.mean(windows.std(axis=1) < _FLAT_THRESHOLD, axis=0)
-        else:
-            flat = (signals.std(axis=0) < _FLAT_THRESHOLD).astype(float)
-        amplitudes = signals.max(axis=0) - signals.min(axis=0)
-        healthy = (
-            (saturated <= _MAX_SATURATED_FRACTION)
-            & (flat <= _MAX_FLAT_FRACTION)
-            & (amplitudes > 0.0)
-        )
-        return ElementHealthReport(
-            saturated_fraction=saturated,
-            flat_fraction=flat,
-            amplitudes=amplitudes,
-            healthy=healthy,
-        )
-
     def select_strongest(
         self,
         element_signals: np.ndarray,
         metric: str = "peak_to_peak",
-        exclude: np.ndarray | None = None,
     ) -> ElementSelection:
         """Pick the element with the strongest pulsatile signal.
+
+        Every element competes: nothing screens out a degraded one, so
+        a railed element, which looks strong to ``"peak_to_peak"``,
+        can win; the quality mask of the record taken from it then
+        flags the railed words.
 
         Parameters
         ----------
@@ -329,12 +214,6 @@ class ScanController:
         metric:
             ``"peak_to_peak"`` (default, what a simple implementation
             does) or ``"std"`` (more robust to single-sample glitches).
-        exclude:
-            Optional boolean mask of elements barred from selection
-            (``True`` = excluded) — typically ``~health.healthy`` from
-            :meth:`element_health`. Excluded amplitudes still appear in
-            the amplitude map; the winner choice and the contrast
-            median skip them.
         """
         signals = np.asarray(element_signals, dtype=float)
         if signals.ndim != 2 or signals.shape[1] != self.array.n_elements:
@@ -350,36 +229,16 @@ class ScanController:
         else:
             raise ConfigurationError("metric must be peak_to_peak|std")
 
-        eligible = amplitudes.copy()
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=bool)
-            if exclude.shape != (self.array.n_elements,):
-                raise ConfigurationError(
-                    "exclude mask must have one entry per element"
-                )
-            if exclude.all():
-                raise SignalQualityError(
-                    "every element is excluded as unhealthy; cannot "
-                    "select a measurement element"
-                )
-            eligible[exclude] = -np.inf
-
-        if not np.any(eligible > 0.0):
+        if not np.any(amplitudes > 0.0):
             raise SignalQualityError(
                 "no element shows a pulsatile signal; sensor is probably "
                 "not coupled to the tissue"
             )
-        best = int(np.argmax(eligible))
+        best = int(np.argmax(amplitudes))
         row, col = self.array.geometry.element_rowcol(best)
         rows, cols = self.array.params.rows, self.array.params.cols
         amp_map = amplitudes.reshape(rows, cols)
-        # Placement-quality figure: best over the *eligible* median. A
-        # half-dead array must not inflate its own contrast by letting
-        # railed/flatlined amplitudes into the reference statistic.
-        if exclude is not None:
-            median = float(np.median(amplitudes[~exclude]))
-        else:
-            median = float(np.median(amplitudes))
+        median = float(np.median(amplitudes))
         contrast = float(amplitudes[best] / median) if median > 0 else float("inf")
         self.mux.select_index(best)
         return ElementSelection(

@@ -49,21 +49,20 @@ class BeatFeatures:
         return 60.0 / float(np.median(intervals))
 
 
-def lowpass_cardiac(
-    samples: np.ndarray, sample_rate_hz: float, cutoff_hz: float = 25.0
-) -> np.ndarray:
-    """Zero-phase low-pass to the cardiac band.
+#: Cardiac-band edge: 25 Hz retains every clinically relevant pulse
+#: feature (dicrotic notch included) while suppressing converter
+#: quantization noise — the averaging that buys back sub-LSB resolution
+#: from the noisy 12-bit codes.
+CARDIAC_CUTOFF_HZ = 25.0
 
-    25 Hz retains every clinically relevant pulse feature (dicrotic notch
-    included) while suppressing converter quantization noise — the
-    averaging that buys back sub-LSB resolution from the noisy 12-bit
-    codes.
-    """
-    if sample_rate_hz <= 0:
-        raise ConfigurationError("sample rate must be positive")
-    if not 0 < cutoff_hz < sample_rate_hz / 2:
-        raise ConfigurationError("cutoff must be in (0, Nyquist)")
-    sos = butter(4, cutoff_hz, fs=sample_rate_hz)
+
+def lowpass_cardiac(samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    """Zero-phase 4th-order low-pass at :data:`CARDIAC_CUTOFF_HZ`."""
+    if not sample_rate_hz > 2.0 * CARDIAC_CUTOFF_HZ:
+        raise ConfigurationError(
+            "sample rate must exceed twice the cardiac cutoff"
+        )
+    sos = butter(4, CARDIAC_CUTOFF_HZ, fs=sample_rate_hz)
     return sosfiltfilt(sos, np.asarray(samples, dtype=float))
 
 
@@ -74,9 +73,8 @@ def detect_beats(
 ) -> BeatFeatures:
     """Find beats and extract systolic/diastolic features.
 
-    Beats are the peaks of the cardiac-band (:func:`lowpass_cardiac`)
-    record whose prominence is at least a quarter of the record's
-    peak-to-peak span, which rejects flatlines and pure noise.
+    Low-passes the record (:func:`lowpass_cardiac`) and hands the
+    cardiac band to :func:`find_beats`.
 
     Parameters
     ----------
@@ -96,10 +94,23 @@ def detect_beats(
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 16:
         raise ConfigurationError("need a 1-D record of at least 16 samples")
+    return find_beats(
+        lowpass_cardiac(x, sample_rate_hz), sample_rate_hz, expected_rate_bpm
+    )
+
+
+def find_beats(
+    filtered: np.ndarray, sample_rate_hz: float, expected_rate_bpm: float
+) -> BeatFeatures:
+    """:func:`detect_beats` on a record already in the cardiac band.
+
+    Beats are the peaks of ``filtered`` (the :func:`lowpass_cardiac`
+    output) whose prominence is at least a quarter of its peak-to-peak
+    span, which rejects flatlines and pure noise. Callers that keep the
+    cardiac band for themselves pass it here instead of filtering twice.
+    """
     if expected_rate_bpm <= 0:
         raise ConfigurationError("expected rate must be positive")
-    filtered = lowpass_cardiac(x, sample_rate_hz)
-
     span = float(filtered.max() - filtered.min())
     if span <= 0.0:
         raise SignalQualityError("flat record: no pulsatile signal")
@@ -127,7 +138,7 @@ def detect_beats(
         else:
             foot_idx[i] = start + int(np.argmin(segment))
 
-    times = np.arange(x.size) / sample_rate_hz
+    times = np.arange(filtered.size) / sample_rate_hz
     return BeatFeatures(
         peak_times_s=times[peaks],
         systolic_raw=filtered[peaks],

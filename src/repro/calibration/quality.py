@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, SignalQualityError
-from .features import detect_beats, lowpass_cardiac
+from .features import find_beats, lowpass_cardiac
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ def assess_quality(
     noise_rms = float(np.sqrt(np.mean(residual**2)))
 
     try:
-        features = detect_beats(
-            x, sample_rate_hz, expected_rate_bpm=expected_rate_bpm
+        features = find_beats(
+            cardiac, sample_rate_hz, expected_rate_bpm=expected_rate_bpm
         )
     except SignalQualityError:
         return SignalQualityReport(

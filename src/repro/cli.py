@@ -304,9 +304,6 @@ def cmd_population(
     :class:`~repro.parallel.ParallelExecutor` and prints the executor's
     per-worker telemetry the way ``stream`` prints the pipeline's.
     """
-    if subjects < 3:
-        print("need >= 3 subjects", file=sys.stderr)
-        return 2
     print(
         f"population: {subjects} subject(s), {duration_s:.0f} s each, "
         f"jobs={jobs} ...",
@@ -492,7 +489,7 @@ def _cmd_stream(
     scan_total = scan_dwell_s * chain.chip.array.n_elements
     truth = patient.record(
         duration_s=scan_total + duration_s,
-        sample_rate_hz=monitor.physiology_rate_hz,
+        sample_rate_hz=monitor.PHYSIOLOGY_RATE_HZ,
     )
     if element is None:
         selection = monitor.scan(truth, dwell_s=scan_dwell_s)
@@ -772,6 +769,11 @@ _fraction = _argument_type(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _device_id = _argument_type(
     int, lambda v: 0 <= v <= 0xFFFFFFFF, "an integer in [0, 2**32)"
 )
+_subject_count = _argument_type(int, lambda v: v >= 3, "an integer >= 3")
+_n_elements = paper_defaults().array.n_elements
+_element_index = _argument_type(
+    int, lambda v: 0 <= v < _n_elements, f"an integer in [0, {_n_elements})"
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -829,7 +831,7 @@ def main(argv: list[str] | None = None) -> int:
         help="chunk duration [s]",
     )
     stream_parser.add_argument(
-        "--element", type=int, default=None,
+        "--element", type=_element_index, default=None,
         help="element index (default: scan and auto-select)",
     )
     stream_parser.add_argument(
@@ -841,7 +843,8 @@ def main(argv: list[str] | None = None) -> int:
         help="population run over the parallel executor, with telemetry",
     )
     population_parser.add_argument(
-        "--subjects", type=int, default=10, help="virtual subject count"
+        "--subjects", type=_subject_count, default=10,
+        help="virtual subject count",
     )
     population_parser.add_argument(
         "--duration", type=_positive_float, default=10.0,
@@ -919,7 +922,7 @@ def main(argv: list[str] | None = None) -> int:
         help="also serve the metrics JSON on this port",
     )
     gateway_parser.add_argument(
-        "--queue-chunks", type=int, default=64,
+        "--queue-chunks", type=_positive_int, default=64,
         help="per-connection ingest queue bound [chunks]",
     )
     gateway_parser.add_argument(
@@ -927,7 +930,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run the in-process chaos audit with N devices and exit",
     )
     gateway_parser.add_argument(
-        "--frames", type=int, default=120,
+        "--frames", type=_positive_int, default=120,
         help="frames per chaos device",
     )
     gateway_parser.add_argument(
@@ -987,7 +990,7 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=0, help="fault-schedule seed"
     )
     device_parser.add_argument(
-        "--drop-every", type=int, default=None, metavar="N",
+        "--drop-every", type=_positive_int, default=None, metavar="N",
         help="hard-drop and resume the connection every N payloads",
     )
     device_parser.add_argument(

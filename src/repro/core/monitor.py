@@ -26,8 +26,7 @@ import numpy as np
 
 from ..array.scan import ElementSelection, ScanController
 from ..baselines.cuff import CuffReading, OscillometricCuff
-from ..calibration.artifacts import ArtifactDetector, ArtifactReport
-from ..calibration.features import BeatFeatures, detect_beats, lowpass_cardiac
+from ..calibration.features import BeatFeatures, find_beats, lowpass_cardiac
 from ..calibration.quality import SignalQualityReport, assess_quality
 from ..calibration.twopoint import TwoPointCalibration
 from ..errors import ConfigurationError
@@ -52,8 +51,6 @@ class MonitorResult:
     ground_truth: PatientRecording
     #: Pipeline telemetry of the record step.
     telemetry: PipelineTelemetry
-    #: Artifact flags over the record (None when rejection is disabled).
-    artifact_report: ArtifactReport | None = None
 
     # -- derived accuracy metrics -------------------------------------------
 
@@ -125,34 +122,22 @@ class BloodPressureMonitor:
         Tonometric coupling mapping arterial to membrane pressures.
     cuff:
         The calibration reference device.
-    physiology_rate_hz:
-        Internal rate at which the patient waveform is synthesized before
-        interpolation to the modulator clock (the waveform lives below
-        25 Hz, so 2 kHz is generous).
-    artifact_rejection:
-        Run the :class:`~repro.calibration.artifacts.ArtifactDetector`
-        on every record and extract beat features only from unflagged
-        stretches. Costs a little compute; essential under motion.
     """
+
+    #: Rate at which the patient waveform is synthesized before
+    #: interpolation to the modulator clock (the waveform lives below
+    #: 25 Hz, so 2 kHz is generous).
+    PHYSIOLOGY_RATE_HZ = 2000.0
 
     def __init__(
         self,
         chain: ReadoutChain,
         coupling: TonometricCoupling,
         cuff: OscillometricCuff | None = None,
-        physiology_rate_hz: float = 2000.0,
-        artifact_rejection: bool = False,
     ):
-        if physiology_rate_hz < 200.0:
-            raise ConfigurationError(
-                "physiology rate must be >= 200 Hz to resolve the pulse"
-            )
         self.chain = chain
         self.coupling = coupling
         self.cuff = cuff or OscillometricCuff()
-        self.physiology_rate_hz = float(physiology_rate_hz)
-        self.artifact_rejection = bool(artifact_rejection)
-        self._detector = ArtifactDetector() if artifact_rejection else None
 
     # -- pieces ------------------------------------------------------------
 
@@ -297,7 +282,7 @@ class BloodPressureMonitor:
         total = scan_total + duration_s
 
         truth = patient.record(
-            duration_s=total, sample_rate_hz=self.physiology_rate_hz
+            duration_s=total, sample_rate_hz=self.PHYSIOLOGY_RATE_HZ
         )
 
         selection = self.scan(truth, dwell_s=scan_dwell_s)
@@ -306,26 +291,11 @@ class BloodPressureMonitor:
             truth, scan_total, total, element=selection.best_index
         )
 
-        raw = lowpass_cardiac(
-            recording.values, recording.sample_rate_hz
-        )
-        artifact_report = None
-        feature_input = recording.values
-        if self._detector is not None:
-            artifact_report = self._detector.detect(
-                recording.values, recording.sample_rate_hz
-            )
-            if 0 < artifact_report.fraction_flagged < 0.6:
-                # Patch flagged spans with the clean median so beat
-                # detection keeps its time base; features from flagged
-                # beats are suppressed by the patching.
-                feature_input = recording.values.copy()
-                clean_median = float(
-                    np.median(recording.values[~artifact_report.mask])
-                )
-                feature_input[artifact_report.mask] = clean_median
-        features = detect_beats(
-            feature_input,
+        # One cardiac-band pass serves the beat finder and the mmHg
+        # waveform; assess_quality makes the only other one.
+        raw = lowpass_cardiac(recording.values, recording.sample_rate_hz)
+        features = find_beats(
+            raw,
             recording.sample_rate_hz,
             expected_rate_bpm=patient.params.heart_rate_bpm,
         )
@@ -364,6 +334,5 @@ class BloodPressureMonitor:
             calibration=calibration,
             calibrated_mmhg=calibrated,
             ground_truth=measured_truth,
-            artifact_report=artifact_report,
             telemetry=telemetry,
         )

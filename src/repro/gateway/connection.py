@@ -43,6 +43,13 @@ from .protocol import ControlDemux, ControlEvent
 from .watchdog import ConnectionState, Watchdog
 
 
+def checked_queue_chunks(queue_chunks: int) -> int:
+    """An ingest-queue bound in chunks, refused below one slot."""
+    if queue_chunks < 1:
+        raise ConfigurationError("ingest queue needs >= 1 chunk slot")
+    return int(queue_chunks)
+
+
 class DeviceSession:
     """Gateway-side state for one device id (survives reconnects).
 
@@ -74,8 +81,7 @@ class DeviceSession:
         samples_per_frame: int | None = None,
         clock=time.monotonic,
     ):
-        if queue_chunks < 1:
-            raise ConfigurationError("ingest queue needs >= 1 chunk slot")
+        queue_chunks = checked_queue_chunks(queue_chunks)
         self.device_id = int(device_id)
         self._clock = clock
         self._demux = ControlDemux()

@@ -37,7 +37,7 @@ import json
 from ..core.session import PipelineTelemetry
 from ..errors import GatewayError
 from .batchplane import BatchPlane
-from .connection import DeviceSession
+from .connection import DeviceSession, checked_queue_chunks
 from .protocol import ControlDemux, ControlEvent, heartbeat, pack_ack
 from .watchdog import ConnectionState, Watchdog
 
@@ -103,7 +103,7 @@ class GatewayServer:
     ):
         self.host = host
         self.port = int(port)
-        self.queue_chunks = int(queue_chunks)
+        self.queue_chunks = checked_queue_chunks(queue_chunks)
         self.hello_timeout_s = float(hello_timeout_s)
         self.watchdog_config = watchdog_config
         self.tick_s = float(tick_s)

@@ -98,27 +98,6 @@ class TestLocalizeArtery:
         assert est.angle_rad == pytest.approx(theta, abs=1e-6)
         assert est.n_rows_used == geo.rows
 
-    def test_excluded_pixel_cannot_bend_the_line(self):
-        geo = geometry()
-        clean = ridge_map(geo, 30e-6, 0.05, sigma_m=200e-6)
-        railed = clean.copy()
-        railed[0, 7] = 50.0  # dead pixel screaming at the rail
-        exclude = np.zeros_like(clean, dtype=bool)
-        exclude[0, 7] = True
-        est = localize_artery(railed, geo, exclude=exclude)
-        ref = localize_artery(clean, geo)
-        # The excluded sample is zeroed, not interpolated, so the row fit
-        # shifts slightly — but the line must stay at sub-pitch accuracy
-        # instead of being dragged toward the rail.
-        assert est.transverse_m == pytest.approx(ref.transverse_m, abs=20e-6)
-
-    def test_all_excluded_raises(self):
-        geo = geometry(2, 3)
-        with pytest.raises(SignalQualityError):
-            localize_artery(
-                np.ones((2, 3)), geo, exclude=np.ones((2, 3), dtype=bool)
-            )
-
     def test_flat_map_raises(self):
         geo = geometry(2, 3)
         with pytest.raises(SignalQualityError):
@@ -183,18 +162,17 @@ class TestFuseElements:
         assert snr(fusion.waveform) > snr(signals[:, fusion.best_index])
 
     def test_exclude_bars_element(self):
-        fusion = fuse_elements(
-            self.synth([5.0, 1.0], noise=0.0),
-            exclude=np.array([True, False]),
-        )
+        """A flat element carries no pulse and gets no weight."""
+        signals = self.synth([5.0, 1.0], noise=0.0)
+        signals[:, 0] = 0.3
+        fusion = fuse_elements(signals)
         assert fusion.best_index == 1
         assert fusion.weights[0] == 0.0
+        assert fusion.used.tolist() == [False, True]
 
     def test_all_excluded_raises(self):
         with pytest.raises(SignalQualityError):
-            fuse_elements(
-                self.synth([1.0, 1.0]), exclude=np.array([True, True])
-            )
+            fuse_elements(np.full((10, 2), 0.3))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

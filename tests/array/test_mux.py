@@ -7,6 +7,7 @@ from repro.array.array2d import SensorArray
 from repro.array.mux import AnalogMultiplexer, analyze_mux_timing
 from repro.dsp.decimator import DecimationFilter
 from repro.errors import ConfigurationError
+from tests.helpers import field_segments
 
 
 @pytest.fixture()
@@ -131,29 +132,9 @@ class TestScanSegments:
             )
         sequential = np.vstack(sequential)
 
-        idx = np.arange(4)
-        windows = field.reshape(4, dwell, 4)
-        segments = windows[idx, :, idx]
+        segments = field_segments(field, dwell)
         got = visit_caps(AnalogMultiplexer(SensorArray()), segments)
         assert np.array_equal(got, sequential)
-
-    def test_full_field_entry_point_is_identical(self):
-        """A scan from the full field == the scan from its segments."""
-        from repro.array.scan import ScanController
-
-        dwell = 4 * 128
-        field = 3000.0 + self._field(dwell)
-        idx = np.arange(4)
-        segments = field.reshape(4, dwell, 4)[idx, :, idx]
-        chain = ideal_scan_chain()
-        full = ScanController(chain.chip.mux).scan_records(
-            chain, field, dwell_s=dwell / 128e3, batched=True
-        )
-        chain = ideal_scan_chain()
-        segs = ScanController(chain.chip.mux).scan_records(
-            chain, segments=segments, batched=True
-        )
-        assert np.array_equal(full, segs)
 
     def test_injection_semantics(self, mux):
         caps = visit_caps(mux, np.zeros((4, 3)))
@@ -181,10 +162,6 @@ class TestScanSegments:
         with pytest.raises(ConfigurationError):
             controller.scan_records(
                 chain, segments=np.zeros((4, 0)), batched=True
-            )
-        with pytest.raises(ConfigurationError):
-            controller.scan_records(
-                chain, np.zeros((10, 4)), dwell_s=5 / 128e3, batched=True
             )
         with pytest.raises(ConfigurationError):
             chain.chip.acquire_pressure_scan(np.zeros((10, 4)), 5)

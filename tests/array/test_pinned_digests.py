@@ -128,11 +128,10 @@ def visit_loop_output() -> str:
     coupling = coupling_for(chain, rng)
     dwell_s = 0.05
     fs = chain.params.modulator.sampling_rate_hz
-    pulse = arterial(chain, coupling, 9 * int(dwell_s * fs), rng)
-    field = coupling.element_pressures_pa(pulse)
-    records = ScanController(chain.chip.mux).scan_records(
-        chain, field, dwell_s=dwell_s, batched=False
-    )
+    dwell = int(dwell_s * fs)
+    pulse = arterial(chain, coupling, 9 * dwell, rng)
+    segments = coupling.scan_pressure_segments(pulse, dwell)
+    records = ScanController(chain.chip.mux).scan_records(chain, segments)
     return digest(records)
 
 

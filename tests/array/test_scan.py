@@ -1,4 +1,4 @@
-"""Scan controller: strongest-element selection and element health."""
+"""Scan controller: strongest-element selection and scan bookkeeping."""
 
 import numpy as np
 import pytest
@@ -70,105 +70,6 @@ class TestSelection:
     def test_describe(self, controller):
         selection = controller.select_strongest(synth_signals([1, 2, 3, 4]))
         assert "selected element" in selection.describe()
-
-
-class TestElementHealth:
-    def test_all_healthy_on_clean_signals(self, controller):
-        health = controller.element_health(synth_signals([0.2, 0.8, 0.4, 0.6]))
-        assert health.healthy.all()
-
-    def test_saturated_element_marked_degraded(self, controller):
-        signals = synth_signals([0.2, 0.8, 0.4, 0.6])
-        signals[50:150, 1] = 0.999  # railed for half the record
-        health = controller.element_health(signals)
-        assert not health.healthy[1]
-        assert health.healthy[[0, 2, 3]].all()
-        assert health.saturated_fraction[1] > 0.02
-
-    def test_flatlined_element_marked_degraded(self, controller):
-        signals = synth_signals([0.2, 0.8, 0.4, 0.6])
-        signals[:, 2] = 0.1  # stuck membrane: no pulsatility at all
-        health = controller.element_health(signals)
-        assert not health.healthy[2]
-        assert health.flat_fraction[2] == pytest.approx(1.0)
-
-    def test_short_record_falls_back_to_whole_std(self, controller):
-        signals = synth_signals([0.2, 0.8, 0.4, 0.6], n=10)
-        signals[:, 0] = 0.05
-        health = controller.element_health(signals)
-        assert not health.healthy[0]
-        assert health.healthy[1]
-
-    def test_shape_validated(self, controller):
-        with pytest.raises(ConfigurationError):
-            controller.element_health(np.zeros((100, 3)))
-
-    def test_describe_lists_verdicts(self, controller):
-        health = controller.element_health(synth_signals([0.2, 0.8, 0.4, 0.6]))
-        assert "element 0" in health.describe()
-        assert "ok" in health.describe()
-
-
-class TestSelectionWithExclusion:
-    def test_excluded_strongest_loses_to_runner_up(self, controller):
-        signals = synth_signals([0.2, 0.8, 0.4, 0.6])
-        exclude = np.array([False, True, False, False])
-        selection = controller.select_strongest(signals, exclude=exclude)
-        assert selection.best_index == 3  # runner-up wins
-
-    def test_amplitude_map_still_shows_excluded(self, controller):
-        signals = synth_signals([0.2, 0.8, 0.4, 0.6])
-        exclude = np.array([False, True, False, False])
-        selection = controller.select_strongest(signals, exclude=exclude)
-        flat_map = selection.amplitude_map.ravel()
-        assert flat_map[1] == flat_map.max()  # reported, just not chosen
-
-    def test_all_excluded_raises(self, controller):
-        with pytest.raises(SignalQualityError, match="unhealthy"):
-            controller.select_strongest(
-                synth_signals([1, 1, 1, 1]), exclude=np.ones(4, dtype=bool)
-            )
-
-    def test_exclude_shape_validated(self, controller):
-        with pytest.raises(ConfigurationError):
-            controller.select_strongest(
-                synth_signals([1, 1, 1, 1]),
-                exclude=np.zeros(3, dtype=bool),
-            )
-
-    def test_health_screen_rejects_railed_winner(self, controller):
-        """A railed element looks strongest to peak-to-peak; the health
-        screen must hand the selection to the real signal."""
-        signals = synth_signals([0.2, 0.5, 0.4, 0.3])
-        railed = np.zeros(signals.shape[0])
-        railed[::2] = 0.999
-        railed[1::2] = -0.999
-        signals[:, 0] = railed
-        naive = controller.select_strongest(signals)
-        assert naive.best_index == 0
-        health = controller.element_health(signals)
-        screened = controller.select_strongest(
-            signals, exclude=~health.healthy
-        )
-        assert screened.best_index == 1
-
-
-class TestContrastEligibility:
-    def test_contrast_median_over_eligible_only(self, controller):
-        """The contrast reference statistic must skip excluded elements:
-        railed amplitudes in the median would misstate placement quality."""
-        signals = synth_signals([4.0, 3.0, 2.0, 1.0])
-        exclude = np.array([True, True, False, False])
-        selection = controller.select_strongest(signals, exclude=exclude)
-        assert selection.best_index == 2
-        amps = selection.amplitude_map.ravel()
-        eligible_median = np.median(amps[~exclude])
-        assert selection.contrast == pytest.approx(
-            amps[2] / eligible_median, rel=1e-9
-        )
-        # The all-element median (2.5x the eligible one here) would have
-        # reported the winner as weaker than the array background.
-        assert selection.contrast > amps[2] / np.median(amps)
 
 
 def ideal_chain(rows=2, cols=2):
@@ -266,15 +167,6 @@ class TestScanArgumentChecks:
 
         monkeypatch.setattr(chain, "record_pressure", touched)
         return chain
-
-    @pytest.mark.parametrize("dwell_s", [float("nan"), float("inf")])
-    def test_non_finite_dwell_rejected(self, dwell_s, monkeypatch):
-        chain = self.untouched_chain(monkeypatch)
-        field = np.zeros((4 * 128 * 16, 4))
-        with pytest.raises(ConfigurationError, match="finite"):
-            ScanController(chain.chip.mux).scan_records(
-                chain, field, dwell_s=dwell_s
-            )
 
     @pytest.mark.parametrize("settle_words", [-1, float("nan")])
     def test_bad_settle_words_rejected(self, settle_words, monkeypatch):

@@ -105,5 +105,7 @@ class TestLowpass:
         assert abs(np.argmax(filtered) - np.argmax(x)) <= 2
 
     def test_rejects_bad_cutoff(self):
-        with pytest.raises(ConfigurationError):
-            lowpass_cardiac(np.zeros(100), 1000.0, cutoff_hz=600.0)
+        """The 25 Hz cutoff must sit below the record's Nyquist rate."""
+        for rate_hz in (50.0, 0.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="cardiac cutoff"):
+                lowpass_cardiac(np.zeros(100), rate_hz)

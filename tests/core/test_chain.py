@@ -6,6 +6,7 @@ import pytest
 from repro.array.scan import ScanController
 from repro.core.chain import ReadoutChain
 from repro.errors import ConfigurationError
+from tests.helpers import field_segments
 
 
 @pytest.fixture()
@@ -14,9 +15,11 @@ def chain() -> ReadoutChain:
 
 
 def scan(chain, field, dwell_s, batched=False):
-    """Visit every element for ``dwell_s``; return their records."""
+    """Visit every element of ``field`` for ``dwell_s``; return their
+    records."""
+    segments = field_segments(field, int(dwell_s * 128e3))
     return ScanController(chain.chip.mux).scan_records(
-        chain, field, dwell_s=dwell_s, batched=batched
+        chain, segments, batched=batched
     )
 
 
@@ -86,10 +89,6 @@ class TestScan:
         swings = settled.max(axis=0) - settled.min(axis=0)
         assert np.argmax(swings) == 1
 
-    def test_scan_too_short_rejected(self, chain):
-        with pytest.raises(ConfigurationError, match="too short"):
-            scan(chain, np.zeros((100, 4)), 1.0)
-
 
 class TestBatchedScan:
     """batched=True scans as a bank of matched modulators (every visit
@@ -136,32 +135,35 @@ class TestBatchedScan:
         swings = settled.max(axis=0) - settled.min(axis=0)
         assert np.argmax(swings) == 1
 
-    @staticmethod
-    def segments_of(field, n_per):
-        """Row k: what element k routes during its own dwell."""
-        return np.stack(
-            [field[k * n_per : (k + 1) * n_per, k] for k in range(4)]
-        )
-
     @pytest.mark.parametrize("batched", [False, True])
     def test_segments_match_field_exactly(self, batched):
-        """A scan fed only the routed segments gives the full field's
-        records and word accounting, bit for bit, noisy chain included."""
+        """A scan fed only the routed segments gives the records of
+        visiting the full field's windows, bit for bit, noisy chain
+        included: a visit reads only its routed column."""
         n_per = int(0.1 * 128e3)
         field = self.pulsing_field(n_per)
         field[:, 2] = 3000.0  # unrouted outside element 2's own dwell
-        outcomes = []
-        for feed in ({"element_pressures_pa": field, "dwell_s": 0.1},
-                     {"segments": self.segments_of(field, n_per)}):
-            chain = ReadoutChain(rng=np.random.default_rng(61))
-            controller = ScanController(chain.chip.mux)
-            records = controller.scan_records(chain, batched=batched, **feed)
-            outcomes.append(
-                (records, controller.last_scan_truncation.words_recorded)
-            )
-        (ref, ref_sizes), (got, got_sizes) = outcomes
+
+        chain = ReadoutChain(rng=np.random.default_rng(61))
+        saved = chain.chip.state_snapshot()
+        visits = []
+        for k in range(4):
+            if batched:
+                chain.chip.restore_state(saved)
+            window = field[k * n_per : (k + 1) * n_per]
+            visits.append(chain.record_pressure(window, element=k).values)
+        sizes = np.array([v.size for v in visits])
+        ref = np.column_stack([v[: sizes.min()] for v in visits])
+
+        chain = ReadoutChain(rng=np.random.default_rng(61))
+        controller = ScanController(chain.chip.mux)
+        got = controller.scan_records(
+            chain, field_segments(field, n_per), batched=batched
+        )
         assert np.array_equal(got, ref)
-        assert np.array_equal(got_sizes, ref_sizes)
+        assert np.array_equal(
+            controller.last_scan_truncation.words_recorded, sizes
+        )
 
     def test_scan_and_select_agrees_across_modes(self):
         """The sequential scan-and-select picks the pulsing element, as
@@ -170,7 +172,7 @@ class TestBatchedScan:
         field = self.pulsing_field(n_per)
         chain = self.ideal_chain()
         sel = ScanController(chain.chip.mux).scan_and_select(
-            chain, self.segments_of(field, n_per), settle_words=16
+            chain, field_segments(field, n_per), settle_words=16
         )
         bank = scan(self.ideal_chain(), field, 0.1, batched=True)
         bank_sel = ScanController(chain.chip.mux).select_strongest(bank[16:])

@@ -144,8 +144,10 @@ class TestParallelCommands:
         assert "telemetry reconciles" in out
 
     def test_population_rejects_tiny_cohort(self, capsys):
-        assert main(["population", "--subjects", "2"]) == 2
-        assert ">= 3 subjects" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["population", "--subjects", "2"])
+        assert exc.value.code == 2
+        assert "expected an integer >= 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -231,6 +233,12 @@ class TestNumericArguments:
             "device --fault-rate -1",
             "device --pace nan",
             "device --pace -0.5",
+            "population --subjects 2",
+            "stream --element 9",
+            "stream --element -1",
+            "gateway --chaos 2 --frames 0",
+            "device --drop-every 0",
+            "gateway --queue-chunks 0",
         ],
     )
     def test_bad_value_is_a_usage_error(self, capsys, cmdline):

@@ -115,7 +115,7 @@ class TestStreamingMeasure:
         scan_total = self.DWELL_S * monitor.chain.chip.array.n_elements
         total = scan_total + self.DURATION_S
         truth = VirtualPatient(rng=np.random.default_rng(71)).record(
-            duration_s=total, sample_rate_hz=monitor.physiology_rate_hz
+            duration_s=total, sample_rate_hz=monitor.PHYSIOLOGY_RATE_HZ
         )
         selection = monitor.scan(truth, dwell_s=self.DWELL_S)
         reference = monitor.chain.record_pressure(
@@ -163,6 +163,45 @@ class TestStreamingMeasure:
                 injector.apply_array(np.zeros((1, 4)))
 
 
+class TestCardiacBand:
+    def test_measure_lowpasses_the_record_twice(self, monkeypatch):
+        """One cardiac-band pass feeds the beat finder and the mmHg
+        waveform, assess_quality makes the other; the features and the
+        quality equal the public wrappers' on the same record."""
+        from repro.calibration import features as features_module
+        from repro.calibration.features import detect_beats
+        from repro.calibration.quality import assess_quality
+
+        filtered = []
+        sosfiltfilt = features_module.sosfiltfilt
+
+        def counting(sos, x):
+            filtered.append(x.size)
+            return sosfiltfilt(sos, x)
+
+        monkeypatch.setattr(features_module, "sosfiltfilt", counting)
+        patient = VirtualPatient(rng=np.random.default_rng(71))
+        result = build_monitor().measure(
+            patient, duration_s=5.0, scan_dwell_s=0.05,
+            rng=np.random.default_rng(72),
+        )
+        values = result.recording.values
+        assert filtered == [values.size] * 2
+
+        monkeypatch.undo()
+        fs = result.recording.sample_rate_hz
+        rate = patient.params.heart_rate_bpm
+        beats = detect_beats(values, fs, expected_rate_bpm=rate)
+        for field in ("peak_times_s", "systolic_raw", "foot_times_s",
+                      "diastolic_raw"):
+            assert np.array_equal(
+                getattr(result.features, field), getattr(beats, field)
+            )
+        assert result.quality == assess_quality(
+            values, fs, expected_rate_bpm=rate
+        )
+
+
 class TestValidation:
     def test_short_duration_rejected(self):
         params = SystemParams()
@@ -173,15 +212,6 @@ class TestValidation:
         monitor = BloodPressureMonitor(chain, coupling)
         with pytest.raises(ConfigurationError):
             monitor.measure(VirtualPatient(), duration_s=2.0)
-
-    def test_bad_physiology_rate_rejected(self):
-        params = SystemParams()
-        chain = ReadoutChain(params)
-        coupling = TonometricCoupling(
-            chain.chip.array.geometry, ContactModel()
-        )
-        with pytest.raises(ConfigurationError):
-            BloodPressureMonitor(chain, coupling, physiology_rate_hz=50.0)
 
     @pytest.mark.parametrize("dwell_s", [float("nan"), float("inf"), 0.0])
     def test_scan_rejects_bad_dwell(self, dwell_s):

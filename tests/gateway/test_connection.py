@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.gateway.batchplane import BatchPlane
 from repro.gateway.connection import DeviceSession
 from repro.gateway.protocol import ControlEvent, pack_bye
+from repro.gateway.server import GatewayServer
 
 
 def _payload(n_frames=3, spf=8, start_codes=0):
@@ -50,6 +51,12 @@ class TestBackpressure:
     def test_queue_bound_validated(self):
         with pytest.raises(ConfigurationError):
             DeviceSession(device_id=1, queue_chunks=0)
+
+    def test_server_queue_bound_validated(self):
+        """The server refuses the bound up front, by the session's rule,
+        instead of failing every handshake later."""
+        with pytest.raises(ConfigurationError, match="chunk slot"):
+            GatewayServer(queue_chunks=0)
 
     def test_shed_frames_surface_as_lost(self):
         session = DeviceSession(device_id=1)

@@ -9,6 +9,12 @@ other than the ``clock`` test seam, to be passed somewhere in ``src/``,
 ``tests/``, ``benchmarks/``, ``examples/`` or ``perfbench/``: by
 keyword, by position or through ``**``.
 
+A second check ratchets the parameters that only ``tests/`` passes:
+they must be exactly the ones listed in :data:`TEST_ONLY`, each under
+the reason it may stay. A new one fails the check, and so does a listed
+one that is gone or that a program caller now passes (drop it from the
+list).
+
 Call sites are matched by callee name (``f(...)`` and ``obj.f(...)``;
 a class name stands for its ``__init__``). A name defined more than once
 in ``src/repro`` is skipped, since a call cannot be told apart by name.
@@ -22,8 +28,105 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "tests", "benchmarks", "examples", "perfbench")
+PROGRAM_DIRS = ("src", "benchmarks", "examples", "perfbench")
+CALLER_DIRS = PROGRAM_DIRS + ("tests",)
 EXEMPT = {"clock"}
+
+#: Defaulted parameters only tests pass (paths relative to
+#: ``src/repro``), grouped by why each may stay settable.
+TEST_ONLY = {
+    "oracle constructor: the spec of a model (ROADMAP item 12)": {
+        "baselines/catheter.py ArterialLineReference(duration_s=)",
+        "baselines/catheter.py CatheterReference(damping_ratio=)",
+        "baselines/catheter.py CatheterReference(natural_frequency_hz=)",
+        "baselines/catheter.py CatheterReference(noise_mmhg=)",
+        "baselines/ideal_adc.py IdealADC(bits=)",
+        "baselines/ideal_adc.py IdealADC(full_scale=)",
+        "baselines/ideal_adc.py IdealADC(noise_sigma=)",
+        "baselines/ideal_adc.py convert_to_values(rng=)",
+        "baselines/ideal_adc.py ideal_snr_db(amplitude=)",
+        "daq/usb.py crc16_ccitt(seed=)",
+        "physiology/windkessel.py WindkesselModel(compliance_ml_per_mmhg=)",
+        "physiology/windkessel.py WindkesselModel(ejection_fraction_of_beat=)",
+        "physiology/windkessel.py WindkesselModel(resistance_mmhg_s_per_ml=)",
+        "sdm/chopper.py ChoppedSecondOrderSDM(chop_divider=)",
+        "sdm/higher_order.py HigherOrderSDM(gains=)",
+        "sdm/linear.py LinearLoopModel(coefficients=)",
+        "sdm/linear.py predicted_sqnr_db(amplitude=)",
+        "sdm/linear.py sqnr_slope_db_per_octave(osr_high=)",
+        "sdm/linear.py sqnr_slope_db_per_octave(osr_low=)",
+        "sdm/nonidealities.py FlickerNoiseGenerator(n_sources=)",
+        "sdm/nonidealities.py integrator_noise_sigma_v(opamp_excess_factor=)",
+        "sdm/nonidealities.py kt_over_c_sigma_v(phases=)",
+    },
+    "test seam: argv, compiler flags, gateway timers and backoff": {
+        "cli.py main(argv=)",
+        "gateway/backoff.py ExponentialBackoff(jitter=)",
+        "gateway/backoff.py ExponentialBackoff(multiplier=)",
+        "gateway/chaos.py run_chaos(fault_rate_hz=)",
+        "gateway/chaos.py run_chaos(reconnect_every=)",
+        "gateway/chaos.py run_chaos(samples_per_frame=)",
+        "gateway/client.py DeviceClient(backoff=)",
+        "gateway/client.py DeviceClient(max_retries=)",
+        "gateway/client.py chain_payloads(element=)",
+        "gateway/server.py GatewayServer(hello_timeout_s=)",
+        "gateway/server.py GatewayServer(host=)",
+        "gateway/server.py GatewayServer(output_rate_hz=)",
+        "gateway/server.py GatewayServer(samples_per_frame=)",
+        "gateway/server.py GatewayServer(tick_s=)",
+        "gateway/server.py GatewayServer(watchdog_config=)",
+        "native.py _build(flags=)",
+    },
+    "physics parameter a test sweeps or validates": {
+        "array/mux.py AnalogMultiplexer(charge_injection_c=)",
+        "array/mux.py AnalogMultiplexer(switch_resistance_ohm=)",
+        "baselines/cuff.py OscillometricCuff(deflation_rate_mmhg_per_s=)",
+        "baselines/cuff.py OscillometricCuff(width_above_map_mmhg=)",
+        "baselines/cuff.py OscillometricCuff(width_below_map_mmhg=)",
+        "baselines/cuff.py measurement_interval_s(rest_s=)",
+        "calibration/artifacts.py ArtifactDetector(slew_factor=)",
+        "calibration/drift.py RecalibrationPolicy(min_interval_s=)",
+        "calibration/drift.py estimate(window=)",
+        "core/autozero.py AutoZeroController(burst_words=)",
+        "core/autozero.py AutoZeroController(flush_words=)",
+        "core/power.py PowerModel(static_fraction=)",
+        "core/power.py report(sampling_rate_hz=)",
+        "core/power.py report(supply_v=)",
+        "daq/fpga.py FPGAFilterBank(flush_words_on_switch=)",
+        "daq/fpga.py FPGAFilterBank(samples_per_frame=)",
+        "faults/recovery.py SaturationEpisodeDetector(clear_run=)",
+        "faults/recovery.py SaturationEpisodeDetector(min_run=)",
+        "faults/recovery.py SaturationEpisodeDetector(rail_level=)",
+        "mems/capacitor.py DeflectedPlateCapacitor(fringe_factor=)",
+        "mems/capacitor.py DeflectedPlateCapacitor(grid_points=)",
+        "mems/capacitor.py DeflectedPlateCapacitor(parasitic_f=)",
+        "mems/membrane.py MembraneSensor(interpolant_degree=)",
+        "mems/membrane.py MembraneSensor(laminate=)",
+        "mems/membrane.py MembraneSensor(operating_range_pa=)",
+        "physiology/artifacts.py MotionArtifactGenerator(creep_mmhg_per_min=)",
+        "physiology/artifacts.py contaminated_mask(guard_s=)",
+        "physiology/heart.py BeatScheduler(rsa_fraction=)",
+        "physiology/pulse.py RadialPulseTemplate(grid_points=)",
+        "physiology/respiration.py RespirationModel(phase_rad=)",
+        "physiology/respiration.py RespirationModel(wander_corner_hz=)",
+        "physiology/respiration.py RespirationModel(wander_mmhg=)",
+        "sdm/feedback.py FeedbackDAC(reference_error=)",
+        "sdm/integrator.py SCIntegrator(swing_limit=)",
+        "sdm/modulator.py SecondOrderSDM(coefficients=)",
+        "tonometry/coupling.py element_pressures_pa(hold_down_pa=)",
+        "tonometry/coupling.py scan_pressure_segments(hold_down_pa=)",
+        "tonometry/placement.py perturbed(delta_rotation_rad=)",
+        "tonometry/servo.py HoldDownServo(coarse_points=)",
+        "tonometry/servo.py HoldDownServo(max_pa=)",
+        "tonometry/servo.py HoldDownServo(min_pa=)",
+        "tonometry/servo.py HoldDownServo(min_peak_amplitude=)",
+        "tonometry/servo.py HoldDownServo(refine_tolerance_pa=)",
+    },
+    "fault seam: a test injects faults into one record": {
+        "core/chain.py record_pressure(faults=)",
+        "core/monitor.py record_streaming(faults=)",
+    },
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -72,10 +175,10 @@ def _definitions():
     return defs
 
 
-def _call_sites():
+def _call_sites(caller_dirs):
     """callee name -> list of (n positional args, keywords, open-ended)."""
     calls = defaultdict(list)
-    for top in CALLER_DIRS:
+    for top in caller_dirs:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(_parse(path)):
                 if not isinstance(node, ast.Call):
@@ -100,12 +203,14 @@ def _call_sites():
     return calls
 
 
-def _never_passed():
+def _never_passed(caller_dirs):
+    """(path in the package, line, "name(param=)") of every defaulted
+    parameter that no call in ``caller_dirs`` passes."""
     defs = _definitions()
     counts = defaultdict(int)
     for name, *_ in defs:
         counts[name] += 1
-    calls = _call_sites()
+    calls = _call_sites(caller_dirs)
     missing = []
     for name, path, lineno, positional, defaulted in defs:
         if counts[name] > 1 or "experiments" in path.relative_to(PACKAGE).parts:
@@ -121,14 +226,29 @@ def _never_passed():
                 for n_pos, keywords, starred, spread in calls.get(name, ())
             )
             if not passed:
-                rel = path.relative_to(ROOT)
-                missing.append(f"{rel}:{lineno} {name}({param}=)")
+                rel = path.relative_to(PACKAGE).as_posix()
+                missing.append((rel, lineno, f"{name}({param}=)"))
     return missing
 
 
 def test_every_defaulted_parameter_has_a_caller():
-    missing = _never_passed()
+    missing = [
+        f"src/repro/{rel}:{lineno} {call}"
+        for rel, lineno, call in _never_passed(CALLER_DIRS)
+    ]
     assert not missing, (
         "parameters with a default that no call site passes (make them "
         "constants, or pass them):\n  " + "\n  ".join(missing)
+    )
+
+
+def test_test_only_parameters_are_the_listed_ones():
+    found = {f"{rel} {call}" for rel, _, call in _never_passed(PROGRAM_DIRS)}
+    listed = set().union(*TEST_ONLY.values())
+    new, stale = sorted(found - listed), sorted(listed - found)
+    assert not new and not stale, (
+        "defaulted parameters only tests pass, not listed in TEST_ONLY "
+        "(make them constants):\n  " + "\n  ".join(new)
+        + "\nlisted in TEST_ONLY but deleted or passed by a program "
+        "caller (drop them from the list):\n  " + "\n  ".join(stale)
     )

@@ -4,9 +4,9 @@ SciPy costs over a second and some 76 MB to import; only analysis code
 (the catheter baseline, NTF analysis, flicker noise), experiments and
 tests use it, and they import it on first use. A fresh interpreter runs
 one chunk of every acquisition surface (solo session, batch session,
-fused scan, gateway session), a seeded monitor measurement with
-artifact rejection and a 4-lane batch session calibrated to mmHg, and
-must finish without ``scipy`` in ``sys.modules``: the low-pass, peak
+fused scan, gateway session), a seeded monitor measurement, the
+artifact detector on its record and a 4-lane batch session calibrated
+to mmHg, and must finish without ``scipy`` in ``sys.modules``: the low-pass, peak
 picker and error function are the package's own
 (``tests/dsp/test_scipy_parity.py``). It runs once with the native
 library and once with it marked unavailable, so the Python biquad
@@ -82,6 +82,7 @@ async def gateway_session():
 asyncio.run(gateway_session())
 
 from repro.baselines.cuff import OscillometricCuff
+from repro.calibration.artifacts import ArtifactDetector
 from repro.calibration.features import detect_beats, lowpass_cardiac
 from repro.calibration.twopoint import TwoPointCalibration
 from repro.core.monitor import BloodPressureMonitor
@@ -97,12 +98,13 @@ contact = ContactModel(
 )
 chain = ReadoutChain(base, rng=np.random.default_rng(5))
 coupling = TonometricCoupling(chain.chip.array.geometry, contact)
-monitor = BloodPressureMonitor(chain, coupling, artifact_rejection=True)
+monitor = BloodPressureMonitor(chain, coupling)
 result = monitor.measure(
     VirtualPatient(rng=np.random.default_rng(6)), duration_s=5.0,
     scan_dwell_s=0.05,
 )
-assert result.features.n_beats >= 2 and result.artifact_report is not None
+assert result.features.n_beats >= 2
+ArtifactDetector().detect(result.recording.values, result.recording.sample_rate_hz)
 
 fs = base.modulator.sampling_rate_hz
 t = np.arange(int(5.0 * fs)) / fs

@@ -127,10 +127,12 @@ def monitor_output() -> str:
     truth = VirtualPatient(rng=rng).record(
         duration_s=scan_s + RECORD_S, sample_rate_hz=2000.0
     )
-    field = monitor._pressure_field(truth, 0.0, scan_s)
-    records = ScanController(chain.chip.mux).scan_records(
-        chain, field, dwell_s=SCAN_DWELL_S, batched=False
-    )
+    fs = params.modulator.sampling_rate_hz
+    dwell = int(SCAN_DWELL_S * fs)
+    n_elements = chain.chip.array.n_elements
+    arterial = truth.interp_pressure_pa(np.arange(dwell * n_elements) / fs)
+    segments = coupling.scan_pressure_segments(arterial, dwell)
+    records = ScanController(chain.chip.mux).scan_records(chain, segments)
     best = int(np.argmax(np.ptp(records[8:], axis=0)))
     faults = link_faults(SEED + 1, RECORD_S, rate_hz=2.0)
     sessions = []

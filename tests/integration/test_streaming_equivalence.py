@@ -17,6 +17,7 @@ from repro.daq.usb import FrameDecoder
 from repro.dsp.decimator import DecimationFilter
 from repro.faults import FAULT_KINDS, FaultInjector, FaultSpec
 from repro.params import NonidealityParams, SystemParams
+from tests.helpers import field_segments
 
 
 def random_bits(n, seed=0):
@@ -139,10 +140,9 @@ class TestSessionChunkingEquivalence:
         session.telemetry.reconcile(lossless=True)
 
     @pytest.mark.parametrize("start", [0, 2])
-    @pytest.mark.parametrize("source", ["field", "segments"])
     @pytest.mark.parametrize("ideal", [False, True], ids=["noisy", "ideal"])
     def test_batched_scan_matches_chunked_sessions(
-        self, backend, ideal, source, start
+        self, backend, ideal, start
     ):
         """The bank scan == the chip/FPGA reference, visit by visit.
 
@@ -169,17 +169,9 @@ class TestSessionChunkingEquivalence:
             # streams, filter and framer mid-stream.
             c.record_pressure(sine_field(1000), element=start)
 
-        controller = ScanController(scanned.chip.mux)
-        if source == "field":
-            records = controller.scan_records(
-                scanned, field, dwell_s=dwell / 128000.0, batched=True
-            )
-        else:
-            idx = np.arange(n_el)
-            segments = field.reshape(n_el, dwell, n_el)[idx, :, idx]
-            records = controller.scan_records(
-                scanned, segments=segments, batched=True
-            )
+        records = ScanController(scanned.chip.mux).scan_records(
+            scanned, field_segments(field, dwell), batched=True
+        )
 
         saved = ref.chip.state_snapshot()
         columns = []

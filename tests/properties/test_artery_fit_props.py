@@ -120,18 +120,14 @@ class TestBatchedFitMatchesSpec:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_excluded_elements(self, shape, x0_pitches, drop, seed):
+        """Dead elements (zero amplitude) drop out of their row's fit."""
         geo = geometry(*shape)
         rng = np.random.default_rng(seed)
         amps = ridge(geo, x0_pitches * geo.pitch_m, 0.05, 1.5, rng, 0.05)
-        exclude = rng.random(amps.shape) < drop
-        if exclude.all():
-            exclude[0, 0] = False
-        est = localize_artery(amps, geo, exclude=exclude)
-        ref = assert_matches_spec(np.where(exclude, 0.0, amps), geo)
-        assert est.transverse_m == ref.transverse_m
-        assert np.array_equal(
-            est.row_positions_m, ref.row_positions_m, equal_nan=True
-        )
+        dead = rng.random(amps.shape) < drop
+        if dead.all():
+            dead[0, 0] = False
+        assert_matches_spec(np.where(dead, 0.0, amps), geo)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rows_with_exactly_three_good_points(self, seed):
