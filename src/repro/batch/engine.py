@@ -29,6 +29,19 @@ value. Fully deterministic lanes (no jitter, noise, flicker or DAC
 noise) skip that call entirely: its only effects are the identity
 transform and the jitter-slope carry, which the engine replays directly.
 
+A solo noisy lane with two or more CPUs, fed chunks that fit one
+slice, draws ahead instead: once a chunk is staged, and before its
+kernel call (which releases the GIL), the pool starts drawing the next
+chunk's unit normals, assuming it has the same length
+(:meth:`~repro.sdm.modulator.SecondOrderSDM._draw_ahead`). That is a
+cache that is always safe to drop: the helper draws from spare
+generators, and a term generator moves past the drawn values only when
+the next staging takes them, so every stream sits at its consumed
+position whether the cache is taken, dropped (another length, the
+per-lane fallback, a copy, a pickle, a fork, the session's end) or
+never made. A chunk longer than a slice is a bulk record; it draws
+inline and holds no draw-ahead rows.
+
 The kernel runs on a batch padded to :data:`~repro.native.LANE_BLOCK`
 lanes; padded lanes carry inert coefficients and zero inputs, and their
 outputs are discarded. Input staging buffers persist across chunks
@@ -64,22 +77,27 @@ from .kernel import ChainKernel
 STAGE_SAMPLES = 16384
 
 # Noisy lanes stage on the calling thread plus this pool, created on
-# first use. A forked child inherits the pool object but not its worker
-# threads, so a submit there would wait forever: the at-fork hook drops
-# the pool, and a forked child stages inline (its parent already spreads
-# the work over the cores).
+# first use, and a solo lane draws ahead on it. A forked child inherits
+# the pool object but not its worker threads, so a submit there would
+# wait forever: the at-fork hook drops the pool, and a forked child
+# stages inline (its parent already spreads the work over the cores).
+# It also bumps the fork generation, which tells a draw-ahead started
+# before the fork, whose call no thread in the child will finish, to
+# drop instead of waiting.
 _pool = None
 _pool_lock = threading.Lock()
 _forked = False
+_fork_generation = 0
 
 
 def _after_fork_in_child() -> None:
-    global _pool, _pool_lock, _forked
+    global _pool, _pool_lock, _forked, _fork_generation
     _pool = None
     # Another thread may have held the lock at fork; the child's copy
     # would then stay locked.
     _pool_lock = threading.Lock()
     _forked = True
+    _fork_generation += 1
 
 
 if hasattr(os, "register_at_fork"):
@@ -96,16 +114,73 @@ def staging_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _staging_pool():
+def fork_generation() -> int:
+    """Forks this process descends through since the module loaded."""
+    return _fork_generation
+
+
+class _Call:
+    """One call handed to the pool; :meth:`exception` waits for it."""
+
+    def __init__(self, fn, args):
+        self._fn, self._args = fn, args
+        self._error = None
+        self._done = threading.Lock()
+        self._done.acquire()
+
+    def run(self) -> None:
+        try:
+            self._fn(*self._args)
+        except BaseException as exc:
+            self._error = exc
+        finally:
+            self._fn = self._args = None
+            self._done.release()
+
+    def exception(self):
+        """Wait for the call; return what it raised, or None."""
+        with self._done:
+            return self._error
+
+
+class _Pool:
+    """Daemon worker threads taking calls from one queue.
+
+    A worker starts with each submit until there are ``workers``.
+    Smaller than ``concurrent.futures``, whose import (it loads
+    ``logging``) costs more resident memory than a solo session's whole
+    draw-ahead.
+    """
+
+    def __init__(self, workers: int):
+        import queue
+
+        self._calls = queue.SimpleQueue()
+        self._room = workers
+        self._lock = threading.Lock()
+
+    def submit(self, fn, *args) -> _Call:
+        call = _Call(fn, args)
+        self._calls.put(call)
+        with self._lock:
+            start = self._room > 0
+            self._room -= start
+        if start:
+            threading.Thread(
+                target=self._work, name="repro-stage", daemon=True
+            ).start()
+        return call
+
+    def _work(self) -> None:
+        while True:
+            self._calls.get().run()
+
+
+def _staging_pool() -> _Pool:
     global _pool
     with _pool_lock:
         if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(
-                max_workers=max(1, staging_cpus() - 1),
-                thread_name_prefix="repro-stage",
-            )
+            _pool = _Pool(max(1, staging_cpus() - 1))
         return _pool
 
 
@@ -185,6 +260,8 @@ class BatchChainEngine:
         # The compiled front end, bound on first use for the lanes'
         # element selection (see _front_for).
         self._front = self._front_sel = None
+        # Samples per lane of the chunk being fed.
+        self._chunk_n = 0
 
     @property
     def lanes(self) -> int:
@@ -331,7 +408,7 @@ class BatchChainEngine:
         then already been converted, as if they had been fed as
         separate chunks.
         """
-        n = fields[0].shape[0]
+        n = self._chunk_n = fields[0].shape[0]
         kernel = self._front_for(fields) if self.uses_kernel else None
         parts = []
         start = 0
@@ -408,6 +485,7 @@ class BatchChainEngine:
                 "loop inputs must be (n_samples, n_lanes)"
             )
         n, B = u.shape
+        self._chunk_n = n
         if (
             n == 0
             or not self.uses_kernel
@@ -441,7 +519,9 @@ class BatchChainEngine:
         Noisy lanes are staged by :meth:`_stage_noisy`, split across the
         usable CPUs when there are at least two of each. A lane touches
         only its own modulator, RNG streams and staging rows, so the
-        split cannot change a value.
+        split cannot change a value. A solo noisy lane on two or more
+        CPUs, in a chunk of one slice, has the pool draw the next
+        chunk's normals while this chunk's kernel runs.
         """
         B = len(self.chains)
         au = self._au
@@ -477,6 +557,10 @@ class BatchChainEngine:
                     raise err
         elif noisy:
             self._stage_noisy(noisy, n, self._work_rows(1)[0])
+            if B == 1 and n == self._chunk_n and staging_cpus() > 1:
+                self.chains[0].chip.modulator._draw_ahead(
+                    n, _staging_pool(), _fork_generation
+                )
 
         k = self._kernel
         self._load_state(k)
@@ -506,6 +590,11 @@ class BatchChainEngine:
                 ),
             )
             np.multiply(row, self._a1[l], out=row)
+
+    def drop_draws_ahead(self) -> None:
+        """Drop every lane's draw-ahead cache and free its rows."""
+        for c in self.chains:
+            c.chip.modulator._drop_ahead()
 
     # -- state hand-over ---------------------------------------------------
 

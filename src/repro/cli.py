@@ -220,9 +220,6 @@ def cmd_batch(lanes: int) -> int:
     from .core.session import AcquisitionSession
     from .params import NonidealityParams, SystemParams
 
-    if lanes < 1:
-        print("--batch needs >= 1 lane", file=sys.stderr)
-        return 2
     params = SystemParams().replace(nonideality=NonidealityParams.ideal())
     chains = [
         ReadoutChain(params, rng=np.random.default_rng(lane))
@@ -590,9 +587,6 @@ def cmd_gateway(
     from .gateway import GatewayServer, run_chaos
 
     if chaos is not None:
-        if chaos < 1:
-            print("need >= 1 chaos device", file=sys.stderr)
-            return 2
         report = asyncio.run(
             run_chaos(
                 n_devices=chaos,
@@ -770,6 +764,8 @@ _device_id = _argument_type(
     int, lambda v: 0 <= v <= 0xFFFFFFFF, "an integer in [0, 2**32)"
 )
 _subject_count = _argument_type(int, lambda v: v >= 3, "an integer >= 3")
+_array_rows = _argument_type(int, lambda v: v >= 2, "an integer >= 2")
+_array_cols = _argument_type(int, lambda v: v >= 3, "an integer >= 3")
 _n_elements = paper_defaults().array.n_elements
 _element_index = _argument_type(
     int, lambda v: 0 <= v < _n_elements, f"an integer in [0, {_n_elements})"
@@ -812,8 +808,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_parser.add_argument(
         "--batch",
-        type=int,
-        default=0,
+        type=_positive_int,
+        default=None,
         metavar="LANES",
         help="run LANES concurrent acquisition sessions through the "
         "fused batch kernel and spot-check bit-identity against a "
@@ -863,10 +859,10 @@ def main(argv: list[str] | None = None) -> int:
         "fusion, drift registration)",
     )
     imaging_parser.add_argument(
-        "--rows", type=int, default=8, help="array rows"
+        "--rows", type=_array_rows, default=8, help="array rows"
     )
     imaging_parser.add_argument(
-        "--cols", type=int, default=8, help="array cols"
+        "--cols", type=_array_cols, default=8, help="array cols"
     )
     imaging_parser.add_argument(
         "--offset-um", type=_finite_float, default=200.0,
@@ -926,7 +922,7 @@ def main(argv: list[str] | None = None) -> int:
         help="per-connection ingest queue bound [chunks]",
     )
     gateway_parser.add_argument(
-        "--chaos", type=int, default=None, metavar="N",
+        "--chaos", type=_positive_int, default=None, metavar="N",
         help="run the in-process chaos audit with N devices and exit",
     )
     gateway_parser.add_argument(
@@ -1003,7 +999,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         return cmd_list()
     if args.command == "run":
-        if args.batch:
+        if args.batch is not None:
             return cmd_batch(args.batch)
         if not args.names:
             run_parser.error("names are required unless --batch is given")

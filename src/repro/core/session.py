@@ -110,6 +110,12 @@ class PipelineTelemetry:
     #: Fault events the session's injector has applied so far (0 when no
     #: injector is wired — the counters then reconcile strictly).
     faults_injected: int = 0
+    #: Chunks (of at most one engine staging slice) whose noise normals
+    #: came from the modulator's draw-ahead cache.
+    chunks_drawn_ahead: int = 0
+    #: Draw-ahead caches dropped unused (another length, a fork, the
+    #: session's end); each cost only the helper's time.
+    draws_ahead_dropped: int = 0
     #: Largest single input chunk, in bytes (the memory high-water mark
     #: of the acquisition-rate data).
     peak_chunk_bytes: int = 0
@@ -295,6 +301,8 @@ class PipelineTelemetry:
             total.resync_bytes += p.resync_bytes
             total.words_delivered += p.words_delivered
             total.faults_injected += p.faults_injected
+            total.chunks_drawn_ahead += p.chunks_drawn_ahead
+            total.draws_ahead_dropped += p.draws_ahead_dropped
             total.peak_chunk_bytes = max(
                 total.peak_chunk_bytes, p.peak_chunk_bytes
             )
@@ -322,6 +330,8 @@ class PipelineTelemetry:
             f"{self.frames_decoded} decoded, {self.lost_frames} lost, "
             f"{self.crc_errors} CRC errors, {self.stale_frames} stale",
             f"  delivered         : {self.words_delivered} words",
+            f"  draw-ahead        : {self.chunks_drawn_ahead} chunks "
+            f"from the cache, {self.draws_ahead_dropped} dropped",
         ]
         if self.faults_injected:
             lines.append(
@@ -508,12 +518,24 @@ class LaneSession:
         self.telemetries = [PipelineTelemetry.for_chain(c) for c in self.chains]
         # Each lane's FPGA filter-reset count as last booked.
         self._resets = [c.fpga.filter_resets for c in self.chains]
+        # Each lane modulator's draw-ahead counts at the session's start.
+        self._draws = [self._draw_counts(c) for c in self.chains]
         self._quality = quality
         self._kind: str | None = None
         self._finished = False
 
     def _open_link(self, chain):
         raise NotImplementedError
+
+    @staticmethod
+    def _draw_counts(chain) -> tuple[int, int]:
+        m = chain.chip.modulator
+        return m.draws_taken, m.draws_dropped
+
+    def _book_draws(self, l: int, tm: "PipelineTelemetry") -> None:
+        taken, dropped = self._draw_counts(self.chains[l])
+        tm.chunks_drawn_ahead = taken - self._draws[l][0]
+        tm.draws_ahead_dropped = dropped - self._draws[l][1]
 
     @property
     def lanes(self) -> int:
@@ -577,6 +599,7 @@ class LaneSession:
             tm.mod_samples_in += n
             tm.bits_out += n
             tm.clipped_samples += int(clipped[l])
+            self._book_draws(l, tm)
             suppressed = c.fpga.words_suppressed
             words = self.links[l].deliver(c.fpga, codes[l], n, tm)
             tm.words_filtered += codes[l].size
@@ -595,8 +618,13 @@ class LaneSession:
         if self._finished:
             return [_empty() for _ in self.chains]
         self._finished = True
+        # A draw for a chunk that never comes: drop it and its rows.
+        self.engine.drop_draws_ahead()
         delivered = []
-        for c, link, tm in zip(self.chains, self.links, self.telemetries):
+        for l, (c, link, tm) in enumerate(
+            zip(self.chains, self.links, self.telemetries)
+        ):
+            self._book_draws(l, tm)
             delivered.append(link.finish(c.fpga, tm))
         if self.faults is not None:
             self.telemetries[0].faults_injected = self.faults.events_applied

@@ -138,7 +138,8 @@ class DecimationFilter:
         acc = self.fir.process(cic_out)  # FS = 2^15 * 2^14 * gain(=1)
         fs_acc = float(self.cic.dc_gain) / self.fir.coeff_format.scale
         out_half = 1 << (self.params.output_bits - 1)
-        # Round-half-away rounding of acc * out_half / fs_acc in integers.
+        # acc * out_half / fs_acc rounded half to even (np.round), as the
+        # compiled chain kernel's rint does.
         scaled = np.round(acc.astype(float) * (out_half / fs_acc)).astype(
             np.int64
         )

@@ -13,6 +13,7 @@ All loop quantities are normalized to the reference voltage; the input
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,56 @@ from .nonidealities import FlickerNoiseGenerator, integrator_noise_sigma_v
 from .topology import LoopCoefficients
 
 BACKENDS = ("reference", "fast")
+
+class _DrawAhead:
+    """The next block's unit normals, drawn on a helper thread.
+
+    A cache that is always safe to drop. Each term draws from a spare
+    generator set to its term generator's state, into a row allocated
+    here, on the caller's thread. The term generator moves on only when
+    :meth:`SecondOrderSDM._normals` takes a row, by swapping places with
+    the spare, which stopped where the whole row's draw leaves the
+    stream. Until then every term generator sits at its consumed
+    position, so dropping the entry changes no value. Copies and pickles
+    carry no entry.
+    """
+
+    def __init__(self, n: int, gens: dict):
+        self.n = n
+        self.rows = {name: np.empty(n) for name in gens}
+        self.spares = {name: copy.deepcopy(g) for name, g in gens.items()}
+        #: The helper's future, None once taken or dropped.
+        self.future = None
+        #: The batch engine's fork generation at submit.
+        self.stamp = 0
+
+    def fill(self, gens: dict) -> None:
+        """Draw every row (runs on the helper thread)."""
+        for name, gen in gens.items():
+            spare = self.spares[name]
+            spare.bit_generator.state = gen.bit_generator.state
+            spare.standard_normal(out=self.rows[name])
+
+    def settle(self) -> bool:
+        """Wait for the draw; False when it is lost or failed.
+
+        A forked child never waits: the thread that would finish its
+        parent's draw does not exist there.
+        """
+        future, self.future = self.future, None
+        # Imported lazily: repro.batch imports this package.
+        from ..batch.engine import fork_generation
+
+        if self.stamp != fork_generation():
+            return False
+        return future.exception() is None
+
+    def __reduce__(self):
+        return (_no_draw_ahead, ())
+
+
+def _no_draw_ahead():
+    return None
 
 
 @dataclass(frozen=True)
@@ -141,6 +192,12 @@ class SecondOrderSDM:
         #: Last raw input sample of the previous ``simulate`` call (None
         #: at stream start) — carries the jitter slope across chunks.
         self._last_input: float | None = None
+        #: The next block's normals, drawn ahead (see _draw_ahead).
+        self._ahead: _DrawAhead | None = None
+        #: Blocks whose normals came from the draw-ahead cache, and
+        #: draw-ahead entries dropped unused (lifetime counts).
+        self.draws_taken = 0
+        self.draws_dropped = 0
 
         ni = self.nonideality
         self.comparator = Comparator(
@@ -278,6 +335,71 @@ class SecondOrderSDM:
             )
         return self._run_prepared(*self._prepare_inputs(u))
 
+    def _draw_ahead(self, n: int, pool, stamp: int) -> None:
+        """Start drawing the next ``n``-sample block's normals on ``pool``.
+
+        The batch engine calls this for a solo lane once the current
+        block is staged (its draw taken or dropped) and before its
+        kernel runs, with its fork generation as ``stamp``. The rows are
+        allocated here, on the caller's thread, and kept while the block
+        length holds.
+        """
+        scales = {
+            "_jitter_rng": self.nonideality.clock_jitter_s,
+            "_noise_rng": self._noise_sigma_u,
+            "_dac_rng": self.dac.reference_noise_sigma,
+        }
+        gens = {
+            name: getattr(self, name)
+            for name, scale in scales.items()
+            if scale > 0.0
+        }
+        if not gens:
+            return
+        ahead = self._ahead
+        if ahead is None or ahead.n != n or ahead.rows.keys() != gens.keys():
+            ahead = self._ahead = _DrawAhead(n, gens)
+        ahead.stamp = stamp
+        ahead.future = pool.submit(ahead.fill, gens)
+
+    def _drop_ahead(self) -> None:
+        """Drop the draw-ahead cache and its rows (a session's end),
+        once no thread writes them."""
+        ahead, self._ahead = self._ahead, None
+        if ahead is not None and ahead.future is not None:
+            ahead.settle()
+            self.draws_dropped += 1
+
+    def _take_ahead(self, n: int) -> _DrawAhead | None:
+        """The draw-ahead entry if it holds this ``n``-sample block.
+
+        Any other entry is dropped: another length, a failed draw or a
+        draw its parent started before this process forked.
+        """
+        ahead = self._ahead
+        if ahead is None or ahead.future is None:
+            return None
+        if ahead.settle() and ahead.n == n:
+            self.draws_taken += 1
+            return ahead
+        self.draws_dropped += 1
+        return None
+
+    def _normals(self, name: str, out: np.ndarray, ahead) -> np.ndarray:
+        """Term ``name``'s next ``out.size`` unit normals.
+
+        The drawn-ahead row when ``ahead`` holds one (the term generator
+        and its spare swap, which moves the stream past the row), else
+        drawn into ``out`` here.
+        """
+        if ahead is not None and name in ahead.rows:
+            gen = getattr(self, name)
+            setattr(self, name, ahead.spares[name])
+            ahead.spares[name] = gen
+            return ahead.rows[name]
+        getattr(self, name).standard_normal(out=out)
+        return out
+
     def _prepare_inputs(
         self, u: np.ndarray, out=None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, float]:
@@ -299,6 +421,14 @@ class SecondOrderSDM:
         is needed. The values do not depend on where they land; the
         batch engine passes its staging rows so that staging a lane
         allocates and copies nothing.
+
+        A solo batch-engine lane has each block's unit normals drawn one
+        block ahead on a helper thread (:meth:`_draw_ahead`). They are
+        taken only when the drawn length equals ``n``; otherwise the
+        cache is dropped and the block draws here. Dropping is always
+        safe: a term generator moves past a drawn-ahead row only when
+        the row is taken, so ``bit_generator.state`` always sits at the
+        consumed position and the values never depend on the path.
         """
         n = u.size
         u_row, noise, dac_noise, work = (None,) * 4 if out is None else out
@@ -306,6 +436,7 @@ class SecondOrderSDM:
         fs = self.params.sampling_rate_hz
         last_input = self._last_input
         self._last_input = float(u[-1])
+        ahead = self._take_ahead(n)
         # Clock jitter: error = delta_t * du/dt, applied to the input.
         if ni.clock_jitter_s > 0.0:
             slope, jitter = np.empty((2, n)) if work is None else work
@@ -319,8 +450,8 @@ class SecondOrderSDM:
                 slope[0] = (u[0] - last_input) * fs
             else:
                 slope[0] = slope[1] if n > 1 else 0.0
-            self._jitter_rng.standard_normal(out=jitter)
-            np.multiply(jitter, ni.clock_jitter_s, out=jitter)
+            normals = self._normals("_jitter_rng", jitter, ahead)
+            np.multiply(normals, ni.clock_jitter_s, out=jitter)
             np.multiply(jitter, slope, out=jitter)
             u = np.add(u, jitter, out=np.empty(n) if u_row is None else u_row)
 
@@ -328,8 +459,8 @@ class SecondOrderSDM:
         if noise is None:
             noise = np.empty(n)
         if self._noise_sigma_u > 0.0:
-            self._noise_rng.standard_normal(out=noise)
-            np.multiply(noise, self._noise_sigma_u, out=noise)
+            normals = self._normals("_noise_rng", noise, ahead)
+            np.multiply(normals, self._noise_sigma_u, out=noise)
         else:
             noise.fill(0.0)
         if self._flicker is not None:
@@ -338,8 +469,10 @@ class SecondOrderSDM:
         if self.dac.reference_noise_sigma > 0.0:
             if dac_noise is None:
                 dac_noise = np.empty(n)
-            self._dac_rng.standard_normal(out=dac_noise)
-            np.multiply(dac_noise, self.dac.reference_noise_sigma, out=dac_noise)
+            normals = self._normals("_dac_rng", dac_noise, ahead)
+            np.multiply(
+                normals, self.dac.reference_noise_sigma, out=dac_noise
+            )
         else:
             dac_noise = None
         dac_gain = 1.0 + self.dac.reference_error

@@ -249,3 +249,24 @@ class TestNumericArguments:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert argv[1] in err
+
+    @pytest.mark.parametrize(
+        "cmdline",
+        [
+            "imaging --rows 1",
+            "imaging --cols 2",
+            "run --batch 0",
+            "gateway --chaos 0",
+        ],
+    )
+    def test_bad_count_stops_before_the_banner(self, capsys, cmdline):
+        """Array sizes and lane/device counts fail at parse time, with a
+        usage line and nothing printed on stdout."""
+        argv = cmdline.split()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage:" in err
+        assert argv[1] in err
